@@ -22,8 +22,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical-domain error,
 3 verification failure.  Output files are written atomically (temp file +
 rename) so a failing run never leaves partial output.  Given the same
 configuration and seed, outputs are byte-identical across runs on one
-platform; the ``HETFLOW_THREADS`` environment variable caps sweep
-parallelism without changing output bytes.
+platform.
 """
 
 from __future__ import annotations
@@ -170,16 +169,8 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("HETFLOW_THREADS")
-    if raw is None:
-        return max(1, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"HETFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError("HETFLOW_THREADS must be at least 1")
-    return min(cap, max(1, os.cpu_count() or 1))
+    # The sweep has no pool; perfbench/run.py records this in its run record.
+    return 1
 
 
 def _algebra_from_config(cfg: RunConfig) -> hg.LieAlgebraData:
@@ -251,13 +242,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError(f"sweep case must be positive/flat/negative/su2, got {cfg.case!r}")
     kappas = np.linspace(cfg.kappa_min, cfg.kappa_max, cfg.kappa_steps)
     mus = np.linspace(cfg.mu_min, cfg.mu_max, cfg.mu_steps)
-    tags = ht.sweep_grid(cfg.case, kappas, mus, max_workers=_worker_count())
+    tags = ht.sweep_grid(cfg.case, kappas, mus)
+    mu_cells = [_float_cell(mu) for mu in mus]
     lines = ["i,j,kappa,mu,tag"]
-    for i, kap in enumerate(kappas):
-        for j, mu in enumerate(mus):
-            lines.append(
-                f"{i},{j},{_float_cell(kap)},{_float_cell(mu)},{tags[i, j].value}"
-            )
+    for i, (kap, row) in enumerate(zip(kappas, tags)):
+        kap_cell = _float_cell(kap)
+        for j, (mu_cell, tag) in enumerate(zip(mu_cells, row)):
+            lines.append(f"{i},{j},{kap_cell},{mu_cell},{tag.value}")
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -48,6 +48,7 @@ __all__ = [
     "MU_POLE_MINUS_SQ",
     "MU_POLE_PLUS_SQ",
     "mu_threshold_cubic",
+    "MU_THRESHOLD_CUBIC_SQ",
     "kappa0",
     "lambert_w",
     "flat_closed_form",
@@ -67,6 +68,8 @@ EPS_COLLAPSE = 1e-8
 M_BLOWUP = 1e8
 
 _CASES = ("positive", "flat", "negative", "su2", "general")
+# Scalar curvature of the named cases; "general" takes it from the problem.
+_CASE_S = {"positive": 1.0, "flat": 0.0, "negative": -1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +152,37 @@ class HomothetyProblem:
     def __post_init__(self) -> None:
         if self.case not in _CASES:
             raise ValueError(f"unknown case {self.case!r}; expected one of {_CASES}")
-        if not (self.kappa >= 0.0):
+        if not (0.0 <= self.kappa < math.inf):
             raise ValueError("kappa must be a non-negative real")
-        if not (self.sigma0 > 0.0):
-            raise ValueError("sigma0 must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
+        if not (0.0 < self.sigma0 < math.inf):
+            raise ValueError("sigma0 must be positive and finite")
         if self.case == "su2" and self.kappa == 0.0:
             raise ValueError("the SU(2) reduction requires kappa > 0")
 
 
+_OVERFLOW = "kappa and mu overflow the quintic coefficients"
+
+
 def problem_coefficients(problem: HomothetyProblem) -> np.ndarray:
-    """Quintic coefficients of ``y**4 F`` for the problem's case."""
-    if problem.case == "su2":
-        return su2_coefficients(problem.kappa)
-    s = {"positive": 1.0, "flat": 0.0, "negative": -1.0}.get(problem.case, problem.s)
-    return reduction_coefficients(problem.kappa, problem.mu, s)
+    """Quintic coefficients of ``y**4 F`` for the problem's case.
+
+    Raises ``ValueError`` when a coefficient overflows to infinity.
+    """
+    try:
+        if problem.case == "su2":
+            coeffs = su2_coefficients(problem.kappa)
+        else:
+            s = _CASE_S.get(problem.case, problem.s)
+            coeffs = reduction_coefficients(problem.kappa, problem.mu, s)
+    except OverflowError as exc:  # Python's float ** raises where * gives inf
+        raise ValueError(_OVERFLOW) from exc
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(_OVERFLOW)
+    return coeffs
 
 
 def F_value(problem: HomothetyProblem, y: float) -> float:
@@ -221,6 +241,10 @@ def mu_threshold_cubic(tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ``mu^2`` at the cubic threshold, bisected once at import.
+MU_THRESHOLD_CUBIC_SQ = mu_threshold_cubic()
 
 
 def _f_p_split(mu: float) -> tuple:
@@ -673,7 +697,7 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, roots=roots, f_at_start=f0)
 
     if case == "positive" and kappa > max(0.0, kappa_crit_p(mu)):
-        if abs(mu**2 - mu_threshold_cubic()) <= 1e-9:
+        if abs(mu**2 - MU_THRESHOLD_CUBIC_SQ) <= 1e-9:
             # boundary of the cubic split: behavior not pinned down either way
             return Behavior(tag=BehaviorTag.UNRESOLVED, roots=roots, f_at_start=f0)
 
@@ -807,33 +831,127 @@ def classify_from_trajectory(
     raise RuntimeError("trajectory classification saw no terminal event in either direction")
 
 
-def sweep_grid(case: str, kappas, mus, max_workers: int | None = None):
-    """Classify every point of a (kappa, mu) grid; returns a tag array.
+def _check_grid(case: str, kappas: list, mus: list) -> None:
+    """Raise the error :func:`classify` raises at the first invalid grid cell.
 
-    Points are independent; evaluation may fan out over a thread pool, and
-    results are assembled by grid index so the output never depends on
-    scheduling.
+    A cell is valid when its ``kappa`` and its ``mu`` each pass
+    :class:`HomothetyProblem`, so the first invalid cell in row-major order
+    lies in row 0 when any cell of row 0 fails, and in column 0 otherwise.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    if kappas and mus:
+        for mu in mus:
+            HomothetyProblem(case=case, kappa=kappas[0], mu=mu)
+        for kappa in kappas:
+            HomothetyProblem(case=case, kappa=kappa, mu=mus[0])
 
-    kappas = np.asarray(list(kappas), dtype=float)
-    mus = np.asarray(list(mus), dtype=float)
-    jobs = [(i, j, float(k), float(m)) for i, k in enumerate(kappas) for j, m in enumerate(mus)]
-    tags = np.empty((len(kappas), len(mus)), dtype=object)
 
-    def work(job):
-        i, j, k, m = job
-        return i, j, classify(case, k, m)
+def _grid_coefficients(case: str, kappas: list, mus: list) -> np.ndarray:
+    """``(len(kappas), len(mus), 6)`` stack of :func:`problem_coefficients`.
 
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for i, j, beh in pool.map(work, jobs):
-                tags[i, j] = beh.tag
-    else:
-        for job in jobs:
-            i, j, beh = work(job)
-            tags[i, j] = beh.tag
-    return tags
+    Every row equals the scalar coefficients bit for bit: the powers of
+    ``mu`` are Python float powers taken once per axis value (numpy's ``**``
+    rounds differently), and the products keep the operation order of
+    :func:`reduction_coefficients`.
+    """
+    k = np.array(kappas, dtype=float)[:, None]
+    out = np.zeros((len(kappas), len(mus), 6))
+    if case == "su2":
+        out[:, :, 0] = 4.0 / k
+        out[:, :, 1] = -12.0 / k
+        return out
+    s = _CASE_S.get(case, 0.0)
+    mu2 = np.array([m**2 for m in mus], dtype=float)
+    mu4 = np.array([m**4 for m in mus], dtype=float)
+    out[:, :, 0] = (2.0 * k * s / 3.0 - 2.0) * (s / 3.0)
+    out[:, :, 1] = -k * s**2 / 3.0
+    out[:, :, 2] = mu2
+    out[:, :, 3] = -k * s * mu2
+    out[:, :, 5] = -k * mu4 / 4.0
+    return out
+
+
+def _root_brackets(coeffs: np.ndarray) -> tuple:
+    """Per row of an ``(N, 6)`` stack with no all-zero row: whether ``p`` has
+    a root among :func:`_positive_roots` below 1, and one above 1.
+
+    Rows are grouped by their leading and trailing zero coefficients, which
+    :func:`np.roots` strips; each group's companion matrices, built as
+    :func:`np.roots` builds them, go to one ``eigvals`` call.
+    """
+    below = np.zeros(len(coeffs), dtype=bool)
+    above = np.zeros(len(coeffs), dtype=bool)
+    nonzero = coeffs != 0.0
+    first = np.argmax(nonzero, axis=1)
+    last = coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    for lo, hi in set(zip(first.tolist(), last.tolist())):
+        deg = hi - lo
+        if deg == 0:
+            continue
+        rows = np.flatnonzero((first == lo) & (last == hi))
+        p = coeffs[rows, lo : hi + 1]
+        companion = np.zeros((len(rows), deg, deg))
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots = np.linalg.eigvals(companion)
+        re = roots.real
+        positive = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(re))) & (re > 1e-12)
+        below[rows] = np.any(positive & (re < 1.0), axis=1)
+        above[rows] = np.any(positive & (re > 1.0), axis=1)
+    return below, above
+
+
+def sweep_grid(case: str, kappas, mus) -> np.ndarray:
+    """Tag every point of a (kappa, mu) grid started at ``sigma0 = 1``.
+
+    Returns a ``(len(kappas), len(mus))`` object array of :class:`BehaviorTag`
+    equal, cell by cell, to ``classify(case, kappa, mu).tag``.  The whole grid
+    is classified in one batched pass: the coefficients and ``F(1)`` are the
+    scalar path's bit for bit, the roots come from stacked ``eigvals`` calls,
+    and the rules of :func:`classify` apply as array masks.  Limits and
+    collapse times are not computed; :func:`classify` gives them per point.
+    An invalid cell raises the ``ValueError`` that :func:`classify` raises
+    for the first one in row-major order; a grid whose coefficients
+    overflow raises the one :func:`problem_coefficients` raises.
+    """
+    kappas = [float(k) for k in kappas]
+    mus = [float(m) for m in mus]
+    _check_grid(case, kappas, mus)
+    try:
+        with np.errstate(over="ignore"):
+            coeffs = _grid_coefficients(case, kappas, mus).reshape(-1, 6)
+    except OverflowError as exc:
+        raise ValueError(_OVERFLOW) from exc
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(_OVERFLOW)
+
+    f0 = np.zeros(len(coeffs))
+    for column in coeffs.T:  # np.polyval's Horner order at sigma0 = 1
+        f0 = f0 * 1.0 + column
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+    static = np.abs(f0) <= 1e-12 * scale  # also every all-zero row
+    unresolved = np.zeros_like(static)
+    if case == "positive":
+        over = np.array(kappas)[:, None] > np.array([max(0.0, kappa_crit_p(m)) for m in mus])
+        near = np.array([abs(m**2 - MU_THRESHOLD_CUBIC_SQ) <= 1e-9 for m in mus], dtype=bool)
+        unresolved = (over & near).ravel()
+
+    below = np.zeros_like(static)
+    above = np.zeros_like(static)
+    todo = ~(static | unresolved)
+    below[todo], above[todo] = _root_brackets(coeffs[todo])
+
+    tags = np.select(
+        [static, unresolved, ~below, ~above & (f0 > 0.0), ~above],
+        [
+            BehaviorTag.STATIC,
+            BehaviorTag.UNRESOLVED,
+            BehaviorTag.FINITE_TIME_COLLAPSE,
+            BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT,
+            BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE,
+        ],
+        default=BehaviorTag.ETERNAL_REGULAR,
+    )
+    return tags.reshape(len(kappas), len(mus))
 
 
 # ---------------------------------------------------------------------------

@@ -310,27 +310,52 @@ def test_sweep_schema_and_grid_order(capsys):
     ]
 
 
-def test_sweep_deterministic_across_thread_counts(capsys, tmp_path, monkeypatch):
+def test_sweep_deterministic_across_thread_counts(capsys, tmp_path):
+    # The sweep runs in one thread and reads no thread setting: repeated runs
+    # write the same bytes.
     outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HETFLOW_THREADS", threads)
-        path = tmp_path / f"sweep_{threads}.csv"
+    for k in range(3):
+        path = tmp_path / f"sweep_{k}.csv"
         code, _, _ = _run(capsys, SWEEP_ARGS + ["--output", str(path)])
         assert code == 0
         outputs.append(path.read_bytes())
-    monkeypatch.delenv("HETFLOW_THREADS")
-    path = tmp_path / "sweep_default.csv"
-    code, _, _ = _run(capsys, SWEEP_ARGS + ["--output", str(path)])
-    assert code == 0
-    outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_bad_thread_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("HETFLOW_THREADS", "zero")
-    code, _, err = _run(capsys, SWEEP_ARGS)
-    assert code == 1
-    assert "configuration error" in err
+def test_sweep_csv_matches_scalar_classify(capsys):
+    argv = ["sweep", "--case", "positive", "--kappa-min", "0.0", "--kappa-max", "3.0",
+            "--kappa-steps", "7", "--mu-min", "0.0", "--mu-max", "2.5", "--mu-steps", "6"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    lines = ["i,j,kappa,mu,tag"]
+    for i, kap in enumerate(np.linspace(0.0, 3.0, 7)):
+        for j, mu in enumerate(np.linspace(0.0, 2.5, 6)):
+            tag = ht.classify("positive", float(kap), float(mu)).tag.value
+            lines.append(f"{i},{j},{float(kap)!r},{float(mu)!r},{tag}")
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "case, kappa_min, mu_max, message",
+    [
+        ("negative", "-1.0", "1.0", "kappa must be a non-negative real"),
+        ("su2", "0.0", "1.0", "the SU(2) reduction requires kappa > 0"),
+        ("positive", "0.0", "1e200", "overflow"),
+    ],
+)
+def test_sweep_domain_error_exits_2(capsys, case, kappa_min, mu_max, message):
+    argv = ["sweep", "--case", case, "--kappa-min", kappa_min, "--kappa-max", "1.0",
+            "--kappa-steps", "3", "--mu-min", "0.0", "--mu-max", mu_max, "--mu-steps", "2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "numerical-domain error" in err and message in err
+
+
+def test_homothety_overflowing_coefficients_exit_2(capsys):
+    code, _, err = _run(capsys, ["homothety", "--case", "flat", "--kappa", "1.0", "--mu", "1e200"])
+    assert code == 2
+    assert "overflow" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scalar conformal-factor reduction: curves, closed forms, classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,12 +331,73 @@ def test_behavior_tag_strings():
 def test_sweep_grid_matches_pointwise_and_is_deterministic():
     kappas = np.linspace(0.0, 1.0, 5)
     mus = np.linspace(0.0, 2.0, 5)
-    serial = ht.sweep_grid("positive", kappas, mus, max_workers=1)
-    parallel = ht.sweep_grid("positive", kappas, mus, max_workers=4)
+    first = ht.sweep_grid("positive", kappas, mus)
+    again = ht.sweep_grid("positive", list(kappas), list(mus))
+    assert first.shape == (5, 5)
     for i, kap in enumerate(kappas):
         for j, mu in enumerate(mus):
-            assert serial[i, j] == parallel[i, j]
-            assert serial[i, j] == ht.classify("positive", float(kap), float(mu)).tag
+            assert first[i, j] is again[i, j]
+            assert first[i, j] is ht.classify("positive", float(kap), float(mu)).tag
+
+
+def _dense_axes(case):
+    """A grid through every place where the classifier's branches meet:
+    the kappa_crit_n poles, the cubic threshold, mu^2 = 2/3, mu = 0,
+    kappa = 0, the positive degree drop at kappa = 3, and a point on each
+    static curve."""
+    special = [
+        math.sqrt(ht.MU_POLE_MINUS_SQ),
+        math.sqrt(ht.MU_POLE_PLUS_SQ),
+        math.sqrt(ht.mu_threshold_cubic()),
+        math.sqrt(2.0 / 3.0),
+    ]
+    mus = sorted(set(np.linspace(0.0, 3.0, 21).tolist() + special))
+    kappas = np.linspace(0.0, 6.0, 19).tolist() + [0.05, 3.0]
+    for mu in mus[1::3]:
+        curve = [ht.kappa_crit_p(mu), 4.0 / mu**2]
+        if abs(mu**2 - ht.MU_POLE_MINUS_SQ) > 1e-6 and abs(mu**2 - ht.MU_POLE_PLUS_SQ) > 1e-6:
+            curve.append(ht.kappa_crit_n(mu))
+        kappas += [k for k in curve if 0.0 < k < 12.0]
+    if case == "su2":
+        kappas = [k for k in kappas if k > 0.0]
+    return sorted(set(kappas)), mus
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("positive", {TAG.STATIC, TAG.UNRESOLVED, TAG.FINITE_TIME_COLLAPSE, TAG.ETERNAL_REGULAR}),
+        ("flat", {TAG.STATIC, TAG.FINITE_TIME_COLLAPSE, TAG.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT}),
+        ("negative", {TAG.STATIC, TAG.FINITE_TIME_COLLAPSE, TAG.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT}),
+        ("su2", {TAG.FINITE_TIME_COLLAPSE}),
+    ],
+)
+def test_sweep_grid_equals_classify_on_dense_grid(case, expected):
+    kappas, mus = _dense_axes(case)
+    tags = ht.sweep_grid(case, kappas, mus)
+    assert tags.shape == (len(kappas), len(mus))
+    seen = set()
+    for i, kap in enumerate(kappas):
+        for j, mu in enumerate(mus):
+            ref = ht.classify(case, kap, mu).tag
+            assert tags[i, j] is ref, (case, kap, mu)
+            seen.add(ref)
+    assert expected <= seen
+
+
+def test_grid_coefficients_equal_scalar_bit_for_bit():
+    # numpy's ** rounds mu**2 and mu**4 differently from Python floats on a
+    # few percent of values; random mus make such a difference show.
+    rng = np.random.default_rng(7)
+    mus = [0.0, math.sqrt(2.0 / 3.0)] + rng.uniform(0.0, 4.0, 400).tolist()
+    for case in ("positive", "flat", "negative", "su2", "general"):
+        kappas, _ = _dense_axes(case)
+        kappas = kappas[::4] + [3.0]
+        grid = ht._grid_coefficients(case, kappas, mus)
+        for i, kap in enumerate(kappas):
+            for j, mu in enumerate(mus):
+                ref = ht.problem_coefficients(ht.HomothetyProblem(case=case, kappa=kap, mu=mu))
+                assert grid[i, j].tobytes() == ref.tobytes(), (case, kap, mu)
 
 
 def test_check_homothety_consistency_cases():
@@ -370,6 +432,61 @@ def test_problem_validation():
         ht.HomothetyProblem(case="flat", kappa=1.0, sigma0=0.0)
     with pytest.raises(ValueError):
         ht.HomothetyProblem(case="su2", kappa=0.0)
+
+
+@pytest.mark.parametrize("field", ["kappa", "mu", "s", "sigma0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite(field, value):
+    args = {"case": "general", "kappa": 1.0, "mu": 0.5, "s": 1.0, "sigma0": 1.0}
+    args[field] = value
+    with pytest.raises(ValueError, match=field):
+        ht.HomothetyProblem(**args)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_classify_non_finite_mu_is_a_clean_value_error(mu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu must be finite"):
+            ht.classify("positive", 1.0, mu)
+
+
+def _first_classify_error(case, kappas, mus):
+    for kap in kappas:
+        for mu in mus:
+            try:
+                ht.classify(case, kap, mu)
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "case, kappas, mus",
+    [
+        ("negative", [0.5, -1.0], [0.0, 1.0]),
+        ("negative", [-1.0, 0.5], [0.0, math.nan]),
+        ("negative", [0.5, -1.0], [0.0, math.nan]),
+        ("positive", [0.5, math.inf], [1.0]),
+        ("flat", [0.5], [1.0, -math.inf]),
+        ("su2", [1.0, 0.0], [0.0, 1.0]),
+        ("su2", [0.0], [math.nan]),
+        ("weird", [1.0], [1.0]),
+        # finite couplings whose quintic coefficients overflow
+        ("positive", [0.5, 1e300], [0.0, 1e5]),
+        ("positive", [1e308], [0.5]),
+        ("flat", [1.0], [0.5, 1e200]),
+        ("su2", [1.0, 1e-310], [0.0]),
+    ],
+)
+def test_sweep_grid_rejects_what_classify_rejects(case, kappas, mus):
+    message = _first_classify_error(case, kappas, mus)
+    assert message is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            ht.sweep_grid(case, kappas, mus)
+    assert str(info.value) == message
 
 
 def test_integrate_respects_sigma0_scaling():
