@@ -7,6 +7,16 @@ tensor fields (metric, connection, curvatures, torsion data, dilaton data)
 are arrays whose trailing axis is the jet axis, so the chart pipeline is
 exact polynomial arithmetic: the only rounding is double precision itself.
 
+Every jet product goes through one gather--contract--scatter kernel.  The
+84 pairs of monomials whose product has degree at most three are listed once
+(``MUL_TRIPLES``); a product gathers the pair coefficients of both factors
+along a trailing 84-long axis, contracts the tensor axes in a single
+``np.einsum`` that carries the pair axis along, and sums each pair into the
+coefficient of its product monomial with one ``(84, 20)`` 0/1 scatter
+matrix.  ``jet_mul``, ``jet_einsum`` and ``hodge_jets`` share it.  A
+coordinate derivative is one matrix product with a ``(20, 20)`` matrix that
+has a single nonzero entry per column, so it is exact.
+
 Validity bookkeeping is positional rather than stored: a quantity assembled
 from k derivatives of the inputs has correct jet coefficients up to degree
 ``3 - k``, and the pipeline below only ever reads coefficients inside that
@@ -98,6 +108,15 @@ for _axis in range(N_VARS):
 _MUL_I = np.array([t[0] for t in MUL_TRIPLES])
 _MUL_J = np.array([t[1] for t in MUL_TRIPLES])
 _MUL_K = np.array([t[2] for t in MUL_TRIPLES])
+# _MUL_SCATTER[t, k] = 1 when pair t lands on coefficient k.
+_MUL_SCATTER = np.zeros((len(MUL_TRIPLES), N_COEFFS))
+_MUL_SCATTER[np.arange(len(MUL_TRIPLES)), _MUL_K] = 1.0
+
+# _DERIV[axis][src, dst] = factor, so that ``a @ _DERIV[axis]`` applies DERIV_RULES.
+_DERIV = np.zeros((N_VARS, N_COEFFS, N_COEFFS))
+for _axis, _rules in enumerate(DERIV_RULES):
+    for _dst, _src, _factor in _rules:
+        _DERIV[_axis, _src, _dst] = _factor
 
 
 def jet_from_poly(coeffs: dict[tuple[int, int, int], float]) -> np.ndarray:
@@ -128,36 +147,34 @@ def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of jets; broadcasts over leading (tensor) axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (N_COEFFS,)
-    out = np.zeros(shape)
-    np.add.at(out, (..., _MUL_K), a[..., _MUL_I] * b[..., _MUL_J])
-    return out
+    return (np.take(a, _MUL_I, axis=-1) * np.take(b, _MUL_J, axis=-1)) @ _MUL_SCATTER
 
 
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Einsum over the leading tensor axes of two jet arrays.
 
-    ``spec`` addresses only the tensor axes (e.g. ``"abc,cm->abm"``); the jet
-    axis is convolved with degree truncation.
+    ``spec`` addresses only the tensor axes and names its output explicitly
+    (e.g. ``"abc,cm->abm"``); the jet axis is convolved with degree
+    truncation.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = None
-    for i, j, k in MUL_TRIPLES:
-        term = np.einsum(spec, a[..., i], b[..., j])
-        if out is None:
-            out = np.zeros(term.shape + (N_COEFFS,))
-        out[..., k] += term
-    return out
+    inputs, arrow, output = spec.partition("->")
+    if not arrow:
+        raise ValueError(f"jet_einsum needs an explicit output in {spec!r}")
+    pair = next(c for c in "zyxwvutsrqponmlkjihgfedcba" if c not in spec)
+    spec_a, spec_b = inputs.split(",")
+    # np.take gives C-ordered gathers with the pair axis innermost; indexing
+    # with ``[..., _MUL_I]`` would put it outermost and slow the einsum.
+    terms = np.einsum(
+        f"{spec_a}{pair},{spec_b}{pair}->{output}{pair}",
+        np.take(np.asarray(a, dtype=float), _MUL_I, axis=-1),
+        np.take(np.asarray(b, dtype=float), _MUL_J, axis=-1),
+    )
+    return terms @ _MUL_SCATTER
 
 
 def jet_deriv(a: np.ndarray, axis: int) -> np.ndarray:
     """Coordinate derivative of a jet array (valid one degree lower)."""
-    a = np.asarray(a, dtype=float)
-    out = np.zeros_like(a)
-    for dst, src, factor in DERIV_RULES[axis]:
-        out[..., dst] = factor * a[..., src]
-    return out
+    return np.asarray(a, dtype=float) @ _DERIV[axis]
 
 
 def jet_grad(a: np.ndarray) -> np.ndarray:
@@ -325,13 +342,7 @@ def hodge_jets(g_inv: np.ndarray, vol: np.ndarray, form: np.ndarray) -> np.ndarr
         raised = np.moveaxis(jet_einsum("ab,b...->a...", g_inv, np.moveaxis(raised, _slot, 0)), 0, _slot)
     letters = "abcdef"
     spec = letters[:N_VARS] + "," + letters[:p] + "->" + letters[p:N_VARS]
-    out = None
-    for i, j, k in MUL_TRIPLES:
-        term = np.einsum(spec, vol[..., i], raised[..., j])
-        if out is None:
-            out = np.zeros(np.shape(term) + (N_COEFFS,))
-        out[..., k] += term
-    return out / math.factorial(p)
+    return jet_einsum(spec, vol, raised) / math.factorial(p)
 
 
 # ---------------------------------------------------------------------------

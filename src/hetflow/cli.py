@@ -240,6 +240,12 @@ def cmd_homothety(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.case not in ("positive", "flat", "negative", "su2"):
         raise ConfigError(f"sweep case must be positive/flat/negative/su2, got {cfg.case!r}")
+    # RunConfig keeps the bounds finite and ordered, so every cell's coupling
+    # is valid exactly when the smallest kappa is.
+    try:
+        ht.HomothetyProblem(case=cfg.case, kappa=cfg.kappa_min)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     kappas = np.linspace(cfg.kappa_min, cfg.kappa_max, cfg.kappa_steps)
     mus = np.linspace(cfg.mu_min, cfg.mu_max, cfg.mu_steps)
     tags = ht.sweep_grid(cfg.case, kappas, mus)
@@ -324,7 +330,12 @@ def cmd_soliton_check(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_identities(trials: int, seed: int) -> list[dict]:
+def _chart_samples(trials: int, seed: int) -> list:
+    """The chart samples of one ``verify`` call, shared by the chart suites."""
+    return [cj.random_chart_sample(seed + k, maxwell=bool(k % 2)) for k in range(trials)]
+
+
+def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
     """Curvature-identity suite over chart and homogeneous samples."""
     names = (
         "curvature_reconstruction",
@@ -335,10 +346,7 @@ def _suite_identities(trials: int, seed: int) -> list[dict]:
     )
     worst = {name: 0.0 for name in names}
     for k in range(trials):
-        for sample in (
-            cj.random_chart_sample(seed + k, maxwell=bool(k % 2)),
-            hg.random_invariant_sample(seed + k),
-        ):
+        for sample in (charts[k], hg.random_invariant_sample(seed + k)):
             g, ric, scal = sample.g, sample.ricci, sample.scalar
             rebuilt = tc.riemann_from_ricci_dim3(g, ric, scal)
             worst["curvature_reconstruction"] = max(
@@ -378,14 +386,13 @@ def _suite_identities(trials: int, seed: int) -> list[dict]:
     ]
 
 
-def _suite_divergence(trials: int, seed: int) -> list[dict]:
+def _suite_divergence(trials: int, seed: int, charts: list) -> list[dict]:
     """Divergence-identity suite over chart samples with nonconstant f, phi."""
     rng = np.random.default_rng(seed)
     worst = {"div_curvature_square": 0.0, "div_torsion_square": 0.0, "div_einstein_map": 0.0}
     for k in range(trials):
         kappa = float(rng.uniform(0.05, 3.0))
-        sample = cj.random_chart_sample(seed + k, maxwell=bool(k % 2))
-        report = so.verify_divergence_identities(sample, kappa)
+        report = so.verify_divergence_identities(charts[k], kappa)
         for name, eq in report.equations.items():
             worst[name] = max(worst[name], eq.value)
     return [
@@ -394,8 +401,11 @@ def _suite_divergence(trials: int, seed: int) -> list[dict]:
     ]
 
 
-def _suite_solitons(trials: int, seed: int) -> list[dict]:
-    """Constructor suite: residuals, classification round-trip, stationarity."""
+def _suite_solitons(trials: int, seed: int, charts: list) -> list[dict]:
+    """Constructor suite: residuals, classification round-trip, stationarity.
+
+    Uses no chart samples; ``charts`` keeps the suites' common signature.
+    """
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
     worst_disc = 0.0
@@ -454,9 +464,14 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"unknown suite {cfg.suite!r}; expected one of {tuple(_SUITES)} or 'all'"
         )
     selected = tuple(_SUITES) if cfg.suite == "all" else (cfg.suite,)
+    # Built once per call: the identity and divergence suites read the same
+    # samples, and nothing keeps them past this command.
+    charts = []
+    if {"identities", "divergence"} & set(selected):
+        charts = _chart_samples(cfg.trials, cfg.seed)
     checks = []
     for name in selected:
-        for check in _SUITES[name](cfg.trials, cfg.seed):
+        for check in _SUITES[name](cfg.trials, cfg.seed, charts):
             checks.append({"suite": name, **check})
     all_pass = all(check["pass"] for check in checks)
     payload = {

@@ -222,13 +222,10 @@ def invariant_d(alg: LieAlgebraData, form: np.ndarray) -> np.ndarray:
     out = np.zeros((n,) * (p + 1))
     if p == 0:
         return out
-    for idx in itertools.product(range(n), repeat=p + 1):
-        total = 0.0
-        for i, j in itertools.combinations(range(p + 1), 2):
-            rest = tuple(idx[r] for r in range(p + 1) if r not in (i, j))
-            bracket = alg.structure[idx[i], idx[j]]
-            total += (-1) ** (i + j) * float(bracket @ form[(slice(None),) + rest])
-        out[idx] = total
+    # term[a, b, rest] = w([e_a, e_b], rest); slots a, b go to positions i, j.
+    term = np.einsum("abm,m...->ab...", alg.structure, form)
+    for i, j in itertools.combinations(range(p + 1), 2):
+        out += (-1) ** (i + j) * np.moveaxis(term, (0, 1), (i, j))
     return out
 
 

@@ -21,6 +21,7 @@ torsion constant, ``y = sigma > 0`` the conformal factor.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,11 +73,32 @@ _CASES = ("positive", "flat", "negative", "su2", "general")
 _CASE_S = {"positive": 1.0, "flat": 0.0, "negative": -1.0}
 
 
+_OVERFLOW = "kappa and mu overflow the quintic coefficients"
+
+
+def _overflow_guard(fn):
+    """Raise ``ValueError(_OVERFLOW)`` where ``fn`` overflows a power of ``mu``.
+
+    Python's float ``**`` raises ``OverflowError`` where ``*`` gives inf
+    (``mu**2`` for ``|mu|`` above about 1.3e154); the powers keep their bits.
+    """
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise ValueError(_OVERFLOW) from exc
+
+    return guarded
+
+
 # ---------------------------------------------------------------------------
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
 
+@_overflow_guard
 def reduction_coefficients(kappa: float, mu: float, s: float) -> np.ndarray:
     """Quintic coefficients (highest degree first) of ``p(y) = y**4 F(y)``.
 
@@ -164,22 +186,16 @@ class HomothetyProblem:
             raise ValueError("the SU(2) reduction requires kappa > 0")
 
 
-_OVERFLOW = "kappa and mu overflow the quintic coefficients"
-
-
 def problem_coefficients(problem: HomothetyProblem) -> np.ndarray:
     """Quintic coefficients of ``y**4 F`` for the problem's case.
 
     Raises ``ValueError`` when a coefficient overflows to infinity.
     """
-    try:
-        if problem.case == "su2":
-            coeffs = su2_coefficients(problem.kappa)
-        else:
-            s = _CASE_S.get(problem.case, problem.s)
-            coeffs = reduction_coefficients(problem.kappa, problem.mu, s)
-    except OverflowError as exc:  # Python's float ** raises where * gives inf
-        raise ValueError(_OVERFLOW) from exc
+    if problem.case == "su2":
+        coeffs = su2_coefficients(problem.kappa)
+    else:
+        s = _CASE_S.get(problem.case, problem.s)
+        coeffs = reduction_coefficients(problem.kappa, problem.mu, s)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(_OVERFLOW)
     return coeffs
@@ -199,6 +215,7 @@ MU_POLE_MINUS_SQ = (2.0 / 3.0) * (3.0 - 2.0 * math.sqrt(2.0))
 MU_POLE_PLUS_SQ = (2.0 / 3.0) * (3.0 + 2.0 * math.sqrt(2.0))
 
 
+@_overflow_guard
 def kappa_crit_p(mu: float) -> float:
     """Static curve of the positive case: ``(36 mu^2 - 24)/(9 mu^2 (mu^2+4) + 4)``.
 
@@ -209,6 +226,7 @@ def kappa_crit_p(mu: float) -> float:
     return (36.0 * m2 - 24.0) / (9.0 * m2 * (m2 + 4.0) + 4.0)
 
 
+@_overflow_guard
 def kappa_crit_n(mu: float) -> float:
     """Static curve of the negative case: ``(36 mu^2 + 24)/(9 mu^2 (mu^2-4) + 4)``.
 
@@ -271,6 +289,7 @@ def _f_p_split(mu: float) -> tuple:
     return P, Q, Pp, Qp, Ppp, Qpp
 
 
+@_overflow_guard
 def kappa0(mu: float, tol: float = 1e-10) -> tuple:
     """Tangency parameters ``(kappa0, y0)`` of the positive case.
 
@@ -405,6 +424,7 @@ def _w0_of_exp(log_x: float) -> float:
     return w
 
 
+@_overflow_guard
 def flat_collapse_time(kappa: float, mu: float) -> float:
     """Future collapse time ``t_* = -kappa/12 (1 + b + log(-b))`` for ``b < 0``."""
     b = 4.0 / (kappa * mu**2) - 1.0
@@ -413,6 +433,7 @@ def flat_collapse_time(kappa: float, mu: float) -> float:
     return -kappa / 12.0 * (1.0 + b + math.log(-b))
 
 
+@_overflow_guard
 def flat_closed_form(kappa: float, mu: float, t: float) -> float:
     """Exact flat-case trajectory through ``sigma(0) = 1``.
 
@@ -436,7 +457,10 @@ def flat_closed_form(kappa: float, mu: float, t: float) -> float:
     if b > 0.0:
         w = _w0_of_exp(math.log(b) + 12.0 * t / kappa + b)
     else:
-        arg = b * math.exp(12.0 * t / kappa + b)
+        try:
+            arg = b * math.exp(12.0 * t / kappa + b)
+        except OverflowError:  # an exponent this large lies far past t_*
+            arg = -math.inf
         if arg < -_INV_E:
             if arg < -_INV_E - 1e-12:
                 raise ValueError("t beyond the flat collapse time t_*")
@@ -845,6 +869,7 @@ def _check_grid(case: str, kappas: list, mus: list) -> None:
             HomothetyProblem(case=case, kappa=kappa, mu=mus[0])
 
 
+@_overflow_guard
 def _grid_coefficients(case: str, kappas: list, mus: list) -> np.ndarray:
     """``(len(kappas), len(mus), 6)`` stack of :func:`problem_coefficients`.
 
@@ -916,11 +941,8 @@ def sweep_grid(case: str, kappas, mus) -> np.ndarray:
     kappas = [float(k) for k in kappas]
     mus = [float(m) for m in mus]
     _check_grid(case, kappas, mus)
-    try:
-        with np.errstate(over="ignore"):
-            coeffs = _grid_coefficients(case, kappas, mus).reshape(-1, 6)
-    except OverflowError as exc:
-        raise ValueError(_OVERFLOW) from exc
+    with np.errstate(over="ignore"):
+        coeffs = _grid_coefficients(case, kappas, mus).reshape(-1, 6)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(_OVERFLOW)
 

@@ -42,6 +42,82 @@ def test_jet_deriv_and_grad():
     assert cj.jet_eval(grad[1], x) == pytest.approx(4.0 * x[0] ** 2, rel=1e-12)
 
 
+def _einsum_triple_loop(spec, a, b):
+    """Reference product: one ``np.einsum`` per monomial pair of MUL_TRIPLES."""
+    out = None
+    for i, j, k in cj.MUL_TRIPLES:
+        term = np.einsum(spec, a[..., i], b[..., j])
+        if out is None:
+            out = np.zeros(np.shape(term) + (cj.N_COEFFS,))
+        out[..., k] += term
+    return out
+
+
+def _hodge_triple_loop(g_inv, vol, form):
+    p = form.ndim - 1
+    raised = form
+    for slot in range(p):
+        moved = np.moveaxis(raised, slot, 0)
+        raised = np.moveaxis(_einsum_triple_loop("ab,b...->a...", g_inv, moved), 0, slot)
+    spec = "abc," + "abc"[:p] + "->" + "abc"[p:]
+    return _einsum_triple_loop(spec, vol, raised) / math.factorial(p)
+
+
+def _assert_rel_close(actual, expected):
+    assert actual.shape == expected.shape
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize(
+    "spec, shape_a, shape_b",
+    [
+        ("ij,jk->ik", (3, 3), (3, 3)),
+        ("ab,b...->a...", (3, 3), (3, 3, 3)),
+        ("aim,m...->ai...", (3, 3, 3), (3, 3, 3, 3)),
+        ("aim,m...->ai...", (3, 3, 3), (3,)),
+        ("uv,uv->", (3, 3), (3, 3)),
+        ("abcd,abcd->", (3, 3, 3, 3), (3, 3, 3, 3)),
+        ("ab,aUVb->UV", (3, 3), (3, 3, 3, 3)),
+    ],
+)
+def test_jet_einsum_matches_triple_loop(spec, shape_a, shape_b):
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        a = rng.normal(size=shape_a + (cj.N_COEFFS,))
+        b = rng.normal(size=shape_b + (cj.N_COEFFS,))
+        _assert_rel_close(cj.jet_einsum(spec, a, b), _einsum_triple_loop(spec, a, b))
+
+
+def test_jet_mul_matches_triple_loop():
+    rng = np.random.default_rng(32)
+    for shape_a, shape_b in (((), ()), ((3, 3), ()), ((3, 1), (1, 3)), ((2, 3, 3), (3, 3))):
+        a = rng.normal(size=shape_a + (cj.N_COEFFS,))
+        b = rng.normal(size=shape_b + (cj.N_COEFFS,))
+        spec = "...,...->..."
+        _assert_rel_close(cj.jet_mul(a, b), _einsum_triple_loop(spec, a, b))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_hodge_jets_matches_triple_loop(p):
+    rng = np.random.default_rng(33 + p)
+    spec = cj.random_chart_spec(40 + p)
+    g_inv, det = cj.jet_matrix_inverse(spec.metric)
+    vol = tc.levi_civita_symbol(3)[..., None] * cj.jet_sqrt(det)
+    form = rng.normal(size=(3,) * p + (cj.N_COEFFS,))
+    _assert_rel_close(cj.hodge_jets(g_inv, vol, form), _hodge_triple_loop(g_inv, vol, form))
+
+
+def test_jet_deriv_equals_rule_loop_bit_for_bit():
+    rng = np.random.default_rng(34)
+    jets = rng.normal(size=(3, 3, cj.N_COEFFS))
+    for axis in range(cj.N_VARS):
+        expected = np.zeros_like(jets)
+        for dst, src, factor in cj.DERIV_RULES[axis]:
+            expected[..., dst] = factor * jets[..., src]
+        assert np.array_equal(cj.jet_deriv(jets, axis), expected)
+
+
 def test_jet_deriv_commutes():
     rng = np.random.default_rng(5)
     jet = rng.normal(size=cj.N_COEFFS)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from hetflow import chart_jets as cj
 from hetflow import cli
 from hetflow import homothety as ht
 
@@ -114,6 +115,26 @@ def test_verify_identities_small_run(capsys):
     for check in payload["checks"]:
         assert check["pass"] is True
         assert check["worst"] <= check["tol"]
+
+
+def test_verify_builds_each_chart_sample_once_per_command(capsys, monkeypatch):
+    built = []
+    original = cj.build_chart_sample
+
+    def counting(spec):
+        built.append(spec.seed)
+        return original(spec)
+
+    monkeypatch.setattr(cj, "build_chart_sample", counting)
+    argv = ["verify", "--suite", "all", "--trials", "4", "--seed", "11"]
+    assert _run(capsys, argv)[0] == 0
+    assert built == [11, 12, 13, 14]
+    # a second command in the same process builds its samples again
+    assert _run(capsys, argv)[0] == 0
+    assert built == [11, 12, 13, 14] * 2
+    built.clear()
+    assert _run(capsys, ["verify", "--suite", "solitons", "--trials", "4"])[0] == 0
+    assert built == []
 
 
 def test_verify_solitons_suite(capsys):
@@ -335,18 +356,34 @@ def test_sweep_csv_matches_scalar_classify(capsys):
     assert out == "\n".join(lines) + "\n"
 
 
+def _sweep_argv(case, kappa_min, mu_max):
+    return ["sweep", "--case", case, "--kappa-min", kappa_min, "--kappa-max", "1.0",
+            "--kappa-steps", "3", "--mu-min", "0.0", "--mu-max", mu_max, "--mu-steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "case, kappa_min, message",
+    [
+        ("negative", "-1.0", "kappa must be a non-negative real"),
+        ("su2", "0.0", "the SU(2) reduction requires kappa > 0"),
+    ],
+)
+def test_sweep_invalid_coupling_exits_1(capsys, case, kappa_min, message):
+    # the same couplings are configuration errors for `homothety`
+    code, out, err = _run(capsys, _sweep_argv(case, kappa_min, "1.0"))
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and message in err
+
+
 @pytest.mark.parametrize(
     "case, kappa_min, mu_max, message",
     [
-        ("negative", "-1.0", "1.0", "kappa must be a non-negative real"),
-        ("su2", "0.0", "1.0", "the SU(2) reduction requires kappa > 0"),
         ("positive", "0.0", "1e200", "overflow"),
     ],
 )
 def test_sweep_domain_error_exits_2(capsys, case, kappa_min, mu_max, message):
-    argv = ["sweep", "--case", case, "--kappa-min", kappa_min, "--kappa-max", "1.0",
-            "--kappa-steps", "3", "--mu-min", "0.0", "--mu-max", mu_max, "--mu-steps", "2"]
-    code, out, err = _run(capsys, argv)
+    code, out, err = _run(capsys, _sweep_argv(case, kappa_min, mu_max))
     assert code == 2
     assert out == ""
     assert "numerical-domain error" in err and message in err

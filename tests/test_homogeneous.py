@@ -1,5 +1,7 @@
 """Left-invariant geometry backend: catalog facts, connection, curvature."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,45 @@ def test_invariant_d_squares_to_zero(rng):
         np.testing.assert_allclose(
             hg.invariant_d(alg, hg.invariant_d(alg, form)), 0.0, atol=1e-12
         )
+
+
+def _palais_d_loop(alg, form):
+    """Reference: the Palais formula evaluated one index tuple at a time."""
+    form = np.asarray(form, dtype=float)
+    p = form.ndim
+    n = alg.dim
+    out = np.zeros((n,) * (p + 1))
+    if p == 0:
+        return out
+    for idx in itertools.product(range(n), repeat=p + 1):
+        total = 0.0
+        for i, j in itertools.combinations(range(p + 1), 2):
+            rest = tuple(idx[r] for r in range(p + 1) if r not in (i, j))
+            bracket = alg.structure[idx[i], idx[j]]
+            total += (-1) ** (i + j) * float(bracket @ form[(slice(None),) + rest])
+        out[idx] = total
+    return out
+
+
+def _solvable_4d() -> hg.LieAlgebraData:
+    """``R x| heisenberg``: ``[e1,e2] = e3``, ``[e4,e1] = a e1``,
+    ``[e4,e2] = b e2``, ``[e4,e3] = (a+b) e3``."""
+    a, b = 0.7, -1.3
+    c = np.zeros((4, 4, 4))
+    for x, y, z, val in ((0, 1, 2, 1.0), (3, 0, 0, a), (3, 1, 1, b), (3, 2, 2, a + b)):
+        c[x, y, z] = val
+        c[y, x, z] = -val
+    return hg.LieAlgebraData("solvable4", 4, c)
+
+
+def test_invariant_d_equals_palais_loop(rng):
+    algebras = [hg.catalog(name) for name in hg.CATALOG_NAMES]
+    algebras += [hg.catalog("su2", kappa=1.7), hg.catalog("hyperbolic", c=0.83), _solvable_4d()]
+    assert _solvable_4d().jacobi_residual() <= 1e-14
+    for alg in algebras:
+        for p in range(4):
+            form = rng.normal(size=(alg.dim,) * p)
+            assert np.array_equal(hg.invariant_d(alg, form), _palais_d_loop(alg, form)), (alg.name, p)
 
 
 def test_closed_one_forms_dimensions():

@@ -489,6 +489,33 @@ def test_sweep_grid_rejects_what_classify_rejects(case, kappas, mus):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ht.reduction_coefficients, (1.0, 1e200, 1.0)),
+        (ht.F_general, (1.0, 1e200, 0.5, 1.0)),
+        (ht.F_p, (1.0, 1e200, 1.0)),
+        (ht.F_flat, (1.0, -1e200, 1.0)),
+        (ht.F_n, (1.0, 1e100, 1.0)),  # mu**4 overflows from |mu| ~ 1.2e77
+        (ht.kappa_crit_p, (1e200,)),
+        (ht.kappa_crit_n, (-1e200,)),
+        (ht.kappa0, (1e60,)),
+        (ht.flat_closed_form, (1.0, 1e200, 0.5)),
+        (ht.flat_closed_form, (0.0, 1e200, 0.5)),
+        (ht.flat_collapse_time, (1.0, 1e200)),
+    ],
+)
+def test_scalar_helpers_reject_overflowing_mu(fn, args):
+    with pytest.raises(ValueError, match="overflow"):
+        fn(*args)
+
+
+def test_flat_closed_form_far_past_collapse_is_out_of_domain():
+    # b < 0 and an exponent beyond exp's range: t lies far past t_*
+    with pytest.raises(ValueError, match="beyond the flat collapse time"):
+        ht.flat_closed_form(1.0, 3.0, 1e3)
+
+
 def test_integrate_respects_sigma0_scaling():
     problem = ht.HomothetyProblem(case="flat", kappa=1.0, mu=0.5, sigma0=2.0)
     traj = ht.integrate(problem, (0.0, 1.0))
