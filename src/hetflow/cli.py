@@ -219,7 +219,8 @@ def cmd_homothety(cfg: RunConfig) -> int:
     rows = list(zip(trajectory.t, trajectory.sigma, f_vals))
     for event in trajectory.events:
         mu_eff = 0.0 if problem.case == "su2" else problem.mu
-        rows.append((event.t, event.sigma, mu_eff * max(event.sigma, 1e-300) ** -1.5))
+        (sigma,) = event.y
+        rows.append((event.t, sigma, mu_eff * max(sigma, 1e-300) ** -1.5))
     for t, sigma, f_val in rows:
         cells = [_float_cell(t), _float_cell(sigma), _float_cell(f_val)]
         if closed is not None:

@@ -14,6 +14,8 @@ The flow couples a metric, a closed 3-form torsion, and a coupling constant
          + (hoh_coeff f^2 + k(s^2 - 2|Ric|^2 - f^4/4)) g``,
   ``f' = -1/2 Tr_g(g') f``.
 
+  The second equation says ``f sqrt(det g)`` is constant, so
+  :func:`integrate_flow` evolves only ``g`` and sets ``f`` from it.
   Gradient terms of ``f`` (``[*df, Ric]``, ``df (x) df``, ``|df|^2``, and the
   Laplacian in ``f'``) vanish identically on invariant data and are omitted.
 
@@ -30,8 +32,8 @@ preserves the conformal family so that the metric trace obeys a scalar ODE.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -49,7 +51,7 @@ from .homogeneous import (
 __all__ = [
     "FlowState3",
     "FlowParams",
-    "FlowEvent3",
+    "Event",
     "FlowTrajectory",
     "rhs_3d",
     "rhs_general",
@@ -106,10 +108,18 @@ class FlowParams:
 
 
 @dataclass(frozen=True)
-class FlowEvent3:
-    kind: str  # "degenerate" | "blowup"
+class Event:
+    """A terminal event of :func:`integrate_events`.
+
+    ``y`` is the integrated state at ``t``.  ``source`` is ``"threshold"``
+    when the solver located the threshold crossing, ``"underflow"`` when the
+    event was completed after step-size underflow.
+    """
+
+    kind: str
     t: float
-    detail: float
+    y: tuple
+    source: str
 
 
 @dataclass(frozen=True)
@@ -137,17 +147,15 @@ def _curvature_data(alg: LieAlgebraData, g: np.ndarray):
     return g_inv, gamma, ricci, scalar
 
 
-def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float, hoh_coeff: float) -> tuple:
+def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float, hoh_coeff: float) -> np.ndarray:
     g_inv, _, ricci, scalar = _curvature_data(alg, g)
     ric_comp = ricci @ g_inv @ ricci
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    g_dot = (
+    return (
         2.0 * kappa * ric_comp
         - (2.0 + kappa * (2.0 * scalar - f * f)) * ricci
         + (hoh_coeff * f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
     )
-    f_dot = -0.5 * float(np.einsum("ab,ab->", g_inv, g_dot)) * f
-    return g_dot, f_dot
 
 
 def rhs_3d(state: FlowState3, kappa: float, hoh_coeff: float = 1.0) -> tuple:
@@ -155,7 +163,9 @@ def rhs_3d(state: FlowState3, kappa: float, hoh_coeff: float = 1.0) -> tuple:
     if kappa < 0.0:
         raise ValueError("kappa must be non-negative")
     tc.validate_metric(state.g)
-    return _rhs_3d_core(state.algebra, state.g, state.f, kappa, hoh_coeff)
+    g_dot = _rhs_3d_core(state.algebra, state.g, state.f, kappa, hoh_coeff)
+    f_dot = -0.5 * float(np.einsum("ab,ab->", tc.metric_inverse(state.g), g_dot)) * state.f
+    return g_dot, f_dot
 
 
 def _twisted_riemann(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray) -> np.ndarray:
@@ -217,123 +227,122 @@ def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     return 0.5 * (h_norm2 - kappa * tc.riemann_norm2(g, riemann_tw))
 
 
-_TRIU = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points, complete, max_step=np.inf) -> tuple:
+    """Integrate ``y' = rhs(t, y)`` with RK45 until ``t_span[1]`` or the first event.
+
+    ``events`` is a sequence of ``(kind, fn, direction)``; every event is
+    terminal and fires where ``fn(t, y)`` crosses zero in ``direction``.  On
+    step-size underflow, ``complete(t_u, y_u)`` receives the last resolvable
+    state and returns the completed :class:`Event`, or ``None`` to give up with
+    ``RuntimeError``.  Returns ``(t, y, events, status)``: ``n_points`` uniform
+    sample times up to the end or the event, the dense solution there (one row
+    per state variable), the events in order of ``|t|``, and ``"event"`` or
+    ``"completed"``.
+    """
+    for _, fn, direction in events:
+        fn.terminal = True
+        fn.direction = direction
+    sol = solve_ivp(
+        rhs,
+        t_span,
+        y0,
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+        events=[fn for _, fn, _ in events],
+        max_step=max_step,
+    )
+    t_end = float(sol.t[-1])
+    if sol.status == -1:
+        event = complete(t_end, sol.y[:, -1])
+        if event is None:
+            raise RuntimeError(f"integration failed: {sol.message}")
+        found = [event]
+    else:
+        found = [
+            Event(kind, float(te), tuple(ye.tolist()), "threshold")
+            for (kind, _, _), t_ev, y_ev in zip(events, sol.t_events, sol.y_events)
+            for te, ye in zip(t_ev, y_ev)
+        ]
+        found.sort(key=lambda e: abs(e.t))
+    ts = np.linspace(t_span[0], t_end, n_points)
+    return ts, sol.sol(ts), tuple(found), "event" if found else "completed"
 
 
-def _pack(g: np.ndarray, f: float) -> np.ndarray:
-    return np.array([g[i, j] for i, j in _TRIU] + [f])
+# The integrated state is the upper triangle of g, row by row.
+_TRIU = np.triu_indices(3)
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _unpack(y: np.ndarray) -> tuple:
-    g = np.empty((3, 3))
-    for val, (i, j) in zip(y[:6], _TRIU):
-        g[i, j] = val
-        g[j, i] = val
-    return g, float(y[6])
+def _det(y):
+    """``det g`` from the packed upper triangle (six floats, or six sample rows)."""
+    a, b, c, d, e, f = y
+    return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
 
 
 def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
     """Integrate the 3D reduction from ``state`` over ``params.t_span``.
 
-    Terminal events: metric degeneration (smallest eigenvalue of ``g``
-    reaching ``1e-8``) and blow-up (largest entry magnitude reaching
-    ``1e8``).  The trajectory is sampled on ``n_points`` uniform times up to
-    the end or the first event.
+    Only the six metric entries are integrated; the density is
+    ``f = c / sqrt(det g)`` with ``c = f0 sqrt(det g0)``, so the flux volume
+    ``f sqrt(det g)`` is conserved exactly.  Terminal events: metric
+    degeneration (smallest eigenvalue of ``g`` reaching ``1e-8``) and blow-up
+    (largest entry magnitude reaching ``1e8``).  The trajectory is sampled on
+    ``n_points`` uniform times up to the end or the first event.
     """
     alg = state.algebra
+    y0 = state.g[_TRIU]
+    c = state.f * math.sqrt(_det(y0.tolist()))
+
+    def g_dot_of(y):
+        det = _det(y.tolist())  # on Python floats, so a NaN trial state does not warn
+        if not det > 0.0:
+            raise np.linalg.LinAlgError("the metric left the positive-definite cone")
+        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), params.kappa, params.hoh_coeff)
 
     def rhs(t, y):
         # Trial steps may momentarily leave the SPD cone near a degeneration;
         # returning NaN makes the stepper reject and shrink instead of dying.
-        g, f = _unpack(y)
         try:
-            g_dot, f_dot = _rhs_3d_core(alg, g, f, params.kappa, params.hoh_coeff)
+            return g_dot_of(y)[_TRIU]
         except np.linalg.LinAlgError:
-            return np.full(7, np.nan)
-        return _pack(g_dot, f_dot)
+            return np.full(6, np.nan)
 
-    def ev_degenerate(t, y):
-        g, _ = _unpack(y)
-        return float(np.min(np.linalg.eigvalsh(g))) - EPS_DEGENERATE
-
-    def ev_blowup(t, y):
-        return float(np.max(np.abs(y[:6]))) - M_BLOWUP
-
-    ev_degenerate.terminal = True
-    ev_degenerate.direction = -1
-    ev_blowup.terminal = True
-    ev_blowup.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        params.t_span,
-        _pack(state.g, state.f),
-        method="RK45",
-        rtol=params.rtol,
-        atol=params.atol,
-        dense_output=True,
-        events=[ev_degenerate, ev_blowup],
-    )
-    if sol.status == -1:
-        # Step-size underflow.  Approaches to a singular metric can be too
-        # steep for double-precision time stepping, leaving the eigenvalue /
-        # magnitude thresholds unreachable; when the final state is
-        # unambiguously degenerating or blowing up, the terminal event is
-        # emitted at the last resolvable time (within machine precision of
-        # the singular time).  Any other underflow is re-raised.
-        t_u = float(sol.t[-1])
-        g_u, f_u = _unpack(sol.y[:, -1])
-        completed = None
+    def complete(t_u, y_u):
+        # Approaches to a singular metric can be too steep for double-precision
+        # time stepping, leaving the eigenvalue / magnitude thresholds
+        # unreachable.  When the last resolvable state is unambiguously
+        # degenerating or blowing up, the event is emitted there (within
+        # machine precision of the singular time); otherwise give up.
+        g_u = y_u[_SYM]
         try:
             eigvals, eigvecs = np.linalg.eigh(g_u)
-            g_dot_u, _ = _rhs_3d_core(alg, g_u, f_u, params.kappa, params.hoh_coeff)
-            v_min = eigvecs[:, 0]
-            min_rate = float(v_min @ g_dot_u @ v_min)
-            if eigvals[0] <= 0.0 or (eigvals[0] <= 0.1 and min_rate < 0.0):
-                completed = FlowEvent3(kind="degenerate", t=t_u, detail=float(eigvals[0]))
-            elif float(np.max(np.abs(g_u))) >= 1e6 and float(np.max(np.abs(g_dot_u))) > 0.0:
-                completed = FlowEvent3(kind="blowup", t=t_u, detail=float(np.max(np.abs(g_u))))
+            g_dot_u = g_dot_of(y_u)
         except (ValueError, np.linalg.LinAlgError):
-            completed = None
-        if completed is None:
-            raise RuntimeError(f"flow integration failed: {sol.message}")
-        ts = np.linspace(params.t_span[0], t_u, params.n_points)
-        ys = sol.sol(ts)
-        gs = np.empty((params.n_points, 3, 3))
-        fs = np.empty(params.n_points)
-        for k in range(params.n_points):
-            gs[k], fs[k] = _unpack(ys[:, k])
-        return FlowTrajectory(
-            algebra=alg,
-            params=params,
-            t=ts,
-            g=gs,
-            f=fs,
-            events=(completed,),
-            status="event",
-        )
+            return None
+        v_min = eigvecs[:, 0]
+        if eigvals[0] <= 0.0 or (eigvals[0] <= 0.1 and float(v_min @ g_dot_u @ v_min) < 0.0):
+            kind = "degenerate"
+        elif float(np.max(np.abs(g_u))) >= 1e6 and float(np.max(np.abs(g_dot_u))) > 0.0:
+            kind = "blowup"
+        else:
+            return None
+        return Event(kind, t_u, tuple(y_u.tolist()), "underflow")
 
-    ts = np.linspace(params.t_span[0], float(sol.t[-1]), params.n_points)
-    ys = sol.sol(ts)
-    gs = np.empty((params.n_points, 3, 3))
-    fs = np.empty(params.n_points)
-    for k in range(params.n_points):
-        gs[k], fs[k] = _unpack(ys[:, k])
-
-    found = []
-    for kind, t_ev, y_ev in zip(("degenerate", "blowup"), sol.t_events, sol.y_events):
-        for te, ye in zip(t_ev, y_ev):
-            g_ev, _ = _unpack(ye)
-            detail = float(np.min(np.linalg.eigvalsh(g_ev))) if kind == "degenerate" else float(np.max(np.abs(ye[:6])))
-            found.append(FlowEvent3(kind=kind, t=float(te), detail=detail))
-    found.sort(key=lambda e: abs(e.t))
-
+    events = (
+        ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(y[_SYM]))) - EPS_DEGENERATE, -1),
+        ("blowup", lambda t, y: float(np.max(np.abs(y))) - M_BLOWUP, 1),
+    )
+    ts, ys, found, status = integrate_events(
+        rhs, params.t_span, y0, events, params.rtol, params.atol, params.n_points, complete
+    )
     return FlowTrajectory(
         algebra=alg,
         params=params,
         t=ts,
-        g=gs,
-        f=fs,
-        events=tuple(found),
-        status="event" if found else "completed",
+        g=ys.T[:, _SYM],
+        f=c / np.sqrt(_det(ys)),
+        events=found,
+        status=status,
     )

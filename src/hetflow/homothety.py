@@ -23,16 +23,17 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
+
+from . import het_flow as hf
 
 __all__ = [
     "BehaviorTag",
     "HomothetyProblem",
     "Behavior",
-    "FlowEvent",
     "Trajectory",
     "ConsistencyReport",
     "reduction_coefficients",
@@ -127,9 +128,20 @@ def su2_coefficients(kappa: float) -> np.ndarray:
 
 def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
     y = float(y)
-    if y <= 0.0:
-        raise ValueError("the conformal factor must be positive")
-    return float(np.polyval(coeffs, y)) / y**4
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"the conformal factor must be positive and finite, got {y!r}")
+    # np.polyval's Horner steps on Python floats: the same bits, but an
+    # overflow gives inf instead of a RuntimeWarning.
+    p = 0.0
+    for c in coeffs.tolist():
+        p = p * y + c
+    try:
+        value = p / y**4
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"F overflows at the conformal factor {y!r}")
+    return value
 
 
 def F_general(kappa: float, mu: float, s: float, y: float) -> float:
@@ -498,20 +510,15 @@ def su2_closed_form(kappa: float, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class FlowEvent:
-    kind: str  # "collapse" | "blowup" | "stall"
-    t: float
-    sigma: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
+    """Sampled ``sigma(t)``; ``events`` holds :class:`hetflow.het_flow.Event` records
+    whose state ``y`` is ``(sigma,)``."""
+
     problem: HomothetyProblem
     t: np.ndarray
     sigma: np.ndarray
     events: tuple
     status: str
-    error_estimate: float
 
     @property
     def f(self) -> np.ndarray:
@@ -530,118 +537,59 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     n_points: int = 201,
-    detect_stall: bool = True,
 ) -> Trajectory:
     """Integrate ``sigma' = F(sigma)/sigma`` over ``t_span`` (forward or backward).
 
     Terminal events: collapse (``sigma <= 1e-8``), blow-up (``sigma >= 1e8``),
-    and optionally stall (``|F| <= eps`` while approaching an interior root,
-    i.e. an asymptote).  The reported ``error_estimate`` is the heuristic
-    ``100 (rtol |sigma_end| + atol)``; the closed-form oracles are the real
-    accuracy guarantee.
+    and stall (``|F| <= eps`` while approaching an interior root, i.e. an
+    asymptote).
     """
     coeffs = problem_coefficients(problem)
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    if abs(_F_from_coefficients(coeffs, problem.sigma0)) <= 1e-12 * scale:
+        # static start: constant trajectory, no integration needed
+        t = np.linspace(t_span[0], t_span[1], n_points)
+        return Trajectory(problem=problem, t=t, sigma=np.full_like(t, problem.sigma0), events=(), status="static")
+
     eps_stall = _stall_eps(coeffs)
+    t_dir = 1.0 if t_span[1] >= t_span[0] else -1.0
 
     def rhs(t, y):
         sig = max(y[0], 1e-9)  # keep trial steps past the collapse event finite
         return [_F_from_coefficients(coeffs, sig) / sig]
 
-    def ev_collapse(t, y):
-        return y[0] - EPS_COLLAPSE
-
-    def ev_blowup(t, y):
-        return y[0] - M_BLOWUP
-
-    def ev_stall(t, y):
-        return abs(_F_from_coefficients(coeffs, max(y[0], 1e-9))) - eps_stall
-
-    ev_collapse.terminal = True
-    ev_collapse.direction = -1
-    ev_blowup.terminal = True
-    ev_blowup.direction = 1
-    ev_stall.terminal = True
-    ev_stall.direction = -1  # only trigger while approaching a root
-    events = [ev_collapse, ev_blowup] + ([ev_stall] if detect_stall else [])
-
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if abs(_F_from_coefficients(coeffs, problem.sigma0)) <= 1e-12 * scale:
-        # static start: constant trajectory, no integration needed
-        t = np.linspace(t_span[0], t_span[1], n_points)
-        return Trajectory(
-            problem=problem,
-            t=t,
-            sigma=np.full_like(t, problem.sigma0),
-            events=(),
-            status="static",
-            error_estimate=0.0,
-        )
-
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        [problem.sigma0],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events,
-        max_step=abs(t_span[1] - t_span[0]) / 16 or np.inf,
-    )
-    if sol.status == -1:
-        # Step-size underflow.  Near a collapse driven by the quartic or
-        # quintic coefficient the exact solution obeys
-        # ``sigma ~ C (t_c - t)^(1/k)`` with k up to 6, so the sigma = 1e-8
-        # event can sit closer to t_c than the spacing between adjacent
-        # double-precision times; no explicit step can reach it.  When the
-        # final state is unambiguously in terminal decay (sigma small and
-        # shrinking along the integration direction, no root of F below it)
-        # the event time is completed exactly by the quadrature
-        # ``t_c = t_end + dir * int_0^sigma_end y/|F| dy``.  Any other
-        # underflow is a genuine failure and is re-raised.
-        t_u = float(sol.t[-1])
-        sig_u = float(sol.y[0, -1])
-        t_dir = 1.0 if t_span[1] >= t_span[0] else -1.0
+    def complete(t_u, y_u):
+        # Near a collapse driven by the quartic or quintic coefficient the
+        # exact solution obeys ``sigma ~ C (t_c - t)^(1/k)`` with k up to 6,
+        # so the sigma = 1e-8 event can sit closer to t_c than the spacing
+        # between adjacent double-precision times; no explicit step can reach
+        # it.  When the last resolvable state is unambiguously in terminal
+        # decay (sigma small and shrinking along the integration direction, no
+        # root of F below it) the event time is completed exactly by the
+        # quadrature ``t_u + dir * int_EPS^sigma_u y/|F| dy``.
+        sig_u = float(y_u[0])
         f_u = _F_from_coefficients(coeffs, max(sig_u, 1e-300))
         roots_below = [r for r in _positive_roots(coeffs) if r < sig_u]
-        if sig_u <= 0.1 and f_u * t_dir < 0.0 and not roots_below:
+        if not (sig_u <= 0.1 and f_u * t_dir < 0.0 and not roots_below):
+            return None
 
-            def integrand(y: float) -> float:
-                return y / abs(_F_from_coefficients(coeffs, y))
+        def integrand(y: float) -> float:
+            return y / abs(_F_from_coefficients(coeffs, y))
 
-            tail, _ = quad(integrand, 0.0, sig_u, limit=200, epsabs=1e-13, epsrel=1e-11)
-            t_c = t_u + t_dir * tail
-            ts = np.linspace(t_span[0], t_u, n_points)
-            sigma = sol.sol(ts)[0]
-            err = 100.0 * (rtol * abs(float(sigma[-1])) + atol)
-            return Trajectory(
-                problem=problem,
-                t=ts,
-                sigma=sigma,
-                events=(FlowEvent(kind="collapse", t=t_c, sigma=sig_u),),
-                status="event",
-                error_estimate=err,
-            )
-        raise RuntimeError(f"integration step-size underflow: {sol.message}")
+        tail, _ = quad(integrand, EPS_COLLAPSE, sig_u, limit=200, epsabs=1e-13, epsrel=1e-11)
+        return hf.Event("collapse", t_u + t_dir * tail, (EPS_COLLAPSE,), "underflow")
 
-    t_end = sol.t[-1]
-    ts = np.linspace(t_span[0], t_end, n_points)
-    sigma = sol.sol(ts)[0]
-    found = []
-    kinds = ["collapse", "blowup"] + (["stall"] if detect_stall else [])
-    for kind, t_ev, y_ev in zip(kinds, sol.t_events, sol.y_events):
-        for te, ye in zip(t_ev, y_ev):
-            found.append(FlowEvent(kind=kind, t=float(te), sigma=float(ye[0])))
-    found.sort(key=lambda e: abs(e.t))
-    err = 100.0 * (rtol * abs(float(sigma[-1])) + atol)
-    return Trajectory(
-        problem=problem,
-        t=ts,
-        sigma=sigma,
-        events=tuple(found),
-        status="event" if found else "completed",
-        error_estimate=err,
+    events = (
+        ("collapse", lambda t, y: y[0] - EPS_COLLAPSE, -1),
+        ("blowup", lambda t, y: y[0] - M_BLOWUP, 1),
+        # only trigger while approaching a root
+        ("stall", lambda t, y: abs(_F_from_coefficients(coeffs, max(y[0], 1e-9))) - eps_stall, -1),
     )
+    max_step = abs(t_span[1] - t_span[0]) / 16 or np.inf
+    t, y, found, status = hf.integrate_events(
+        rhs, t_span, [problem.sigma0], events, rtol, atol, n_points, complete, max_step=max_step
+    )
+    return Trajectory(problem=problem, t=t, sigma=y[0], events=found, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +763,7 @@ def classify_from_trajectory(
     bwd_kind, bwd_ev = leg(-1.0)
 
     def limit_of(ev):
-        return float(ev.sigma) if ev is not None else None
+        return ev.y[0] if ev is not None else None
 
     if fwd_kind == "collapse":
         return Behavior(

@@ -227,6 +227,23 @@ def test_homothety_su2_reports_collapse_event(capsys):
     assert float(rows[-1][1]) <= 1e-6
 
 
+def test_homothety_event_row_is_a_point_of_the_trajectory(capsys):
+    # This collapse is completed after step-size underflow; its row still
+    # pairs the threshold sigma with the time the trajectory reaches it.
+    kappa, mu = 1.6707, 1.6234
+    argv = ["homothety", "--case", "flat", "--kappa", str(kappa), "--mu", str(mu),
+            "--t-max", "2.0", "--n-points", "11"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    header, rows = _read_csv(out)
+    assert len(rows) == 12
+    t, sigma, f = (float(x) for x in rows[-1][:3])
+    assert sigma == ht.EPS_COLLAPSE
+    assert f == pytest.approx(mu * sigma**-1.5, rel=1e-15)
+    assert float(rows[-2][0]) < t
+    assert float(rows[-2][1]) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # flow command and scale extraction
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ Oracles used here:
   permutation-sum wedge of curvature 2-forms for the dimension-4 constraint.
 """
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetflow
 from hetflow import het_flow as hf
 from hetflow import homogeneous as hg
 from hetflow import homothety as ht
@@ -215,17 +218,21 @@ def test_torsion_volume_is_conserved():
     )
     traj = hf.integrate_flow(state, hf.FlowParams(kappa=0.4, t_span=(0.0, 0.5), n_points=21))
     volumes = traj.torsion_volume
-    np.testing.assert_allclose(volumes, volumes[0], rtol=1e-8)
+    np.testing.assert_allclose(volumes, volumes[0], rtol=1e-13)
 
 
 def test_round_collapse_time_under_plain_ricci_flow():
     # kappa = mu = 0 positive case: the scale factor decreases linearly and
-    # degenerates at t = 3/2.
+    # degenerates at t = 3/2.  The solver locates the threshold crossing, and
+    # the event state sits on it.
     state = hf.FlowState3(algebra=_einstein_positive_algebra(), g=np.eye(3), f=0.0)
     traj = hf.integrate_flow(state, hf.FlowParams(kappa=0.0, t_span=(0.0, 5.0), n_points=11))
     assert traj.status == "event"
-    assert traj.events[0].kind == "degenerate"
-    assert traj.events[0].t == pytest.approx(1.5, abs=1e-6)
+    (event,) = traj.events
+    assert (event.kind, event.source) == ("degenerate", "threshold")
+    assert event.t == pytest.approx(1.5, abs=1e-6)
+    g_event = np.array(event.y)[hf._SYM]
+    assert float(np.min(np.linalg.eigvalsh(g_event))) == pytest.approx(hf.EPS_DEGENERATE, rel=1e-6)
 
 
 def test_flat_collapse_event_matches_closed_form():
@@ -235,6 +242,37 @@ def test_flat_collapse_event_matches_closed_form():
     assert traj.status == "event"
     assert traj.events[0].kind == "degenerate"
     assert traj.events[0].t == pytest.approx(ht.flat_collapse_time(kappa, mu), abs=1e-6)
+
+
+def test_underflow_event_reports_its_source():
+    # su2 with f = 0 and kappa = 1 degenerates at t ~ 0.04517 too steeply for
+    # the stepper: the last resolvable state still has eigenvalue ~1.3e-4.
+    state = hf.FlowState3(algebra=hg.catalog("su2", kappa=1.0), g=np.eye(3), f=0.0)
+    traj = hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0), n_points=11))
+    assert traj.status == "event"
+    (event,) = traj.events
+    assert (event.kind, event.source) == ("degenerate", "underflow")
+    assert event.t == pytest.approx(0.04517, abs=1e-5)
+    assert traj.t[-1] == event.t
+    np.testing.assert_allclose(traj.g[-1][np.triu_indices(3)], event.y, rtol=1e-12)
+    assert 0.0 < float(np.min(np.linalg.eigvalsh(traj.g[-1]))) < 1e-3
+
+
+def test_tracer_counts_rhs_evaluations_of_a_flow():
+    # The benchmark's tracer counts rhs evaluations by patching het_flow's
+    # solve_ivp; the flow must still reach the solver through that name.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer(hetflow)
+    tracer.install()
+    try:
+        state = hf.FlowState3(algebra=hg.catalog("sl2r"), g=np.diag([1.0, 1.3, 0.7]), f=0.4)
+        hf.integrate_flow(state, hf.FlowParams(kappa=0.5, t_span=(0.0, 0.1), n_points=5))
+    finally:
+        tracer.uninstall()
+    assert tracer.flow_counts(tracer.arrays())["rhs_evals"] > 0
 
 
 def test_integration_is_deterministic():

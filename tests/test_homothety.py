@@ -516,6 +516,55 @@ def test_flat_closed_form_far_past_collapse_is_out_of_domain():
         ht.flat_closed_form(1.0, 3.0, 1e3)
 
 
+@pytest.mark.parametrize(
+    "case, kappa, mu, source",
+    [
+        ("positive", 0.0, 0.0, "threshold"),  # sigma' = -2/3 crosses 1e-8 at a finite slope
+        ("flat", 1.6707, 1.6234, "underflow"),  # the last resolvable sigma is about 0.006
+    ],
+)
+def test_collapse_event_sits_on_the_threshold(case, kappa, mu, source):
+    # However it was found, a collapse event is the point where sigma = 1e-8.
+    problem = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu)
+    traj = ht.integrate(problem, (0.0, 2.0))
+    (event,) = traj.events
+    assert (event.kind, event.source) == ("collapse", source)
+    assert event.y[0] == pytest.approx(ht.EPS_COLLAPSE, rel=1e-6)
+    if source == "underflow":
+        assert event.y == (ht.EPS_COLLAPSE,)
+    # The event time is the time to fall from sigma0 to 1e-8.
+    at_threshold = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=ht.EPS_COLLAPSE)
+    expected = ht.collapse_time_quadrature(problem) - ht.collapse_time_quadrature(at_threshold)
+    assert event.t == pytest.approx(expected, rel=1e-9)
+
+
+def test_F_equals_polyval_bit_for_bit():
+    # _F_from_coefficients runs np.polyval's Horner steps on Python floats.
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        coeffs = rng.normal(size=6) * 10.0 ** rng.uniform(-3.0, 3.0, size=6)
+        y = float(10.0 ** rng.uniform(-3.0, 3.0))
+        assert ht._F_from_coefficients(coeffs, y) == float(np.polyval(coeffs, y)) / y**4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ht.F_p, (1.0, 1.0, 1e100)),  # y**4 overflows
+        (ht.F_su2, (1.0, 1e100)),
+        (ht.F_general, (1.0, 1.0, 0.5, 1e70)),  # the quintic overflows, y**4 does not
+        (ht.F_flat, (1.0, 1.0, 1e-100)),  # y**4 underflows to zero
+        (ht.F_n, (1.0, 1.0, math.inf)),
+        (ht.F_su2, (1.0, math.nan)),
+        (ht.F_value, (ht.HomothetyProblem(case="flat", kappa=1.0, mu=1.0), 1e100)),
+    ],
+)
+def test_F_rejects_an_unrepresentable_conformal_factor(fn, args):
+    with pytest.raises(ValueError, match="conformal factor"):
+        fn(*args)
+
+
 def test_integrate_respects_sigma0_scaling():
     problem = ht.HomothetyProblem(case="flat", kappa=1.0, mu=0.5, sigma0=2.0)
     traj = ht.integrate(problem, (0.0, 1.0))
