@@ -464,7 +464,6 @@ class GeometrySample:
     scalar: float
     d_scalar: np.ndarray
     nabla_ricci: np.ndarray
-    nabla_riemann: np.ndarray
     riemann_tw: np.ndarray
     ricci_tw: np.ndarray
     div_riemann_tw: np.ndarray
@@ -472,7 +471,6 @@ class GeometrySample:
     nabla_torsion: np.ndarray
     d_torsion: np.ndarray
     delta_torsion: np.ndarray
-    d_delta_torsion: np.ndarray
     torsion_sq: np.ndarray
     nabla_torsion_sq: np.ndarray
     torsion_norm2: float
@@ -514,7 +512,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     ricci = jet_einsum("ab,aUVb->UV", g_inv, riemann)
     scalar = jet_einsum("uv,uv->", g_inv, ricci)
     nabla_ricci = cov_deriv_jets(gamma, ricci)
-    nabla_riemann = cov_deriv_jets(gamma, riemann)
 
     # Torsion 3-form H = density * vol and the twisted connection.
     density = spec.density
@@ -531,7 +528,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     nabla_torsion = cov_deriv_jets(gamma, torsion)
     d_torsion = exterior_d_jets(torsion)  # vanishes identically in dim 3
     delta_torsion = -jet_einsum("ab,abcd->cd", g_inv, nabla_torsion)
-    d_delta_torsion = exterior_d_jets(delta_torsion)
 
     torsion_up12 = torsion  # raise only the two contracted slots for H o H
     for slot in (1, 2):
@@ -587,7 +583,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
         scalar=jet_value(scalar),
         d_scalar=jet_value(jet_grad(scalar)),
         nabla_ricci=jet_value(nabla_ricci),
-        nabla_riemann=jet_value(nabla_riemann),
         riemann_tw=jet_value(riemann_tw),
         ricci_tw=jet_value(ricci_tw),
         div_riemann_tw=div_riemann_tw,
@@ -595,7 +590,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
         nabla_torsion=jet_value(nabla_torsion),
         d_torsion=jet_value(d_torsion),
         delta_torsion=jet_value(delta_torsion),
-        d_delta_torsion=jet_value(d_delta_torsion),
         torsion_sq=jet_value(torsion_sq),
         nabla_torsion_sq=jet_value(nabla_torsion_sq),
         torsion_norm2=jet_value(torsion_norm2),

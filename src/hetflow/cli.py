@@ -123,6 +123,8 @@ class RunConfig:
         for key, value in (("f", self.f), ("tol", self.tol), ("algebra_param", self.algebra_param)):
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        if self.rtol <= 0.0 or self.atol < 0.0:
+            raise ConfigError("rtol must be positive and atol non-negative")
         if self.kappa_min > self.kappa_max or self.mu_min > self.mu_max:
             raise ConfigError("grid bounds must be ordered (min <= max)")
         if self.kappa_steps < 1 or self.mu_steps < 1:
@@ -349,6 +351,7 @@ def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
     for k in range(trials):
         for sample in (charts[k], hg.random_invariant_sample(seed + k)):
             g, ric, scal = sample.g, sample.ricci, sample.scalar
+            g_inv = tc.metric_inverse(g)  # not sample.g_inv, a jet adjugate's on chart samples
             rebuilt = tc.riemann_from_ricci_dim3(g, ric, scal)
             worst["curvature_reconstruction"] = max(
                 worst["curvature_reconstruction"], tc.rel_err(sample.riemann, rebuilt)
@@ -356,13 +359,13 @@ def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
             worst["curvature_square_expansion"] = max(
                 worst["curvature_square_expansion"],
                 tc.rel_err(
-                    tc.riemann_square(g, sample.riemann), tc.riemann_square_dim3(g, ric, scal)
+                    tc.riemann_square(g_inv, sample.riemann), tc.riemann_square_dim3(g, ric, scal)
                 ),
             )
             worst["curvature_norm_expansion"] = max(
                 worst["curvature_norm_expansion"],
                 tc.rel_err(
-                    tc.riemann_norm2(g, sample.riemann), tc.riemann_norm2_dim3(g, ric, scal)
+                    tc.riemann_norm2(g_inv, sample.riemann), tc.riemann_norm2_dim3(g, ric, scal)
                 ),
             )
             worst["twisted_square_expansion"] = max(

@@ -43,6 +43,7 @@ from .homogeneous import (
     LieAlgebraData,
     connection_twisted,
     invariant_cov_deriv,
+    invariant_curvature,
     invariant_d,
     invariant_riemann,
     levi_civita_connection,
@@ -101,8 +102,7 @@ class FlowParams:
     hoh_coeff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be non-negative")
+        _check_kappa(self.kappa)
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
 
@@ -138,20 +138,16 @@ class FlowTrajectory:
         return self.f * np.sqrt(np.linalg.det(self.g))
 
 
-def _curvature_data(alg: LieAlgebraData, g: np.ndarray):
-    g_inv = tc.metric_inverse(g)
-    gamma = levi_civita_connection(alg, g)
-    riemann = invariant_riemann(alg, g, gamma)
-    ricci = tc.ricci_from_riemann(g, riemann)
-    scalar = tc.scalar_curvature(g, ricci)
-    return g_inv, gamma, ricci, scalar
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa!r}")
 
 
-def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float, hoh_coeff: float) -> np.ndarray:
-    g_inv, _, ricci, scalar = _curvature_data(alg, g)
+def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float, hoh_coeff: float) -> tuple:
+    g_inv, _, _, ricci, scalar = invariant_curvature(alg, g)
     ric_comp = ricci @ g_inv @ ricci
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    return (
+    return g_inv, (
         2.0 * kappa * ric_comp
         - (2.0 + kappa * (2.0 * scalar - f * f)) * ricci
         + (hoh_coeff * f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
@@ -160,17 +156,18 @@ def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float, hoh
 
 def rhs_3d(state: FlowState3, kappa: float, hoh_coeff: float = 1.0) -> tuple:
     """Time derivative ``(g', f')`` of the three-dimensional reduction."""
-    if kappa < 0.0:
-        raise ValueError("kappa must be non-negative")
+    _check_kappa(kappa)
     tc.validate_metric(state.g)
-    g_dot = _rhs_3d_core(state.algebra, state.g, state.f, kappa, hoh_coeff)
-    f_dot = -0.5 * float(np.einsum("ab,ab->", tc.metric_inverse(state.g), g_dot)) * state.f
+    g_inv, g_dot = _rhs_3d_core(state.algebra, state.g, state.f, kappa, hoh_coeff)
+    f_dot = -0.5 * float(np.einsum("ab,ab->", g_inv, g_dot)) * state.f
     return g_dot, f_dot
 
 
-def _twisted_riemann(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray) -> np.ndarray:
-    gamma_tw = connection_twisted(alg, g, torsion)
-    return invariant_riemann(alg, g, gamma_tw)
+def _twisted_curvature(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray) -> tuple:
+    """``(g_inv, Rh)`` with ``Rh`` the curvature of the connection with torsion ``-H``."""
+    g_inv = tc.metric_inverse(g)
+    gamma = levi_civita_connection(alg, g, g_inv)
+    return g_inv, invariant_riemann(alg, g, connection_twisted(gamma, g_inv, torsion))
 
 
 def rhs_general(
@@ -186,17 +183,16 @@ def rhs_general(
     (``delta(f vol) = 0`` there) but is generically nonzero from dimension
     four on.
     """
-    if kappa < 0.0:
-        raise ValueError("kappa must be non-negative")
+    _check_kappa(kappa)
     g = np.asarray(g, dtype=float)
     torsion = np.asarray(torsion, dtype=float)
     tc.validate_metric(g)
-    g_inv, gamma, ricci, _ = _curvature_data(alg, g)
-    riemann_tw = _twisted_riemann(alg, g, torsion)
-    rr = tc.riemann_square(g, riemann_tw)
+    g_inv, gamma, _, ricci, _ = invariant_curvature(alg, g)
+    riemann_tw = invariant_riemann(alg, g, connection_twisted(gamma, g_inv, torsion))
+    rr = tc.riemann_square(g_inv, riemann_tw)
     g_dot = (
         -2.0 * ricci
-        + hoh_coeff * tc.torsion_square(g, torsion)
+        + hoh_coeff * tc.torsion_square(g_inv, torsion)
         - 2.0 * kappa * 0.5 * (rr + rr.T)
     )
     nabla_torsion = invariant_cov_deriv(gamma, torsion)
@@ -210,8 +206,8 @@ def bianchi_residual(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, ka
     g = np.asarray(g, dtype=float)
     torsion = np.asarray(torsion, dtype=float)
     tc.validate_metric(g)
-    riemann_tw = _twisted_riemann(alg, g, torsion)
-    return invariant_d(alg, torsion) + kappa * tc.riemann_wedge_riemann(g, riemann_tw)
+    g_inv, riemann_tw = _twisted_curvature(alg, g, torsion)
+    return invariant_d(alg, torsion) + kappa * tc.riemann_wedge_riemann(g_inv, riemann_tw)
 
 
 def dilaton_rhs(state: FlowState3, kappa: float) -> float:
@@ -222,9 +218,16 @@ def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     """
     g, f = state.g, state.f
     torsion = f * tc.volume_form(g)
-    riemann_tw = _twisted_riemann(state.algebra, g, torsion)
-    h_norm2 = tc.torsion_norm2(g, torsion)
-    return 0.5 * (h_norm2 - kappa * tc.riemann_norm2(g, riemann_tw))
+    g_inv, riemann_tw = _twisted_curvature(state.algebra, g, torsion)
+    return 0.5 * (tc.torsion_norm2(g_inv, torsion) - kappa * tc.riemann_norm2(g_inv, riemann_tw))
+
+
+def validate_solver_args(t_span, rtol: float, atol: float) -> None:
+    """Raise ``ValueError`` unless ``t_span`` is two finite times and ``0 < rtol``, ``0 <= atol`` are finite."""
+    if len(t_span) != 2 or not all(math.isfinite(t) for t in t_span):
+        raise ValueError(f"t_span must be two finite times, got {tuple(t_span)!r}")
+    if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
+        raise ValueError(f"rtol must be finite and positive, atol finite and non-negative: {rtol!r}, {atol!r}")
 
 
 def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points, complete, max_step=np.inf) -> tuple:
@@ -237,8 +240,9 @@ def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points, complete, ma
     ``RuntimeError``.  Returns ``(t, y, events, status)``: ``n_points`` uniform
     sample times up to the end or the event, the dense solution there (one row
     per state variable), the events in order of ``|t|``, and ``"event"`` or
-    ``"completed"``.
+    ``"completed"``.  A non-finite span or an invalid tolerance raises ``ValueError``.
     """
+    validate_solver_args(t_span, rtol, atol)
     for _, fn, direction in events:
         fn.terminal = True
         fn.direction = direction
@@ -299,7 +303,7 @@ def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
         det = _det(y.tolist())  # on Python floats, so a NaN trial state does not warn
         if not det > 0.0:
             raise np.linalg.LinAlgError("the metric left the positive-definite cone")
-        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), params.kappa, params.hoh_coeff)
+        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), params.kappa, params.hoh_coeff)[1]
 
     def rhs(t, y):
         # Trial steps may momentarily leave the SPD cone near a degeneration;

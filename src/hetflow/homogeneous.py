@@ -45,6 +45,7 @@ __all__ = [
     "levi_civita_connection",
     "connection_twisted",
     "invariant_riemann",
+    "invariant_curvature",
     "invariant_cov_deriv",
     "invariant_d",
     "closed_one_forms",
@@ -172,18 +173,17 @@ def milnor_ricci_diag(lambdas, diag) -> np.ndarray:
     return d * milnor_principal_ricci(lhat)
 
 
-def levi_civita_connection(alg: LieAlgebraData, g: np.ndarray) -> np.ndarray:
+def levi_civita_connection(alg: LieAlgebraData, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Koszul coefficients ``Gamma[i, j, m]`` with ``D_{e_i} e_j = Gamma[i,j,m] e_m``."""
     a = np.einsum("ijm,mk->ijk", alg.structure, g)  # g([e_i, e_j], e_k)
     n = 0.5 * (a - np.transpose(a, (2, 0, 1)) + np.transpose(a, (1, 2, 0)))
-    return np.einsum("ijk,km->ijm", n, tc.metric_inverse(g))
+    return np.einsum("ijk,km->ijm", n, g_inv)
 
 
-def connection_twisted(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray) -> np.ndarray:
-    """Metric connection with totally skew torsion ``-H``:
-    ``Gammahat^m_ij = Gamma^m_ij - 1/2 H_ijc g^cm``."""
-    gamma = levi_civita_connection(alg, g)
-    return gamma - 0.5 * np.einsum("ijc,cm->ijm", torsion, tc.metric_inverse(g))
+def connection_twisted(gamma: np.ndarray, g_inv: np.ndarray, torsion: np.ndarray) -> np.ndarray:
+    """Metric connection with totally skew torsion ``-H``, twisted from the
+    Levi-Civita coefficients ``gamma``: ``Gammahat^m_ij = Gamma^m_ij - 1/2 H_ijc g^cm``."""
+    return gamma - 0.5 * np.einsum("ijc,cm->ijm", torsion, g_inv)
 
 
 def invariant_riemann(alg: LieAlgebraData, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -195,6 +195,15 @@ def invariant_riemann(alg: LieAlgebraData, g: np.ndarray, gamma: np.ndarray) -> 
     quad = np.einsum("jkm,imp->ijkp", gamma, gamma)
     r_up = quad - np.transpose(quad, (1, 0, 2, 3)) - np.einsum("ijl,lkp->ijkp", alg.structure, gamma)
     return np.einsum("ijkp,pd->ijkd", r_up, g)
+
+
+def invariant_curvature(alg: LieAlgebraData, g: np.ndarray) -> tuple:
+    """``(g_inv, gamma, riemann, ricci, scalar)`` of an invariant metric, from one inverse."""
+    g_inv = tc.metric_inverse(g)
+    gamma = levi_civita_connection(alg, g, g_inv)
+    riemann = invariant_riemann(alg, g, gamma)
+    ricci = tc.ricci_from_riemann(g_inv, riemann)
+    return g_inv, gamma, riemann, ricci, tc.scalar_curvature(g_inv, ricci)
 
 
 def invariant_cov_deriv(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -260,36 +269,29 @@ def build_invariant_sample(
         raise ValueError("full geometry samples are three-dimensional; use the raw helpers in higher dimension")
     g = np.asarray(g, dtype=float)
     tc.validate_metric(g)
-    g_inv = tc.metric_inverse(g)
     n = 3
     zero_vec = np.zeros(n)
+    zero_4form = np.zeros((n,) * 4)  # no nonzero 4-forms in dimension three
 
-    gamma = levi_civita_connection(alg, g)
-    riemann = invariant_riemann(alg, g, gamma)
-    ricci = tc.ricci_from_riemann(g, riemann)
-    scalar = tc.scalar_curvature(g, ricci)
+    g_inv, gamma, riemann, ricci, scalar = invariant_curvature(alg, g)
     nabla_ricci = invariant_cov_deriv(gamma, ricci)
-    nabla_riemann = invariant_cov_deriv(gamma, riemann)
 
-    vol = tc.volume_form(g, orientation)
-    torsion = f * vol
-    gamma_tw = connection_twisted(alg, g, torsion)
+    torsion = f * tc.volume_form(g, orientation)
+    gamma_tw = connection_twisted(gamma, g_inv, torsion)
     riemann_tw = invariant_riemann(alg, g, gamma_tw)
-    ricci_tw = tc.ricci_from_riemann(g, riemann_tw)
+    ricci_tw = tc.ricci_from_riemann(g_inv, riemann_tw)
     nabla_tw_riemann_tw = invariant_cov_deriv(gamma_tw, riemann_tw)
     div_riemann_tw = -np.einsum("ab,abvcd->vcd", g_inv, nabla_tw_riemann_tw)
 
     nabla_torsion = invariant_cov_deriv(gamma, torsion)
     delta_torsion = tc.codifferential_from_nabla(g_inv, nabla_torsion)
-    d_delta_torsion = invariant_d(alg, delta_torsion)
-    torsion_sq = tc.torsion_square(g, torsion)
+    torsion_sq = tc.torsion_square(g_inv, torsion)
     nabla_torsion_sq = invariant_cov_deriv(gamma, torsion_sq)
-    torsion_norm2 = tc.torsion_norm2(g, torsion)
+    torsion_norm2 = tc.torsion_norm2(g_inv, torsion)
 
-    riemann_tw_sq = tc.riemann_square(g, riemann_tw)
+    riemann_tw_sq = tc.riemann_square(g_inv, riemann_tw)
     nabla_riemann_tw_sq = invariant_cov_deriv(gamma, riemann_tw_sq)
-    riemann_tw_norm2 = tc.riemann_norm2(g, riemann_tw)
-    riemann_tw_wedge = tc.riemann_wedge_riemann(g, riemann_tw)
+    riemann_tw_norm2 = tc.riemann_norm2(g_inv, riemann_tw)
 
     if dilaton is None:
         dilaton = zero_vec
@@ -311,15 +313,13 @@ def build_invariant_sample(
         scalar=scalar,
         d_scalar=zero_vec,
         nabla_ricci=nabla_ricci,
-        nabla_riemann=nabla_riemann,
         riemann_tw=riemann_tw,
         ricci_tw=ricci_tw,
         div_riemann_tw=div_riemann_tw,
         torsion=torsion,
         nabla_torsion=nabla_torsion,
-        d_torsion=invariant_d(alg, torsion),
+        d_torsion=zero_4form,
         delta_torsion=delta_torsion,
-        d_delta_torsion=d_delta_torsion,
         torsion_sq=torsion_sq,
         nabla_torsion_sq=nabla_torsion_sq,
         torsion_norm2=torsion_norm2,
@@ -328,7 +328,7 @@ def build_invariant_sample(
         nabla_riemann_tw_sq=nabla_riemann_tw_sq,
         riemann_tw_norm2=riemann_tw_norm2,
         d_riemann_tw_norm2=zero_vec,
-        riemann_tw_wedge=riemann_tw_wedge,
+        riemann_tw_wedge=zero_4form,
         f=float(f),
         df=zero_vec,
         hess_f=np.zeros((n, n)),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -548,6 +548,7 @@ def integrate(
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     if abs(_F_from_coefficients(coeffs, problem.sigma0)) <= 1e-12 * scale:
         # static start: constant trajectory, no integration needed
+        hf.validate_solver_args(t_span, rtol, atol)
         t = np.linspace(t_span[0], t_span[1], n_points)
         return Trajectory(problem=problem, t=t, sigma=np.full_like(t, problem.sigma0), events=(), status="static")
 
@@ -753,11 +754,15 @@ def classify_from_trajectory(
     span = min(horizon * unit, 1e9)
 
     def leg(direction: float):
-        tr = integrate(problem, (0.0, direction * span), rtol=1e-10, atol=1e-13)
-        if tr.events:
-            ev = tr.events[0]
-            return ev.kind, ev
-        return "open", None
+        # A leg without an event (a slow relaxation onto a root can outlast
+        # the first span) continues from its last state on a doubled span.
+        start, length, part = 0.0, span, problem
+        while not (tr := integrate(part, (start, direction * length), rtol=1e-10, atol=1e-13)).events:
+            if length >= 1e9:
+                return "open", None
+            start, length = direction * length, min(2.0 * length, 1e9)
+            part = replace(part, sigma0=float(tr.sigma[-1]))
+        return tr.events[0].kind, tr.events[0]
 
     fwd_kind, fwd_ev = leg(+1.0)
     bwd_kind, bwd_ev = leg(-1.0)
@@ -955,12 +960,9 @@ def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e
     import scipy.linalg
 
     from . import homogeneous as hg
-    from . import tensor_core as tc
 
     g = np.asarray(g, dtype=float)
-    gamma = hg.levi_civita_connection(alg, g)
-    riem = hg.invariant_riemann(alg, g, gamma)
-    ric = tc.ricci_from_riemann(g, riem)
+    _, _, _, ric, _ = hg.invariant_curvature(alg, g)
     lam = np.sort(scipy.linalg.eigh(ric, g, eigvals_only=True))
     s = float(np.sum(lam))
     scale = max(1.0, float(np.max(np.abs(lam))))

@@ -303,9 +303,7 @@ def classify_ricci_spectrum(eigenvalues, kappa: float) -> CaseMatch:
 
 def classify_constant_dilaton(alg: hg.LieAlgebraData, g: np.ndarray, kappa: float) -> CaseMatch:
     """Classify an invariant metric by its principal Ricci curvatures."""
-    gamma = hg.levi_civita_connection(alg, g)
-    riemann = hg.invariant_riemann(alg, g, gamma)
-    ricci = tc.ricci_from_riemann(g, riemann)
+    _, _, _, ricci, _ = hg.invariant_curvature(alg, g)
     eigs = scipy.linalg.eigh(ricci, g, eigvals_only=True)
     return classify_ricci_spectrum(eigs, kappa)
 
@@ -344,7 +342,7 @@ def strong_skew_scalar(candidate: SolitonCandidate) -> float:
     s = candidate.sample
     full, _ = strong_residual(candidate)
     skew = (full + np.einsum("vcd->cdv", full) + np.einsum("vcd->dvc", full)) / 3.0
-    return float(tc.form_inner(s.g, skew, tc.volume_form(s.g, s.orientation)))
+    return float(tc.form_inner(s.g_inv, skew, tc.volume_form(s.g, s.orientation)))
 
 
 def soliton_report(candidate: SolitonCandidate, tol: float = TOL_CONSTRUCTOR) -> ResidualReport:
@@ -401,8 +399,7 @@ def case1_axis(
     failure is raised when only the reversed-orientation relation
     ``d(xi_flat) = +f * hodge(xi_flat)`` fits, or when neither does.
     """
-    gamma = hg.levi_civita_connection(alg, g)
-    ricci = tc.ricci_from_riemann(g, hg.invariant_riemann(alg, g, gamma))
+    _, _, _, ricci, _ = hg.invariant_curvature(alg, g)
     w, vecs = scipy.linalg.eigh(ricci, g)
     scale = max(float(np.max(np.abs(w))), 1e-30)
     if w[2] <= 0.0 or (w[2] - w[1]) <= 1e-8 * scale:
@@ -435,8 +432,8 @@ def heisenberg_auxiliary_connection(
     ``hodge(u_flat)``; on the exact nilpotent soliton this connection has
     vanishing curvature and ``nabla_bar xi = 0``.
     """
-    gamma = hg.levi_civita_connection(alg, g)
     g_inv = tc.metric_inverse(g)
+    gamma = hg.levi_civita_connection(alg, g, g_inv)
 
     def skew_endo(u: np.ndarray) -> np.ndarray:
         return tc.endo_from_bilinear(g_inv, tc.hodge(g, tc.flat(g, u), orientation))

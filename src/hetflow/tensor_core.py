@@ -6,6 +6,10 @@ and lowering is always explicit through the metric ``g`` or its inverse, so
 the same routines serve coordinate frames (chart backend) and invariant
 frames (homogeneous backend).
 
+Helpers that only raise indices take ``g_inv`` (one :func:`metric_inverse` per
+geometry, passed down); those that also lower indices or build the volume form
+(:func:`flat`, :func:`volume_form`, :func:`hodge`, ``*_dim3``) take ``g``.
+
 Conventions
 -----------
 * Curvature sign: ``R(u, v)w = D_u D_v w - D_v D_u w - D_[u,v] w``, stored as
@@ -216,18 +220,18 @@ def hodge(g: np.ndarray, alpha: np.ndarray, orientation: int = 1) -> np.ndarray:
     return out
 
 
-def form_inner(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def form_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Inner product of two p-forms, ``(1/p!) a_{i...} b^{i...}``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != b.ndim:
         raise ValueError("forms must have equal degree")
-    raised = raise_all(metric_inverse(g), b)
+    raised = raise_all(g_inv, b)
     return float(np.tensordot(a, raised, axes=a.ndim) / math.factorial(a.ndim))
 
 
-def form_norm2(g: np.ndarray, a: np.ndarray) -> float:
-    return form_inner(g, a, a)
+def form_norm2(g_inv: np.ndarray, a: np.ndarray) -> float:
+    return form_inner(g_inv, a, a)
 
 
 def bilinear_from_endo(g: np.ndarray, endo: np.ndarray) -> np.ndarray:
@@ -245,55 +249,50 @@ def wedge_vectors_endo(g: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     return np.outer(v2, g @ v1) - np.outer(v1, g @ v2)
 
 
-def torsion_endo(g: np.ndarray, torsion: np.ndarray, u: np.ndarray) -> np.ndarray:
+def torsion_endo(g_inv: np.ndarray, torsion: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Endomorphism ``w -> (H(u, w, .))^sharp`` of a 3-form ``H`` and vector ``u``."""
-    g_inv = metric_inverse(g)
     return np.einsum("a,abc,cm->mb", u, torsion, g_inv)
 
 
-def torsion_square(g: np.ndarray, torsion: np.ndarray) -> np.ndarray:
+def torsion_square(g_inv: np.ndarray, torsion: np.ndarray) -> np.ndarray:
     """Symmetric form ``(H o H)_{ab} = 1/2 H_{aij} H_{bkl} g^{ik} g^{jl}``."""
-    g_inv = metric_inverse(g)
     return 0.5 * np.einsum("aij,bkl,ik,jl->ab", torsion, torsion, g_inv, g_inv)
 
 
-def torsion_norm2(g: np.ndarray, torsion: np.ndarray) -> float:
-    return form_norm2(g, torsion)
+def torsion_norm2(g_inv: np.ndarray, torsion: np.ndarray) -> float:
+    return form_norm2(g_inv, torsion)
 
 
-def riemann_square(g: np.ndarray, riemann: np.ndarray) -> np.ndarray:
+def riemann_square(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
     """Symmetric form ``(R o R)_{ab} = 1/2 R_{aijk} R_b{}^{ijk}``."""
-    g_inv = metric_inverse(g)
     raised = np.einsum("bijk,ip,jq,kr->bpqr", riemann, g_inv, g_inv, g_inv)
     return 0.5 * np.einsum("aijk,bijk->ab", riemann, raised)
 
 
-def riemann_norm2(g: np.ndarray, riemann: np.ndarray) -> float:
+def riemann_norm2(g_inv: np.ndarray, riemann: np.ndarray) -> float:
     """``|R|^2 = 1/4 R_{abcd} R^{abcd}``."""
-    raised = raise_all(metric_inverse(g), riemann)
+    raised = raise_all(g_inv, riemann)
     return 0.25 * float(np.tensordot(riemann, raised, axes=4))
 
 
-def riemann_wedge_riemann(g: np.ndarray, riemann: np.ndarray) -> np.ndarray:
+def riemann_wedge_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
     """4-form ``1/2 sum_{ij} R(e_i, e_j) ^ R(e_i, e_j)`` (orthonormal sum).
 
     The curvature 2-forms live in the first index pair; the frame sum runs
     over the last pair with indices raised.  In dimension three this vanishes
     identically (no nonzero 4-forms) at the level of antisymmetrization.
     """
-    g_inv = metric_inverse(g)
     paired = 0.5 * np.einsum("abij,cdkl,ik,jl->abcd", riemann, riemann, g_inv, g_inv)
     return 6.0 * alt(paired)
 
 
-def ricci_from_riemann(g: np.ndarray, riemann: np.ndarray) -> np.ndarray:
+def ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
     """``Ric_{uv} = g^{ab} R_{a u v b}`` (valid for twisted curvatures too)."""
-    g_inv = metric_inverse(g)
     return np.einsum("ab,auvb->uv", g_inv, riemann)
 
 
-def scalar_curvature(g: np.ndarray, ricci: np.ndarray) -> float:
-    return float(np.tensordot(metric_inverse(g), ricci, axes=2))
+def scalar_curvature(g_inv: np.ndarray, ricci: np.ndarray) -> float:
+    return float(np.tensordot(g_inv, ricci, axes=2))
 
 
 def ricci_twisted(ricci: np.ndarray, torsion_sq: np.ndarray, delta_torsion: np.ndarray) -> np.ndarray:

@@ -23,6 +23,24 @@ def random_spd(rng):
     return make
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Factory: record every call of ``module.name`` for the test's duration."""
+
+    def install(module, name: str) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def chart_samples():
     """A small bank of generic chart samples shared across tests."""

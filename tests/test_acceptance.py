@@ -62,14 +62,14 @@ def test_criterion_1_curvature_identity_suite():
             worst["curvature_square_expansion"] = max(
                 worst["curvature_square_expansion"],
                 tc.rel_err(
-                    tc.riemann_square(g, sample.riemann),
+                    tc.riemann_square(tc.metric_inverse(g), sample.riemann),
                     tc.riemann_square_dim3(g, ric, scal),
                 ),
             )
             worst["curvature_norm_expansion"] = max(
                 worst["curvature_norm_expansion"],
                 tc.rel_err(
-                    tc.riemann_norm2(g, sample.riemann),
+                    tc.riemann_norm2(tc.metric_inverse(g), sample.riemann),
                     tc.riemann_norm2_dim3(g, ric, scal),
                 ),
             )
@@ -410,7 +410,8 @@ def test_criterion_7_constraint_four_form():
     torsion4 = _random_three_form_dim4(rng)
     residual = hf.bianchi_residual(alg4, g4, torsion4, kappa=kappa)
     d_torsion = _maurer_cartan_d3(alg4, torsion4)
-    gamma_tw = hg.connection_twisted(alg4, g4, torsion4)
+    g4_inv = tc.metric_inverse(g4)
+    gamma_tw = hg.connection_twisted(hg.levi_civita_connection(alg4, g4, g4_inv), g4_inv, torsion4)
     riem_tw = hg.invariant_riemann(alg4, g4, gamma_tw)
     wedge = _riemann_wedge_bruteforce(g4, riem_tw)
     oracle = d_torsion + kappa * wedge

@@ -229,7 +229,7 @@ def test_flat_zero_sample_all_derived_fields_vanish():
     for name in (
         "riemann", "ricci", "riemann_tw", "ricci_tw", "div_riemann_tw", "torsion",
         "torsion_sq", "riemann_tw_sq", "riemann_tw_wedge", "df", "hess_f", "dilaton",
-        "nabla_dilaton", "d_scalar", "nabla_ricci", "nabla_riemann", "d_torsion",
+        "nabla_dilaton", "d_scalar", "nabla_ricci", "d_torsion",
         "delta_torsion",
     ):
         assert np.max(np.abs(np.asarray(getattr(sample, name)))) == 0.0, name
@@ -279,17 +279,17 @@ def test_sample_internal_consistency(chart_samples):
             np.testing.assert_allclose(riem, -np.swapaxes(riem, 2, 3), atol=1e-10)
         np.testing.assert_allclose(sample.ricci, sample.ricci.T, atol=1e-10)
         np.testing.assert_allclose(
-            sample.ricci, tc.ricci_from_riemann(g, sample.riemann), atol=1e-10
+            sample.ricci, tc.ricci_from_riemann(g_inv, sample.riemann), atol=1e-10
         )
         assert sample.scalar == pytest.approx(
-            tc.scalar_curvature(g, sample.ricci), rel=1e-10, abs=1e-12
+            tc.scalar_curvature(g_inv, sample.ricci), rel=1e-10, abs=1e-12
         )
         # flux three-form and its contractions
         np.testing.assert_allclose(
             sample.torsion, sample.f * tc.volume_form(g, sample.orientation), atol=1e-10
         )
         np.testing.assert_allclose(
-            sample.torsion_sq, tc.torsion_square(g, sample.torsion), atol=1e-10
+            sample.torsion_sq, tc.torsion_square(g_inv, sample.torsion), atol=1e-10
         )
         assert sample.torsion_norm2 == pytest.approx(sample.f**2, rel=1e-10, abs=1e-12)
         np.testing.assert_allclose(
@@ -304,10 +304,10 @@ def test_sample_internal_consistency(chart_samples):
         )
         # quadratic blocks match the pointwise contractions of riemann_tw
         np.testing.assert_allclose(
-            sample.riemann_tw_sq, tc.riemann_square(g, sample.riemann_tw), atol=1e-9
+            sample.riemann_tw_sq, tc.riemann_square(g_inv, sample.riemann_tw), atol=1e-9
         )
         assert sample.riemann_tw_norm2 == pytest.approx(
-            tc.riemann_norm2(g, sample.riemann_tw), rel=1e-9
+            tc.riemann_norm2(g_inv, sample.riemann_tw), rel=1e-9
         )
         assert np.max(np.abs(sample.riemann_tw_wedge)) == 0.0  # dim 3
         # dilaton bookkeeping

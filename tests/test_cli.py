@@ -74,6 +74,20 @@ def test_bad_numeric_flag_exits_1(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--algebra", "su2", "--rtol", "-1"],
+        ["flow", "--algebra", "su2", "--atol=-1e-12"],
+        ["homothety", "--case", "flat", "--kappa", "1", "--mu", "1", "--rtol", "0"],
+    ],
+)
+def test_bad_tolerance_exits_1(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert "configuration error" in err and "rtol must be positive" in err
+
+
 def test_flow_non_spd_metric_exits_2(capsys):
     code, _, err = _run(
         capsys,

@@ -100,11 +100,12 @@ def test_kappa_zero_reduces_to_generalized_flow():
     ]:
         state = _random_state(rng, name, **kwargs)
         g_dot, _ = hf.rhs_3d(state, kappa=0.0)
-        gamma = hg.levi_civita_connection(state.algebra, state.g)
+        g_inv = tc.metric_inverse(state.g)
+        gamma = hg.levi_civita_connection(state.algebra, state.g, g_inv)
         riemann = hg.invariant_riemann(state.algebra, state.g, gamma)
-        ricci = tc.ricci_from_riemann(state.g, riemann)
+        ricci = tc.ricci_from_riemann(g_inv, riemann)
         torsion = state.f * tc.volume_form(state.g)
-        expected = -2.0 * ricci + tc.torsion_square(state.g, torsion)
+        expected = -2.0 * ricci + tc.torsion_square(g_inv, torsion)
         np.testing.assert_allclose(g_dot, expected, atol=1e-13)
 
 
@@ -159,6 +160,44 @@ def test_rhs_validation():
         hf.FlowParams(kappa=1.0, n_points=1)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_non_finite_kappa_rejected(kappa):
+    state = hf.FlowState3(algebra=hg.catalog("r3"), g=np.eye(3), f=0.2)
+    torsion = state.f * tc.volume_form(state.g)
+    with pytest.raises(ValueError, match="kappa"):
+        hf.FlowParams(kappa=kappa)
+    with pytest.raises(ValueError, match="kappa"):
+        hf.rhs_3d(state, kappa=kappa)
+    with pytest.raises(ValueError, match="kappa"):
+        hf.rhs_general(state.algebra, state.g, torsion, kappa=kappa)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"t_span": (0.0, math.nan)},
+        {"t_span": (0.0, math.inf)},
+        {"t_span": (-math.inf, 0.0)},
+        {"rtol": math.nan},
+        {"rtol": 0.0},
+        {"atol": math.inf},
+        {"atol": -1e-12},
+    ],
+)
+def test_integrators_reject_bad_span_and_tolerances(bad):
+    args = {"t_span": (0.0, 1.0), "rtol": 1e-10, "atol": 1e-12, **bad}
+    match = "t_span" if "t_span" in bad else "rtol"
+    state = hf.FlowState3(algebra=hg.catalog("su2"), g=np.eye(3), f=1.0)
+    with pytest.raises(ValueError, match=match):
+        hf.integrate_flow(state, hf.FlowParams(kappa=1.0, **args))
+    moving = ht.HomothetyProblem(case="positive", kappa=0.12, mu=1.0)
+    static = ht.HomothetyProblem(case="flat", kappa=4.0, mu=1.0)
+    for problem in (moving, static):
+        with pytest.raises(ValueError, match=match):
+            ht.integrate(problem, **args)
+
+
 def test_four_dimensional_algebra_rejected_by_state():
     c4 = np.zeros((4, 4, 4))
     alg4 = hg.LieAlgebraData(name="abelian4", dim=4, structure=c4)
@@ -199,10 +238,12 @@ def test_dilaton_rate_formula():
     state = _random_state(rng, "su2", kappa=1.2)
     kappa = 0.6
     torsion = state.f * tc.volume_form(state.g)
-    gamma_tw = hg.connection_twisted(state.algebra, state.g, torsion)
+    g_inv = tc.metric_inverse(state.g)
+    gamma = hg.levi_civita_connection(state.algebra, state.g, g_inv)
+    gamma_tw = hg.connection_twisted(gamma, g_inv, torsion)
     riem_tw = hg.invariant_riemann(state.algebra, state.g, gamma_tw)
     expected = 0.5 * (
-        tc.torsion_norm2(state.g, torsion) - kappa * tc.riemann_norm2(state.g, riem_tw)
+        tc.torsion_norm2(g_inv, torsion) - kappa * tc.riemann_norm2(g_inv, riem_tw)
     )
     assert hf.dilaton_rhs(state, kappa=kappa) == pytest.approx(expected, rel=1e-12)
 
@@ -273,6 +314,26 @@ def test_tracer_counts_rhs_evaluations_of_a_flow():
     finally:
         tracer.uninstall()
     assert tracer.flow_counts(tracer.arrays())["rhs_evals"] > 0
+
+
+def test_one_metric_inverse_per_rhs_evaluation(monkeypatch, count_calls):
+    nfev = []
+    solve_ivp = hf.solve_ivp
+
+    def solve_counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(hf, "solve_ivp", solve_counted)
+    state = hf.FlowState3(algebra=hg.catalog("sl2r"), g=np.diag([1.0, 2.0, 0.5]), f=0.7)
+    inverses = count_calls(tc, "metric_inverse")
+    traj = hf.integrate_flow(state, hf.FlowParams(kappa=0.3, t_span=(0.0, 0.5)))
+    assert traj.status == "completed"
+    assert len(inverses) == sum(nfev) > 0
+    inverses.clear()
+    hf.rhs_3d(state, kappa=0.3)
+    assert len(inverses) == 1
 
 
 def test_integration_is_deterministic():
@@ -453,7 +514,8 @@ def test_bianchi_residual_dim4_matches_bruteforce():
 
     d_torsion = _maurer_cartan_d3(alg4, torsion)
     assert np.max(np.abs(d_torsion)) > 1e-2  # the derivative term is active
-    gamma_tw = hg.connection_twisted(alg4, g4, torsion)
+    g4_inv = tc.metric_inverse(g4)
+    gamma_tw = hg.connection_twisted(hg.levi_civita_connection(alg4, g4, g4_inv), g4_inv, torsion)
     riem_tw = hg.invariant_riemann(alg4, g4, gamma_tw)
     wedge = _riemann_wedge_bruteforce(g4, riem_tw)
     assert np.max(np.abs(wedge)) > 1e-3  # the quadratic term is active

@@ -81,14 +81,14 @@ def test_from_milnor_normal_form(rng):
 
 def test_abelian_connection_vanishes(rng):
     g = _spd(np.random.default_rng(1))
-    gamma = hg.levi_civita_connection(hg.catalog("r3"), g)
+    gamma = hg.levi_civita_connection(hg.catalog("r3"), g, tc.metric_inverse(g))
     np.testing.assert_allclose(gamma, 0.0, atol=1e-14)
 
 
 def test_biinvariant_su2_half_bracket():
     alg = hg.catalog("su2", kappa=0.25)  # brackets (1, 1, 4): not bi-invariant
     alg_round = hg.from_milnor([2.0, 2.0, 2.0])  # equal constants: bi-invariant g = I
-    gamma = hg.levi_civita_connection(alg_round, np.eye(3))
+    gamma = hg.levi_civita_connection(alg_round, np.eye(3), np.eye(3))
     for a in range(3):
         for b in range(3):
             nabla = gamma[a, b]
@@ -104,7 +104,7 @@ def test_connection_metricity_and_no_torsion(seed):
     name = hg.CATALOG_NAMES[int(rng.integers(len(hg.CATALOG_NAMES)))]
     alg = hg.catalog(name)
     g = _spd(rng)
-    gamma = hg.levi_civita_connection(alg, g)
+    gamma = hg.levi_civita_connection(alg, g, tc.metric_inverse(g))
     # metricity: d_a g(y,z) = 0 invariantly, so g(G(a,b),c) + g(b,G(a,c)) = 0
     metricity = np.einsum("abm,mc->abc", gamma, g) + np.einsum("acm,mb->abc", gamma, g)
     assert np.max(np.abs(metricity)) <= 1e-11
@@ -117,9 +117,9 @@ def test_twisted_connection_difference(rng):
     alg = hg.catalog("heisenberg")
     g = _spd(rng)
     h = 0.7 * tc.volume_form(g)
-    gamma = hg.levi_civita_connection(alg, g)
-    gamma_tw = hg.connection_twisted(alg, g, h)
     g_inv = tc.metric_inverse(g)
+    gamma = hg.levi_civita_connection(alg, g, g_inv)
+    gamma_tw = hg.connection_twisted(gamma, g_inv, h)
     # difference is -1/2 H with the last slot raised
     diff = np.einsum("abc,cm->abm", -0.5 * h, g_inv)
     np.testing.assert_allclose(gamma_tw - gamma, diff, atol=1e-12)
@@ -210,7 +210,7 @@ def test_closed_one_forms_are_closed():
 def test_metric_and_volume_parallel(rng):
     alg = hg.catalog("sl2r")
     g = _spd(rng)
-    gamma = hg.levi_civita_connection(alg, g)
+    gamma = hg.levi_civita_connection(alg, g, tc.metric_inverse(g))
     np.testing.assert_allclose(hg.invariant_cov_deriv(gamma, g), 0.0, atol=1e-11)
     vol = tc.volume_form(g)
     np.testing.assert_allclose(hg.invariant_cov_deriv(gamma, vol), 0.0, atol=1e-11)
@@ -221,7 +221,7 @@ def test_codifferential_of_invariant_flux_vanishes(rng):
     for name in ("heisenberg", "hyperbolic"):
         alg = hg.catalog(name)
         g = _spd(rng)
-        gamma = hg.levi_civita_connection(alg, g)
+        gamma = hg.levi_civita_connection(alg, g, tc.metric_inverse(g))
         f = 1.4
         h = f * tc.volume_form(g)
         nabla_h = hg.invariant_cov_deriv(gamma, h)
@@ -302,7 +302,7 @@ def test_heisenberg_axis_rotation_relation():
     f = 0.9
     alg = hg.catalog("heisenberg")
     g = np.diag([f**2, 1.0, 1.0])
-    gamma = hg.levi_civita_connection(alg, g)
+    gamma = hg.levi_civita_connection(alg, g, tc.metric_inverse(g))
     xi = np.array([1.0 / f, 0.0, 0.0])  # unit center direction
     assert float(xi @ g @ xi) == pytest.approx(1.0, rel=1e-13)
     rotation = tc.endo_from_bilinear(
@@ -325,10 +325,21 @@ def test_invariant_sample_gradient_fields_vanish(invariant_samples):
         assert sample.jet_depth == 0
         for name in (
             "d_scalar", "df", "hess_f", "d_torsion_norm2", "d_riemann_tw_norm2",
-            "d_dilaton_norm2", "d_delta_dilaton", "d_delta_torsion",
+            "d_dilaton_norm2", "d_delta_dilaton",
         ):
             assert np.max(np.abs(np.asarray(getattr(sample, name)))) <= 1e-12, name
         assert sample.laplace_f == 0.0
+
+
+def test_invariant_sample_inverts_the_metric_once(count_calls):
+    inverses = count_calls(tc, "metric_inverse")
+    connections = count_calls(hg, "levi_civita_connection")
+    g = _spd(np.random.default_rng(3))
+    for name in hg.CATALOG_NAMES:
+        inverses.clear()
+        connections.clear()
+        hg.build_invariant_sample(hg.catalog(name), g, 0.8, dilaton=np.zeros(3))
+        assert (len(inverses), len(connections)) == (1, 1), name
 
 
 def test_invariant_sample_internal_consistency(invariant_samples):
@@ -336,13 +347,13 @@ def test_invariant_sample_internal_consistency(invariant_samples):
         g, g_inv = sample.g, sample.g_inv
         np.testing.assert_allclose(g_inv, np.linalg.inv(g), atol=1e-10)
         np.testing.assert_allclose(
-            sample.ricci, tc.ricci_from_riemann(g, sample.riemann), atol=1e-10
+            sample.ricci, tc.ricci_from_riemann(g_inv, sample.riemann), atol=1e-10
         )
         np.testing.assert_allclose(
             sample.torsion, sample.f * tc.volume_form(g, sample.orientation), atol=1e-12
         )
         np.testing.assert_allclose(
-            sample.riemann_tw_sq, tc.riemann_square(g, sample.riemann_tw), atol=1e-9
+            sample.riemann_tw_sq, tc.riemann_square(g_inv, sample.riemann_tw), atol=1e-9
         )
         assert np.max(np.abs(sample.riemann_tw_wedge)) == 0.0
         np.testing.assert_allclose(

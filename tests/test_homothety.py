@@ -317,6 +317,16 @@ def test_classifier_agrees_with_trajectories():
         assert a.tag == b.tag, (case, kappa, mu)
 
 
+def test_trajectory_classifier_follows_a_slow_relaxation():
+    # The forward leg reaches the stall threshold only after about twice its
+    # first span (roots 0.490 and 3.513).
+    case, kappa, mu = "positive", 0.0499266523989978, 2.87899379041725
+    assert ht.classify(case, kappa, mu).tag == TAG.ETERNAL_REGULAR
+    behavior = ht.classify_from_trajectory(case, kappa, mu)
+    assert behavior.tag == TAG.ETERNAL_REGULAR
+    assert behavior.sigma_future == pytest.approx(3.5134465, rel=1e-6)
+
+
 def test_behavior_tag_strings():
     assert TAG.ETERNAL_REGULAR.value == "EternalRegular"
     assert TAG.FINITE_TIME_COLLAPSE.value == "FiniteTimeCollapse"

@@ -124,7 +124,7 @@ def test_levi_civita_symbol_values():
 def test_volume_form_unit_norm(seed):
     g = _spd(_rng(seed))
     vol = tc.volume_form(g)
-    assert tc.form_inner(g, vol, vol) == pytest.approx(1.0, abs=1e-12)
+    assert tc.form_inner(tc.metric_inverse(g), vol, vol) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(tc.volume_form(g, orientation=-1), -vol, atol=1e-14)
 
 
@@ -144,9 +144,10 @@ def test_hodge_involution_dim3(seed, degree):
 
 def test_hodge_is_isometry(rng):
     g = _spd(rng)
+    g_inv = tc.metric_inverse(g)
     a, b = rng.normal(size=3), rng.normal(size=3)
-    lhs = tc.form_inner(g, tc.hodge(g, a), tc.hodge(g, b))
-    rhs = tc.form_inner(g, a, b)
+    lhs = tc.form_inner(g_inv, tc.hodge(g, a), tc.hodge(g, b))
+    rhs = tc.form_inner(g_inv, a, b)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -198,7 +199,7 @@ def test_torsion_endo_componentwise_oracle(rng):
     g_inv = tc.metric_inverse(g)
     h = _random_three_form(rng)
     u = rng.normal(size=3)
-    endo = tc.torsion_endo(g, h, u)
+    endo = tc.torsion_endo(tc.metric_inverse(g), h, u)
     expected = np.zeros((3, 3))
     for m in range(3):
         for b in range(3):
@@ -213,9 +214,9 @@ def test_torsion_endo_componentwise_oracle(rng):
 
 
 def test_torsion_endo_zero_inputs(rng):
-    g = _spd(rng)
+    g_inv = tc.metric_inverse(_spd(rng))
     u = rng.normal(size=3)
-    np.testing.assert_allclose(tc.torsion_endo(g, np.zeros((3, 3, 3)), u), 0.0, atol=0.0)
+    np.testing.assert_allclose(tc.torsion_endo(g_inv, np.zeros((3, 3, 3)), u), 0.0, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +225,8 @@ def test_torsion_endo_zero_inputs(rng):
 
 
 def test_torsion_square_zero():
-    g = np.eye(3)
-    np.testing.assert_allclose(tc.torsion_square(g, np.zeros((3, 3, 3))), 0.0, atol=0.0)
+    g_inv = np.eye(3)
+    np.testing.assert_allclose(tc.torsion_square(g_inv, np.zeros((3, 3, 3))), 0.0, atol=0.0)
 
 
 def test_torsion_square_componentwise_oracle(rng):
@@ -242,7 +243,7 @@ def test_torsion_square_componentwise_oracle(rng):
                 for k in range(3)
                 for l in range(3)
             )
-    np.testing.assert_allclose(tc.torsion_square(g, h), expected, atol=1e-12)
+    np.testing.assert_allclose(tc.torsion_square(tc.metric_inverse(g), h), expected, atol=1e-12)
 
 
 def test_torsion_square_of_scaled_volume(rng):
@@ -250,13 +251,14 @@ def test_torsion_square_of_scaled_volume(rng):
     g = _spd(rng)
     f = 1.7
     h = f * tc.volume_form(g)
-    np.testing.assert_allclose(tc.torsion_square(g, h), f**2 * g, atol=1e-10)
-    assert tc.torsion_norm2(g, h) == pytest.approx(f**2, rel=1e-12)
+    g_inv = tc.metric_inverse(g)
+    np.testing.assert_allclose(tc.torsion_square(g_inv, h), f**2 * g, atol=1e-10)
+    assert tc.torsion_norm2(g_inv, h) == pytest.approx(f**2, rel=1e-12)
 
 
 def test_riemann_square_zero():
-    g = np.eye(4)
-    np.testing.assert_allclose(tc.riemann_square(g, np.zeros((4, 4, 4, 4))), 0.0, atol=0.0)
+    g_inv = np.eye(4)
+    np.testing.assert_allclose(tc.riemann_square(g_inv, np.zeros((4, 4, 4, 4))), 0.0, atol=0.0)
 
 
 def test_riemann_square_triple_sum_oracle_dim4(rng):
@@ -277,7 +279,7 @@ def test_riemann_square_triple_sum_oracle_dim4(rng):
                 )
                 total += riem[a, i, j, k] * raised
             expected[a, b] = 0.5 * total
-    np.testing.assert_allclose(tc.riemann_square(g, riem), expected, atol=1e-10)
+    np.testing.assert_allclose(tc.riemann_square(tc.metric_inverse(g), riem), expected, atol=1e-10)
 
 
 def test_riemann_norm2_quadruple_sum_oracle(rng):
@@ -286,8 +288,8 @@ def test_riemann_norm2_quadruple_sum_oracle(rng):
     riem = _random_riemann(rng, 3)
     raised = np.einsum("abcd,ap,bq,cr,ds->pqrs", riem, g_inv, g_inv, g_inv, g_inv)
     expected = 0.25 * float(np.sum(riem * raised))
-    assert tc.riemann_norm2(g, riem) == pytest.approx(expected, rel=1e-12)
-    assert tc.riemann_norm2(g, np.zeros((3, 3, 3, 3))) == 0.0
+    assert tc.riemann_norm2(g_inv, riem) == pytest.approx(expected, rel=1e-12)
+    assert tc.riemann_norm2(g_inv, np.zeros((3, 3, 3, 3))) == 0.0
 
 
 def _wedge_two_forms_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,7 +321,7 @@ def _riemann_wedge_bruteforce(g: np.ndarray, riem: np.ndarray) -> np.ndarray:
 def test_riemann_wedge_riemann_dim3_is_zero(rng):
     g = _spd(rng)
     riem = _random_riemann(rng, 3)
-    result = tc.riemann_wedge_riemann(g, riem)
+    result = tc.riemann_wedge_riemann(tc.metric_inverse(g), riem)
     assert np.max(np.abs(result)) == 0.0
 
 
@@ -332,7 +334,9 @@ def test_riemann_wedge_riemann_constant_curvature_dim4_vanishes(rng):
             riem[a, b, c, d] = (
                 (1.0 if a == c and b == d else 0.0) - (1.0 if a == d and b == c else 0.0)
             )
-    np.testing.assert_allclose(tc.riemann_wedge_riemann(g, riem), 0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        tc.riemann_wedge_riemann(tc.metric_inverse(g), riem), 0.0, atol=1e-12
+    )
 
 
 def test_riemann_wedge_riemann_self_dual_block_dim4(rng):
@@ -342,7 +346,7 @@ def test_riemann_wedge_riemann_self_dual_block_dim4(rng):
     w[0, 1], w[1, 0] = 1.0, -1.0
     w[2, 3], w[3, 2] = 1.0, -1.0
     riem = np.einsum("ab,cd->abcd", w, w)
-    result = tc.riemann_wedge_riemann(g, riem)
+    result = tc.riemann_wedge_riemann(tc.metric_inverse(g), riem)
     assert np.max(np.abs(result)) > 0.1
     np.testing.assert_allclose(result, tc.alt(result), atol=1e-12)
     np.testing.assert_allclose(result, _riemann_wedge_bruteforce(g, riem), atol=1e-10)
@@ -351,11 +355,12 @@ def test_riemann_wedge_riemann_self_dual_block_dim4(rng):
 def test_riemann_wedge_riemann_random_dim4_oracle(rng):
     g = _spd(rng, 4)
     riem = _random_riemann(rng, 4)
+    g_inv = tc.metric_inverse(g)
     np.testing.assert_allclose(
-        tc.riemann_wedge_riemann(g, riem), _riemann_wedge_bruteforce(g, riem), atol=1e-10
+        tc.riemann_wedge_riemann(g_inv, riem), _riemann_wedge_bruteforce(g, riem), atol=1e-10
     )
     np.testing.assert_allclose(
-        tc.riemann_wedge_riemann(g, np.zeros((4, 4, 4, 4))), 0.0, atol=0.0
+        tc.riemann_wedge_riemann(g_inv, np.zeros((4, 4, 4, 4))), 0.0, atol=0.0
     )
 
 
@@ -374,8 +379,9 @@ def test_constant_curvature_reconstruction(rng):
     g = _spd(rng)
     c = 0.7
     riem = tc.riemann_from_ricci_dim3(g, 2.0 * c * g, 6.0 * c)
-    np.testing.assert_allclose(tc.ricci_from_riemann(g, riem), 2.0 * c * g, atol=1e-10)
-    assert tc.scalar_curvature(g, 2.0 * c * g) == pytest.approx(6.0 * c, rel=1e-12)
+    g_inv = tc.metric_inverse(g)
+    np.testing.assert_allclose(tc.ricci_from_riemann(g_inv, riem), 2.0 * c * g, atol=1e-10)
+    assert tc.scalar_curvature(g_inv, 2.0 * c * g) == pytest.approx(6.0 * c, rel=1e-12)
     # plane spanned by orthonormal u, v has sectional curvature c
     frame = tc.frame_orthonormalize(g)
     u, v = frame[:, 0], frame[:, 1]
@@ -392,11 +398,12 @@ def test_reconstruction_matches_chart_backend(chart_samples):
 def test_square_expansions_match_on_samples(chart_samples, invariant_samples):
     for sample in chart_samples + invariant_samples:
         g, ric, s = sample.g, sample.ricci, sample.scalar
+        g_inv = tc.metric_inverse(g)
         assert tc.rel_err(
-            tc.riemann_square(g, sample.riemann), tc.riemann_square_dim3(g, ric, s)
+            tc.riemann_square(g_inv, sample.riemann), tc.riemann_square_dim3(g, ric, s)
         ) <= 1e-12
         assert tc.rel_err(
-            tc.riemann_norm2(g, sample.riemann), tc.riemann_norm2_dim3(g, ric, s)
+            tc.riemann_norm2(g_inv, sample.riemann), tc.riemann_norm2_dim3(g, ric, s)
         ) <= 1e-12
 
 
@@ -417,7 +424,7 @@ def test_twisted_square_constant_flux_reduces(rng):
     """df = 0 kills the commutator and gradient-square corrections."""
     g = _spd(rng)
     ric = tc.sym(rng.normal(size=(3, 3)))
-    s = tc.scalar_curvature(g, ric)
+    s = tc.scalar_curvature(tc.metric_inverse(g), ric)
     f = 1.3
     base = tc.riemann_square_dim3(g, ric, s)
     twisted = tc.riemann_square_twisted_dim3(g, ric, s, f, np.zeros(3), 1)
@@ -460,17 +467,19 @@ def test_sectional_scale_covariance(rng):
     g = _spd(rng)
     riem = _random_riemann(rng, 3)
     c = 2.5
+    g_inv, cg_inv = tc.metric_inverse(g), tc.metric_inverse(c * g)
     np.testing.assert_allclose(
-        tc.riemann_square(c * g, c * riem), tc.riemann_square(g, riem) / c, atol=1e-10
+        tc.riemann_square(cg_inv, c * riem), tc.riemann_square(g_inv, riem) / c, atol=1e-10
     )
-    assert tc.riemann_norm2(c * g, c * riem) == pytest.approx(
-        tc.riemann_norm2(g, riem) / c**2, rel=1e-10
+    assert tc.riemann_norm2(cg_inv, c * riem) == pytest.approx(
+        tc.riemann_norm2(g_inv, riem) / c**2, rel=1e-10
     )
 
 
 def test_metric_trace_conventions(rng):
     g = _spd(rng)
-    assert tc.scalar_curvature(g, g) == pytest.approx(3.0, rel=1e-12)
+    g_inv = tc.metric_inverse(g)
+    assert tc.scalar_curvature(g_inv, g) == pytest.approx(3.0, rel=1e-12)
     vol = tc.volume_form(g)
-    assert tc.form_norm2(g, vol) == pytest.approx(1.0, rel=1e-12)
-    assert math.isclose(tc.form_inner(g, vol, vol), 1.0, rel_tol=1e-12)
+    assert tc.form_norm2(g_inv, vol) == pytest.approx(1.0, rel=1e-12)
+    assert math.isclose(tc.form_inner(g_inv, vol, vol), 1.0, rel_tol=1e-12)
