@@ -273,23 +273,25 @@ def test_sample_internal_consistency(chart_samples):
     for sample in chart_samples:
         g, g_inv = sample.g, sample.g_inv
         np.testing.assert_allclose(g_inv, np.linalg.inv(g), atol=1e-10)
+        # contract the builder's fields through an inverse it did not compute
+        inv = tc.metric_inverse(g)
         # antisymmetrization-level symmetries of both curvatures
         for riem in (sample.riemann, sample.riemann_tw):
             np.testing.assert_allclose(riem, -np.swapaxes(riem, 0, 1), atol=1e-10)
             np.testing.assert_allclose(riem, -np.swapaxes(riem, 2, 3), atol=1e-10)
         np.testing.assert_allclose(sample.ricci, sample.ricci.T, atol=1e-10)
         np.testing.assert_allclose(
-            sample.ricci, tc.ricci_from_riemann(g_inv, sample.riemann), atol=1e-10
+            sample.ricci, tc.ricci_from_riemann(inv, sample.riemann), atol=1e-10
         )
         assert sample.scalar == pytest.approx(
-            tc.scalar_curvature(g_inv, sample.ricci), rel=1e-10, abs=1e-12
+            tc.scalar_curvature(inv, sample.ricci), rel=1e-10, abs=1e-12
         )
         # flux three-form and its contractions
         np.testing.assert_allclose(
             sample.torsion, sample.f * tc.volume_form(g, sample.orientation), atol=1e-10
         )
         np.testing.assert_allclose(
-            sample.torsion_sq, tc.torsion_square(g_inv, sample.torsion), atol=1e-10
+            sample.torsion_sq, tc.torsion_square(inv, sample.torsion), atol=1e-10
         )
         assert sample.torsion_norm2 == pytest.approx(sample.f**2, rel=1e-10, abs=1e-12)
         np.testing.assert_allclose(
@@ -304,10 +306,10 @@ def test_sample_internal_consistency(chart_samples):
         )
         # quadratic blocks match the pointwise contractions of riemann_tw
         np.testing.assert_allclose(
-            sample.riemann_tw_sq, tc.riemann_square(g_inv, sample.riemann_tw), atol=1e-9
+            sample.riemann_tw_sq, tc.riemann_square(inv, sample.riemann_tw), atol=1e-9
         )
         assert sample.riemann_tw_norm2 == pytest.approx(
-            tc.riemann_norm2(g_inv, sample.riemann_tw), rel=1e-9
+            tc.riemann_norm2(inv, sample.riemann_tw), rel=1e-9
         )
         assert np.max(np.abs(sample.riemann_tw_wedge)) == 0.0  # dim 3
         # dilaton bookkeeping

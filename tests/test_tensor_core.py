@@ -199,7 +199,7 @@ def test_torsion_endo_componentwise_oracle(rng):
     g_inv = tc.metric_inverse(g)
     h = _random_three_form(rng)
     u = rng.normal(size=3)
-    endo = tc.torsion_endo(tc.metric_inverse(g), h, u)
+    endo = tc.torsion_endo(g_inv, h, u)
     expected = np.zeros((3, 3))
     for m in range(3):
         for b in range(3):
@@ -243,7 +243,7 @@ def test_torsion_square_componentwise_oracle(rng):
                 for k in range(3)
                 for l in range(3)
             )
-    np.testing.assert_allclose(tc.torsion_square(tc.metric_inverse(g), h), expected, atol=1e-12)
+    np.testing.assert_allclose(tc.torsion_square(g_inv, h), expected, atol=1e-12)
 
 
 def test_torsion_square_of_scaled_volume(rng):
@@ -279,7 +279,7 @@ def test_riemann_square_triple_sum_oracle_dim4(rng):
                 )
                 total += riem[a, i, j, k] * raised
             expected[a, b] = 0.5 * total
-    np.testing.assert_allclose(tc.riemann_square(tc.metric_inverse(g), riem), expected, atol=1e-10)
+    np.testing.assert_allclose(tc.riemann_square(g_inv, riem), expected, atol=1e-10)
 
 
 def test_riemann_norm2_quadruple_sum_oracle(rng):
