@@ -217,12 +217,10 @@ def cmd_homothety(cfg: RunConfig) -> int:
     if closed is not None:
         header.append("sigma_closed")
     lines = [",".join(header)]
-    f_vals = trajectory.f
-    rows = list(zip(trajectory.t, trajectory.sigma, f_vals))
-    for event in trajectory.events:
-        mu_eff = 0.0 if problem.case == "su2" else problem.mu
-        (sigma,) = event.y
-        rows.append((event.t, sigma, mu_eff * max(sigma, 1e-300) ** -1.5))
+    rows = list(zip(trajectory.t, trajectory.sigma, trajectory.f))
+    mu_eff = 0.0 if problem.case == "su2" else problem.mu
+    # An event is a threshold crossing, so its sigma is positive.
+    rows += [(event.t, event.y[0], mu_eff * event.y[0] ** -1.5) for event in trajectory.events]
     for t, sigma, f_val in rows:
         cells = [_float_cell(t), _float_cell(sigma), _float_cell(f_val)]
         if closed is not None:
@@ -566,7 +564,6 @@ def _build_parser() -> _Parser:
                        help="run batch verification suites")
     p.add_argument("--suite", choices=(*_SUITES, "all"))
     p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
     _add_common(p)
 
     return parser

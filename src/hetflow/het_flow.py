@@ -4,25 +4,20 @@ The flow couples a metric, a closed 3-form torsion, and a coupling constant
 ``kappa >= 0``.  Two right-hand sides are provided:
 
 * :func:`rhs_general` evolves ``(g, H)`` in any dimension:
-  ``g' = -2 Ric + hoh_coeff * HoH - 2 kappa sym(RhoR)`` with ``HoH`` the
+  ``g' = -2 Ric + HoH - 2 kappa sym(RhoR)`` with ``HoH`` the
   half-normalized torsion square and ``Rh`` the curvature of the metric
   connection with torsion ``-H``; ``H' = -d delta H``.
 * :func:`rhs_3d` evolves the three-dimensional reduction ``(g, f)`` with
   ``H = f vol_g``, where every curvature contraction collapses to Ricci data:
 
   ``g' = 2k Ric.Ric - (2 + k(2s - f^2)) Ric
-         + (hoh_coeff f^2 + k(s^2 - 2|Ric|^2 - f^4/4)) g``,
+         + (f^2 + k(s^2 - 2|Ric|^2 - f^4/4)) g``,
   ``f' = -1/2 Tr_g(g') f``.
 
   The second equation says ``f sqrt(det g)`` is constant, so
   :func:`integrate_flow` evolves only ``g`` and sets ``f`` from it.
   Gradient terms of ``f`` (``[*df, Ric]``, ``df (x) df``, ``|df|^2``, and the
   Laplacian in ``f'``) vanish identically on invariant data and are omitted.
-
-``hoh_coeff = 1.0`` is the default torsion-square coefficient; it is the
-unique choice under which the general rhs, the 3D reduction, and the soliton
-residuals agree (``hoh_coeff = 2.0`` selects the alternative normalization
-that doubles the ``HoH`` term, exposed for comparison only).
 
 Flows are integrated only on invariant data; pointwise chart samples are
 never integrated.  Both fixed-point families of the soliton module are
@@ -63,6 +58,13 @@ __all__ = [
 
 EPS_DEGENERATE = 1e-8
 M_BLOWUP = 1e8
+# Speed of the state per unit of integrate_events' regularised time near a
+# singularity.  Its time change starts at two thirds of it, above the speeds
+# |y'| of regular runs (up to 16 on the benchmark's flows), which then step in
+# t exactly, and bends to it with a continuous slope: a kink would hide the
+# time lost crossing it from the stepper's error estimate (measured: 1e-8
+# relative at rtol 1e-12).
+SUNDMAN_SPEED = 30.0
 
 
 @dataclass
@@ -99,7 +101,6 @@ class FlowParams:
     rtol: float = 1e-10
     atol: float = 1e-12
     n_points: int = 201
-    hoh_coeff: float = 1.0
 
     def __post_init__(self) -> None:
         _check_kappa(self.kappa)
@@ -109,17 +110,12 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class Event:
-    """A terminal event of :func:`integrate_events`.
-
-    ``y`` is the integrated state at ``t``.  ``source`` is ``"threshold"``
-    when the solver located the threshold crossing, ``"underflow"`` when the
-    event was completed after step-size underflow.
-    """
+    """A terminal event of :func:`integrate_events`: the integrated state
+    ``y`` at the time ``t`` where it crossed the threshold of ``kind``."""
 
     kind: str
     t: float
     y: tuple
-    source: str
 
 
 @dataclass(frozen=True)
@@ -143,22 +139,22 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be finite and non-negative, got {kappa!r}")
 
 
-def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float, hoh_coeff: float) -> tuple:
+def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float) -> tuple:
     g_inv, _, _, ricci, scalar = invariant_curvature(alg, g)
     ric_comp = ricci @ g_inv @ ricci
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
     return g_inv, (
         2.0 * kappa * ric_comp
         - (2.0 + kappa * (2.0 * scalar - f * f)) * ricci
-        + (hoh_coeff * f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
+        + (f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
     )
 
 
-def rhs_3d(state: FlowState3, kappa: float, hoh_coeff: float = 1.0) -> tuple:
+def rhs_3d(state: FlowState3, kappa: float) -> tuple:
     """Time derivative ``(g', f')`` of the three-dimensional reduction."""
     _check_kappa(kappa)
     tc.validate_metric(state.g)
-    g_inv, g_dot = _rhs_3d_core(state.algebra, state.g, state.f, kappa, hoh_coeff)
+    g_inv, g_dot = _rhs_3d_core(state.algebra, state.g, state.f, kappa)
     f_dot = -0.5 * float(np.einsum("ab,ab->", g_inv, g_dot)) * state.f
     return g_dot, f_dot
 
@@ -175,7 +171,6 @@ def rhs_general(
     g: np.ndarray,
     torsion: np.ndarray,
     kappa: float,
-    hoh_coeff: float = 1.0,
 ) -> tuple:
     """Time derivative ``(g', H')`` of the unreduced flow in any dimension.
 
@@ -192,7 +187,7 @@ def rhs_general(
     rr = tc.riemann_square(g_inv, riemann_tw)
     g_dot = (
         -2.0 * ricci
-        + hoh_coeff * tc.torsion_square(g_inv, torsion)
+        + tc.torsion_square(g_inv, torsion)
         - 2.0 * kappa * 0.5 * (rr + rr.T)
     )
     nabla_torsion = invariant_cov_deriv(gamma, torsion)
@@ -230,48 +225,108 @@ def validate_solver_args(t_span, rtol: float, atol: float) -> None:
         raise ValueError(f"rtol must be finite and positive, atol finite and non-negative: {rtol!r}, {atol!r}")
 
 
-def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points, complete, max_step=np.inf) -> tuple:
+def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
     """Integrate ``y' = rhs(t, y)`` with RK45 until ``t_span[1]`` or the first event.
 
-    ``events`` is a sequence of ``(kind, fn, direction)``; every event is
-    terminal and fires where ``fn(t, y)`` crosses zero in ``direction``.  On
-    step-size underflow, ``complete(t_u, y_u)`` receives the last resolvable
-    state and returns the completed :class:`Event`, or ``None`` to give up with
-    ``RuntimeError``.  Returns ``(t, y, events, status)``: ``n_points`` uniform
-    sample times up to the end or the event, the dense solution there (one row
-    per state variable), the events in order of ``|t|``, and ``"event"`` or
-    ``"completed"``.  A non-finite span or an invalid tolerance raises ``ValueError``.
+    ``rhs`` returns a sequence of floats; NaN entries make the stepper reject
+    the trial step and shrink it.  ``events`` is a sequence of
+    ``(kind, fn, direction)``; every event is terminal and fires where
+    ``fn(t, y)`` crosses zero in ``direction``.
+
+    The solver advances ``(y, t)`` in a regularised time ``tau`` (a Sundman
+    time change), with ``|dt/dtau| <= 1``.  While ``|y'|`` stays below two
+    thirds of ``SUNDMAN_SPEED``, ``tau`` runs with ``t``; from four thirds on,
+    the state moves at exactly ``SUNDMAN_SPEED`` per unit ``tau``.  A
+    finite-time singularity, where ``|y'|`` is unbounded, then lies at a
+    finite ``tau`` beyond the event thresholds, so every event is a threshold
+    crossing.  A terminal event on ``t`` ends the run at ``t_span[1]``.
+
+    Returns ``(t, y, events, status)``: ``n_points`` uniform sample times up
+    to the end or the event, the dense solution there (one row per state
+    variable), the event (at most one), and ``"event"`` or ``"completed"``.
+    A non-finite span or an invalid tolerance raises ``ValueError``; a step
+    failure, or a right-hand side that is not finite at the start, raises
+    ``RuntimeError``.
     """
     validate_solver_args(t_span, rtol, atol)
-    for _, fn, direction in events:
-        fn.terminal = True
-        fn.direction = direction
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    sign = 1.0 if t1 >= t0 else -1.0
+    cap = SUNDMAN_SPEED
+    bend = 2.0 * cap / 3.0  # the speed where the time change starts
+
+    def regularised(tau, z):
+        dy = rhs(z[-1], z[:-1])
+        speed = math.hypot(*dy)
+        if speed <= bend:
+            dt = sign
+        elif speed < 2.0 * bend:  # the state's speed in tau bends to cap
+            dt = sign * (1.0 - 0.75 * (speed - bend) ** 2 / (cap * speed))
+        elif tau > 0.0 or math.isfinite(speed):
+            dt = sign * cap / speed
+        else:
+            # A non-finite derivative at the start would make the initial
+            # step NaN, and the stepper would retry that step forever.
+            raise RuntimeError("the right-hand side is not finite at the initial state")
+        return np.array([dt * v for v in dy] + [dt])
+
+    def in_tau(fn, direction):
+        def event(tau, z):
+            return fn(z[-1], z[:-1])
+
+        event.terminal, event.direction = True, direction
+        return event
+
+    span_end = (None, lambda t, y: sign * (t - t1), 1)
     sol = solve_ivp(
-        rhs,
-        t_span,
-        y0,
+        regularised,
+        (0.0, np.inf),
+        np.append(y0, t0),
         method="RK45",
         rtol=rtol,
         atol=atol,
         dense_output=True,
-        events=[fn for _, fn, _ in events],
-        max_step=max_step,
+        events=[in_tau(fn, direction) for _, fn, direction in (*events, span_end)],
     )
-    t_end = float(sol.t[-1])
-    if sol.status == -1:
-        event = complete(t_end, sol.y[:, -1])
-        if event is None:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        found = [event]
-    else:
-        found = [
-            Event(kind, float(te), tuple(ye.tolist()), "threshold")
-            for (kind, _, _), t_ev, y_ev in zip(events, sol.t_events, sol.y_events)
-            for te, ye in zip(t_ev, y_ev)
-        ]
-        found.sort(key=lambda e: abs(e.t))
-    ts = np.linspace(t_span[0], t_end, n_points)
-    return ts, sol.sol(ts), tuple(found), "event" if found else "completed"
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    found = tuple(
+        Event(kind, float(z[-1]), tuple(z[:-1].tolist())) for (kind, _, _), zs in zip(events, sol.y_events) for z in zs
+    )
+    ts = np.linspace(t0, found[0].t if found else t1, n_points)
+    return ts, _sample_in_t(sol, ts, sign)[:-1], found, "event" if found else "completed"
+
+
+def _sample_in_t(sol, ts, sign):
+    """Dense state ``(y, t)`` of a run in ``tau`` at the times ``ts`` (from ``t0``).
+
+    A time is first placed on the line between the solver nodes around it,
+    which is exact to rounding in a step where ``dt/dtau = 1``; where that
+    misses, Illinois secant steps on the step's interpolant of ``t`` refine it.
+    """
+    elapsed = sign * (sol.y[-1] - ts[0])  # at each node, non-decreasing
+    u = sign * (ts - ts[0])
+    tau = np.interp(u, elapsed, sol.t)
+    z = sol.sol(tau)
+    tol = 16.0 * np.finfo(float).eps * max(abs(ts[0]), abs(ts[-1]))
+    j = np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1]))
+    k, cols = np.searchsorted(elapsed, u[j]), np.arange(j.size)
+    ends = np.array([sol.t[k - 1], sol.t[k]])
+    vals, last = np.array([elapsed[k - 1], elapsed[k]]) - u[j], np.full(j.size, -1)
+    for _ in range(60):
+        f = sign * (z[-1, j] - ts[0]) - u[j]
+        live = (np.abs(f) > tol) & (ends[1] - ends[0] > 4.0 * np.finfo(float).eps * ends[1])
+        if not live.any():
+            break
+        # tau replaces the end on its side of the root; the other end's value
+        # is halved when the same end moves twice in a row.
+        side = (f > 0.0).astype(int)
+        vals[1 - side, cols] *= np.where(live & (side == last), 0.5, 1.0)
+        ends[side, cols] = np.where(live, tau[j], ends[side, cols])
+        vals[side, cols] = np.where(live, f, vals[side, cols])
+        last = np.where(live, side, last)
+        tau[j] = np.where(live, (ends[0] * vals[1] - ends[1] * vals[0]) / (vals[1] - vals[0]), tau[j])
+        z[:, j] = sol.sol(tau[j])
+    return z
 
 
 # The integrated state is the upper triangle of g, row by row.
@@ -292,54 +347,29 @@ def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
     ``f = c / sqrt(det g)`` with ``c = f0 sqrt(det g0)``, so the flux volume
     ``f sqrt(det g)`` is conserved exactly.  Terminal events: metric
     degeneration (smallest eigenvalue of ``g`` reaching ``1e-8``) and blow-up
-    (largest entry magnitude reaching ``1e8``).  The trajectory is sampled on
-    ``n_points`` uniform times up to the end or the first event.
+    (largest entry magnitude reaching ``1e8``), each located as a threshold
+    crossing by :func:`integrate_events`.  The trajectory is sampled on
+    ``n_points`` uniform times up to the end or the event, so the last sample
+    of a run that ends in an event is the event's state.
     """
     alg = state.algebra
     y0 = state.g[_TRIU]
     c = state.f * math.sqrt(_det(y0.tolist()))
 
-    def g_dot_of(y):
+    def rhs(t, y):
         det = _det(y.tolist())  # on Python floats, so a NaN trial state does not warn
         if not det > 0.0:
-            raise np.linalg.LinAlgError("the metric left the positive-definite cone")
-        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), params.kappa, params.hoh_coeff)[1]
-
-    def rhs(t, y):
-        # Trial steps may momentarily leave the SPD cone near a degeneration;
-        # returning NaN makes the stepper reject and shrink instead of dying.
-        try:
-            return g_dot_of(y)[_TRIU]
-        except np.linalg.LinAlgError:
-            return np.full(6, np.nan)
-
-    def complete(t_u, y_u):
-        # Approaches to a singular metric can be too steep for double-precision
-        # time stepping, leaving the eigenvalue / magnitude thresholds
-        # unreachable.  When the last resolvable state is unambiguously
-        # degenerating or blowing up, the event is emitted there (within
-        # machine precision of the singular time); otherwise give up.
-        g_u = y_u[_SYM]
-        try:
-            eigvals, eigvecs = np.linalg.eigh(g_u)
-            g_dot_u = g_dot_of(y_u)
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        v_min = eigvecs[:, 0]
-        if eigvals[0] <= 0.0 or (eigvals[0] <= 0.1 and float(v_min @ g_dot_u @ v_min) < 0.0):
-            kind = "degenerate"
-        elif float(np.max(np.abs(g_u))) >= 1e6 and float(np.max(np.abs(g_dot_u))) > 0.0:
-            kind = "blowup"
-        else:
-            return None
-        return Event(kind, t_u, tuple(y_u.tolist()), "underflow")
+            # A trial step past a degeneration can leave the positive-definite
+            # cone; NaN makes the stepper reject it and shrink.
+            return [math.nan] * 6
+        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), params.kappa)[1][_TRIU].tolist()
 
     events = (
         ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(y[_SYM]))) - EPS_DEGENERATE, -1),
         ("blowup", lambda t, y: float(np.max(np.abs(y))) - M_BLOWUP, 1),
     )
     ts, ys, found, status = integrate_events(
-        rhs, params.t_span, y0, events, params.rtol, params.atol, params.n_points, complete
+        rhs, params.t_span, y0, events, params.rtol, params.atol, params.n_points
     )
     return FlowTrajectory(
         algebra=alg,

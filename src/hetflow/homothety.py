@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -542,7 +542,9 @@ def integrate(
 
     Terminal events: collapse (``sigma <= 1e-8``), blow-up (``sigma >= 1e8``),
     and stall (``|F| <= eps`` while approaching an interior root, i.e. an
-    asymptote).
+    asymptote).  :func:`hetflow.het_flow.integrate_events` locates each as a
+    threshold crossing, however steep the approach, and the last sample of a
+    run that ends in an event is the event's state.
     """
     coeffs = problem_coefficients(problem)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
@@ -553,32 +555,10 @@ def integrate(
         return Trajectory(problem=problem, t=t, sigma=np.full_like(t, problem.sigma0), events=(), status="static")
 
     eps_stall = _stall_eps(coeffs)
-    t_dir = 1.0 if t_span[1] >= t_span[0] else -1.0
 
     def rhs(t, y):
         sig = max(y[0], 1e-9)  # keep trial steps past the collapse event finite
         return [_F_from_coefficients(coeffs, sig) / sig]
-
-    def complete(t_u, y_u):
-        # Near a collapse driven by the quartic or quintic coefficient the
-        # exact solution obeys ``sigma ~ C (t_c - t)^(1/k)`` with k up to 6,
-        # so the sigma = 1e-8 event can sit closer to t_c than the spacing
-        # between adjacent double-precision times; no explicit step can reach
-        # it.  When the last resolvable state is unambiguously in terminal
-        # decay (sigma small and shrinking along the integration direction, no
-        # root of F below it) the event time is completed exactly by the
-        # quadrature ``t_u + dir * int_EPS^sigma_u y/|F| dy``.
-        sig_u = float(y_u[0])
-        f_u = _F_from_coefficients(coeffs, max(sig_u, 1e-300))
-        roots_below = [r for r in _positive_roots(coeffs) if r < sig_u]
-        if not (sig_u <= 0.1 and f_u * t_dir < 0.0 and not roots_below):
-            return None
-
-        def integrand(y: float) -> float:
-            return y / abs(_F_from_coefficients(coeffs, y))
-
-        tail, _ = quad(integrand, EPS_COLLAPSE, sig_u, limit=200, epsabs=1e-13, epsrel=1e-11)
-        return hf.Event("collapse", t_u + t_dir * tail, (EPS_COLLAPSE,), "underflow")
 
     events = (
         ("collapse", lambda t, y: y[0] - EPS_COLLAPSE, -1),
@@ -586,10 +566,7 @@ def integrate(
         # only trigger while approaching a root
         ("stall", lambda t, y: abs(_F_from_coefficients(coeffs, max(y[0], 1e-9))) - eps_stall, -1),
     )
-    max_step = abs(t_span[1] - t_span[0]) / 16 or np.inf
-    t, y, found, status = hf.integrate_events(
-        rhs, t_span, [problem.sigma0], events, rtol, atol, n_points, complete, max_step=max_step
-    )
+    t, y, found, status = hf.integrate_events(rhs, t_span, [problem.sigma0], events, rtol, atol, n_points)
     return Trajectory(problem=problem, t=t, sigma=y[0], events=found, status=status)
 
 
@@ -738,7 +715,6 @@ def classify_from_trajectory(
     kappa: float,
     mu: float,
     sigma0: float = 1.0,
-    horizon: float = 200.0,
 ) -> Behavior:
     """Event-driven classification: integrate both time directions and read
     the tag off the terminal events.  Used to cross-check :func:`classify`."""
@@ -749,20 +725,11 @@ def classify_from_trajectory(
     if np.max(np.abs(coeffs)) == 0.0 or abs(f0) <= 1e-12 * scale:
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, f_at_start=f0)
 
-    # Time scale: |sigma'| = |F|/sigma at the start sets the natural unit.
-    unit = sigma0 / max(abs(f0) / sigma0, 1e-6)
-    span = min(horizon * unit, 1e9)
-
     def leg(direction: float):
-        # A leg without an event (a slow relaxation onto a root can outlast
-        # the first span) continues from its last state on a doubled span.
-        start, length, part = 0.0, span, problem
-        while not (tr := integrate(part, (start, direction * length), rtol=1e-10, atol=1e-13)).events:
-            if length >= 1e9:
-                return "open", None
-            start, length = direction * length, min(2.0 * length, 1e9)
-            part = replace(part, sigma0=float(tr.sigma[-1]))
-        return tr.events[0].kind, tr.events[0]
+        # A leg that meets no threshold by |t| = 1e9 is open: it relaxes onto
+        # no root and grows too slowly to reach the blow-up threshold.
+        tr = integrate(problem, (0.0, direction * 1e9), rtol=1e-10, atol=1e-13)
+        return (tr.events[0].kind, tr.events[0]) if tr.events else ("open", None)
 
     fwd_kind, fwd_ev = leg(+1.0)
     bwd_kind, bwd_ev = leg(-1.0)

@@ -339,10 +339,14 @@ def strong_skew_scalar(candidate: SolitonCandidate) -> float:
     ``f phi = df`` it is ``-(f laplace f + |df|^2) / (3 f)`` — the pointwise
     obstruction forcing ``f`` constant on closed manifolds.
     """
-    s = candidate.sample
     full, _ = strong_residual(candidate)
+    return _skew_scalar(candidate.sample, full)
+
+
+def _skew_scalar(sample, full: np.ndarray) -> float:
+    """Volume coefficient of the fully antisymmetric part of ``full``."""
     skew = (full + np.einsum("vcd->cdv", full) + np.einsum("vcd->dvc", full)) / 3.0
-    return float(tc.form_inner(s.g_inv, skew, tc.volume_form(s.g, s.orientation)))
+    return float(tc.form_inner(sample.g_inv, skew, tc.volume_form(sample.g, sample.orientation)))
 
 
 def soliton_report(candidate: SolitonCandidate, tol: float = TOL_CONSTRUCTOR) -> ResidualReport:
@@ -351,7 +355,7 @@ def soliton_report(candidate: SolitonCandidate, tol: float = TOL_CONSTRUCTOR) ->
     kappa = candidate.kappa
     base = residual_general(candidate, tol)
     full, _ = strong_residual(candidate)
-    skew_scalar = strong_skew_scalar(candidate)
+    skew_scalar = _skew_scalar(s, full)
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", s.ricci, s.ricci, s.g_inv, s.g_inv))
     trace_res = abs(2.0 * kappa * ric_norm2 - (2.0 * s.f**2 - 0.5 * kappa * s.f**4))
     eqs = dict(base.equations)

@@ -68,6 +68,13 @@ def test_unknown_suite_exits_1(capsys):
     assert "configuration error" in err or "nonsense" in err
 
 
+def test_verify_has_no_tol_option(capsys):
+    # verify's checks carry their own tolerances; a --tol would be ignored
+    code, _, err = _run(capsys, ["verify", "--tol", "1e-3"])
+    assert code == 1
+    assert "configuration error" in err and "--tol" in err
+
+
 def test_bad_numeric_flag_exits_1(capsys):
     code, _, err = _run(capsys, ["homothety", "--kappa", "not-a-number"])
     assert code == 1
@@ -242,8 +249,8 @@ def test_homothety_su2_reports_collapse_event(capsys):
 
 
 def test_homothety_event_row_is_a_point_of_the_trajectory(capsys):
-    # This collapse is completed after step-size underflow; its row still
-    # pairs the threshold sigma with the time the trajectory reaches it.
+    # A steep collapse: the event row is the threshold crossing, and the last
+    # sample of the grid is that same point.
     kappa, mu = 1.6707, 1.6234
     argv = ["homothety", "--case", "flat", "--kappa", str(kappa), "--mu", str(mu),
             "--t-max", "2.0", "--n-points", "11"]
@@ -251,11 +258,12 @@ def test_homothety_event_row_is_a_point_of_the_trajectory(capsys):
     assert code == 0
     header, rows = _read_csv(out)
     assert len(rows) == 12
+    assert rows[-1][:2] == rows[-2][:2]
     t, sigma, f = (float(x) for x in rows[-1][:3])
-    assert sigma == ht.EPS_COLLAPSE
+    assert sigma == pytest.approx(ht.EPS_COLLAPSE, rel=1e-6)
+    assert f == pytest.approx(float(rows[-2][2]), rel=1e-15)
     assert f == pytest.approx(mu * sigma**-1.5, rel=1e-15)
-    assert float(rows[-2][0]) < t
-    assert float(rows[-2][1]) > 1e-3
+    assert float(rows[-3][0]) < t
 
 
 # ---------------------------------------------------------------------------

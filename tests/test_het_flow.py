@@ -137,15 +137,6 @@ def test_density_rate_tracks_metric_trace():
         assert f_dot == pytest.approx(expected, abs=1e-14)
 
 
-def test_hoh_coefficient_shifts_torsion_square_only():
-    rng = np.random.default_rng(3)
-    state = _random_state(rng, "sl2r")
-    g_one, f_one = hf.rhs_3d(state, kappa=0.7, hoh_coeff=1.0)
-    g_two, f_two = hf.rhs_3d(state, kappa=0.7, hoh_coeff=2.0)
-    np.testing.assert_allclose(g_two - g_one, state.f**2 * state.g, atol=1e-13)
-    assert f_two - f_one == pytest.approx(-1.5 * state.f**3, abs=1e-12)
-
-
 def test_rhs_validation():
     state = hf.FlowState3(algebra=hg.catalog("r3"), g=np.eye(3), f=0.2)
     with pytest.raises(ValueError):
@@ -270,7 +261,7 @@ def test_round_collapse_time_under_plain_ricci_flow():
     traj = hf.integrate_flow(state, hf.FlowParams(kappa=0.0, t_span=(0.0, 5.0), n_points=11))
     assert traj.status == "event"
     (event,) = traj.events
-    assert (event.kind, event.source) == ("degenerate", "threshold")
+    assert event.kind == "degenerate"
     assert event.t == pytest.approx(1.5, abs=1e-6)
     g_event = np.array(event.y)[hf._SYM]
     assert float(np.min(np.linalg.eigvalsh(g_event))) == pytest.approx(hf.EPS_DEGENERATE, rel=1e-6)
@@ -285,18 +276,47 @@ def test_flat_collapse_event_matches_closed_form():
     assert traj.events[0].t == pytest.approx(ht.flat_collapse_time(kappa, mu), abs=1e-6)
 
 
-def test_underflow_event_reports_its_source():
-    # su2 with f = 0 and kappa = 1 degenerates at t ~ 0.04517 too steeply for
-    # the stepper: the last resolvable state still has eigenvalue ~1.3e-4.
+def test_steep_degeneration_is_a_threshold_crossing():
+    # su2 with f = 0 and kappa = 1 degenerates at t ~ 0.04517, so steeply that
+    # stepping in t stalls while the smallest eigenvalue is still ~1.3e-4.
+    # In the regularised time the eigenvalue crosses the 1e-8 threshold, and
+    # the last sample is the event's state.
     state = hf.FlowState3(algebra=hg.catalog("su2", kappa=1.0), g=np.eye(3), f=0.0)
     traj = hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0), n_points=11))
     assert traj.status == "event"
     (event,) = traj.events
-    assert (event.kind, event.source) == ("degenerate", "underflow")
+    assert event.kind == "degenerate"
     assert event.t == pytest.approx(0.04517, abs=1e-5)
     assert traj.t[-1] == event.t
-    np.testing.assert_allclose(traj.g[-1][np.triu_indices(3)], event.y, rtol=1e-12)
-    assert 0.0 < float(np.min(np.linalg.eigvalsh(traj.g[-1]))) < 1e-3
+    np.testing.assert_array_equal(traj.g[-1][np.triu_indices(3)], event.y)
+    assert float(np.min(np.linalg.eigvalsh(traj.g[-1]))) == pytest.approx(hf.EPS_DEGENERATE, rel=1e-6)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_blowup_is_a_threshold_crossing_in_either_direction(sign):
+    # y' = sign y^2 from y(0) = 1 is 1 / (1 - sign t): it blows up at
+    # t = sign and reaches 1e8 at t = sign (1 - 1e-8), where y' = 1e16.
+    events = (("blowup", lambda t, y: y[0] - 1e8, 1),)
+    t, y, found, status = hf.integrate_events(
+        lambda t, y: [sign * y[0] * y[0]], (0.0, 2.0 * sign), [1.0], events, 1e-10, 1e-12, 41
+    )
+    (event,) = found
+    assert status == "event" and event.kind == "blowup"
+    assert event.t == pytest.approx(sign * (1.0 - 1e-8), abs=1e-9)
+    assert event.y[0] == pytest.approx(1e8, rel=1e-6)
+    assert (t[-1], y[0, -1]) == (event.t, event.y[0])
+    np.testing.assert_allclose(y[0, :-1], 1.0 / (1.0 - sign * t[:-1]), rtol=1e-7)
+
+
+@pytest.mark.parametrize("nan_from", [0.0, 0.5])
+def test_integration_with_a_nan_rhs_raises(nan_from):
+    # NaN from the start, or from t = 0.5 on, where every step is rejected
+    # until the step size underflows.
+    def rhs(t, y):
+        return [math.nan] if t >= nan_from else [1.0]
+
+    with pytest.raises(RuntimeError):
+        hf.integrate_events(rhs, (0.0, 1.0), [1.0], (), 1e-10, 1e-12, 11)
 
 
 def test_tracer_counts_rhs_evaluations_of_a_flow():

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hetflow import het_flow as hf
 from hetflow import homogeneous as hg
 from hetflow import homothety as ht
 
@@ -527,25 +528,59 @@ def test_flat_closed_form_far_past_collapse_is_out_of_domain():
 
 
 @pytest.mark.parametrize(
-    "case, kappa, mu, source",
+    "case, kappa, mu",
     [
-        ("positive", 0.0, 0.0, "threshold"),  # sigma' = -2/3 crosses 1e-8 at a finite slope
-        ("flat", 1.6707, 1.6234, "underflow"),  # the last resolvable sigma is about 0.006
+        ("positive", 0.0, 0.0),  # sigma' = -2/3 crosses 1e-8 at a finite slope
+        ("flat", 1.6707, 1.6234),  # so steep that stepping in t stalls near sigma = 0.006
     ],
 )
-def test_collapse_event_sits_on_the_threshold(case, kappa, mu, source):
-    # However it was found, a collapse event is the point where sigma = 1e-8.
+def test_collapse_event_sits_on_the_threshold(case, kappa, mu):
+    # However steep the approach, a collapse event is the crossing of
+    # sigma = 1e-8, and the last sample is that point.
     problem = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu)
     traj = ht.integrate(problem, (0.0, 2.0))
     (event,) = traj.events
-    assert (event.kind, event.source) == ("collapse", source)
+    assert event.kind == "collapse"
     assert event.y[0] == pytest.approx(ht.EPS_COLLAPSE, rel=1e-6)
-    if source == "underflow":
-        assert event.y == (ht.EPS_COLLAPSE,)
+    assert (traj.t[-1], traj.sigma[-1]) == (event.t, event.y[0])
     # The event time is the time to fall from sigma0 to 1e-8.
     at_threshold = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=ht.EPS_COLLAPSE)
     expected = ht.collapse_time_quadrature(problem) - ht.collapse_time_quadrature(at_threshold)
     assert event.t == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["positive", "flat", "negative", "su2"]),
+    st.floats(min_value=0.01, max_value=3.0),  # su2 needs kappa > 0
+    st.floats(min_value=0.0, max_value=2.5),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+def test_every_collapse_is_a_threshold_crossing(case, kappa, mu, sigma0):
+    behavior = ht.classify(case, kappa, mu, sigma0)
+    assume(behavior.tag is ht.BehaviorTag.FINITE_TIME_COLLAPSE)
+    # A start where F nearly vanishes lingers by a root, and there any
+    # integrated time is ill conditioned: flat, kappa = 2.00001, mu = 0.5,
+    # sigma0 = 0.5 (F = -2.5e-6) is off by 1e-8 at rtol 1e-12, with or
+    # without the regularised time.
+    assume(abs(behavior.f_at_start) >= 1e-3)
+    problem = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
+    at_threshold = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=ht.EPS_COLLAPSE)
+    expected = ht.collapse_time_quadrature(problem) - ht.collapse_time_quadrature(at_threshold)
+    # The time is integrated, so its error is a multiple of rtol (up to 5e-8
+    # relative at the default 1e-10).  At 1e-12 it is mostly below 1e-9, but
+    # the last step reaches past the collapse, where the rhs is clamped, and
+    # the event is interpolated inside it: su2, kappa = 2.3137, sigma0 = 1.0820
+    # is off by 4.6e-9.
+    traj = ht.integrate(problem, (0.0, 2.0 * behavior.collapse_time), rtol=1e-12, atol=1e-14)
+    (event,) = traj.events
+    assert event.kind == "collapse"
+    assert event.t == pytest.approx(expected, rel=1e-8)
+    # Near the threshold sigma moves at SUNDMAN_SPEED per unit of the
+    # regularised time, which is below |t| + 1 here and resolved only to the
+    # spacing of doubles there.
+    resolution = hf.SUNDMAN_SPEED * np.spacing(abs(event.t) + 1.0)
+    assert abs(event.y[0] - ht.EPS_COLLAPSE) <= max(1e-6 * ht.EPS_COLLAPSE, resolution)
 
 
 def test_F_equals_polyval_bit_for_bit():

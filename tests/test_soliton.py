@@ -290,6 +290,15 @@ def test_strong_skew_scalar_gradient_identity():
         assert value == pytest.approx(expected, abs=1e-13)
 
 
+def test_report_computes_the_strong_residual_once(count_calls):
+    candidate = so.SolitonCandidate(cj.random_chart_sample(3, maxwell=True), 0.9)
+    skew = abs(so.strong_skew_scalar(candidate))
+    calls = count_calls(so, "strong_residual")
+    report = so.soliton_report(candidate)
+    assert len(calls) == 1
+    assert report.equations["strong_skew"].value == skew
+
+
 # ---------------------------------------------------------------------------
 # nilpotent axis geometry
 # ---------------------------------------------------------------------------
