@@ -28,7 +28,6 @@ platform.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -140,9 +139,6 @@ class RunConfig:
             if len(diag) != 3 or not all(np.isfinite(x) for x in diag):
                 raise ConfigError("metric_diag must be three finite numbers")
             object.__setattr__(self, "metric_diag", diag)
-
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
 
 
 def _float_cell(x: float) -> str:
@@ -269,7 +265,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     alg = _algebra_from_config(cfg)
     diag = cfg.metric_diag if cfg.metric_diag is not None else (1.0, 1.0, 1.0)
     f0 = cfg.f if cfg.f is not None else 1.0
-    state = hf.FlowState3(algebra=alg, g=np.diag(diag), f=f0, t=cfg.t_min)
+    state = hf.FlowState3(algebra=alg, g=np.diag(diag), f=f0)
     params = hf.FlowParams(
         kappa=cfg.kappa,
         t_span=(cfg.t_min, cfg.t_max),
@@ -507,7 +503,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="output path (atomic write); stdout when omitted")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The ``hetflow`` parser and its subparsers by command name."""
     parser = _Parser(prog="hetflow", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -566,7 +563,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int)
     _add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -582,15 +579,21 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
+def _config_from_args(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> RunConfig:
+    """Merge the ``--config`` file under the flags of ``sub``, the command's subparser.
+
+    A file key must be the ``dest`` of one of the command's options: a key
+    the command never reads is an error, not silently ignored.
+    """
     merged: dict = {}
     raw = vars(ns)
     if raw.get("config"):
         merged.update(_load_config_file(raw["config"]))
+        options = {action.dest for action in sub._actions} - {"help", "config"}
+        unknown = set(merged) - options
+        if unknown:
+            raise ConfigError(f"unknown config keys for {ns.command!r}: {sorted(unknown)}")
     merged.update({k: v for k, v in raw.items() if k not in ("config", "command")})
-    unknown = set(merged) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "metric_diag" in merged and merged["metric_diag"] is not None:
         merged["metric_diag"] = tuple(merged["metric_diag"])
     try:
@@ -609,10 +612,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _config_from_args(ns)
+        cfg = _config_from_args(ns, subparsers[ns.command])
         return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

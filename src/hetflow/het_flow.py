@@ -16,6 +16,13 @@ The flow couples a metric, a closed 3-form torsion, and a coupling constant
 
   The second equation says ``f sqrt(det g)`` is constant, so
   :func:`integrate_flow` evolves only ``g`` and sets ``f`` from it.
+  It takes one of two paths, chosen from the start alone.  On an algebra in
+  bracket normal form (:func:`~hetflow.homogeneous.milnor_lambdas` is not
+  ``None``) a metric with exactly zero off-diagonal entries has diagonal
+  Ricci (Milnor 1976), so the flow stays diagonal and is integrated as three
+  ODEs for ``d = diag(g)``, with Milnor's principal Ricci values on Python
+  floats.  Every other start integrates the six entries of ``g`` through
+  the generic curvature chain of :func:`rhs_3d`.
   Gradient terms of ``f`` (``[*df, Ric]``, ``df (x) df``, ``|df|^2``, and the
   Laplacian in ``f'``) vanish identically on invariant data and are omitted.
 
@@ -36,12 +43,14 @@ from scipy.integrate import solve_ivp
 from . import tensor_core as tc
 from .homogeneous import (
     LieAlgebraData,
+    _principal_ricci,
     connection_twisted,
     invariant_cov_deriv,
     invariant_curvature,
     invariant_d,
     invariant_riemann,
     levi_civita_connection,
+    milnor_lambdas,
 )
 
 __all__ = [
@@ -69,7 +78,7 @@ SUNDMAN_SPEED = 30.0
 
 @dataclass
 class FlowState3:
-    """Invariant three-dimensional configuration ``(g, f)`` at time ``t``.
+    """Invariant three-dimensional configuration ``(g, f)``.
 
     ``f`` is the torsion density (``H = f vol_g``); the orientation entering
     ``vol_g`` is fixed to +1 throughout (the rhs is even in the density, so
@@ -79,7 +88,6 @@ class FlowState3:
     algebra: LieAlgebraData
     g: np.ndarray
     f: float
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         if self.algebra.dim != 3:
@@ -148,6 +156,27 @@ def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float) -> 
         - (2.0 + kappa * (2.0 * scalar - f * f)) * ricci
         + (f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
     )
+
+
+def _rhs_milnor(lambdas: tuple, d: list, f: float, kappa: float) -> list:
+    """Diagonal of ``g'`` at ``g = diag(d)`` on an algebra in bracket normal form.
+
+    The frame ``e_i / sqrt(d_i)`` is orthonormal with brackets
+    ``l_i d_i / sqrt(d1 d2 d3)``; there ``Ric = diag(d_i r_i)`` with ``r_i``
+    Milnor's principal values, and the 3D rhs reduces entry by entry to
+    ``d_i (2k r_i^2 - (2 + k(2s - f^2)) r_i + f^2 + k(s^2 - 2|r|^2 - f^4/4))``.
+    Computed on Python floats: this runs once per solver stage.
+    """
+    d1, d2, d3 = d
+    l1, l2, l3 = lambdas
+    root = math.sqrt(d1 * d2 * d3)
+    r = _principal_ricci(l1 * d1 / root, l2 * d2 / root, l3 * d3 / root)
+    r1, r2, r3 = r
+    f2 = f * f
+    s = r1 + r2 + r3
+    linear = 2.0 + kappa * (2.0 * s - f2)
+    shift = f2 + kappa * (s * s - 2.0 * (r1 * r1 + r2 * r2 + r3 * r3) - 0.25 * f2 * f2)
+    return [di * (2.0 * kappa * ri * ri - linear * ri + shift) for di, ri in zip(d, r)]
 
 
 def rhs_3d(state: FlowState3, kappa: float) -> tuple:
@@ -329,9 +358,11 @@ def _sample_in_t(sol, ts, sign):
     return z
 
 
-# The integrated state is the upper triangle of g, row by row.
+# The generic path integrates the upper triangle of g, row by row; the
+# diagonal path its entries _DIAG, and leaves the others exactly 0.0.
 _TRIU = np.triu_indices(3)
 _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_DIAG = [0, 3, 5]
 
 
 def _det(y):
@@ -340,21 +371,8 @@ def _det(y):
     return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
 
 
-def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
-    """Integrate the 3D reduction from ``state`` over ``params.t_span``.
-
-    Only the six metric entries are integrated; the density is
-    ``f = c / sqrt(det g)`` with ``c = f0 sqrt(det g0)``, so the flux volume
-    ``f sqrt(det g)`` is conserved exactly.  Terminal events: metric
-    degeneration (smallest eigenvalue of ``g`` reaching ``1e-8``) and blow-up
-    (largest entry magnitude reaching ``1e8``), each located as a threshold
-    crossing by :func:`integrate_events`.  The trajectory is sampled on
-    ``n_points`` uniform times up to the end or the event, so the last sample
-    of a run that ends in an event is the event's state.
-    """
-    alg = state.algebra
-    y0 = state.g[_TRIU]
-    c = state.f * math.sqrt(_det(y0.tolist()))
+def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
+    """``(rhs, events)`` of the six packed entries of ``g``."""
 
     def rhs(t, y):
         det = _det(y.tolist())  # on Python floats, so a NaN trial state does not warn
@@ -362,21 +380,76 @@ def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
             # A trial step past a degeneration can leave the positive-definite
             # cone; NaN makes the stepper reject it and shrink.
             return [math.nan] * 6
-        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), params.kappa)[1][_TRIU].tolist()
+        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), kappa)[1][_TRIU].tolist()
 
     events = (
         ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(y[_SYM]))) - EPS_DEGENERATE, -1),
         ("blowup", lambda t, y: float(np.max(np.abs(y))) - M_BLOWUP, 1),
     )
-    ts, ys, found, status = integrate_events(
-        rhs, params.t_span, y0, events, params.rtol, params.atol, params.n_points
+    return rhs, events
+
+
+def _milnor_system(lambdas: tuple, c: float, kappa: float) -> tuple:
+    """``(rhs, events)`` of the diagonal ``d`` of ``g`` on a Milnor-form algebra."""
+
+    def rhs(t, y):
+        d = y.tolist()
+        vol = d[0] * d[1] * d[2]
+        if not (min(d) > 0.0 and vol > 0.0):  # off the cone, as in _generic_system
+            return [math.nan] * 3
+        return _rhs_milnor(lambdas, d, c / math.sqrt(vol), kappa)
+
+    events = (
+        ("degenerate", lambda t, y: min(y.tolist()) - EPS_DEGENERATE, -1),
+        ("blowup", lambda t, y: max(map(abs, y.tolist())) - M_BLOWUP, 1),
     )
+    return rhs, events
+
+
+def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
+    """Integrate the 3D reduction from ``state`` over ``params.t_span``.
+
+    Only metric entries are integrated; the density is
+    ``f = c / sqrt(det g)`` with ``c = f0 sqrt(det g0)``, so the flux volume
+    ``f sqrt(det g)`` is conserved exactly.  When the algebra is in bracket
+    normal form (:func:`~hetflow.homogeneous.milnor_lambdas`) and ``g0`` has
+    exactly zero off-diagonal entries, the three diagonal entries are
+    integrated with Milnor's closed-form Ricci and the off-diagonal ones stay
+    exactly ``0.0``; otherwise the six entries of the upper triangle are
+    integrated through the generic curvature chain.  Terminal events: metric
+    degeneration (smallest eigenvalue of ``g`` reaching ``1e-8``) and blow-up
+    (largest entry magnitude reaching ``1e8``), each located as a threshold
+    crossing by :func:`integrate_events`.  The trajectory is sampled on
+    ``n_points`` uniform times up to the end or the event, so the last sample
+    of a run that ends in an event is the event's state; an event's ``y`` is
+    the six upper-triangle entries on either path.
+    """
+    alg, g0 = state.algebra, state.g
+    packed = g0[_TRIU]
+    c = state.f * math.sqrt(_det(packed.tolist()))
+    lambdas = milnor_lambdas(alg)
+    if lambdas is not None and not np.any(g0 - np.diag(np.diagonal(g0))):
+        entries = _DIAG
+        rhs, events = _milnor_system(lambdas, c, params.kappa)
+    else:
+        entries = slice(None)
+        rhs, events = _generic_system(alg, c, params.kappa)
+    ts, ys, found, status = integrate_events(
+        rhs, params.t_span, packed[entries], events, params.rtol, params.atol, params.n_points
+    )
+
+    def packed_g(y):
+        six = np.zeros((6,) + np.shape(y)[1:])
+        six[entries] = y
+        return six
+
+    six = packed_g(ys)
     return FlowTrajectory(
         algebra=alg,
         params=params,
         t=ts,
-        g=ys.T[:, _SYM],
-        f=c / np.sqrt(_det(ys)),
-        events=found,
+        g=six.T[:, _SYM],
+        f=c / np.sqrt(_det(six)),
+        events=tuple(Event(e.kind, e.t, tuple(packed_g(e.y).tolist())) for e in found),
         status=status,
     )

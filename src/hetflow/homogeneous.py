@@ -20,7 +20,8 @@ field of the resulting :class:`~hetflow.chart_jets.GeometrySample` vanishes.
 
 The unimodular three-dimensional entries of the catalog are kept in a
 diagonalized bracket normal form ``[e_2,e_3] = l1 e1`` (cyclic), which makes
-the classical principal-Ricci formulas available as an independent oracle:
+the classical principal-Ricci formulas available as an independent oracle
+and as the three-ODE flow of diagonal metrics in :mod:`hetflow.het_flow`:
 with ``m_i = (l1+l2+l3)/2 - l_i`` the Ricci endomorphism of the identity
 metric is ``diag(2 m_2 m_3, 2 m_1 m_3, 2 m_1 m_2)``.
 """
@@ -40,6 +41,7 @@ __all__ = [
     "from_milnor",
     "catalog",
     "CATALOG_NAMES",
+    "milnor_lambdas",
     "milnor_principal_ricci",
     "milnor_ricci_diag",
     "levi_civita_connection",
@@ -145,12 +147,31 @@ def catalog(name: str, **params) -> LieAlgebraData:
     raise ValueError(f"unknown catalog entry {name!r}; choose from {CATALOG_NAMES}")
 
 
+def milnor_lambdas(alg: LieAlgebraData) -> tuple | None:
+    """Brackets ``(l1, l2, l3)`` of an algebra given in bracket normal form.
+
+    ``None`` unless the algebra is three-dimensional and its only nonzero
+    structure constants are ``C[1, 2, 0] = l1``, ``C[2, 0, 1] = l2``,
+    ``C[0, 1, 2] = l3`` and their exact antisymmetric partners (the frame of
+    :func:`from_milnor`); ``r3`` gives ``(0, 0, 0)``.
+    """
+    if alg.dim != 3:
+        return None
+    c = alg.structure
+    lambdas = (float(c[1, 2, 0]), float(c[2, 0, 1]), float(c[0, 1, 2]))
+    return lambdas if np.array_equal(c, from_milnor(lambdas).structure) else None
+
+
+def _principal_ricci(l1: float, l2: float, l3: float) -> tuple:
+    """Milnor's principal Ricci values on Python floats (see the module docstring)."""
+    half = 0.5 * (l1 + l2 + l3)
+    m1, m2, m3 = half - l1, half - l2, half - l3
+    return 2.0 * m2 * m3, 2.0 * m1 * m3, 2.0 * m1 * m2
+
+
 def milnor_principal_ricci(lambdas) -> np.ndarray:
     """Principal Ricci values of the identity metric in bracket normal form."""
-    l1, l2, l3 = (float(v) for v in lambdas)
-    half = 0.5 * (l1 + l2 + l3)
-    m = np.array([half - l1, half - l2, half - l3])
-    return np.array([2.0 * m[1] * m[2], 2.0 * m[0] * m[2], 2.0 * m[0] * m[1]])
+    return np.array(_principal_ricci(*(float(v) for v in lambdas)))
 
 
 def milnor_ricci_diag(lambdas, diag) -> np.ndarray:

@@ -473,6 +473,23 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert "quux" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homothety", "--case", "flat", "--kappa", "1", "--mu", "1"],
+        ["verify", "--suite", "solitons", "--trials", "2"],
+    ],
+)
+def test_config_key_the_command_never_reads_rejected(capsys, tmp_path, argv):
+    # tol is a RunConfig field, but only soliton-check has a --tol option.
+    config = tmp_path / "tol.json"
+    config.write_text(json.dumps({"tol": 1e-3}))
+    code, out, err = _run(capsys, [*argv, "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and "tol" in err
+
+
 def test_output_reruns_are_byte_identical(capsys, tmp_path):
     args = ["homothety", "--case", "negative", "--kappa", "0.5", "--mu", "0.3"]
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -57,6 +57,26 @@ def _einstein_positive_algebra():
     return hg.from_milnor([lam, lam, lam], name="round")
 
 
+def _rotation():
+    # Rodrigues' formula: angle 0.7 about the axis (1, 2, 3).
+    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(0.7) * k + (1.0 - math.cos(0.7)) * k @ k
+
+
+_Q = _rotation()
+
+
+def _rotated(alg, diag):
+    """``alg`` in the frame ``e'_i = Q_ia e_a`` and the metric ``Q diag(d) Q^T`` there.
+
+    The same geometry as ``diag(d)`` on ``alg``, but not in bracket normal
+    form, so :func:`hf.integrate_flow` takes its generic path.
+    """
+    c = np.einsum("ia,jb,abm,km->ijk", _Q, _Q, alg.structure, _Q)
+    return hg.LieAlgebraData(f"{alg.name}-rotated", 3, c), _Q @ np.diag(diag) @ _Q.T
+
+
 def _compare_with_scalar(alg, case, kappa, mu, t_end, n_points=17):
     state = hf.FlowState3(algebra=alg, g=np.eye(3), f=mu)
     traj = hf.integrate_flow(
@@ -137,6 +157,38 @@ def test_density_rate_tracks_metric_trace():
         assert f_dot == pytest.approx(expected, abs=1e-14)
 
 
+def test_milnor_rhs_matches_generic_rhs_on_diagonal_metrics():
+    # On a diagonal metric over a bracket-normal-form algebra the generic rhs
+    # stays diagonal, and its diagonal is the three-ODE rhs.
+    rng = np.random.default_rng(20261018)
+    names = ("r3", "heisenberg", "su2", "sl2r", "e11", "e2")
+    worst = worst_off = 0.0
+    for k in range(1000):
+        name = names[k % len(names)]
+        params = {"kappa": float(rng.uniform(0.3, 3.0))} if name == "su2" else {}
+        alg = hg.catalog(name, **params)
+        d = rng.uniform(0.1, 3.0, size=3)
+        kappa, f = float(rng.uniform(0.0, 3.0)), float(rng.uniform(-2.0, 2.0))
+        _, g_dot = hf._rhs_3d_core(alg, np.diag(d), f, kappa)
+        diagonal = np.diagonal(g_dot)
+        fast = hf._rhs_milnor(hg.milnor_lambdas(alg), d.tolist(), f, kappa)
+        worst = max(worst, float(np.max(np.abs(fast - diagonal)) / np.max(np.abs(diagonal))))
+        worst_off = max(worst_off, float(np.max(np.abs(g_dot - np.diag(diagonal)))))
+    assert worst <= 1e-13
+    assert worst_off <= 1e-12
+
+
+def test_milnor_lambdas_accept_only_the_normal_form():
+    for name in ("r3", "heisenberg", "su2", "sl2r", "e11", "e2"):
+        alg = hg.catalog(name)
+        expected = alg.params.get("lambdas", (0.0, 0.0, 0.0))
+        assert hg.milnor_lambdas(alg) == expected, name
+        if name != "r3":  # the abelian algebra is in normal form in every frame
+            assert hg.milnor_lambdas(_rotated(alg, [1.0, 1.0, 1.0])[0]) is None, name
+    assert hg.milnor_lambdas(hg.catalog("hyperbolic", c=0.8)) is None
+    assert hg.milnor_lambdas(hg.LieAlgebraData("abelian4", 4, np.zeros((4, 4, 4)))) is None
+
+
 def test_rhs_validation():
     state = hf.FlowState3(algebra=hg.catalog("r3"), g=np.eye(3), f=0.2)
     with pytest.raises(ValueError):
@@ -187,6 +239,12 @@ def test_integrators_reject_bad_span_and_tolerances(bad):
     for problem in (moving, static):
         with pytest.raises(ValueError, match=match):
             ht.integrate(problem, **args)
+
+
+def test_flow_state_takes_no_start_time():
+    # integrate_flow starts at params.t_span[0]; a time on the state went unread.
+    with pytest.raises(TypeError):
+        hf.FlowState3(algebra=hg.catalog("r3"), g=np.eye(3), f=0.0, t=5.0)
 
 
 def test_four_dimensional_algebra_rejected_by_state():
@@ -346,14 +404,59 @@ def test_one_metric_inverse_per_rhs_evaluation(monkeypatch, count_calls):
         return sol
 
     monkeypatch.setattr(hf, "solve_ivp", solve_counted)
-    state = hf.FlowState3(algebra=hg.catalog("sl2r"), g=np.diag([1.0, 2.0, 0.5]), f=0.7)
+    # A rotated frame keeps the generic path; the diagonal start in bracket
+    # normal form takes the three-ODE path, which inverts nothing.
+    alg, g0 = _rotated(hg.catalog("sl2r"), [1.0, 2.0, 0.5])
+    state = hf.FlowState3(algebra=alg, g=g0, f=0.7)
+    diagonal = hf.FlowState3(algebra=hg.catalog("sl2r"), g=np.diag([1.0, 2.0, 0.5]), f=0.7)
     inverses = count_calls(tc, "metric_inverse")
+    connections = count_calls(hg, "levi_civita_connection")
     traj = hf.integrate_flow(state, hf.FlowParams(kappa=0.3, t_span=(0.0, 0.5)))
     assert traj.status == "completed"
     assert len(inverses) == sum(nfev) > 0
     inverses.clear()
     hf.rhs_3d(state, kappa=0.3)
     assert len(inverses) == 1
+    inverses.clear()
+    connections.clear()
+    traj = hf.integrate_flow(diagonal, hf.FlowParams(kappa=0.3, t_span=(0.0, 0.5)))
+    assert traj.status == "completed"
+    assert (len(inverses), len(connections)) == (0, 0)
+
+
+# (algebra, catalog parameters, kappa, f, metric diagonal, status): per
+# algebra a run that reaches t = 1 and one that degenerates first.
+_ORACLE_RUNS = (
+    ("su2", {"kappa": 1.247}, 0.2397, 1.306, (1.763, 1.4, 1.743), "completed"),
+    ("su2", {"kappa": 0.535}, 1.221, 0.256, (1.865, 1.489, 1.86), "event"),
+    ("sl2r", {}, 0.3199, 0.4606, (1.645, 1.783, 1.413), "completed"),
+    ("sl2r", {}, 1.521, 1.936, (0.9743, 1.87, 0.5031), "event"),
+    ("heisenberg", {}, 0.2548, 0.9624, (0.5589, 1.636, 1.724), "completed"),
+    ("heisenberg", {}, 1.657, 1.133, (0.949, 1.16, 1.028), "event"),
+    ("e11", {}, 0.4893, 1.139, (1.469, 1.858, 0.8198), "completed"),
+    ("e11", {}, 1.745, 1.404, (1.674, 1.568, 1.524), "event"),
+)
+
+
+@pytest.mark.parametrize("name, params, kappa, f, diag, status", _ORACLE_RUNS)
+def test_diagonal_path_matches_generic_path_in_a_rotated_frame(name, params, kappa, f, diag, status):
+    alg = hg.catalog(name, **params)
+    rotated, g0 = _rotated(alg, diag)
+    flow = hf.FlowParams(kappa=kappa, t_span=(0.0, 1.0), n_points=11)
+    fast = hf.integrate_flow(hf.FlowState3(algebra=alg, g=np.diag(diag), f=f), flow)
+    generic = hf.integrate_flow(hf.FlowState3(algebra=rotated, g=g0, f=f), flow)
+    off_diagonal = ~np.eye(3, dtype=bool)
+    assert not np.any(fast.g[:, off_diagonal])
+    assert fast.status == generic.status == status
+    assert [e.kind for e in fast.events] == [e.kind for e in generic.events]
+    for a, b in zip(fast.events, generic.events):
+        assert a.t == pytest.approx(b.t, rel=1e-8, abs=0.0)
+        assert not np.any(np.array(a.y)[hf._SYM][off_diagonal])
+    if status == "completed":
+        for g_fast, g_generic in zip(fast.g, generic.g):
+            expected = _Q @ g_fast @ _Q.T
+            assert np.max(np.abs(g_generic - expected)) <= 1e-8 * np.max(np.abs(expected))
+        np.testing.assert_allclose(generic.f, fast.f, rtol=1e-8)
 
 
 def test_integration_is_deterministic():
