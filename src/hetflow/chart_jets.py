@@ -31,7 +31,6 @@ carry the quadratic-curvature coupling are assembled by the consumers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,9 +60,7 @@ __all__ = [
     "christoffel_jets",
     "curvature_jets",
     "cov_deriv_jets",
-    "exterior_d_jets",
     "hodge_jets",
-    "alt_jets",
     "ChartSpec",
     "random_chart_spec",
     "conformal_chart_spec",
@@ -314,25 +311,6 @@ def cov_deriv_jets(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     return out
 
 
-def alt_jets(tensor: np.ndarray) -> np.ndarray:
-    """Antisymmetrization over the tensor axes of a jet array."""
-    p = tensor.ndim - 1
-    if p <= 1:
-        return tensor.copy()
-    out = np.zeros_like(tensor)
-    for perm in itertools.permutations(range(p)):
-        sign = tc._perm_sign(perm)
-        out += sign * np.transpose(tensor, perm + (p,))
-    return out / math.factorial(p)
-
-
-def exterior_d_jets(form: np.ndarray) -> np.ndarray:
-    """Exterior derivative of a p-form jet array, determinant convention."""
-    p = np.asarray(form).ndim - 1
-    stacked = np.stack([jet_deriv(form, axis) for axis in range(N_VARS)], axis=0)
-    return (p + 1) * alt_jets(stacked)
-
-
 def hodge_jets(g_inv: np.ndarray, vol: np.ndarray, form: np.ndarray) -> np.ndarray:
     """Hodge star of a p-form jet array given inverse-metric and volume jets."""
     form = np.asarray(form, dtype=float)
@@ -450,7 +428,8 @@ class GeometrySample:
     twisted divergence ``-g^{ab} (Dhat_a Rhat)_{b v c d}``.  Derivative-flavored
     scalars (``d_*``) are 1-forms; on homogeneous samples they vanish.
     The bundle carries no coupling constant: consumers weight the
-    quadratic-curvature blocks themselves.
+    quadratic-curvature blocks themselves.  It carries no four-form either:
+    every four-form vanishes in dimension three.
     """
 
     backend: str
@@ -469,7 +448,6 @@ class GeometrySample:
     div_riemann_tw: np.ndarray
     torsion: np.ndarray
     nabla_torsion: np.ndarray
-    d_torsion: np.ndarray
     delta_torsion: np.ndarray
     torsion_sq: np.ndarray
     nabla_torsion_sq: np.ndarray
@@ -479,7 +457,6 @@ class GeometrySample:
     nabla_riemann_tw_sq: np.ndarray
     riemann_tw_norm2: float
     d_riemann_tw_norm2: np.ndarray
-    riemann_tw_wedge: np.ndarray
     f: float
     df: np.ndarray
     hess_f: np.ndarray
@@ -526,7 +503,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     )
 
     nabla_torsion = cov_deriv_jets(gamma, torsion)
-    d_torsion = exterior_d_jets(torsion)  # vanishes identically in dim 3
     delta_torsion = -jet_einsum("ab,abcd->cd", g_inv, nabla_torsion)
 
     torsion_up12 = torsion  # raise only the two contracted slots for H o H
@@ -550,7 +526,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     riemann_tw_up4 = jet_einsum("ab,b...->a...", g_inv, riemann_tw_up3)
     riemann_tw_norm2 = 0.25 * jet_einsum("abcd,abcd->", riemann_tw, riemann_tw_up4)
     d_riemann_tw_norm2 = jet_grad(riemann_tw_norm2)
-    riemann_tw_wedge = np.zeros((3, 3, 3, 3))  # no 4-forms in dimension three
 
     # Scalar torsion density block.
     df = jet_grad(density)
@@ -588,7 +563,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
         div_riemann_tw=div_riemann_tw,
         torsion=jet_value(torsion),
         nabla_torsion=jet_value(nabla_torsion),
-        d_torsion=jet_value(d_torsion),
         delta_torsion=jet_value(delta_torsion),
         torsion_sq=jet_value(torsion_sq),
         nabla_torsion_sq=jet_value(nabla_torsion_sq),
@@ -598,7 +572,6 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
         nabla_riemann_tw_sq=jet_value(nabla_riemann_tw_sq),
         riemann_tw_norm2=jet_value(riemann_tw_norm2),
         d_riemann_tw_norm2=jet_value(d_riemann_tw_norm2),
-        riemann_tw_wedge=riemann_tw_wedge,
         f=jet_value(density),
         df=jet_value(df),
         hess_f=jet_value(hess_f),

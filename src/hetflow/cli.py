@@ -333,54 +333,45 @@ def _chart_samples(trials: int, seed: int) -> list:
 
 
 def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
-    """Curvature-identity suite over chart and homogeneous samples."""
-    names = (
-        "curvature_reconstruction",
-        "curvature_square_expansion",
-        "curvature_norm_expansion",
-        "twisted_square_expansion",
-        "twisted_norm_expansion",
-    )
-    worst = {name: 0.0 for name in names}
+    """Curvature-identity suite: generic contractions against the 3D closed forms,
+    over chart and homogeneous samples."""
+    worst: dict[str, float] = {}
     for k in range(trials):
         for sample in (charts[k], hg.random_invariant_sample(seed + k)):
-            g, ric, scal = sample.g, sample.ricci, sample.scalar
+            g, ric, scal, f, df = sample.g, sample.ricci, sample.scalar, sample.f, sample.df
             g_inv = tc.metric_inverse(g)  # not sample.g_inv, a jet adjugate's on chart samples
-            rebuilt = tc.riemann_from_ricci_dim3(g, ric, scal)
-            worst["curvature_reconstruction"] = max(
-                worst["curvature_reconstruction"], tc.rel_err(sample.riemann, rebuilt)
-            )
-            worst["curvature_square_expansion"] = max(
-                worst["curvature_square_expansion"],
-                tc.rel_err(
-                    tc.riemann_square(g_inv, sample.riemann), tc.riemann_square_dim3(g, ric, scal)
+            pairs = (
+                (
+                    "curvature_reconstruction",
+                    sample.riemann,
+                    tc.riemann_from_ricci_dim3(g, ric, scal),
                 ),
-            )
-            worst["curvature_norm_expansion"] = max(
-                worst["curvature_norm_expansion"],
-                tc.rel_err(
-                    tc.riemann_norm2(g_inv, sample.riemann), tc.riemann_norm2_dim3(g, ric, scal)
+                (
+                    "curvature_square_expansion",
+                    tc.riemann_square(g_inv, sample.riemann),
+                    tc.riemann_square_dim3(g, g_inv, ric, scal),
                 ),
-            )
-            worst["twisted_square_expansion"] = max(
-                worst["twisted_square_expansion"],
-                tc.rel_err(
+                (
+                    "curvature_norm_expansion",
+                    tc.riemann_norm2(g_inv, sample.riemann),
+                    tc.riemann_norm2_dim3(g_inv, ric, scal),
+                ),
+                (
+                    "twisted_square_expansion",
                     sample.riemann_tw_sq,
-                    tc.riemann_square_twisted_dim3(
-                        g, ric, scal, sample.f, sample.df, sample.orientation
-                    ),
+                    tc.riemann_square_twisted_dim3(g, g_inv, ric, scal, f, df, sample.orientation),
                 ),
-            )
-            worst["twisted_norm_expansion"] = max(
-                worst["twisted_norm_expansion"],
-                tc.rel_err(
+                (
+                    "twisted_norm_expansion",
                     sample.riemann_tw_norm2,
-                    tc.riemann_norm2_twisted_dim3(g, ric, scal, sample.f, sample.df),
+                    tc.riemann_norm2_twisted_dim3(g_inv, ric, scal, f, df),
                 ),
             )
+            for name, generic, closed_form in pairs:
+                worst[name] = max(worst.get(name, 0.0), tc.rel_err(generic, closed_form))
     return [
-        {"name": name, "worst": worst[name], "tol": 1e-9, "pass": worst[name] <= 1e-9}
-        for name in names
+        {"name": name, "worst": value, "tol": 1e-9, "pass": value <= 1e-9}
+        for name, value in worst.items()
     ]
 
 

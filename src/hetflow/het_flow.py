@@ -422,7 +422,10 @@ def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
     crossing by :func:`integrate_events`.  The trajectory is sampled on
     ``n_points`` uniform times up to the end or the event, so the last sample
     of a run that ends in an event is the event's state; an event's ``y`` is
-    the six upper-triangle entries on either path.
+    the six upper-triangle entries on either path.  That final sample of a
+    degenerating run is accurate only to ``atol``, not ``rtol``: its smallest
+    entries sit near the ``1e-8`` threshold, so the default ``atol = 1e-12``
+    leaves them about ``1e-4`` relative error, and ``f`` inherits it.
     """
     alg, g0 = state.algebra, state.g
     packed = g0[_TRIU]

@@ -290,9 +290,10 @@ def build_invariant_sample(
         raise ValueError("full geometry samples are three-dimensional; use the raw helpers in higher dimension")
     g = np.asarray(g, dtype=float)
     tc.validate_metric(g)
+    if not np.isfinite(f):
+        raise ValueError("torsion density f must be finite")
     n = 3
     zero_vec = np.zeros(n)
-    zero_4form = np.zeros((n,) * 4)  # no nonzero 4-forms in dimension three
 
     g_inv, gamma, riemann, ricci, scalar = invariant_curvature(alg, g)
     nabla_ricci = invariant_cov_deriv(gamma, ricci)
@@ -339,7 +340,6 @@ def build_invariant_sample(
         div_riemann_tw=div_riemann_tw,
         torsion=torsion,
         nabla_torsion=nabla_torsion,
-        d_torsion=zero_4form,
         delta_torsion=delta_torsion,
         torsion_sq=torsion_sq,
         nabla_torsion_sq=nabla_torsion_sq,
@@ -349,7 +349,6 @@ def build_invariant_sample(
         nabla_riemann_tw_sq=nabla_riemann_tw_sq,
         riemann_tw_norm2=riemann_tw_norm2,
         d_riemann_tw_norm2=zero_vec,
-        riemann_tw_wedge=zero_4form,
         f=float(f),
         df=zero_vec,
         hess_f=np.zeros((n, n)),

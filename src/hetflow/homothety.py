@@ -640,7 +640,7 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
     coeffs = problem_coefficients(problem)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
-    f0 = float(np.polyval(coeffs, sigma0)) / sigma0**4
+    f0 = _F_from_coefficients(coeffs, sigma0)
     roots = _positive_roots(coeffs)
 
     if np.max(np.abs(coeffs)) == 0.0 or abs(f0) <= 1e-12 * scale:
@@ -721,7 +721,7 @@ def classify_from_trajectory(
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
     coeffs = problem_coefficients(problem)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
-    f0 = float(np.polyval(coeffs, sigma0)) / sigma0**4
+    f0 = _F_from_coefficients(coeffs, sigma0)
     if np.max(np.abs(coeffs)) == 0.0 or abs(f0) <= 1e-12 * scale:
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, f_at_start=f0)
 
@@ -922,13 +922,20 @@ class ConsistencyReport:
     reason: str
 
 
+@_overflow_guard
 def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e-9) -> ConsistencyReport:
     """Decide whether (alg, g) supports the conformal-family reduction."""
     import scipy.linalg
 
     from . import homogeneous as hg
+    from . import tensor_core as tc
 
+    if not (0.0 <= kappa < math.inf):
+        raise ValueError("kappa must be a non-negative real")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     g = np.asarray(g, dtype=float)
+    tc.validate_metric(g)
     _, _, _, ric, _ = hg.invariant_curvature(alg, g)
     lam = np.sort(scipy.linalg.eigh(ric, g, eigvals_only=True))
     s = float(np.sum(lam))

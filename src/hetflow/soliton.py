@@ -6,12 +6,16 @@ system evaluated here pairs
 
 * a Ricci-type equation for the metric (symmetric part),
 * a Maxwell-type equation for the one-form ``phi`` (skew part),
-* a scalar equation tying the dilaton coupling to curvature, and
-* a four-form flux constraint ``dH + kappa * <Rhat ^ Rhat>``,
+* a scalar equation tying the dilaton coupling to curvature,
 
 with an optional *strong* refinement: a first-order equation on the twisted
 curvature tensor, ``div_tw(Rhat) + phi -| Rhat = 0``, whose fully
 antisymmetric part carries an independent scalar obstruction.
+
+The flux constraint ``dH = kappa <Rhat ^ Rhat>`` is a four-form equation, so
+it is vacuous in dimension three, where every four-form vanishes; no residual
+here carries it.  :func:`hetflow.het_flow.bianchi_residual` checks it on
+invariant data in dimension four and higher.
 
 Reports are value objects with a stable JSON layout so batch verification
 and the command-line front end can share one schema.
@@ -59,7 +63,7 @@ __all__ = [
     "verify_divergence_identities",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Exactly constructed candidates must satisfy their equations to this level.
 TOL_CONSTRUCTOR = 1e-12
@@ -74,7 +78,6 @@ SOLITON_EQUATIONS = (
     "einstein_sym",
     "einstein_skew",
     "dilaton",
-    "bianchi",
     "strong_full",
     "strong_skew",
     "trace_identity",
@@ -153,16 +156,16 @@ def _meta(candidate: SolitonCandidate) -> dict:
     }
 
 
-def einstein_maps(
-    sample: GeometrySample, kappa: float
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+def einstein_maps(sample: GeometrySample, kappa: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Pointwise residual tensors of the coupled system.
 
-    Returns ``(e_sym, e_skew, e_dil, e_bianchi)``: the symmetric Ricci-type
-    map ``Ric + nabla phi - 1/2 H o H + kappa Rhat o Rhat``, the skew
-    Maxwell-type two-form ``1/2 delta H + 1/2 H(phi, ., .)``, the scalar
-    ``delta phi + |phi|^2 - |H|^2 + kappa |Rhat|^2`` and the four-form
-    ``dH + kappa <Rhat ^ Rhat>`` (identically zero in dimension three).
+    Returns ``(e_sym, e_skew, e_dil)``: the symmetric Ricci-type map
+    ``Ric + nabla phi - 1/2 H o H + kappa Rhat o Rhat``, the skew
+    Maxwell-type two-form ``1/2 delta H + 1/2 H(phi, ., .)`` and the scalar
+    ``delta phi + |phi|^2 - |H|^2 + kappa |Rhat|^2``.  The four-form flux
+    constraint ``dH + kappa <Rhat ^ Rhat>`` is vacuous on these
+    three-dimensional samples; :func:`hetflow.het_flow.bianchi_residual`
+    checks it in dimension four and higher.
     """
     s = sample
     phi_up = s.g_inv @ s.dilaton
@@ -171,25 +174,29 @@ def einstein_maps(
     e_dil = float(
         s.delta_dilaton + s.dilaton_norm2 - s.torsion_norm2 + kappa * s.riemann_tw_norm2
     )
-    e_bianchi = s.d_torsion + kappa * s.riemann_tw_wedge
-    return e_sym, e_skew, e_dil, e_bianchi
+    return e_sym, e_skew, e_dil
 
 
 def maxwell_residual_3d(sample: GeometrySample) -> np.ndarray:
     """Two-form ``-*df + f *phi``; equals twice the general skew map in 3D."""
     if sample.n != 3:
         raise ValueError("maxwell_residual_3d requires a three-dimensional sample")
-    return tc.hodge(sample.g, sample.f * sample.dilaton - sample.df, sample.orientation)
+    vol = tc.volume_form(sample.g, sample.orientation)
+    return tc.hodge(sample.g_inv, vol, sample.f * sample.dilaton - sample.df)
 
 
 def residual_general(candidate: SolitonCandidate, tol: float = TOL_JET) -> ResidualReport:
-    """Evaluate the coupled system on a candidate in any dimension."""
-    e_sym, e_skew, e_dil, e_bianchi = einstein_maps(candidate.sample, candidate.kappa)
+    """Evaluate the coupled system on a candidate by contracting its tensors.
+
+    The contractions hold in any dimension, but samples are three-dimensional,
+    where the four-form flux constraint is vacuous; it is checked in dimension
+    four and higher by :func:`hetflow.het_flow.bianchi_residual`.
+    """
+    e_sym, e_skew, e_dil = einstein_maps(candidate.sample, candidate.kappa)
     eqs = {
         "einstein_sym": EquationResidual(float(np.max(np.abs(e_sym))), tol),
         "einstein_skew": EquationResidual(float(np.max(np.abs(e_skew))), tol),
         "dilaton": EquationResidual(abs(e_dil), tol),
-        "bianchi": EquationResidual(float(np.max(np.abs(e_bianchi))), tol),
     }
     return ResidualReport(eqs, meta=_meta(candidate))
 
@@ -207,7 +214,9 @@ def residual_3d(candidate: SolitonCandidate, tol: float = TOL_JET) -> ResidualRe
     if s.n != 3:
         raise ValueError("residual_3d requires a three-dimensional sample")
     kappa = candidate.kappa
-    rr_tw = tc.riemann_square_twisted_dim3(s.g, s.ricci, s.scalar, s.f, s.df, s.orientation)
+    rr_tw = tc.riemann_square_twisted_dim3(
+        s.g, s.g_inv, s.ricci, s.scalar, s.f, s.df, s.orientation
+    )
     e1 = s.ricci + s.nabla_dilaton - 0.5 * s.f**2 * s.g + kappa * rr_tw
     e2 = s.f * s.dilaton - s.df
     e3 = float(s.scalar - 3.0 * s.delta_dilaton - 2.0 * s.dilaton_norm2 + 0.5 * s.f**2)
@@ -273,11 +282,13 @@ class CaseMatch:
 
 def classify_ricci_spectrum(eigenvalues, kappa: float) -> CaseMatch:
     """Match a principal Ricci spectrum to one of the constant-dilaton cases."""
-    if kappa <= 0.0:
-        raise ValueError("coupling kappa must be positive")
+    if not (0.0 < kappa < np.inf):
+        raise ValueError("coupling kappa must be positive and finite")
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     if eigs.shape != (3,):
         raise ValueError("expected exactly three principal curvatures")
+    if not np.all(np.isfinite(eigs)):
+        raise ValueError("principal curvatures must be finite")
     scal = float(np.sum(eigs))
     gap_tol = EIGEN_GAP_REL * abs(scal) + EIGEN_GAP_ABS
     matches: list[tuple[int, float]] = []
@@ -303,6 +314,7 @@ def classify_ricci_spectrum(eigenvalues, kappa: float) -> CaseMatch:
 
 def classify_constant_dilaton(alg: hg.LieAlgebraData, g: np.ndarray, kappa: float) -> CaseMatch:
     """Classify an invariant metric by its principal Ricci curvatures."""
+    tc.validate_metric(g)
     _, _, _, ricci, _ = hg.invariant_curvature(alg, g)
     eigs = scipy.linalg.eigh(ricci, g, eigvals_only=True)
     return classify_ricci_spectrum(eigs, kappa)
@@ -324,10 +336,11 @@ def strong_residual(candidate: SolitonCandidate) -> tuple[np.ndarray, np.ndarray
     phi_up = s.g_inv @ s.dilaton
     full = s.div_riemann_tw + np.einsum("a,avcd->vcd", phi_up, s.riemann_tw)
     ric0 = s.ricci - (s.scalar / 3.0) * s.g
+    vol = tc.volume_form(s.g, s.orientation)
     reduced = np.empty((3, 3, 3))
     for v in range(3):
         anti = s.nabla_ricci[:, :, v] - s.nabla_ricci[:, :, v].T
-        reduced[v] = anti + 1.5 * s.f * tc.hodge(s.g, ric0[v], s.orientation)
+        reduced[v] = anti + 1.5 * s.f * tc.hodge(s.g_inv, vol, ric0[v])
     return full, reduced
 
 
@@ -403,7 +416,8 @@ def case1_axis(
     failure is raised when only the reversed-orientation relation
     ``d(xi_flat) = +f * hodge(xi_flat)`` fits, or when neither does.
     """
-    _, _, _, ricci, _ = hg.invariant_curvature(alg, g)
+    tc.validate_metric(g)
+    g_inv, _, _, ricci, _ = hg.invariant_curvature(alg, g)
     w, vecs = scipy.linalg.eigh(ricci, g)
     scale = max(float(np.max(np.abs(w))), 1e-30)
     if w[2] <= 0.0 or (w[2] - w[1]) <= 1e-8 * scale:
@@ -413,7 +427,7 @@ def case1_axis(
     xi = xi * np.sign(xi[k])
     xi_flat = g @ xi
     d_xi = hg.invariant_d(alg, xi_flat)
-    target = -f * tc.hodge(g, xi_flat, orientation)
+    target = -f * tc.hodge(g_inv, tc.volume_form(g, orientation), xi_flat)
     err_scale = max(abs(f), 1.0)
     if float(np.max(np.abs(d_xi - target))) <= tol * err_scale:
         return xi
@@ -436,11 +450,13 @@ def heisenberg_auxiliary_connection(
     ``hodge(u_flat)``; on the exact nilpotent soliton this connection has
     vanishing curvature and ``nabla_bar xi = 0``.
     """
+    tc.validate_metric(g)
     g_inv = tc.metric_inverse(g)
     gamma = hg.levi_civita_connection(alg, g, g_inv)
+    vol = tc.volume_form(g, orientation)
 
     def skew_endo(u: np.ndarray) -> np.ndarray:
-        return tc.endo_from_bilinear(g_inv, tc.hodge(g, tc.flat(g, u), orientation))
+        return tc.endo_from_bilinear(g_inv, tc.hodge(g_inv, vol, tc.flat(g, u)))
 
     xi_endo = skew_endo(xi)
     xi_flat = tc.flat(g, xi)
@@ -466,11 +482,14 @@ def verify_divergence_identities(
     The report carries, as max-abs over the frame directions,
 
     * ``div_curvature_square`` — the divergence of ``Rhat o Rhat`` against
-      its twisted-divergence/norm-gradient/flux expansion,
+      its twisted-divergence/norm-gradient expansion,
     * ``div_torsion_square`` — the divergence of ``H o H`` against its
-      expansion through the skew map and the flux constraint,
+      expansion through the skew map,
     * ``div_einstein_map`` — the divergence of the full symmetric map
-      against the curvature, dilaton-gradient, skew and flux terms.
+      against the curvature, dilaton-gradient and skew terms.
+
+    The general identities also carry terms in ``dH`` and ``Rhat ^ Rhat``;
+    both are four-forms, which vanish in dimension three.
 
     All three are identities of the geometry: they hold for every sample
     regardless of whether any soliton equation is satisfied, so a failure
@@ -479,20 +498,14 @@ def verify_divergence_identities(
     s = sample
     ginv = s.g_inv
     phi_up = ginv @ s.dilaton
-    e_sym, e_skew, _, e_bianchi = einstein_maps(s, kappa)
+    e_sym, e_skew, _ = einstein_maps(s, kappa)
     div_tw = s.div_riemann_tw
 
     # Divergence of the twisted-curvature square.
     lhs1 = -np.einsum("ab,abv->v", ginv, s.nabla_riemann_tw_sq)
     rhs1 = np.empty(s.n)
     for v in range(s.n):
-        rhs1[v] = (
-            _lam12_inner(ginv, div_tw, s.riemann_tw[v])
-            - 0.5 * s.d_riemann_tw_norm2[v]
-            - 0.5
-            * (1.0 / 6.0)
-            * np.einsum("abc,def,ad,be,cf->", s.torsion, s.riemann_tw_wedge[v], ginv, ginv, ginv)
-        )
+        rhs1[v] = _lam12_inner(ginv, div_tw, s.riemann_tw[v]) - 0.5 * s.d_riemann_tw_norm2[v]
 
     # Divergence of the torsion square.
     lhs2 = -np.einsum("ab,abv->v", ginv, s.nabla_torsion_sq)
@@ -501,11 +514,7 @@ def verify_divergence_identities(
         rhs2[v] = (
             -0.5 * s.d_torsion_norm2[v]
             - float(phi_up @ s.torsion_sq[:, v])
-            - kappa
-            * (1.0 / 6.0)
-            * np.einsum("abc,abc->", s.torsion, tc.raise_all(ginv, s.riemann_tw_wedge[v]))
             + np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv)
-            + (1.0 / 6.0) * np.einsum("abc,abc->", s.torsion, tc.raise_all(ginv, e_bianchi[v]))
         )
 
     # Divergence of the symmetric map.
@@ -537,7 +546,6 @@ def verify_divergence_identities(
             kappa * _lam12_inner(ginv, s.riemann_tw[v], div_tw + phi_curv)
             + 0.5 * d_e_dil[v]
             - 0.5 * np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv)
-            - 0.5 * (1.0 / 6.0) * np.einsum("abc,abc->", s.torsion, tc.raise_all(ginv, e_bianchi[v]))
         )
 
     eqs = {

@@ -6,9 +6,10 @@ and lowering is always explicit through the metric ``g`` or its inverse, so
 the same routines serve coordinate frames (chart backend) and invariant
 frames (homogeneous backend).
 
-Helpers that only raise indices take ``g_inv`` (one :func:`metric_inverse` per
-geometry, passed down); those that also lower indices or build the volume form
-(:func:`flat`, :func:`volume_form`, :func:`hodge`, ``*_dim3``) take ``g``.
+No helper inverts a metric.  The caller computes :func:`metric_inverse` once
+per geometry and passes ``g_inv`` down to every helper that raises an index
+(:func:`hodge` and the ``*_dim3`` closed forms included); helpers that lower
+indices or build the volume form take ``g`` as well.
 
 Conventions
 -----------
@@ -198,21 +199,20 @@ def volume_form(g: np.ndarray, orientation: int = 1) -> np.ndarray:
     return orientation * math.sqrt(np.linalg.det(g)) * levi_civita_symbol(n)
 
 
-def hodge(g: np.ndarray, alpha: np.ndarray, orientation: int = 1) -> np.ndarray:
+def hodge(g_inv: np.ndarray, vol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Hodge star of a p-form: ``(*a)_{b...} = (1/p!) vol_{a...b...} a^{a...}``.
 
-    Scalars (p = 0) may be passed as plain floats; the result for p = n is a
-    plain float as well.
+    ``vol`` is the oriented :func:`volume_form`.  Scalars (p = 0) may be passed
+    as plain floats; the result for p = n is a plain float as well.
     """
-    n = g.shape[0]
-    vol = volume_form(g, orientation)
+    n = g_inv.shape[0]
     if np.ndim(alpha) == 0:
         return float(alpha) * vol
     alpha = np.asarray(alpha, dtype=float)
     p = alpha.ndim
     if p > n:
         raise ValueError(f"form degree {p} exceeds dimension {n}")
-    raised = raise_all(metric_inverse(g), alpha)
+    raised = raise_all(g_inv, alpha)
     spec = _LETTERS[:n] + "," + _LETTERS[:p] + "->" + _LETTERS[p:n]
     out = np.einsum(spec, vol, raised) / math.factorial(p)
     if p == n:
@@ -317,8 +317,8 @@ def codifferential_from_nabla(g_inv: np.ndarray, nabla_form: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _require_dim3(g: np.ndarray) -> None:
-    if g.shape[0] != 3:
+def _require_dim3(matrix: np.ndarray) -> None:
+    if matrix.shape[0] != 3:
         raise ValueError("this identity is specific to dimension three")
 
 
@@ -339,20 +339,20 @@ def riemann_from_ricci_dim3(g: np.ndarray, ricci: np.ndarray, scalar: float) -> 
     return 0.5 * scalar * gg + g_ric
 
 
-def riemann_square_dim3(g: np.ndarray, ricci: np.ndarray, scalar: float) -> np.ndarray:
+def riemann_square_dim3(
+    g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: float
+) -> np.ndarray:
     """Closed form of ``R o R`` in dimension three:
     ``-Ric o Ric + s Ric + (|Ric|^2 - s^2/2) g``."""
     _require_dim3(g)
-    g_inv = metric_inverse(g)
     ric_sq = ricci @ g_inv @ ricci
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
     return -ric_sq + scalar * ricci + (ric_norm2 - 0.5 * scalar**2) * g
 
 
-def riemann_norm2_dim3(g: np.ndarray, ricci: np.ndarray, scalar: float) -> float:
+def riemann_norm2_dim3(g_inv: np.ndarray, ricci: np.ndarray, scalar: float) -> float:
     """``|R|^2 = |Ric|^2 - s^2/4`` in dimension three."""
-    _require_dim3(g)
-    g_inv = metric_inverse(g)
+    _require_dim3(g_inv)
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
     return ric_norm2 - 0.25 * scalar**2
 
@@ -379,6 +379,7 @@ def riemann_twisted_dim3(
 
 def riemann_square_twisted_dim3(
     g: np.ndarray,
+    g_inv: np.ndarray,
     ricci: np.ndarray,
     scalar: float,
     f: float,
@@ -392,11 +393,10 @@ def riemann_square_twisted_dim3(
     commutator turned back into a (symmetric) bilinear form.
     """
     _require_dim3(g)
-    g_inv = metric_inverse(g)
     ric_sq = ricci @ g_inv @ ricci
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
     df_norm2 = float(df @ g_inv @ df)
-    star_df = hodge(g, df, orientation)
+    star_df = hodge(g_inv, volume_form(g, orientation), df)
     endo_star_df = endo_from_bilinear(g_inv, star_df)
     endo_ric = endo_from_bilinear(g_inv, ricci)
     comm = bilinear_from_endo(g, endo_star_df @ endo_ric - endo_ric @ endo_star_df)
@@ -410,15 +410,14 @@ def riemann_square_twisted_dim3(
 
 
 def riemann_norm2_twisted_dim3(
-    g: np.ndarray,
+    g_inv: np.ndarray,
     ricci: np.ndarray,
     scalar: float,
     f: float,
     df: np.ndarray,
 ) -> float:
     """``|Rhat|^2 = |Ric|^2 - s^2/4 - f^2 s / 4 + |df|^2/2 + 3 f^4 / 16`` (dim 3)."""
-    _require_dim3(g)
-    g_inv = metric_inverse(g)
+    _require_dim3(g_inv)
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
     df_norm2 = float(df @ g_inv @ df)
     return ric_norm2 - 0.25 * scalar**2 - 0.25 * f**2 * scalar + 0.5 * df_norm2 + 0.1875 * f**4

@@ -63,14 +63,14 @@ def test_criterion_1_curvature_identity_suite():
                 worst["curvature_square_expansion"],
                 tc.rel_err(
                     tc.riemann_square(tc.metric_inverse(g), sample.riemann),
-                    tc.riemann_square_dim3(g, ric, scal),
+                    tc.riemann_square_dim3(g, tc.metric_inverse(g), ric, scal),
                 ),
             )
             worst["curvature_norm_expansion"] = max(
                 worst["curvature_norm_expansion"],
                 tc.rel_err(
                     tc.riemann_norm2(tc.metric_inverse(g), sample.riemann),
-                    tc.riemann_norm2_dim3(g, ric, scal),
+                    tc.riemann_norm2_dim3(tc.metric_inverse(g), ric, scal),
                 ),
             )
             worst["twisted_square_expansion"] = max(
@@ -78,7 +78,7 @@ def test_criterion_1_curvature_identity_suite():
                 tc.rel_err(
                     sample.riemann_tw_sq,
                     tc.riemann_square_twisted_dim3(
-                        g, ric, scal, sample.f, sample.df, sample.orientation
+                        g, tc.metric_inverse(g), ric, scal, sample.f, sample.df, sample.orientation
                     ),
                 ),
             )
@@ -86,7 +86,9 @@ def test_criterion_1_curvature_identity_suite():
                 worst["twisted_norm_expansion"],
                 tc.rel_err(
                     sample.riemann_tw_norm2,
-                    tc.riemann_norm2_twisted_dim3(g, ric, scal, sample.f, sample.df),
+                    tc.riemann_norm2_twisted_dim3(
+                        tc.metric_inverse(g), ric, scal, sample.f, sample.df
+                    ),
                 ),
             )
     elapsed = time.perf_counter() - t0

@@ -12,6 +12,7 @@ import pytest
 from hetflow import chart_jets as cj
 from hetflow import cli
 from hetflow import homothety as ht
+from hetflow import tensor_core as tc
 
 
 def _run(capsys, argv):
@@ -35,7 +36,8 @@ def test_soliton_check_constructor_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["command"] == "soliton-check"
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
+    assert "bianchi" not in payload["equations"]
     assert payload["meta"]["f"] == pytest.approx(1.0, rel=1e-14)
     assert all(entry["pass"] for entry in payload["equations"].values())
 
@@ -156,6 +158,19 @@ def test_verify_builds_each_chart_sample_once_per_command(capsys, monkeypatch):
     built.clear()
     assert _run(capsys, ["verify", "--suite", "solitons", "--trials", "4"])[0] == 0
     assert built == []
+
+
+def test_metric_inverse_calls_per_command(capsys, count_calls):
+    # verify: the identity suite inverts the metric of each of its 8 samples
+    # and builds 4 invariant samples; the soliton suite builds 8 candidates,
+    # classifies each and evaluates the flow rhs at each (12 + 24).
+    # soliton-check: the one inverse its sample makes.
+    inverses = count_calls(tc, "metric_inverse")
+    assert _run(capsys, ["verify", "--suite", "all", "--trials", "4"])[0] == 0
+    assert len(inverses) == 36
+    inverses.clear()
+    assert _run(capsys, ["soliton-check", "--algebra", "heisenberg", "--kappa", "1.0"])[0] == 0
+    assert len(inverses) == 1
 
 
 def test_verify_solitons_suite(capsys):

@@ -603,6 +603,10 @@ def test_F_equals_polyval_bit_for_bit():
         (ht.F_n, (1.0, 1.0, math.inf)),
         (ht.F_su2, (1.0, math.nan)),
         (ht.F_value, (ht.HomothetyProblem(case="flat", kappa=1.0, mu=1.0), 1e100)),
+        (ht.classify, ("positive", 1.0, 1.0, 1e100)),
+        (ht.classify, ("positive", 1.0, 1.0, 1e-100)),
+        (ht.classify_from_trajectory, ("positive", 1.0, 1.0, 1e100)),
+        (ht.classify_from_trajectory, ("positive", 1.0, 1.0, 1e-100)),
     ],
 )
 def test_F_rejects_an_unrepresentable_conformal_factor(fn, args):

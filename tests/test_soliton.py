@@ -13,6 +13,7 @@ import pytest
 
 from hetflow import chart_jets as cj
 from hetflow import homogeneous as hg
+from hetflow import homothety as ht
 from hetflow import soliton as so
 from hetflow import tensor_core as tc
 
@@ -113,7 +114,7 @@ def test_round_metric_with_flux_is_not_a_soliton():
 def test_maxwell_residual_equals_twice_skew_map():
     for seed in range(4):
         sample = cj.random_chart_sample(seed, maxwell=bool(seed % 2))
-        _, e_skew, _, _ = so.einstein_maps(sample, 0.9)
+        _, e_skew, _ = so.einstein_maps(sample, 0.9)
         np.testing.assert_allclose(
             so.maxwell_residual_3d(sample), 2.0 * e_skew, atol=1e-13
         )
@@ -126,17 +127,6 @@ def test_maxwell_residual_requires_dimension_three():
     with pytest.raises(ValueError):
         so.maxwell_residual_3d(bad.sample)
     object.__setattr__(bad.sample, "n", 3)
-
-
-def test_bianchi_map_vanishes_on_three_dimensional_samples():
-    # chart jets leave derivative roundoff in dH; invariant data is exact
-    for seed in range(3):
-        sample = cj.random_chart_sample(seed)
-        *_, e_bianchi = so.einstein_maps(sample, 1.7)
-        assert np.max(np.abs(e_bianchi)) <= 1e-15
-    invariant = hg.build_invariant_sample(hg.catalog("su2", kappa=1.2), np.eye(3), 0.8)
-    *_, e_bianchi = so.einstein_maps(invariant, 1.7)
-    assert np.max(np.abs(e_bianchi)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +170,47 @@ def test_classify_validation():
         so.classify_ricci_spectrum((1.0, 2.0), 1.0)
     with pytest.raises(ValueError):
         so.case_spectrum(4, 1.0)
+
+
+_SINGULAR = np.diag([1.0, 1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: so.classify_constant_dilaton(hg.catalog("heisenberg"), _SINGULAR, 1.0),
+        lambda: so.case1_axis(hg.catalog("heisenberg"), _SINGULAR, 1.0),
+        lambda: so.heisenberg_auxiliary_connection(
+            hg.catalog("heisenberg"), _SINGULAR, 1.0, np.array([1.0, 0.0, 0.0])
+        ),
+        lambda: ht.check_homothety_consistency(hg.catalog("su2"), _SINGULAR, 1.0, 0.0),
+        lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.nan),
+        lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.inf),
+        lambda: so.classify_ricci_spectrum((-0.5, -0.5, 0.5), math.nan),
+        lambda: so.classify_ricci_spectrum((-0.5, math.nan, 0.5), 1.0),
+        lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), math.nan, 0.0),
+        lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, math.inf),
+        lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, 1e200),
+    ],
+    ids=[
+        "classify_constant_dilaton-singular-g",
+        "case1_axis-singular-g",
+        "heisenberg_auxiliary_connection-singular-g",
+        "check_homothety_consistency-singular-g",
+        "build_invariant_sample-nan-f",
+        "build_invariant_sample-inf-f",
+        "classify_ricci_spectrum-nan-kappa",
+        "classify_ricci_spectrum-nan-eigenvalue",
+        "check_homothety_consistency-nan-kappa",
+        "check_homothety_consistency-inf-mu",
+        "check_homothety_consistency-overflowing-mu",
+    ],
+)
+def test_entry_points_reject_bad_input_with_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError  # not its subclass LinAlgError
 
 
 def test_catalog_metrics_classify_by_principal_curvatures():
@@ -313,7 +344,9 @@ def test_case1_axis_relation_and_normalization():
     assert float(xi @ g @ xi) == pytest.approx(1.0, rel=1e-12)
     xi_flat = g @ xi
     np.testing.assert_allclose(
-        hg.invariant_d(alg, xi_flat), -f * tc.hodge(g, xi_flat, 1), atol=1e-13
+        hg.invariant_d(alg, xi_flat),
+        -f * tc.hodge(tc.metric_inverse(g), tc.volume_form(g), xi_flat),
+        atol=1e-13
     )
 
 

@@ -133,20 +133,22 @@ def test_volume_form_unit_norm(seed):
 def test_hodge_involution_dim3(seed, degree):
     rng = _rng(seed)
     g = _spd(rng)
+    g_inv, vol = tc.metric_inverse(g), tc.volume_form(g)
     if degree == 0:
         alpha = float(rng.normal())
-        twice = tc.hodge(g, tc.hodge(g, alpha))
+        twice = tc.hodge(g_inv, vol, tc.hodge(g_inv, vol, alpha))
         assert twice == pytest.approx(alpha, rel=1e-12, abs=1e-12)
         return
     alpha = tc.alt(rng.normal(size=(3,) * degree))
-    np.testing.assert_allclose(tc.hodge(g, tc.hodge(g, alpha)), alpha, atol=1e-10)
+    np.testing.assert_allclose(tc.hodge(g_inv, vol, tc.hodge(g_inv, vol, alpha)), alpha, atol=1e-10)
 
 
 def test_hodge_is_isometry(rng):
     g = _spd(rng)
     g_inv = tc.metric_inverse(g)
     a, b = rng.normal(size=3), rng.normal(size=3)
-    lhs = tc.form_inner(g_inv, tc.hodge(g, a), tc.hodge(g, b))
+    vol = tc.volume_form(g)
+    lhs = tc.form_inner(g_inv, tc.hodge(g_inv, vol, a), tc.hodge(g_inv, vol, b))
     rhs = tc.form_inner(g_inv, a, b)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -155,15 +157,18 @@ def test_interior_volume_is_hodge_of_flat(rng):
     g = _spd(rng)
     x = rng.normal(size=3)
     lhs = tc.interior(x, tc.volume_form(g))
-    rhs = tc.hodge(g, tc.flat(g, x))
+    rhs = tc.hodge(tc.metric_inverse(g), tc.volume_form(g), tc.flat(g, x))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_hodge_orientation_flip(rng):
     g = _spd(rng)
+    g_inv = tc.metric_inverse(g)
     a = rng.normal(size=3)
     np.testing.assert_allclose(
-        tc.hodge(g, a, orientation=-1), -tc.hodge(g, a, orientation=1), atol=1e-14
+        tc.hodge(g_inv, tc.volume_form(g, orientation=-1), a),
+        -tc.hodge(g_inv, tc.volume_form(g, orientation=1), a),
+        atol=1e-14,
     )
 
 
@@ -400,38 +405,57 @@ def test_square_expansions_match_on_samples(chart_samples, invariant_samples):
         g, ric, s = sample.g, sample.ricci, sample.scalar
         g_inv = tc.metric_inverse(g)
         assert tc.rel_err(
-            tc.riemann_square(g_inv, sample.riemann), tc.riemann_square_dim3(g, ric, s)
+            tc.riemann_square(g_inv, sample.riemann), tc.riemann_square_dim3(g, g_inv, ric, s)
         ) <= 1e-12
         assert tc.rel_err(
-            tc.riemann_norm2(g_inv, sample.riemann), tc.riemann_norm2_dim3(g, ric, s)
+            tc.riemann_norm2(g_inv, sample.riemann), tc.riemann_norm2_dim3(g_inv, ric, s)
         ) <= 1e-12
 
 
 def test_twisted_expansions_match_on_samples(chart_samples, invariant_samples):
     for sample in chart_samples + invariant_samples:
         g, ric, s = sample.g, sample.ricci, sample.scalar
+        g_inv = tc.metric_inverse(g)
         assert tc.rel_err(
             sample.riemann_tw_sq,
-            tc.riemann_square_twisted_dim3(g, ric, s, sample.f, sample.df, sample.orientation),
+            tc.riemann_square_twisted_dim3(
+                g, g_inv, ric, s, sample.f, sample.df, sample.orientation
+            ),
         ) <= 1e-12
         assert tc.rel_err(
             sample.riemann_tw_norm2,
-            tc.riemann_norm2_twisted_dim3(g, ric, s, sample.f, sample.df),
+            tc.riemann_norm2_twisted_dim3(g_inv, ric, s, sample.f, sample.df),
         ) <= 1e-12
+
+
+def test_hodge_and_closed_forms_invert_nothing(rng, count_calls):
+    g = _spd(rng)
+    g_inv = tc.metric_inverse(g)
+    ric = tc.sym(rng.normal(size=(3, 3)))
+    s = tc.scalar_curvature(g_inv, ric)
+    f, df = 0.7, rng.normal(size=3)
+    inverses = count_calls(tc, "metric_inverse")
+    tc.hodge(g_inv, tc.volume_form(g), df)
+    tc.riemann_square_dim3(g, g_inv, ric, s)
+    tc.riemann_norm2_dim3(g_inv, ric, s)
+    tc.riemann_square_twisted_dim3(g, g_inv, ric, s, f, df, -1)
+    tc.riemann_norm2_twisted_dim3(g_inv, ric, s, f, df)
+    assert inverses == []
 
 
 def test_twisted_square_constant_flux_reduces(rng):
     """df = 0 kills the commutator and gradient-square corrections."""
     g = _spd(rng)
     ric = tc.sym(rng.normal(size=(3, 3)))
-    s = tc.scalar_curvature(tc.metric_inverse(g), ric)
+    g_inv = tc.metric_inverse(g)
+    s = tc.scalar_curvature(g_inv, ric)
     f = 1.3
-    base = tc.riemann_square_dim3(g, ric, s)
-    twisted = tc.riemann_square_twisted_dim3(g, ric, s, f, np.zeros(3), 1)
+    base = tc.riemann_square_dim3(g, g_inv, ric, s)
+    twisted = tc.riemann_square_twisted_dim3(g, g_inv, ric, s, f, np.zeros(3), 1)
     expected = base - 0.5 * f**2 * ric + 0.125 * f**4 * g
     np.testing.assert_allclose(twisted, expected, atol=1e-10)
-    assert tc.riemann_norm2_twisted_dim3(g, ric, s, f, np.zeros(3)) == pytest.approx(
-        tc.riemann_norm2_dim3(g, ric, s) - 0.25 * f**2 * s + 3.0 / 16.0 * f**4, rel=1e-12
+    assert tc.riemann_norm2_twisted_dim3(g_inv, ric, s, f, np.zeros(3)) == pytest.approx(
+        tc.riemann_norm2_dim3(g_inv, ric, s) - 0.25 * f**2 * s + 3.0 / 16.0 * f**4, rel=1e-12
     )
 
 
