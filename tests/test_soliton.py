@@ -179,32 +179,52 @@ _SINGULAR = np.diag([1.0, 1.0, 0.0])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: so.classify_constant_dilaton(hg.catalog("heisenberg"), _SINGULAR, 1.0),
-        lambda: so.case1_axis(hg.catalog("heisenberg"), _SINGULAR, 1.0),
-        lambda: so.heisenberg_auxiliary_connection(
-            hg.catalog("heisenberg"), _SINGULAR, 1.0, np.array([1.0, 0.0, 0.0])
+        pytest.param(
+            lambda: so.classify_constant_dilaton(hg.catalog("heisenberg"), _SINGULAR, 1.0),
+            id="classify_constant_dilaton-singular-g",
         ),
-        lambda: ht.check_homothety_consistency(hg.catalog("su2"), _SINGULAR, 1.0, 0.0),
-        lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.nan),
-        lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.inf),
-        lambda: so.classify_ricci_spectrum((-0.5, -0.5, 0.5), math.nan),
-        lambda: so.classify_ricci_spectrum((-0.5, math.nan, 0.5), 1.0),
-        lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), math.nan, 0.0),
-        lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, math.inf),
-        lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, 1e200),
-    ],
-    ids=[
-        "classify_constant_dilaton-singular-g",
-        "case1_axis-singular-g",
-        "heisenberg_auxiliary_connection-singular-g",
-        "check_homothety_consistency-singular-g",
-        "build_invariant_sample-nan-f",
-        "build_invariant_sample-inf-f",
-        "classify_ricci_spectrum-nan-kappa",
-        "classify_ricci_spectrum-nan-eigenvalue",
-        "check_homothety_consistency-nan-kappa",
-        "check_homothety_consistency-inf-mu",
-        "check_homothety_consistency-overflowing-mu",
+        pytest.param(
+            lambda: so.case1_axis(hg.catalog("heisenberg"), _SINGULAR, 1.0),
+            id="case1_axis-singular-g",
+        ),
+        pytest.param(
+            lambda: so.heisenberg_auxiliary_connection(
+                hg.catalog("heisenberg"), _SINGULAR, 1.0, np.array([1.0, 0.0, 0.0])
+            ),
+            id="heisenberg_auxiliary_connection-singular-g",
+        ),
+        pytest.param(
+            lambda: ht.check_homothety_consistency(hg.catalog("su2"), _SINGULAR, 1.0, 0.0),
+            id="check_homothety_consistency-singular-g",
+        ),
+        pytest.param(
+            lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.nan),
+            id="build_invariant_sample-nan-f",
+        ),
+        pytest.param(
+            lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.inf),
+            id="build_invariant_sample-inf-f",
+        ),
+        pytest.param(
+            lambda: so.classify_ricci_spectrum((-0.5, -0.5, 0.5), math.nan),
+            id="classify_ricci_spectrum-nan-kappa",
+        ),
+        pytest.param(
+            lambda: so.classify_ricci_spectrum((-0.5, math.nan, 0.5), 1.0),
+            id="classify_ricci_spectrum-nan-eigenvalue",
+        ),
+        pytest.param(
+            lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), math.nan, 0.0),
+            id="check_homothety_consistency-nan-kappa",
+        ),
+        pytest.param(
+            lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, math.inf),
+            id="check_homothety_consistency-inf-mu",
+        ),
+        pytest.param(
+            lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, 1e200),
+            id="check_homothety_consistency-overflowing-mu",
+        ),
     ],
 )
 def test_entry_points_reject_bad_input_with_value_error(call):
@@ -346,7 +366,7 @@ def test_case1_axis_relation_and_normalization():
     np.testing.assert_allclose(
         hg.invariant_d(alg, xi_flat),
         -f * tc.hodge(tc.metric_inverse(g), tc.volume_form(g), xi_flat),
-        atol=1e-13
+        atol=1e-13,
     )
 
 
