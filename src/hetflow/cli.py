@@ -35,6 +35,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import chart_jets as cj
 from . import het_flow as hf
@@ -412,10 +413,12 @@ def _suite_solitons(trials: int, seed: int, charts: list) -> list[dict]:
             _, disc = so.residual_quadratic_form(candidate)
             worst_disc = max(worst_disc, abs(disc - 1.0))
             sample = candidate.sample
-            alg = _algebra_for_sample(sample)
-            match = so.classify_constant_dilaton(alg, sample.g, kappa)
-            if match.case != case_expected:
+            # The sample's Ricci tensor is the one classify_constant_dilaton
+            # would derive again from the algebra.
+            eigs = scipy.linalg.eigh(sample.ricci, sample.g, eigvals_only=True)
+            if so.classify_ricci_spectrum(eigs, kappa).case != case_expected:
                 cases_ok = False
+            alg = _algebra_for_sample(sample)
             g_dot, f_dot = hf.rhs_3d(
                 hf.FlowState3(algebra=alg, g=sample.g, f=sample.f), kappa=kappa
             )

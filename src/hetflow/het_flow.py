@@ -246,12 +246,15 @@ def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     return 0.5 * (tc.torsion_norm2(g_inv, torsion) - kappa * tc.riemann_norm2(g_inv, riemann_tw))
 
 
-def validate_solver_args(t_span, rtol: float, atol: float) -> None:
-    """Raise ``ValueError`` unless ``t_span`` is two finite times and ``0 < rtol``, ``0 <= atol`` are finite."""
+def validate_solver_args(t_span, rtol: float, atol: float, n_points: int) -> None:
+    """Raise ``ValueError`` unless ``t_span`` is two finite times, ``0 < rtol``
+    and ``0 <= atol`` are finite, and ``n_points >= 2``."""
     if len(t_span) != 2 or not all(math.isfinite(t) for t in t_span):
         raise ValueError(f"t_span must be two finite times, got {tuple(t_span)!r}")
     if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
         raise ValueError(f"rtol must be finite and positive, atol finite and non-negative: {rtol!r}, {atol!r}")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
 
 
 def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
@@ -273,11 +276,11 @@ def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
     Returns ``(t, y, events, status)``: ``n_points`` uniform sample times up
     to the end or the event, the dense solution there (one row per state
     variable), the event (at most one), and ``"event"`` or ``"completed"``.
-    A non-finite span or an invalid tolerance raises ``ValueError``; a step
-    failure, or a right-hand side that is not finite at the start, raises
-    ``RuntimeError``.
+    A non-finite span, an invalid tolerance or fewer than two samples raises
+    ``ValueError``; a step failure, or a right-hand side that is not finite
+    at the start, raises ``RuntimeError``.
     """
-    validate_solver_args(t_span, rtol, atol)
+    validate_solver_args(t_span, rtol, atol, n_points)
     t0, t1 = float(t_span[0]), float(t_span[1])
     sign = 1.0 if t1 >= t0 else -1.0
     cap = SUNDMAN_SPEED

@@ -14,6 +14,12 @@ reduction), their static/critical parameter curves, the Lambert-W closed
 forms, numerical integration with event detection, and the qualitative
 classifier for long-time behavior.
 
+Every entry point reads the same three pieces: one coefficient builder
+(:func:`_coefficients`, for a single point or a whole ``(kappa, mu)`` grid),
+one positive-root helper (:func:`_positive_roots`, for a stack of
+polynomials), and one static rule (:func:`_is_static`,
+``|F(sigma0)| <= 1e-12 max(1, max|c|)``).
+
 Conventions: ``kappa >= 0`` is the curvature-squared coupling, ``mu`` the
 torsion constant, ``y = sigma > 0`` the conformal factor.
 """
@@ -94,36 +100,64 @@ def _overflow_guard(fn):
     return guarded
 
 
+def _check_couplings(kappa: float, mu: float) -> None:
+    if not (0.0 <= kappa < math.inf):
+        raise ValueError("kappa must be a non-negative real")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+
+
 # ---------------------------------------------------------------------------
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
 
 @_overflow_guard
-def reduction_coefficients(kappa: float, mu: float, s: float) -> np.ndarray:
-    """Quintic coefficients (highest degree first) of ``p(y) = y**4 F(y)``.
+def _coefficients(case: str, kappas, mus, s: float = 0.0) -> np.ndarray:
+    """``(len(kappas), len(mus), 6)`` stack of the quintic coefficients
+    (highest degree first) of ``p(y) = y**4 F(y)``.
 
     ``F(y) = (2 kappa s / 3 - 2)(s/3) y - kappa s^2/3 + mu^2 / y
-    - kappa s mu^2 / y^2 - kappa mu^4 / (4 y^4)``.
+    - kappa s mu^2 / y^2 - kappa mu^4 / (4 y^4)``, with ``s`` fixed by the
+    named cases, and ``F(y) = (4 y - 12)/kappa`` for ``"su2"``.  The powers
+    of ``mu`` are Python float powers (numpy's ``**`` rounds differently on a
+    few percent of values), so a grid and a single point give the same bits;
+    a product that overflows gives inf, without a ``RuntimeWarning``.
     """
-    return np.array(
-        [
-            (2.0 * kappa * s / 3.0 - 2.0) * (s / 3.0),
-            -kappa * s**2 / 3.0,
-            mu**2,
-            -kappa * s * mu**2,
-            0.0,
-            -kappa * mu**4 / 4.0,
-        ]
-    )
+    k = np.array(kappas, dtype=float)[:, None]
+    out = np.zeros((len(kappas), len(mus), 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if case == "su2":
+            out[:, :, 0] = 4.0 / k
+            out[:, :, 1] = -12.0 / k
+            return out
+        s = _CASE_S.get(case, s)
+        mu2 = np.array([float(m) ** 2 for m in mus])
+        mu4 = np.array([float(m) ** 4 for m in mus])
+        out[:, :, 0] = (2.0 * k * s / 3.0 - 2.0) * (s / 3.0)
+        out[:, :, 1] = -k * s**2 / 3.0
+        out[:, :, 2] = mu2
+        out[:, :, 3] = -k * s * mu2
+        out[:, :, 5] = -k * mu4 / 4.0
+    return out
+
+
+def reduction_coefficients(kappa: float, mu: float, s: float) -> np.ndarray:
+    """Quintic coefficients (highest degree first) of ``p(y) = y**4 F(y)``
+    for scalar curvature ``s``; see :func:`_coefficients`."""
+    return _coefficients("general", [kappa], [mu], s)[0, 0]
+
+
+def _check_su2_kappa(kappa: float) -> None:
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("the SU(2) reduction requires kappa > 0")
 
 
 def su2_coefficients(kappa: float) -> np.ndarray:
     """Quintic coefficients of the non-Einstein SU(2) reduction
     ``sigma sigma' = (4 sigma - 12)/kappa``."""
-    if kappa <= 0:
-        raise ValueError("the SU(2) reduction requires kappa > 0")
-    return np.array([4.0 / kappa, -12.0 / kappa, 0.0, 0.0, 0.0, 0.0])
+    _check_su2_kappa(kappa)
+    return _coefficients("su2", [kappa], [0.0])[0, 0]
 
 
 def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
@@ -186,16 +220,13 @@ class HomothetyProblem:
     def __post_init__(self) -> None:
         if self.case not in _CASES:
             raise ValueError(f"unknown case {self.case!r}; expected one of {_CASES}")
-        if not (0.0 <= self.kappa < math.inf):
-            raise ValueError("kappa must be a non-negative real")
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
+        _check_couplings(self.kappa, self.mu)
         if not math.isfinite(self.s):
             raise ValueError("s must be finite")
         if not (0.0 < self.sigma0 < math.inf):
             raise ValueError("sigma0 must be positive and finite")
-        if self.case == "su2" and self.kappa == 0.0:
-            raise ValueError("the SU(2) reduction requires kappa > 0")
+        if self.case == "su2":
+            _check_su2_kappa(self.kappa)
 
 
 def problem_coefficients(problem: HomothetyProblem) -> np.ndarray:
@@ -203,11 +234,7 @@ def problem_coefficients(problem: HomothetyProblem) -> np.ndarray:
 
     Raises ``ValueError`` when a coefficient overflows to infinity.
     """
-    if problem.case == "su2":
-        coeffs = su2_coefficients(problem.kappa)
-    else:
-        s = _CASE_S.get(problem.case, problem.s)
-        coeffs = reduction_coefficients(problem.kappa, problem.mu, s)
+    coeffs = _coefficients(problem.case, [problem.kappa], [problem.mu], problem.s)[0, 0]
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(_OVERFLOW)
     return coeffs
@@ -216,6 +243,47 @@ def problem_coefficients(problem: HomothetyProblem) -> np.ndarray:
 def F_value(problem: HomothetyProblem, y: float) -> float:
     """``sigma sigma'`` at ``sigma = y`` for the problem's case."""
     return _F_from_coefficients(problem_coefficients(problem), y)
+
+
+def _is_static(coeffs: np.ndarray, f0):
+    """Whether ``F(sigma0) = f0`` vanishes to rounding, for one quintic
+    ``(6,)`` or a stack ``(N, 6)``: ``|f0| <= 1e-12 max(1, max|c|)``."""
+    return np.abs(f0) <= 1e-12 * np.maximum(1.0, np.max(np.abs(coeffs), axis=-1))
+
+
+def _positive_roots(coeffs: np.ndarray) -> tuple:
+    """Positive real roots of each row of an ``(N, w)`` stack of polynomials
+    (highest degree first).
+
+    Returns ``(mask, re)``, both ``(N, w - 1)``: ``re`` holds the real parts
+    of each row's roots, and ``mask`` marks those whose imaginary part is at
+    most ``1e-9 max(1, |re|)`` and whose real part is above 1e-12.  The roots
+    are :func:`np.roots`' bit for bit: rows are grouped by their leading and
+    trailing zero coefficients, which :func:`np.roots` strips, and each
+    group's companion matrices, built as :func:`np.roots` builds them, go to
+    one ``eigvals`` call.  An all-zero row has no roots.
+    """
+    n, w = coeffs.shape
+    mask = np.zeros((n, w - 1), dtype=bool)
+    re = np.zeros((n, w - 1))
+    nonzero = coeffs != 0.0
+    live = np.any(nonzero, axis=1)
+    first = np.argmax(nonzero, axis=1)
+    last = w - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    for lo, hi in set(zip(first[live].tolist(), last[live].tolist())):
+        deg = hi - lo
+        if deg == 0:
+            continue
+        rows = np.flatnonzero(live & (first == lo) & (last == hi))
+        p = coeffs[rows, lo : hi + 1]
+        companion = np.zeros((len(rows), deg, deg))
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots = np.linalg.eigvals(companion)
+        re[rows, :deg] = roots.real
+        real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))
+        mask[rows, :deg] = real & (roots.real > 1e-12)
+    return mask, re
 
 
 # ---------------------------------------------------------------------------
@@ -277,68 +345,49 @@ def mu_threshold_cubic(tol: float = 1e-12) -> float:
 MU_THRESHOLD_CUBIC_SQ = mu_threshold_cubic()
 
 
-def _f_p_split(mu: float) -> tuple:
-    """``F_p = kappa*P + Q`` split used by the tangency search."""
-
-    def P(y: float) -> float:
-        return 2.0 * y / 9.0 - 1.0 / 3.0 - mu**2 / y**2 - mu**4 / (4.0 * y**4)
-
-    def Q(y: float) -> float:
-        return -2.0 * y / 3.0 + mu**2 / y
-
-    def Pp(y: float) -> float:
-        return 2.0 / 9.0 + 2.0 * mu**2 / y**3 + mu**4 / y**5
-
-    def Qp(y: float) -> float:
-        return -2.0 / 3.0 - mu**2 / y**2
-
-    def Ppp(y: float) -> float:
-        return -6.0 * mu**2 / y**4 - 5.0 * mu**4 / y**6
-
-    def Qpp(y: float) -> float:
-        return 2.0 * mu**2 / y**3
-
-    return P, Q, Pp, Qp, Ppp, Qpp
-
-
-@_overflow_guard
 def kappa0(mu: float, tol: float = 1e-10) -> tuple:
     """Tangency parameters ``(kappa0, y0)`` of the positive case.
 
-    Solves ``F_p(kappa, mu, y) = 0`` and ``dF_p/dy = 0`` with ``y0`` in (0,1):
-    the rhs is linear in ``kappa``, so along ``kappa(y) = -Q(y)/P(y)`` the
-    tangency is an interior critical point, located exactly as a root of the
-    sextic obtained from ``Q'P - QP' = 0`` and then polished by a 2x2 Newton
-    iteration.  Raises ``ValueError`` when no interior tangency with
-    ``kappa0 > 0`` exists for this ``mu`` (``mu = 0`` or ``mu^2`` at or above
-    the cubic threshold).
+    Solves ``F_p(kappa, mu, y) = 0`` and ``dF_p/dy = 0`` with ``y0`` in (0,1).
+    The quintic is linear in ``kappa``, ``p = kappa a + b``, so along
+    ``kappa(y) = -b(y)/a(y)`` the tangency is an interior critical point: a
+    root of ``b'a - ba'``, found exactly instead of scanned on a grid (the
+    tangency ordinate approaches 1 as ``mu^2`` nears the cubic threshold),
+    then polished by Newton's method on ``(p, p')``.  Raises ``ValueError``
+    when no interior tangency with ``kappa0 > 0`` exists for this ``mu``
+    (``mu = 0`` or ``mu^2`` at or above the cubic threshold).
     """
-    P, Q, Pp, Qp, Ppp, Qpp = _f_p_split(mu)
-    # Critical points of kappa(y) = -Q/P: clearing denominators turns
-    # Q'P - QP' = 0 into the sextic 8y^6 - 16m y^5 + 84m y^4 - 6m^2 y^2 - 27m^3
-    # with m = mu^2, solved exactly instead of scanned on a grid (the tangency
-    # ordinate approaches 1 as mu^2 nears the cubic threshold).
-    m = mu**2
-    sextic = np.array([8.0, -16.0 * m, 84.0 * m, 0.0, -6.0 * m**2, 0.0, -27.0 * m**3])
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+    b, p1 = _coefficients("positive", [0.0, 1.0], [mu])[:, 0]
+    a = p1 - b
+    da, db = np.polyder(a), np.polyder(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Two quintics' y^9 terms cancel identically; drop the rounding residue.
+        crit = np.polysub(np.polymul(db, a), np.polymul(b, da))[1:]
+    if not np.all(np.isfinite(crit)):
+        raise ValueError(_OVERFLOW)
+    mask, re = _positive_roots(crit[None])
     best = None
-    for r in np.roots(sextic):
-        if abs(r.imag) > 1e-9 * max(1.0, abs(r.real)):
+    for y_c in re[0][mask[0]].tolist():
+        if not y_c < 1.0 - 1e-12:
             continue
-        y_c = float(r.real)
-        if not (1e-12 < y_c < 1.0 - 1e-12):
-            continue
-        kap_c = -Q(y_c) / P(y_c) if P(y_c) != 0.0 else -np.inf
+        a_c = np.polyval(a, y_c)
+        kap_c = -np.polyval(b, y_c) / a_c if a_c != 0.0 else -np.inf
         if kap_c > 0.0 and (best is None or kap_c > best[0]):
             best = (kap_c, y_c)
     if best is None:
         raise ValueError(f"no interior tangency with kappa0 > 0 in (0,1) for mu = {mu}")
     kap, y = best
     for _ in range(100):
-        f1 = kap * P(y) + Q(y)
-        f2 = kap * Pp(y) + Qp(y)
-        jac = np.array([[P(y), kap * Pp(y) + Qp(y)], [Pp(y), kap * Ppp(y) + Qpp(y)]])
+        p = kap * a + b
+        dp = np.polyder(p)
+        jac = [
+            [np.polyval(a, y), np.polyval(dp, y)],
+            [np.polyval(da, y), np.polyval(np.polyder(dp), y)],
+        ]
         try:
-            step = np.linalg.solve(jac, -np.array([f1, f2]))
+            step = np.linalg.solve(jac, [-np.polyval(p, y), -np.polyval(dp, y)])
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"tangency Newton iteration became singular for mu = {mu}") from exc
         kap += float(step[0])
@@ -347,7 +396,9 @@ def kappa0(mu: float, tol: float = 1e-10) -> tuple:
             break
     if not (0.0 < y < 1.0) or kap <= 0.0:
         raise ValueError(f"tangency Newton left the band (0,1) for mu = {mu}")
-    if abs(kap * P(y) + Q(y)) > tol or abs(kap * Pp(y) + Qp(y)) > tol:
+    # Where p = 0, F = p / y^4 and F' = p' / y^4.
+    p = kap * a + b
+    if max(abs(np.polyval(p, y)), abs(np.polyval(np.polyder(p), y))) > tol * y**4:
         raise ValueError(f"tangency residuals did not reach {tol} for mu = {mu}")
     return float(kap), float(y)
 
@@ -378,6 +429,8 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80)
     (the extra factor is the rounding floor of ``w * exp(w)`` in doubles).
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"lambert_w: x must be finite, got {x!r}")
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
     r = math.e * x + 1.0  # signed distance to the branch point
@@ -436,10 +489,17 @@ def _w0_of_exp(log_x: float) -> float:
     return w
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+
+
 @_overflow_guard
 def flat_collapse_time(kappa: float, mu: float) -> float:
     """Future collapse time ``t_* = -kappa/12 (1 + b + log(-b))`` for ``b < 0``."""
-    b = 4.0 / (kappa * mu**2) - 1.0
+    _check_couplings(kappa, mu)
+    kmu2 = kappa * mu**2
+    b = 4.0 / kmu2 - 1.0 if kmu2 > 0.0 else math.inf
     if b >= 0.0:
         raise ValueError("the flat trajectory collapses only for b < 0 (kappa mu^2 > 4)")
     return -kappa / 12.0 * (1.0 + b + math.log(-b))
@@ -455,6 +515,8 @@ def flat_closed_form(kappa: float, mu: float, t: float) -> float:
     solution (``mu = 0`` or ``b = 0``).  For ``b < 0`` the domain is
     ``t <= t_*``.
     """
+    _check_couplings(kappa, mu)
+    _check_time(t)
     if mu == 0.0:
         return 1.0
     if kappa == 0.0:
@@ -483,8 +545,7 @@ def flat_closed_form(kappa: float, mu: float, t: float) -> float:
 
 def su2_collapse_time(kappa: float) -> float:
     """``t_max = kappa/4 (log(27/8) - 1)``, where the SU(2) factor reaches zero."""
-    if kappa <= 0:
-        raise ValueError("the SU(2) reduction requires kappa > 0")
+    _check_su2_kappa(kappa)
     return kappa / 4.0 * (math.log(27.0 / 8.0) - 1.0)
 
 
@@ -494,8 +555,8 @@ def su2_closed_form(kappa: float, t: float) -> float:
     Defined for ``t <= t_max``; tends to 3 as ``t -> -inf`` and to 0 at
     ``t_max``.
     """
-    if kappa <= 0:
-        raise ValueError("the SU(2) reduction requires kappa > 0")
+    _check_su2_kappa(kappa)
+    _check_time(t)
     arg = -(2.0 / 3.0) * math.exp((2.0 / 3.0) * (2.0 * t / kappa - 1.0))
     if arg < -_INV_E:
         if arg < -_INV_E - 1e-12:
@@ -527,10 +588,6 @@ class Trajectory:
         return mu * self.sigma ** (-1.5)
 
 
-def _stall_eps(coeffs: np.ndarray) -> float:
-    return 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))
-
-
 def integrate(
     problem: HomothetyProblem,
     t_span: tuple,
@@ -547,14 +604,13 @@ def integrate(
     run that ends in an event is the event's state.
     """
     coeffs = problem_coefficients(problem)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if abs(_F_from_coefficients(coeffs, problem.sigma0)) <= 1e-12 * scale:
+    if _is_static(coeffs, _F_from_coefficients(coeffs, problem.sigma0)):
         # static start: constant trajectory, no integration needed
-        hf.validate_solver_args(t_span, rtol, atol)
+        hf.validate_solver_args(t_span, rtol, atol, n_points)
         t = np.linspace(t_span[0], t_span[1], n_points)
         return Trajectory(problem=problem, t=t, sigma=np.full_like(t, problem.sigma0), events=(), status="static")
 
-    eps_stall = _stall_eps(coeffs)
+    eps_stall = 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))
 
     def rhs(t, y):
         sig = max(y[0], 1e-9)  # keep trial steps past the collapse event finite
@@ -602,25 +658,19 @@ class Behavior:
     f_at_start: float = 0.0
 
 
-def _positive_roots(coeffs: np.ndarray) -> tuple:
-    if np.max(np.abs(coeffs)) == 0.0:
-        return ()
-    roots = np.roots(coeffs)
-    out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and r.real > 1e-12:
-            out.append(float(r.real))
-    return tuple(sorted(out))
-
-
 def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     """Signed time at which ``sigma`` reaches zero, ``+-int_0^sigma0 y/|F| dy``.
 
-    Requires ``F`` to have no root in ``(0, sigma0)``; positive when the
-    collapse lies in the future (``F < 0``), negative when in the past.
+    Positive when the collapse lies in the future (``F < 0``), negative when
+    in the past.  Raises ``ValueError`` unless ``F`` has no root in
+    ``(0, sigma0]``: a static start or a root below it means no collapse.
     """
     coeffs = problem_coefficients(problem)
-    sgn = -1.0 if _F_from_coefficients(coeffs, problem.sigma0) > 0.0 else 1.0
+    f0 = _F_from_coefficients(coeffs, problem.sigma0)
+    mask, re = _positive_roots(coeffs[None])
+    if _is_static(coeffs, f0) or np.any(mask & (re < problem.sigma0)):
+        raise ValueError("F has a root in (0, sigma0]: the trajectory does not reach zero")
+    sgn = -1.0 if f0 > 0.0 else 1.0
 
     def integrand(y: float) -> float:
         return y / abs(_F_from_coefficients(coeffs, y))
@@ -639,11 +689,11 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
     """
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
     coeffs = problem_coefficients(problem)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
     f0 = _F_from_coefficients(coeffs, sigma0)
-    roots = _positive_roots(coeffs)
+    mask, re = _positive_roots(coeffs[None])
+    roots = tuple(sorted(re[0][mask[0]].tolist()))
 
-    if np.max(np.abs(coeffs)) == 0.0 or abs(f0) <= 1e-12 * scale:
+    if _is_static(coeffs, f0):
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, roots=roots, f_at_start=f0)
 
     if case == "positive" and kappa > max(0.0, kappa_crit_p(mu)):
@@ -651,60 +701,31 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
             # boundary of the cubic split: behavior not pinned down either way
             return Behavior(tag=BehaviorTag.UNRESOLVED, roots=roots, f_at_start=f0)
 
-    below = [r for r in roots if r < sigma0]
-    above = [r for r in roots if r > sigma0]
-
-    if f0 > 0.0:
-        future_limit = min(above) if above else None  # grows toward root or diverges
-        past_limit = max(below) if below else None  # shrinks backward toward root or hits zero
-        if past_limit is None:
-            t_c = collapse_time_quadrature(problem)
-            return Behavior(
-                tag=BehaviorTag.FINITE_TIME_COLLAPSE,
-                sigma_future=future_limit,
-                collapse_time=t_c,
-                collapse_direction="past",
-                roots=roots,
-                f_at_start=f0,
-            )
-        if future_limit is None:
-            return Behavior(
-                tag=BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT,
-                sigma_past=past_limit,
-                roots=roots,
-                f_at_start=f0,
-            )
-        return Behavior(
-            tag=BehaviorTag.ETERNAL_REGULAR,
-            sigma_past=past_limit,
-            sigma_future=future_limit,
-            roots=roots,
-            f_at_start=f0,
-        )
-
-    future_limit = max(below) if below else None  # shrinks toward root or hits zero
-    past_limit = min(above) if above else None  # grows backward toward root or diverges
-    if future_limit is None:
+    below = max((r for r in roots if r < sigma0), default=None)
+    above = min((r for r in roots if r > sigma0), default=None)
+    # F > 0: sigma grows toward the root above (or diverges) and, backward in
+    # time, shrinks toward the root below (or reaches zero); F < 0 mirrors it.
+    rising = f0 > 0.0
+    past, future = (below, above) if rising else (above, below)
+    t_c = direction = None
+    if below is None:
+        tag = BehaviorTag.FINITE_TIME_COLLAPSE
         t_c = collapse_time_quadrature(problem)
-        return Behavior(
-            tag=BehaviorTag.FINITE_TIME_COLLAPSE,
-            sigma_past=past_limit,
-            collapse_time=t_c,
-            collapse_direction="future",
-            roots=roots,
-            f_at_start=f0,
+        direction = "past" if rising else "future"
+    elif above is None:
+        tag = (
+            BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
+            if rising
+            else BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE
         )
-    if past_limit is None:
-        return Behavior(
-            tag=BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE,
-            sigma_future=future_limit,
-            roots=roots,
-            f_at_start=f0,
-        )
+    else:
+        tag = BehaviorTag.ETERNAL_REGULAR
     return Behavior(
-        tag=BehaviorTag.ETERNAL_REGULAR,
-        sigma_past=past_limit,
-        sigma_future=future_limit,
+        tag=tag,
+        sigma_past=past,
+        sigma_future=future,
+        collapse_time=t_c,
+        collapse_direction=direction,
         roots=roots,
         f_at_start=f0,
     )
@@ -720,9 +741,8 @@ def classify_from_trajectory(
     the tag off the terminal events.  Used to cross-check :func:`classify`."""
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
     coeffs = problem_coefficients(problem)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
     f0 = _F_from_coefficients(coeffs, sigma0)
-    if np.max(np.abs(coeffs)) == 0.0 or abs(f0) <= 1e-12 * scale:
+    if _is_static(coeffs, f0):
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, f_at_start=f0)
 
     def leg(direction: float):
@@ -789,62 +809,6 @@ def _check_grid(case: str, kappas: list, mus: list) -> None:
             HomothetyProblem(case=case, kappa=kappa, mu=mus[0])
 
 
-@_overflow_guard
-def _grid_coefficients(case: str, kappas: list, mus: list) -> np.ndarray:
-    """``(len(kappas), len(mus), 6)`` stack of :func:`problem_coefficients`.
-
-    Every row equals the scalar coefficients bit for bit: the powers of
-    ``mu`` are Python float powers taken once per axis value (numpy's ``**``
-    rounds differently), and the products keep the operation order of
-    :func:`reduction_coefficients`.
-    """
-    k = np.array(kappas, dtype=float)[:, None]
-    out = np.zeros((len(kappas), len(mus), 6))
-    if case == "su2":
-        out[:, :, 0] = 4.0 / k
-        out[:, :, 1] = -12.0 / k
-        return out
-    s = _CASE_S.get(case, 0.0)
-    mu2 = np.array([m**2 for m in mus], dtype=float)
-    mu4 = np.array([m**4 for m in mus], dtype=float)
-    out[:, :, 0] = (2.0 * k * s / 3.0 - 2.0) * (s / 3.0)
-    out[:, :, 1] = -k * s**2 / 3.0
-    out[:, :, 2] = mu2
-    out[:, :, 3] = -k * s * mu2
-    out[:, :, 5] = -k * mu4 / 4.0
-    return out
-
-
-def _root_brackets(coeffs: np.ndarray) -> tuple:
-    """Per row of an ``(N, 6)`` stack with no all-zero row: whether ``p`` has
-    a root among :func:`_positive_roots` below 1, and one above 1.
-
-    Rows are grouped by their leading and trailing zero coefficients, which
-    :func:`np.roots` strips; each group's companion matrices, built as
-    :func:`np.roots` builds them, go to one ``eigvals`` call.
-    """
-    below = np.zeros(len(coeffs), dtype=bool)
-    above = np.zeros(len(coeffs), dtype=bool)
-    nonzero = coeffs != 0.0
-    first = np.argmax(nonzero, axis=1)
-    last = coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    for lo, hi in set(zip(first.tolist(), last.tolist())):
-        deg = hi - lo
-        if deg == 0:
-            continue
-        rows = np.flatnonzero((first == lo) & (last == hi))
-        p = coeffs[rows, lo : hi + 1]
-        companion = np.zeros((len(rows), deg, deg))
-        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        roots = np.linalg.eigvals(companion)
-        re = roots.real
-        positive = (np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(re))) & (re > 1e-12)
-        below[rows] = np.any(positive & (re < 1.0), axis=1)
-        above[rows] = np.any(positive & (re > 1.0), axis=1)
-    return below, above
-
-
 def sweep_grid(case: str, kappas, mus) -> np.ndarray:
     """Tag every point of a (kappa, mu) grid started at ``sigma0 = 1``.
 
@@ -861,16 +825,14 @@ def sweep_grid(case: str, kappas, mus) -> np.ndarray:
     kappas = [float(k) for k in kappas]
     mus = [float(m) for m in mus]
     _check_grid(case, kappas, mus)
-    with np.errstate(over="ignore"):
-        coeffs = _grid_coefficients(case, kappas, mus).reshape(-1, 6)
+    coeffs = _coefficients(case, kappas, mus).reshape(-1, 6)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(_OVERFLOW)
 
     f0 = np.zeros(len(coeffs))
     for column in coeffs.T:  # np.polyval's Horner order at sigma0 = 1
         f0 = f0 * 1.0 + column
-    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
-    static = np.abs(f0) <= 1e-12 * scale  # also every all-zero row
+    static = _is_static(coeffs, f0)
     unresolved = np.zeros_like(static)
     if case == "positive":
         over = np.array(kappas)[:, None] > np.array([max(0.0, kappa_crit_p(m)) for m in mus])
@@ -880,7 +842,9 @@ def sweep_grid(case: str, kappas, mus) -> np.ndarray:
     below = np.zeros_like(static)
     above = np.zeros_like(static)
     todo = ~(static | unresolved)
-    below[todo], above[todo] = _root_brackets(coeffs[todo])
+    mask, re = _positive_roots(coeffs[todo])
+    below[todo] = np.any(mask & (re < 1.0), axis=1)
+    above[todo] = np.any(mask & (re > 1.0), axis=1)
 
     tags = np.select(
         [static, unresolved, ~below, ~above & (f0 > 0.0), ~above],
@@ -930,10 +894,7 @@ def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e
     from . import homogeneous as hg
     from . import tensor_core as tc
 
-    if not (0.0 <= kappa < math.inf):
-        raise ValueError("kappa must be a non-negative real")
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
+    _check_couplings(kappa, mu)
     g = np.asarray(g, dtype=float)
     tc.validate_metric(g)
     _, _, _, ric, _ = hg.invariant_curvature(alg, g)

@@ -377,6 +377,12 @@ def test_integration_with_a_nan_rhs_raises(nan_from):
         hf.integrate_events(rhs, (0.0, 1.0), [1.0], (), 1e-10, 1e-12, 11)
 
 
+@pytest.mark.parametrize("n_points", [0, 1])
+def test_integrate_events_needs_two_samples(n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        hf.integrate_events(lambda t, y: [1.0], (0.0, 1.0), [1.0], (), 1e-10, 1e-12, n_points)
+
+
 def test_tracer_counts_rhs_evaluations_of_a_flow():
     # The benchmark's tracer counts rhs evaluations by patching het_flow's
     # solve_ivp; the flow must still reach the solver through that name.

@@ -124,6 +124,31 @@ def test_lambert_w_domain_errors():
         ht.lambert_w(0.5, branch=-1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ht.flat_collapse_time, (0.0, 1.0)),  # no collapse; 4 / (kappa mu^2) divides by zero
+        (ht.flat_collapse_time, (1.0, 0.0)),
+        (ht.flat_collapse_time, (-1.0, 3.0)),
+        (ht.flat_collapse_time, (math.nan, 3.0)),
+        (ht.flat_closed_form, (-1.0, 3.0, 0.0)),  # would be a complex cube root
+        (ht.flat_closed_form, (1.0, 3.0, math.nan)),
+        (ht.flat_closed_form, (1.0, math.inf, 0.0)),
+        (ht.su2_collapse_time, (math.nan,)),
+        (ht.su2_collapse_time, (math.inf,)),
+        (ht.su2_closed_form, (1.0, math.nan)),
+        (ht.su2_coefficients, (math.nan,)),
+        (ht.lambert_w, (math.nan,)),
+        (ht.lambert_w, (math.inf,)),
+        (ht.kappa0, (math.nan,)),
+    ],
+)
+def test_closed_forms_reject_out_of_domain_input(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # closed forms vs integrator
 # ---------------------------------------------------------------------------
@@ -211,6 +236,21 @@ def test_collapse_time_quadrature_matches_closed_forms():
     assert ht.collapse_time_quadrature(
         ht.HomothetyProblem(case="positive", kappa=0.0, mu=0.0)
     ) == pytest.approx(1.5, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ht.HomothetyProblem(case="flat", kappa=4.0, mu=1.0),  # static: F(1) = 0
+        ht.HomothetyProblem(case="positive", kappa=ht.kappa_crit_p(1.5) / 2.0, mu=1.5),  # eternal
+        ht.HomothetyProblem(case="flat", kappa=4.0, mu=1.0, sigma0=2.0),  # the root 1 lies below
+    ],
+)
+def test_collapse_time_quadrature_rejects_a_root_before_zero(problem):
+    behavior = ht.classify(problem.case, problem.kappa, problem.mu, problem.sigma0)
+    assert behavior.tag is not TAG.FINITE_TIME_COLLAPSE
+    with pytest.raises(ValueError, match="root"):
+        ht.collapse_time_quadrature(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +436,84 @@ def test_sweep_grid_equals_classify_on_dense_grid(case, expected):
     assert expected <= seen
 
 
+def _quintic_by_hand(case, kappa, mu, s):
+    """The coefficients of y^4 F written out in Python float arithmetic."""
+    if case == "su2":
+        return [4.0 / kappa, -12.0 / kappa, 0.0, 0.0, 0.0, 0.0]
+    s = {"positive": 1.0, "flat": 0.0, "negative": -1.0}.get(case, s)
+    return [
+        (2.0 * kappa * s / 3.0 - 2.0) * (s / 3.0),
+        -kappa * s**2 / 3.0,
+        mu**2,
+        -kappa * s * mu**2,
+        0.0,
+        -kappa * mu**4 / 4.0,
+    ]
+
+
 def test_grid_coefficients_equal_scalar_bit_for_bit():
     # numpy's ** rounds mu**2 and mu**4 differently from Python floats on a
     # few percent of values; random mus make such a difference show.
     rng = np.random.default_rng(7)
     mus = [0.0, math.sqrt(2.0 / 3.0)] + rng.uniform(0.0, 4.0, 400).tolist()
+    s = -0.37
     for case in ("positive", "flat", "negative", "su2", "general"):
         kappas, _ = _dense_axes(case)
         kappas = kappas[::4] + [3.0]
-        grid = ht._grid_coefficients(case, kappas, mus)
+        grid = ht._coefficients(case, kappas, mus, s)
         for i, kap in enumerate(kappas):
             for j, mu in enumerate(mus):
-                ref = ht.problem_coefficients(ht.HomothetyProblem(case=case, kappa=kap, mu=mu))
+                ref = np.array(_quintic_by_hand(case, kap, mu, s))
                 assert grid[i, j].tobytes() == ref.tobytes(), (case, kap, mu)
+    for got, ref in (
+        (ht.reduction_coefficients(1.3, 0.7, s), _quintic_by_hand("general", 1.3, 0.7, s)),
+        (ht.su2_coefficients(1.3), _quintic_by_hand("su2", 1.3, 0.0, s)),
+    ):
+        assert got.tobytes() == np.array(ref).tobytes()
+
+
+def _positive_roots_reference(coeffs):
+    """Sorted positive real roots of one polynomial, through np.roots."""
+    if np.max(np.abs(coeffs)) == 0.0:
+        return ()
+    out = []
+    for r in np.roots(coeffs):
+        if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and r.real > 1e-12:
+            out.append(float(r.real))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("width", [3, 6, 9])
+def test_positive_roots_equal_np_roots_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    n = 2000
+    rows = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, width))
+    # Leading and trailing zeros, which np.roots strips, interior zeros, and
+    # all-zero rows.
+    lead = rng.integers(0, width + 1, n)
+    trail = rng.integers(0, width + 1, n)
+    cols = np.arange(width)
+    rows[(cols < lead[:, None]) | (cols >= width - trail[:, None])] = 0.0
+    rows[rng.random((n, width)) < 0.15] = 0.0
+    assert np.any(~rows.any(axis=1))
+    mask, re = ht._positive_roots(rows)
+    assert mask.shape == re.shape == (n, width - 1)
+    for row, m, r in zip(rows, mask, re):
+        assert tuple(sorted(r[m].tolist())) == _positive_roots_reference(row), row
+
+
+def test_classify_roots_equal_np_roots_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        case = str(rng.choice(["positive", "flat", "negative", "su2"]))
+        kappa = float(rng.choice([rng.uniform(0.0, 6.0), 3.0, 0.0]))
+        if case == "su2" and kappa == 0.0:
+            kappa = 0.5
+        mu = float(rng.choice([rng.uniform(0.0, 3.0), 0.0]))
+        sigma0 = float(10.0 ** rng.uniform(-1.0, 1.0))
+        problem = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
+        coeffs = ht.problem_coefficients(problem)
+        assert ht.classify(case, kappa, mu, sigma0).roots == _positive_roots_reference(coeffs)
 
 
 def test_check_homothety_consistency_cases():
@@ -612,6 +717,14 @@ def test_F_equals_polyval_bit_for_bit():
 def test_F_rejects_an_unrepresentable_conformal_factor(fn, args):
     with pytest.raises(ValueError, match="conformal factor"):
         fn(*args)
+
+
+@pytest.mark.parametrize("n_points", [0, 1])
+@pytest.mark.parametrize("kappa", [4.0, 1.0])  # a static start and an integrated one
+def test_integrate_needs_two_samples(n_points, kappa):
+    problem = ht.HomothetyProblem(case="flat", kappa=kappa, mu=1.0)
+    with pytest.raises(ValueError, match="n_points"):
+        ht.integrate(problem, (0.0, 1.0), n_points=n_points)
 
 
 def test_integrate_respects_sigma0_scaling():
