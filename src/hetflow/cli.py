@@ -28,6 +28,7 @@ platform.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -497,8 +498,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="output path (atomic write); stdout when omitted")
 
 
+@functools.cache
 def _build_parser() -> tuple:
-    """The ``hetflow`` parser and its subparsers by command name."""
+    """The ``hetflow`` parser and its subparsers by command name, built once
+    per process: parsing leaves them unchanged."""
     parser = _Parser(prog="hetflow", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

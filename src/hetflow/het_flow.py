@@ -26,6 +26,13 @@ The flow couples a metric, a closed 3-form torsion, and a coupling constant
   Gradient terms of ``f`` (``[*df, Ric]``, ``df (x) df``, ``|df|^2``, and the
   Laplacian in ``f'``) vanish identically on invariant data and are omitted.
 
+Every trajectory, here and in :mod:`hetflow.homothety`, comes from
+:func:`integrate_events`, whose stepper :func:`solve_ivp` is an in-house
+Dormand-Prince 5(4) on Python floats with the rules of scipy's RK45: the
+states are a few floats, for which numpy's per-step bookkeeping costs more
+than the right-hand side.  Right-hand sides and event functions receive the
+state as a list of floats.
+
 Flows are integrated only on invariant data; pointwise chart samples are
 never integrated.  Both fixed-point families of the soliton module are
 stationary under :func:`rhs_3d`, and on Einstein initial data the flow
@@ -38,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from . import tensor_core as tc
 from .homogeneous import (
@@ -257,11 +264,193 @@ def validate_solver_args(t_span, rtol: float, atol: float, n_points: int) -> Non
         raise ValueError("n_points must be at least 2")
 
 
-def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
-    """Integrate ``y' = rhs(t, y)`` with RK45 until ``t_span[1]`` or the first event.
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) and Shampine's (1986)
+# quartic dense output, as in scipy.integrate.RK45.  The second stage has a
+# zero weight in the solution, the error estimate and the interpolant, so
+# _dp_step does not return it and _P has no row for it.
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_EPS = float(np.finfo(float).eps)
 
-    ``rhs`` returns a sequence of floats; NaN entries make the stepper reject
-    the trial step and shrink it.  ``events`` is a sequence of
+
+def _dp_step(fun, t, y, k0, h):
+    """One Dormand-Prince step of size ``h`` from ``(t, y)`` with ``k0 = fun(t, y)``.
+
+    Returns ``(y_new, K, y_err)``: the fifth-order solution, the stages
+    ``K = (k0, k2, k3, k4, k5, k6)`` with ``k6 = fun(t + h, y_new)``, and its
+    difference to the embedded fourth-order solution.
+    """
+    k1 = fun(t + 1 / 5 * h, [a + h * (1 / 5 * p) for a, p in zip(y, k0)])
+    k2 = fun(t + 3 / 10 * h, [a + h * (3 / 40 * p + 9 / 40 * q) for a, p, q in zip(y, k0, k1)])
+    k3 = fun(
+        t + 4 / 5 * h,
+        [a + h * (44 / 45 * p - 56 / 15 * q + 32 / 9 * r) for a, p, q, r in zip(y, k0, k1, k2)],
+    )
+    k4 = fun(
+        t + 8 / 9 * h,
+        [
+            a + h * (19372 / 6561 * p - 25360 / 2187 * q + 64448 / 6561 * r - 212 / 729 * u)
+            for a, p, q, r, u in zip(y, k0, k1, k2, k3)
+        ],
+    )
+    k5 = fun(
+        t + h,
+        [
+            a + h * (9017 / 3168 * p - 355 / 33 * q + 46732 / 5247 * r + 49 / 176 * u - 5103 / 18656 * v)
+            for a, p, q, r, u, v in zip(y, k0, k1, k2, k3, k4)
+        ],
+    )
+    y_new = [
+        a + h * (35 / 384 * p + 500 / 1113 * r + 125 / 192 * u - 2187 / 6784 * v + 11 / 84 * w)
+        for a, p, r, u, v, w in zip(y, k0, k2, k3, k4, k5)
+    ]
+    k6 = fun(t + h, y_new)
+    y_err = [
+        h * (-71 / 57600 * p + 71 / 16695 * r - 71 / 1920 * u + 17253 / 339200 * v - 22 / 525 * w + 1 / 40 * z)
+        for p, r, u, v, w, z in zip(k0, k2, k3, k4, k5, k6)
+    ]
+    return y_new, (k0, k2, k3, k4, k5, k6), y_err
+
+
+class _DenseOutput:
+    """The quartic interpolants of consecutive steps, evaluated on arrays of ``tau``.
+
+    ``nodes`` are the step boundaries and ``steps`` one ``(tau0, h, y0, K)``
+    per step; the last interpolant may end before ``tau0 + h``, at an event
+    root.  A ``tau`` takes the segment :class:`scipy.integrate.OdeSolution`
+    gives it: at a node, the segment that ends there.
+    """
+
+    def __init__(self, nodes, steps) -> None:
+        tau0, h, y0, ks = zip(*steps)
+        self.nodes = np.array(nodes)
+        self.tau0, self.h, self.y0 = np.array(tau0), np.array(h), np.array(y0)
+        self.q = _P.T @ np.array(ks)  # (steps, 4, n): the coefficients of x, ..., x^4
+
+    def __call__(self, tau: np.ndarray) -> np.ndarray:
+        """The states at the times ``tau``, one column each."""
+        seg = np.clip(np.searchsorted(self.nodes, tau, side="left") - 1, 0, self.h.size - 1)
+        h = self.h[seg, None]
+        x = (tau - self.tau0[seg])[:, None] / h
+        q = self.q[seg]
+        return (self.y0[seg] + h * ((((q[:, 3] * x + q[:, 2]) * x + q[:, 1]) * x + q[:, 0]) * x)).T
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A run of :func:`solve_ivp`: the step boundaries ``t``, the states there
+    ``y`` (one column each), the dense output ``sol``, the index of the event
+    that ended the run, and the number of ``fun`` evaluations."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: _DenseOutput
+    event: int
+    nfev: int
+
+
+def _rms(values: list) -> float:
+    return math.hypot(*values) / math.sqrt(len(values))
+
+
+def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
+    """Integrate ``y' = fun(tau, y)`` from ``tau = 0`` until the first terminal event.
+
+    The Dormand-Prince 5(4) stepper of :func:`integrate_events`, on Python
+    floats, with each rule of scipy's ``solve_ivp(method="RK45")``: its
+    initial step, the RMS error norm scaled by ``atol + rtol max(|y|,
+    |y_new|)``, and step factors ``0.9 err^(-1/5)`` clipped to ``[0.2, 10]``
+    and not above 1 right after a rejection.  A non-finite error (a NaN
+    stage) rejects the step and shrinks it fivefold; a step below ten ulps of
+    ``tau`` raises ``RuntimeError``.  ``fun`` and the event functions receive
+    the state as a list of floats, and ``fun`` returns a sequence of floats.
+
+    ``events`` is a sequence of ``(fn, direction)``, all terminal, and one
+    of them must fire: ``tau`` has no bound.  After each accepted step an
+    event is active when ``fn`` reached or crossed zero in ``direction``
+    (either way for 0); ``brentq`` finds its root on the step's interpolant,
+    and the earliest root ends the run.  The state at that last node is the
+    dense output's value there.
+
+    The benchmark's tracer and the tests count ``fun`` evaluations by
+    replacing this module attribute and reading the result's ``nfev``.
+    """
+    y = [float(v) for v in y0]
+    tau, f = 0.0, fun(0.0, y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms([v / s for v, s in zip(y, scale)]), _rms([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = fun(h0, [v + h0 * p for v, p in zip(y, f)])
+    d2 = _rms([(q - p) / s for p, q, s in zip(f, f1, scale)]) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs, nfev = min(100.0 * h0, h1), 2
+
+    g = [fn(tau, y) for fn, _ in events]
+    nodes, states, steps = [tau], [y], []
+    while True:
+        min_step = 10.0 * math.ulp(tau)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"integration failed: the step size fell below 10 ulps of tau = {tau!r}")
+            tau_new = tau + h_abs
+            h = tau_new - tau
+            y_new, ks, y_err = _dp_step(fun, tau, y, f, h)
+            nfev += 6
+            err = _rms([e / (atol + max(abs(a), abs(b)) * rtol) for e, a, b in zip(y_err, y, y_new)])
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err**-0.2)  # 0.2 when err is NaN
+            rejected = True
+        step = (tau, h, y, ks)
+        tau, y, f = tau_new, y_new, ks[-1]
+        g_new = [fn(tau, y) for fn, _ in events]
+        active = [
+            i
+            for i, (a, b, (_, d)) in enumerate(zip(g, g_new, events))
+            if (d >= 0 and a <= 0.0 <= b) or (d <= 0 and a >= 0.0 >= b)
+        ]
+        if active:
+            break
+        nodes.append(tau)
+        states.append(y)
+        steps.append(step)
+        g = g_new
+
+    last = _DenseOutput((step[0], tau), [step])
+
+    def event_root(fn):
+        def on_step(s):
+            return fn(s, last(np.array([s]))[:, 0].tolist())
+
+        return brentq(on_step, step[0], tau, xtol=4 * _EPS, rtol=4 * _EPS)
+
+    root, i = min((event_root(events[i][0]), i) for i in active)
+    if len(nodes) == 1 or root != nodes[-1]:  # else the run ends at the last node
+        nodes.append(root)
+        steps.append(step)
+    sol = _DenseOutput(nodes, steps)
+    # the last node's state, new or replaced
+    states[len(nodes) - 1 :] = [sol(np.array(nodes[-1:]))[:, 0].tolist()]
+    return _Run(np.array(nodes), np.array(states).T, sol, i, nfev)
+
+
+def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
+    """Integrate ``y' = rhs(t, y)`` until ``t_span[1]`` or the first event.
+
+    The stepper is :func:`solve_ivp`, an in-house Dormand-Prince 5(4) on
+    Python floats that follows each rule of scipy's RK45.  ``rhs`` and the
+    event functions receive the state ``y`` as a list of floats.  ``rhs``
+    returns a sequence of floats; NaN entries make the stepper reject the
+    trial step and shrink it.  ``events`` is a sequence of
     ``(kind, fn, direction)``; every event is terminal and fires where
     ``fn(t, y)`` crosses zero in ``direction``.
 
@@ -276,6 +465,8 @@ def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
     Returns ``(t, y, events, status)``: ``n_points`` uniform sample times up
     to the end or the event, the dense solution there (one row per state
     variable), the event (at most one), and ``"event"`` or ``"completed"``.
+    The event's state comes from the same dense output as the samples, so
+    it is the last sample bit for bit.
     A non-finite span, an invalid tolerance or fewer than two samples raises
     ``ValueError``; a step failure, or a right-hand side that is not finite
     at the start, raises ``RuntimeError``.
@@ -299,37 +490,24 @@ def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
             # A non-finite derivative at the start would make the initial
             # step NaN, and the stepper would retry that step forever.
             raise RuntimeError("the right-hand side is not finite at the initial state")
-        return np.array([dt * v for v in dy] + [dt])
+        return [dt * v for v in dy] + [dt]
 
-    def in_tau(fn, direction):
-        def event(tau, z):
-            return fn(z[-1], z[:-1])
-
-        event.terminal, event.direction = True, direction
-        return event
+    def in_tau(fn):
+        return lambda tau, z: fn(z[-1], z[:-1])
 
     span_end = (None, lambda t, y: sign * (t - t1), 1)
-    sol = solve_ivp(
-        regularised,
-        (0.0, np.inf),
-        np.append(y0, t0),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[in_tau(fn, direction) for _, fn, direction in (*events, span_end)],
+    run = solve_ivp(
+        regularised, [*map(float, y0), t0], [(in_tau(fn), direction) for _, fn, direction in (*events, span_end)],
+        rtol, atol,
     )
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    found = tuple(
-        Event(kind, float(z[-1]), tuple(z[:-1].tolist())) for (kind, _, _), zs in zip(events, sol.y_events) for z in zs
-    )
+    z = run.y[:, -1].tolist()
+    found = (Event(events[run.event][0], z[-1], tuple(z[:-1])),) if run.event < len(events) else ()
     ts = np.linspace(t0, found[0].t if found else t1, n_points)
-    return ts, _sample_in_t(sol, ts, sign)[:-1], found, "event" if found else "completed"
+    return ts, _sample_in_t(run, ts, sign)[:-1], found, "event" if found else "completed"
 
 
 def _sample_in_t(sol, ts, sign):
-    """Dense state ``(y, t)`` of a run in ``tau`` at the times ``ts`` (from ``t0``).
+    """Dense state ``(y, t)`` of a :func:`solve_ivp` run in ``tau`` at the times ``ts`` (from ``t0``).
 
     A time is first placed on the line between the solver nodes around it,
     which is exact to rounding in a step where ``dt/dtau = 1``; where that
@@ -378,16 +556,16 @@ def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
     """``(rhs, events)`` of the six packed entries of ``g``."""
 
     def rhs(t, y):
-        det = _det(y.tolist())  # on Python floats, so a NaN trial state does not warn
+        det = _det(y)  # on Python floats, so a NaN trial state does not warn
         if not det > 0.0:
             # A trial step past a degeneration can leave the positive-definite
             # cone; NaN makes the stepper reject it and shrink.
             return [math.nan] * 6
-        return _rhs_3d_core(alg, y[_SYM], c / math.sqrt(det), kappa)[1][_TRIU].tolist()
+        return _rhs_3d_core(alg, np.asarray(y)[_SYM], c / math.sqrt(det), kappa)[1][_TRIU].tolist()
 
     events = (
-        ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(y[_SYM]))) - EPS_DEGENERATE, -1),
-        ("blowup", lambda t, y: float(np.max(np.abs(y))) - M_BLOWUP, 1),
+        ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(np.asarray(y)[_SYM]))) - EPS_DEGENERATE, -1),
+        ("blowup", lambda t, y: max(map(abs, y)) - M_BLOWUP, 1),
     )
     return rhs, events
 
@@ -395,16 +573,15 @@ def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
 def _milnor_system(lambdas: tuple, c: float, kappa: float) -> tuple:
     """``(rhs, events)`` of the diagonal ``d`` of ``g`` on a Milnor-form algebra."""
 
-    def rhs(t, y):
-        d = y.tolist()
+    def rhs(t, d):
         vol = d[0] * d[1] * d[2]
         if not (min(d) > 0.0 and vol > 0.0):  # off the cone, as in _generic_system
             return [math.nan] * 3
         return _rhs_milnor(lambdas, d, c / math.sqrt(vol), kappa)
 
     events = (
-        ("degenerate", lambda t, y: min(y.tolist()) - EPS_DEGENERATE, -1),
-        ("blowup", lambda t, y: max(map(abs, y.tolist())) - M_BLOWUP, 1),
+        ("degenerate", lambda t, y: min(y) - EPS_DEGENERATE, -1),
+        ("blowup", lambda t, y: max(map(abs, y)) - M_BLOWUP, 1),
     )
     return rhs, events
 

@@ -144,7 +144,11 @@ def _coefficients(case: str, kappas, mus, s: float = 0.0) -> np.ndarray:
 
 def reduction_coefficients(kappa: float, mu: float, s: float) -> np.ndarray:
     """Quintic coefficients (highest degree first) of ``p(y) = y**4 F(y)``
-    for scalar curvature ``s``; see :func:`_coefficients`."""
+    for scalar curvature ``s``; see :func:`_coefficients`.  Raises
+    ``ValueError`` unless ``kappa >= 0``, ``mu`` and ``s`` are finite."""
+    _check_couplings(kappa, mu)
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     return _coefficients("general", [kappa], [mu], s)[0, 0]
 
 

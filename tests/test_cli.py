@@ -515,6 +515,26 @@ def test_output_reruns_are_byte_identical(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    # The parser is built once per process; each command parses as it would
+    # in a process of its own, after a command that failed too.
+    commands = [
+        ["sweep", "--case", "flat", "--kappa-steps", "3", "--mu-steps", "3"],
+        ["homothety", "--case", "flat", "--kappa", "-1"],
+        ["verify", "--suite", "identities", "--trials", "2", "--seed", "5"],
+        ["homothety", "--case", "negative", "--kappa", "0.5", "--mu", "0.3", "--n-points", "11"],
+    ]
+    alone = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        alone.append(_run(capsys, argv))
+    assert alone[1][0] == 1 and "kappa" in alone[1][2]
+    cli._build_parser.cache_clear()
+    assert [_run(capsys, argv) for argv in commands] == alone
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(commands) - 1)
+
+
 def test_failed_command_leaves_no_partial_file(capsys, tmp_path):
     out_path = tmp_path / "missing.csv"
     code, _, _ = _run(

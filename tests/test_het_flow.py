@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import hetflow
 from hetflow import het_flow as hf
@@ -473,6 +474,154 @@ def test_integration_is_deterministic():
     np.testing.assert_array_equal(one.g, two.g)
     np.testing.assert_array_equal(one.f, two.f)
     np.testing.assert_array_equal(one.t, two.t)
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince stepper against scipy's RK45
+# ---------------------------------------------------------------------------
+
+
+def _forced_decay(tau, y):
+    return [-y[0] + math.sin(tau)]
+
+
+def _milnor_rhs():
+    rhs, _ = hf._milnor_system(hg.milnor_lambdas(hg.catalog("sl2r")), 0.4, 0.5)
+    return rhs
+
+
+def _scipy_rk45(fun, y0, event, direction, rtol, atol):
+    def scipy_event(tau, y):
+        return event(tau, list(y))
+
+    scipy_event.terminal, scipy_event.direction = True, direction
+    return scipy_solve_ivp(
+        lambda tau, y: fun(tau, y.tolist()), (0.0, math.inf), y0, method="RK45",
+        rtol=rtol, atol=atol, dense_output=True, events=[scipy_event],
+    )
+
+
+def _assert_close(a, b):
+    """Agreement to 1e-12 relative to ``max(1, |b|)``."""
+    assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-12
+
+
+# (rhs, y0, the end of the run as a time event, a threshold event and its
+# direction, how many more rhs evaluations than scipy's are allowed).  From
+# y0 = 0 the initial step is 100 times the first trial step.
+_STEPPER_RUNS = (
+    (_forced_decay, [1.0], 200.0, lambda tau, y: y[0] + 0.6, 0, 0),
+    (_forced_decay, [0.0], 200.0, lambda tau, y: y[0] - 0.6, 1, 0),
+    (_milnor_rhs(), [1.0, 1.3, 0.7], 5.0, lambda tau, y: y[0] - 3.0, 1, 6),
+)
+
+
+@pytest.mark.parametrize("fun, y0, end, threshold, direction, slack", _STEPPER_RUNS)
+def test_stepper_follows_scipy_rk45(fun, y0, end, threshold, direction, slack):
+    # The same method and rules as scipy's RK45: the same steps and rhs
+    # evaluations, and the same solution at every node and between them.
+    # The node times themselves drift apart by up to 1e-6 relative: the error
+    # estimate is a difference of stages about 1e-10 of their size, so its
+    # summation order (OpenBLAS fuses multiply and add) moves the step sizes.
+    rtol, atol = 1e-10, 1e-12
+    for event, event_direction in ((lambda tau, y: tau - end, 1), (threshold, direction)):
+        ref = _scipy_rk45(fun, y0, event, event_direction, rtol, atol)
+        run = hf.solve_ivp(fun, y0, [(event, event_direction)], rtol, atol)
+        assert run.event == 0 and ref.status == 1
+        assert abs(run.nfev - ref.nfev) <= slack
+        if slack == 0:
+            assert run.t.size == ref.t.size
+        assert run.t[1] == pytest.approx(ref.t[1], rel=1e-12, abs=0.0)
+        assert run.t[-1] == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0.0)
+        _assert_close(run.y, ref.sol(run.t))
+        _assert_close(run.sol(ref.t), ref.y)
+        tau = np.linspace(0.0, min(run.t[-1], ref.t[-1]), 1001)
+        _assert_close(run.sol(tau), ref.sol(tau))
+
+
+def test_stepper_counts_every_rhs_evaluation():
+    calls = []
+
+    def counted(tau, y):
+        calls.append(tau)
+        return _forced_decay(tau, y)
+
+    run = hf.solve_ivp(counted, [1.0], [(lambda tau, y: tau - 10.0, 1)], 1e-8, 1e-10)
+    # two for the start and the initial step, six per trial step
+    assert run.nfev == len(calls)
+    assert (run.nfev - 2) % 6 == 0
+
+
+def test_a_rhs_that_turns_nan_past_a_threshold_shrinks_the_step():
+    # y' = -y decays towards 0, and its rhs is NaN at y <= 0.  Once y is far
+    # below atol, the steps grow until a trial stage leaps past 0; the NaN
+    # stage makes the error non-finite, and the step is rejected and shrunk,
+    # as by scipy's RK45, over and over until tau = 200.
+    nan_stages = []
+
+    def rhs(tau, y):
+        if not y[0] > 0.0:
+            nan_stages.append(tau)
+            return [math.nan]
+        return [-y[0]]
+
+    def end(tau, y):
+        return tau - 200.0
+
+    ref = _scipy_rk45(rhs, [1.0], end, 1, 1e-10, 1e-12)
+    nan_stages.clear()
+    run = hf.solve_ivp(rhs, [1.0], [(end, 1)], 1e-10, 1e-12)
+    assert len(nan_stages) > 100
+    assert (run.t.size, run.nfev) == (ref.t.size, ref.nfev)
+    assert run.t[-1] == 200.0
+
+
+def test_the_earliest_of_two_events_in_one_step_ends_the_run():
+    # y' = 1 has no error estimate, so steps grow tenfold from 1e-4 and one
+    # step crosses both thresholds; the later-listed event comes first.
+    events = [(lambda tau, y: y[0] - 0.50001, 1), (lambda tau, y: y[0] - 0.5, 1)]
+    run = hf.solve_ivp(lambda tau, y: [1.0], [0.0], events, 1e-10, 1e-12)
+    np.testing.assert_allclose(np.diff(run.t[:-1]), [1e-4, 1e-3, 1e-2, 1e-1], rtol=1e-12)
+    assert run.event == 1
+    assert run.t[-1] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_a_step_below_ten_ulps_fails_where_scipys_does():
+    # NaN from tau = 0.5 on: every step there is rejected and shrunk fivefold
+    # until it is below ten ulps of tau.
+    calls = []
+
+    def rhs(tau, y):
+        calls.append(tau)
+        return [math.nan] if tau >= 0.5 else [1.0]
+
+    ref = _scipy_rk45(rhs, [1.0], lambda tau, y: tau - 1.0, 1, 1e-10, 1e-12)
+    assert ref.status == -1
+    calls.clear()
+    with pytest.raises(RuntimeError, match="ulps"):
+        hf.solve_ivp(rhs, [1.0], [(lambda tau, y: tau - 1.0, 1)], 1e-10, 1e-12)
+    assert len(calls) == ref.nfev
+
+
+def test_a_span_of_length_zero_ends_where_it_starts():
+    # The span's end is an event that is zero at the start: it is active
+    # after the first step, and its root is tau = 0.
+    far = (("far", lambda t, y: y[0] - 10.0, 1),)
+    t, y, found, status = hf.integrate_events(lambda t, y: [1.0], (0.0, 0.0), [1.0], far, 1e-10, 1e-12, 5)
+    assert (found, status) == ((), "completed")
+    np.testing.assert_array_equal(t, 0.0)
+    np.testing.assert_array_equal(y, 1.0)
+
+
+def test_last_sample_of_a_degenerating_generic_flow_is_the_event_state():
+    # test_steep_degeneration_is_a_threshold_crossing checks the diagonal path
+    name, params, kappa, f, diag, status = _ORACLE_RUNS[1]
+    alg, g0 = _rotated(hg.catalog(name, **params), diag)
+    traj = hf.integrate_flow(hf.FlowState3(algebra=alg, g=g0, f=f), hf.FlowParams(kappa=kappa, n_points=21))
+    assert traj.status == status == "event"
+    (event,) = traj.events
+    assert traj.t[-1] == event.t
+    np.testing.assert_array_equal(traj.g[-1][np.triu_indices(3)], event.y)
 
 
 # ---------------------------------------------------------------------------

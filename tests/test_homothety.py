@@ -149,6 +149,24 @@ def test_closed_forms_reject_out_of_domain_input(fn, args):
         fn(*args)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (ht.reduction_coefficients, (math.nan, 1.0, 1.0), "kappa"),
+        (ht.reduction_coefficients, (-1.0, 1.0, 1.0), "kappa"),
+        (ht.reduction_coefficients, (1.0, math.inf, 1.0), "mu"),
+        (ht.reduction_coefficients, (1.0, 1.0, math.nan), "s must be finite"),
+        (ht.F_general, (1.0, 1.0, math.nan, 1.0), "s must be finite"),  # not the conformal factor
+        (ht.F_p, (-1.0, 1.0, 1.0), "kappa"),
+        (ht.F_flat, (1.0, math.nan, 1.0), "mu"),
+    ],
+)
+def test_reduction_coefficients_reject_invalid_couplings(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # closed forms vs integrator
 # ---------------------------------------------------------------------------
