@@ -345,29 +345,35 @@ class ChartSpec:
     seed: int | None = None
 
 
-def random_chart_spec(seed: int, maxwell: bool = False, amplitude: float = 0.3) -> ChartSpec:
-    """Random polynomial chart: ``g = Id + perturbation`` with uniform
-    coefficients in ``[-amplitude, amplitude]`` on every monomial.
+# Half-widths of the uniform coefficients of random_chart_spec and of the map
+# in pullback_chart_metric.
+_CHART_AMPLITUDE = 0.3
+_PULLBACK_AMPLITUDE = 0.1
 
-    With the default amplitude a Gershgorin bound gives metric eigenvalues
-    >= 1 - 3 * 0.3 = 0.1 at the origin, so the metric is SPD without redraws.
-    (Coefficients of degree > 3 would not change third-order jets at the
-    origin, so the sampler stops at degree three.)
+
+def random_chart_spec(seed: int, maxwell: bool = False) -> ChartSpec:
+    """Random polynomial chart: ``g = Id + perturbation`` with uniform
+    coefficients in ``[-0.3, 0.3]`` (``_CHART_AMPLITUDE``) on every monomial.
+
+    A Gershgorin bound gives metric eigenvalues >= 1 - 3 * 0.3 = 0.1 at the
+    origin, so the metric is SPD without redraws.  (Coefficients of degree > 3
+    would not change third-order jets at the origin, so the sampler stops at
+    degree three.)
     """
     rng = np.random.default_rng(seed)
     metric = np.zeros((3, 3, N_COEFFS))
     for i in range(3):
         for j in range(i, 3):
-            coeffs = rng.uniform(-amplitude, amplitude, size=N_COEFFS)
+            coeffs = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
             if i != j:
                 coeffs[0] *= 0.5  # keep the origin matrix comfortably SPD
             metric[i, j] = coeffs
             metric[j, i] = coeffs
     for i in range(3):
         metric[i, i, 0] += 1.0
-    density = rng.uniform(-amplitude, amplitude, size=N_COEFFS)
+    density = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
     density[0] = rng.uniform(0.7, 1.3)
-    potential = rng.uniform(-amplitude, amplitude, size=N_COEFFS)
+    potential = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
     potential[0] = 0.0
     return ChartSpec(metric=metric, density=density, potential=potential,
                      maxwell=maxwell, seed=seed)
@@ -396,7 +402,7 @@ def hyperbolic_chart_spec(c: float = 1.0) -> ChartSpec:
     return ChartSpec(metric=metric, density=jet_constant(1.0), potential=np.zeros(N_COEFFS))
 
 
-def pullback_chart_metric(seed: int, amplitude: float = 0.1) -> np.ndarray:
+def pullback_chart_metric(seed: int) -> np.ndarray:
     """Metric jets of the pullback of the flat metric under a random
     polynomial diffeomorphism ``x -> x + quadratic`` (exactly flat)."""
     rng = np.random.default_rng(seed)
@@ -407,7 +413,7 @@ def pullback_chart_metric(seed: int, amplitude: float = 0.1) -> np.ndarray:
         comp[MONO_INDEX[tuple(np.eye(3, dtype=int)[k])]] = 1.0
         for mono in MONOMIALS:
             if 2 <= sum(mono) <= 3:
-                comp[MONO_INDEX[mono]] = rng.uniform(-amplitude, amplitude)
+                comp[MONO_INDEX[mono]] = rng.uniform(-_PULLBACK_AMPLITUDE, _PULLBACK_AMPLITUDE)
         for i in range(3):
             jac[k, i] = jet_deriv(comp, i)
     return jet_einsum("ki,kj->ij", jac, jac)

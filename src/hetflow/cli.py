@@ -494,7 +494,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with defaults; flags override it")
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--output", help="output path (atomic write); stdout when omitted")
 
 
@@ -558,6 +557,7 @@ def _build_parser() -> tuple:
                        help="run batch verification suites")
     p.add_argument("--suite", choices=(*_SUITES, "all"))
     p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     _add_common(p)
 
     return parser, sub.choices

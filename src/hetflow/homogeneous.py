@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 
+# Largest |trace ad_x| that LieAlgebraData.is_unimodular counts as zero.
+_UNIMODULAR_TOL = 1e-12
+
+
 @dataclass
 class LieAlgebraData:
     """Structure constants and bookkeeping for a real Lie algebra (dim <= 6)."""
@@ -69,6 +73,8 @@ class LieAlgebraData:
         c = np.asarray(self.structure, dtype=float)
         if c.shape != (self.dim,) * 3:
             raise ValueError(f"structure constants must be shape {(self.dim,)*3}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants must be finite")
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-14:
             raise ValueError("structure constants are not antisymmetric in the first two slots")
         self.structure = c
@@ -83,10 +89,10 @@ class LieAlgebraData:
         cyc = term + np.einsum("jkm,mil->ijkl", c, c) + np.einsum("kim,mjl->ijkl", c, c)
         return float(np.max(np.abs(cyc)))
 
-    def is_unimodular(self, tol: float = 1e-12) -> bool:
-        """Whether every ``ad_x`` is traceless (``sum_i C[j, i, i] = 0``)."""
+    def is_unimodular(self) -> bool:
+        """Whether every ``ad_x`` is traceless (``|sum_i C[j, i, i]| <= _UNIMODULAR_TOL``)."""
         traces = np.einsum("jii->j", self.structure)
-        return bool(np.max(np.abs(traces)) <= tol)
+        return bool(np.max(np.abs(traces)) <= _UNIMODULAR_TOL)
 
 
 def from_milnor(lambdas, name: str = "milnor", params: dict | None = None) -> LieAlgebraData:
@@ -126,8 +132,8 @@ def catalog(name: str, **params) -> LieAlgebraData:
         return from_milnor((1.0, 0.0, 0.0), name="heisenberg")
     if name == "su2":
         kappa = float(params.get("kappa", 1.0))
-        if kappa <= 0:
-            raise ValueError("su2 catalog entry needs kappa > 0")
+        if not 0.0 < kappa < np.inf:
+            raise ValueError("su2 catalog entry needs a finite kappa > 0")
         a = 0.5 / np.sqrt(kappa)
         return from_milnor((a, a, 4.0 * a), name="su2", params={"kappa": kappa})
     if name == "sl2r":
@@ -259,7 +265,12 @@ def invariant_d(alg: LieAlgebraData, form: np.ndarray) -> np.ndarray:
     return out
 
 
-def closed_one_forms(alg: LieAlgebraData, tol: float = 1e-10) -> np.ndarray:
+# Singular values of the bracket-image matrix below this share of the largest
+# count as zero in closed_one_forms.
+_RANK_TOL = 1e-10
+
+
+def closed_one_forms(alg: LieAlgebraData) -> np.ndarray:
     """Orthonormal basis (rows) of invariant closed 1-forms.
 
     An invariant 1-form is closed iff it annihilates the derived algebra, so
@@ -268,7 +279,7 @@ def closed_one_forms(alg: LieAlgebraData, tol: float = 1e-10) -> np.ndarray:
     n = alg.dim
     images = alg.structure.reshape(n * n, n)
     _, s, vt = np.linalg.svd(images, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > _RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
     return vt[rank:]
 
 

@@ -9,12 +9,15 @@ reduces to a scalar ODE
 where ``F`` is a rational function of ``sigma`` whose numerator
 ``p(y) = y**4 * F(y)`` is a quintic polynomial in ``y``.  This module exposes
 the right-hand-side families (normalized positive / flat / negative scalar
-curvature, a general-``s`` entry point, and the special non-Einstein SU(2)
+curvature, a general-``s`` case, and the special non-Einstein SU(2)
 reduction), their static/critical parameter curves, the Lambert-W closed
 forms, numerical integration with event detection, and the qualitative
 classifier for long-time behavior.
 
-Every entry point reads the same three pieces: one coefficient builder
+One way leads into a reduction: :class:`HomothetyProblem` validates a case
+and its couplings, :func:`problem_coefficients` gives its quintic (raising
+``ValueError`` when ``kappa, mu`` overflow it) and :func:`F_value` evaluates
+``F``.  Every entry point reads the same three pieces: one coefficient builder
 (:func:`_coefficients`, for a single point or a whole ``(kappa, mu)`` grid),
 one positive-root helper (:func:`_positive_roots`, for a stack of
 polynomials), and one static rule (:func:`_is_static`,
@@ -42,13 +45,6 @@ __all__ = [
     "Behavior",
     "Trajectory",
     "ConsistencyReport",
-    "reduction_coefficients",
-    "su2_coefficients",
-    "F_general",
-    "F_p",
-    "F_flat",
-    "F_n",
-    "F_su2",
     "problem_coefficients",
     "F_value",
     "kappa_crit_p",
@@ -142,26 +138,9 @@ def _coefficients(case: str, kappas, mus, s: float = 0.0) -> np.ndarray:
     return out
 
 
-def reduction_coefficients(kappa: float, mu: float, s: float) -> np.ndarray:
-    """Quintic coefficients (highest degree first) of ``p(y) = y**4 F(y)``
-    for scalar curvature ``s``; see :func:`_coefficients`.  Raises
-    ``ValueError`` unless ``kappa >= 0``, ``mu`` and ``s`` are finite."""
-    _check_couplings(kappa, mu)
-    if not math.isfinite(s):
-        raise ValueError("s must be finite")
-    return _coefficients("general", [kappa], [mu], s)[0, 0]
-
-
 def _check_su2_kappa(kappa: float) -> None:
     if not 0.0 < kappa < math.inf:
         raise ValueError("the SU(2) reduction requires kappa > 0")
-
-
-def su2_coefficients(kappa: float) -> np.ndarray:
-    """Quintic coefficients of the non-Einstein SU(2) reduction
-    ``sigma sigma' = (4 sigma - 12)/kappa``."""
-    _check_su2_kappa(kappa)
-    return _coefficients("su2", [kappa], [0.0])[0, 0]
 
 
 def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
@@ -180,31 +159,6 @@ def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"F overflows at the conformal factor {y!r}")
     return value
-
-
-def F_general(kappa: float, mu: float, s: float, y: float) -> float:
-    """Value of ``sigma sigma'`` at ``sigma = y`` for general scalar curvature."""
-    return _F_from_coefficients(reduction_coefficients(kappa, mu, s), y)
-
-
-def F_p(kappa: float, mu: float, y: float) -> float:
-    """Positive case, ``s = +1``."""
-    return F_general(kappa, mu, 1.0, y)
-
-
-def F_flat(kappa: float, mu: float, y: float) -> float:
-    """Flat case, ``s = 0``."""
-    return F_general(kappa, mu, 0.0, y)
-
-
-def F_n(kappa: float, mu: float, y: float) -> float:
-    """Negative case, ``s = -1``."""
-    return F_general(kappa, mu, -1.0, y)
-
-
-def F_su2(kappa: float, y: float) -> float:
-    """SU(2) reduction ``(4y - 12)/kappa``."""
-    return _F_from_coefficients(su2_coefficients(kappa), y)
 
 
 @dataclass(frozen=True)
@@ -324,10 +278,14 @@ def kappa_crit_n(mu: float) -> float:
     return (36.0 * m2 + 24.0) / den
 
 
-def mu_threshold_cubic(tol: float = 1e-12) -> float:
+# Bisection width of mu_threshold_cubic.
+_CUBIC_TOL = 1e-12
+
+
+def mu_threshold_cubic() -> float:
     """Unique positive root of ``27 x^3 + 6 x^2 - 68 x - 8`` (``x = mu^2``).
 
-    Bracketed in (1.5, 1.6) and bisected to ``tol``.
+    Bracketed in (1.5, 1.6) and bisected to ``_CUBIC_TOL``.
     """
 
     def q(x: float) -> float:
@@ -336,7 +294,7 @@ def mu_threshold_cubic(tol: float = 1e-12) -> float:
     lo, hi = 1.5, 1.6
     if not (q(lo) < 0.0 < q(hi)):
         raise RuntimeError("cubic bracket lost; coefficients corrupted")
-    while hi - lo > tol:
+    while hi - lo > _CUBIC_TOL:
         mid = 0.5 * (lo + hi)
         if q(mid) < 0.0:
             lo = mid
@@ -348,18 +306,21 @@ def mu_threshold_cubic(tol: float = 1e-12) -> float:
 # ``mu^2`` at the cubic threshold, bisected once at import.
 MU_THRESHOLD_CUBIC_SQ = mu_threshold_cubic()
 
+# Bound on the tangency residuals of kappa0, relative to y0**4.
+_KAPPA0_TOL = 1e-10
 
-def kappa0(mu: float, tol: float = 1e-10) -> tuple:
+
+def kappa0(mu: float) -> tuple:
     """Tangency parameters ``(kappa0, y0)`` of the positive case.
 
-    Solves ``F_p(kappa, mu, y) = 0`` and ``dF_p/dy = 0`` with ``y0`` in (0,1).
+    Solves ``F = 0`` and ``dF/dy = 0`` of the positive case with ``y0`` in (0,1).
     The quintic is linear in ``kappa``, ``p = kappa a + b``, so along
     ``kappa(y) = -b(y)/a(y)`` the tangency is an interior critical point: a
     root of ``b'a - ba'``, found exactly instead of scanned on a grid (the
-    tangency ordinate approaches 1 as ``mu^2`` nears the cubic threshold),
-    then polished by Newton's method on ``(p, p')``.  Raises ``ValueError``
-    when no interior tangency with ``kappa0 > 0`` exists for this ``mu``
-    (``mu = 0`` or ``mu^2`` at or above the cubic threshold).
+    tangency ordinate approaches 1 as ``mu^2`` nears the cubic threshold).
+    Its residuals ``(p, p')`` must lie within ``_KAPPA0_TOL * y0**4``.  Raises
+    ``ValueError`` when no interior tangency with ``kappa0 > 0`` exists for
+    this ``mu`` (``mu = 0`` or ``mu^2`` at or above the cubic threshold).
     """
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
@@ -383,27 +344,10 @@ def kappa0(mu: float, tol: float = 1e-10) -> tuple:
     if best is None:
         raise ValueError(f"no interior tangency with kappa0 > 0 in (0,1) for mu = {mu}")
     kap, y = best
-    for _ in range(100):
-        p = kap * a + b
-        dp = np.polyder(p)
-        jac = [
-            [np.polyval(a, y), np.polyval(dp, y)],
-            [np.polyval(da, y), np.polyval(np.polyder(dp), y)],
-        ]
-        try:
-            step = np.linalg.solve(jac, [-np.polyval(p, y), -np.polyval(dp, y)])
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"tangency Newton iteration became singular for mu = {mu}") from exc
-        kap += float(step[0])
-        y += float(step[1])
-        if max(abs(float(step[0])), abs(float(step[1]))) < 1e-14:
-            break
-    if not (0.0 < y < 1.0) or kap <= 0.0:
-        raise ValueError(f"tangency Newton left the band (0,1) for mu = {mu}")
     # Where p = 0, F = p / y^4 and F' = p' / y^4.
     p = kap * a + b
-    if max(abs(np.polyval(p, y)), abs(np.polyval(np.polyder(p), y))) > tol * y**4:
-        raise ValueError(f"tangency residuals did not reach {tol} for mu = {mu}")
+    if max(abs(np.polyval(p, y)), abs(np.polyval(np.polyder(p), y))) > _KAPPA0_TOL * y**4:
+        raise ValueError(f"tangency residuals did not reach {_KAPPA0_TOL} for mu = {mu}")
     return float(kap), float(y)
 
 
@@ -411,7 +355,14 @@ def kappa0(mu: float, tol: float = 1e-10) -> tuple:
 # Lambert W and closed forms
 # ---------------------------------------------------------------------------
 
-_INV_E = math.exp(-1.0)
+# How far past the branch point -1/e, relative to 1/e, an argument of
+# lambert_w may lie and still count as the branch point: the closed forms'
+# arguments reach it at a collapse time, which the integrator resolves only to
+# its rtol.
+_BRANCH_SLACK = 1e-9
+# Halley's residual bound and iteration cap in lambert_w.
+_LAMBERT_TOL = 1e-14
+_LAMBERT_MAX_ITER = 80
 # Branch-point series W = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280,
 # p = +-sqrt(2 (e x + 1)).
 _BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0)
@@ -424,25 +375,25 @@ def _branch_series(p: float) -> float:
     return acc
 
 
-def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80) -> float:
+def lambert_w(x: float, branch: int = 0) -> float:
     """Real Lambert W: the solution ``w`` of ``w * exp(w) = x``.
 
     ``branch=0`` is the principal branch on ``[-1/e, inf)``; ``branch=-1`` is
-    the lower branch on ``[-1/e, 0)``.  Halley iteration from a series /
-    logarithmic seed; residual relative error at most ``tol * (1 + |w|)``
-    (the extra factor is the rounding floor of ``w * exp(w)`` in doubles).
+    the lower branch on ``[-1/e, 0)``; an ``x`` at most ``_BRANCH_SLACK / e``
+    below ``-1/e`` gives ``-1``.  Halley iteration from a series /
+    logarithmic seed; residual relative error at most
+    ``_LAMBERT_TOL * (1 + |w|)`` (the extra factor is the rounding floor of
+    ``w * exp(w)`` in doubles).
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"lambert_w: x must be finite, got {x!r}")
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
-    r = math.e * x + 1.0  # signed distance to the branch point
-    if r < 0.0:
-        if r > -1e-12:  # admit branch-point roundoff
-            r = 0.0
-        else:
-            raise ValueError(f"lambert_w: x = {x} below the branch point -1/e")
+    r = math.e * x + 1.0  # signed distance to the branch point, relative to 1/e
+    if r < -_BRANCH_SLACK:
+        raise ValueError(f"lambert_w: x = {x} below the branch point -1/e")
+    r = max(r, 0.0)
     if branch == -1 and x >= 0.0:
         raise ValueError("branch -1 requires x < 0")
     if r == 0.0:
@@ -465,7 +416,7 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80)
         ln = math.log(-x)
         w = _branch_series(p) if r < 0.18 else ln - math.log(-ln)
 
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         fw = w * ew - x
         if fw == 0.0:
@@ -475,7 +426,7 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-14, max_iter: int = 80)
         w -= step
         if abs(step) <= 1e-16 * (1.0 + abs(w)):
             break
-    if abs(w * math.exp(w) - x) > tol * (1.0 + abs(w)) * max(abs(x), 1e-300):
+    if abs(w * math.exp(w) - x) > _LAMBERT_TOL * (1.0 + abs(w)) * max(abs(x), 1e-300):
         raise ArithmeticError(f"lambert_w failed to converge for x = {x}, branch {branch}")
     return w
 
@@ -536,14 +487,9 @@ def flat_closed_form(kappa: float, mu: float, t: float) -> float:
         w = _w0_of_exp(math.log(b) + 12.0 * t / kappa + b)
     else:
         try:
-            arg = b * math.exp(12.0 * t / kappa + b)
-        except OverflowError:  # an exponent this large lies far past t_*
-            arg = -math.inf
-        if arg < -_INV_E:
-            if arg < -_INV_E - 1e-12:
-                raise ValueError("t beyond the flat collapse time t_*")
-            arg = -_INV_E
-        w = lambert_w(arg, 0)
+            w = lambert_w(b * math.exp(12.0 * t / kappa + b), 0)
+        except (ValueError, OverflowError) as exc:  # the argument lies past -1/e
+            raise ValueError("t beyond the flat collapse time t_*") from exc
     return (v_star * (1.0 + w)) ** (1.0 / 3.0)
 
 
@@ -561,12 +507,11 @@ def su2_closed_form(kappa: float, t: float) -> float:
     """
     _check_su2_kappa(kappa)
     _check_time(t)
-    arg = -(2.0 / 3.0) * math.exp((2.0 / 3.0) * (2.0 * t / kappa - 1.0))
-    if arg < -_INV_E:
-        if arg < -_INV_E - 1e-12:
-            raise ValueError("t beyond the SU(2) collapse time t_max")
-        arg = -_INV_E
-    return 3.0 + 3.0 * lambert_w(arg, 0)
+    try:
+        w = lambert_w(-(2.0 / 3.0) * math.exp((2.0 / 3.0) * (2.0 * t / kappa - 1.0)), 0)
+    except (ValueError, OverflowError) as exc:  # the argument lies past -1/e
+        raise ValueError("t beyond the SU(2) collapse time t_max") from exc
+    return 3.0 + 3.0 * w
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +814,10 @@ def sweep_grid(case: str, kappas, mus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Relative tolerance of check_homothety_consistency's eigenvalue relations.
+_CONSISTENCY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Outcome of the conformal-ansatz eigenvalue relations on (alg, g).
@@ -891,7 +840,7 @@ class ConsistencyReport:
 
 
 @_overflow_guard
-def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e-9) -> ConsistencyReport:
+def check_homothety_consistency(alg, g, kappa: float, mu: float) -> ConsistencyReport:
     """Decide whether (alg, g) supports the conformal-family reduction."""
     import scipy.linalg
 
@@ -907,7 +856,7 @@ def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e
     scale = max(1.0, float(np.max(np.abs(lam))))
     f_t = None if kappa == 0.0 else 1.0 / kappa + s - mu**2 / 2.0
 
-    if float(lam[-1] - lam[0]) <= tol * scale:
+    if float(lam[-1] - lam[0]) <= _CONSISTENCY_TOL * scale:
         return ConsistencyReport(
             passed=True,
             einstein=True,
@@ -915,7 +864,7 @@ def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e
             scalar=s,
             pair_sums=(),
             f_t_at_unit=f_t,
-            reduction=tuple(reduction_coefficients(kappa, mu, s)),
+            reduction=tuple(problem_coefficients(HomothetyProblem("general", kappa, mu, s))),
             reason="Einstein metric: the reduction closes for every (kappa, mu)",
         )
 
@@ -923,21 +872,21 @@ def check_homothety_consistency(alg, g, kappa: float, mu: float, tol: float = 1e
         float(lam[i] + lam[j])
         for i in range(3)
         for j in range(i + 1, 3)
-        if abs(lam[i] - lam[j]) > tol * scale
+        if abs(lam[i] - lam[j]) > _CONSISTENCY_TOL * scale
     )
-    if abs(s) > tol * scale:
+    if abs(s) > _CONSISTENCY_TOL * scale:
         reason = "non-Einstein with s != 0: eigenvalue relations are overdetermined"
         ok = False
-    elif abs(mu) > tol:
+    elif abs(mu) > _CONSISTENCY_TOL:
         reason = "non-Einstein with mu != 0: torsion term breaks the relations"
         ok = False
     elif kappa == 0.0:
         reason = "non-Einstein with kappa = 0: no common F_t exists"
         ok = False
-    elif max(pair_sums) - min(pair_sums) > tol * scale:
+    elif max(pair_sums) - min(pair_sums) > _CONSISTENCY_TOL * scale:
         reason = "distinct-pair eigenvalue sums disagree"
         ok = False
-    elif abs(pair_sums[0] - 1.0 / kappa) > tol * max(scale, 1.0 / kappa):
+    elif abs(pair_sums[0] - 1.0 / kappa) > _CONSISTENCY_TOL * max(scale, 1.0 / kappa):
         reason = "pair sums differ from 1/kappa: relations have no solution"
         ok = False
     else:

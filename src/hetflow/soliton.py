@@ -23,7 +23,6 @@ and the command-line front end can share one schema.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,9 +120,6 @@ class ResidualReport:
             },
             "meta": dict(self.meta),
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 @dataclass(frozen=True)
@@ -402,12 +398,16 @@ def hyperbolic_soliton(kappa: float) -> SolitonCandidate:
     return SolitonCandidate(sample, float(kappa), name="hyperbolic")
 
 
+# Residual case1_axis allows in d(xi_flat) = -f * hodge(xi_flat), relative to
+# max(|f|, 1).
+_AXIS_TOL = 1e-8
+
+
 def case1_axis(
     alg: hg.LieAlgebraData,
     g: np.ndarray,
     f: float,
     orientation: int = 1,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Unit eigenvector of the simple positive Ricci eigenvalue, oriented.
 
@@ -429,9 +429,9 @@ def case1_axis(
     d_xi = hg.invariant_d(alg, xi_flat)
     target = -f * tc.hodge(g_inv, tc.volume_form(g, orientation), xi_flat)
     err_scale = max(abs(f), 1.0)
-    if float(np.max(np.abs(d_xi - target))) <= tol * err_scale:
+    if float(np.max(np.abs(d_xi - target))) <= _AXIS_TOL * err_scale:
         return xi
-    if float(np.max(np.abs(d_xi + target))) <= tol * err_scale:
+    if float(np.max(np.abs(d_xi + target))) <= _AXIS_TOL * err_scale:
         raise ValueError("axis satisfies the reversed-orientation relation d xi = +f * xi")
     raise ValueError("axis satisfies neither orientation of d xi = -f * xi")
 
@@ -441,19 +441,18 @@ def heisenberg_auxiliary_connection(
     g: np.ndarray,
     f: float,
     xi: np.ndarray,
-    orientation: int = 1,
 ) -> np.ndarray:
     """Coefficients of the metric connection that parallelizes the axis.
 
     Implements ``nabla_bar_v = nabla_v - (f/2) A(v) + f g(v, xi) A(xi)``
     where ``A(u)`` is the skew endomorphism of the two-form
-    ``hodge(u_flat)``; on the exact nilpotent soliton this connection has
-    vanishing curvature and ``nabla_bar xi = 0``.
+    ``hodge(u_flat)`` in the positive orientation; on the exact nilpotent
+    soliton this connection has vanishing curvature and ``nabla_bar xi = 0``.
     """
     tc.validate_metric(g)
     g_inv = tc.metric_inverse(g)
     gamma = hg.levi_civita_connection(alg, g, g_inv)
-    vol = tc.volume_form(g, orientation)
+    vol = tc.volume_form(g)
 
     def skew_endo(u: np.ndarray) -> np.ndarray:
         return tc.endo_from_bilinear(g_inv, tc.hodge(g_inv, vol, tc.flat(g, u)))

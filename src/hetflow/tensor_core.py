@@ -87,14 +87,18 @@ __all__ = [
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def validate_metric(g: np.ndarray, tol: float = 1e-12) -> None:
+# Asymmetry validate_metric allows, relative to max(1, max|g|).
+_SYMMETRY_TOL = 1e-12
+
+
+def validate_metric(g: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``g`` is a symmetric positive definite matrix."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"metric must be a square matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("metric contains non-finite entries")
-    if np.max(np.abs(g - g.T)) > tol * max(1.0, np.max(np.abs(g))):
+    if np.max(np.abs(g - g.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
         raise ValueError("metric is not symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
     if eigs.min() <= 0.0:
@@ -423,9 +427,9 @@ def riemann_norm2_twisted_dim3(
     return ric_norm2 - 0.25 * scalar**2 - 0.25 * f**2 * scalar + 0.5 * df_norm2 + 0.1875 * f**4
 
 
-def rel_err(a, b, floor: float = 1.0) -> float:
-    """Relative deviation ``|a - b| / max(|a|, |b|, floor)`` on arrays or scalars."""
+def rel_err(a, b) -> float:
+    """Relative deviation ``|a - b| / max(|a|, |b|, 1)`` on arrays or scalars."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    denom = max(float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)), floor)
+    denom = max(float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)), 1.0)
     return float(np.max(np.abs(a - b), initial=0.0)) / denom

@@ -264,6 +264,18 @@ def test_homothety_su2_reports_collapse_event(capsys):
     assert float(rows[-1][1]) <= 1e-6
 
 
+def test_homothety_collapse_rows_have_a_closed_form_at_the_branch_point(capsys):
+    # The event time lies 3.25e-12 past t_max (inside rtol), which puts the
+    # Lambert-W argument 4.6e-12 of 1/e past -1/e: still the branch point.
+    argv = ["homothety", "--case", "su2", "--kappa", "0.9425059991926784",
+            "--t-max", "10", "--n-points", "101"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    header, rows = _read_csv(out)
+    assert float(rows[-1][0]) > ht.su2_collapse_time(0.9425059991926784)
+    assert [row[3] for row in rows[-2:]] == ["0.0", "0.0"]
+
+
 def test_homothety_event_row_is_a_point_of_the_trajectory(capsys):
     # A steep collapse: the event row is the threshold crossing, and the last
     # sample of the grid is that same point.
@@ -490,20 +502,26 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config",
     [
-        ["homothety", "--case", "flat", "--kappa", "1", "--mu", "1"],
-        ["verify", "--suite", "solitons", "--trials", "2"],
+        (["homothety", "--case", "flat", "--kappa", "1", "--mu", "1"], {"tol": 1e-3}),
+        (["verify", "--suite", "solitons", "--trials", "2"], {"tol": 1e-3}),
+        (["flow", "--algebra", "su2", "--t-max", "0.1", "--seed", "1"], None),
+        (["sweep", "--case", "flat", "--kappa-steps", "2", "--mu-steps", "2"], {"seed": 3}),
     ],
 )
-def test_config_key_the_command_never_reads_rejected(capsys, tmp_path, argv):
-    # tol is a RunConfig field, but only soliton-check has a --tol option.
-    config = tmp_path / "tol.json"
-    config.write_text(json.dumps({"tol": 1e-3}))
-    code, out, err = _run(capsys, [*argv, "--config", str(config)])
+def test_config_key_the_command_never_reads_rejected(capsys, tmp_path, argv, config):
+    # tol and seed are RunConfig fields, but only soliton-check has a --tol
+    # option and only verify a --seed option.
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert "configuration error" in err and "tol" in err
+    key = "seed" if config is None else next(iter(config))
+    assert "configuration error" in err and key in err
 
 
 def test_output_reruns_are_byte_identical(capsys, tmp_path):

@@ -668,7 +668,7 @@ def test_su2_slope_matches_quintic_at_unit_scale():
     kappa = 0.8
     state = hf.FlowState3(algebra=hg.catalog("su2", kappa=kappa), g=np.eye(3), f=0.0)
     g_dot, f_dot = hf.rhs_3d(state, kappa=kappa)
-    assert ht.F_su2(kappa, 1.0) == pytest.approx(-8.0 / kappa, rel=1e-14)
+    assert ht.F_value(ht.HomothetyProblem("su2", kappa), 1.0) == pytest.approx(-8.0 / kappa, rel=1e-14)
     np.testing.assert_allclose(g_dot, (-8.0 / kappa) * np.eye(3), atol=1e-12)
     assert f_dot == 0.0
 

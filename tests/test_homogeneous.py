@@ -64,6 +64,26 @@ def test_unimodular_catalog_members():
         assert hg.catalog(name).is_unimodular(), name
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: hg.catalog("su2", kappa=np.nan), "finite kappa > 0"),
+        (lambda: hg.catalog("su2", kappa=np.inf), "finite kappa > 0"),
+        (lambda: hg.catalog("hyperbolic", c=np.nan), "finite"),
+        (lambda: hg.catalog("hyperbolic", c=np.inf), "finite"),
+        (lambda: hg.from_milnor((np.nan, 0.0, 0.0)), "finite"),
+        (lambda: hg.LieAlgebraData("r3", 3, np.full((3, 3, 3), np.nan)), "finite"),
+    ],
+    ids=["su2-nan", "su2-inf", "hyperbolic-nan", "hyperbolic-inf", "milnor-nan", "raw-nan"],
+)
+def test_non_finite_structure_constants_rejected(build, message):
+    # A NaN passes the antisymmetry check and an inf fails it with a
+    # RuntimeWarning; either would give an all-NaN curvature downstream.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_from_milnor_normal_form(rng):
     lambdas = rng.normal(size=3)
     alg = hg.from_milnor(lambdas)

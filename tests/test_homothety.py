@@ -28,13 +28,13 @@ def test_static_curves_annihilate_f():
     for mu in np.linspace(0.82, 4.0, 50):
         kap = ht.kappa_crit_p(float(mu))
         assert kap >= 0.0
-        assert abs(ht.F_p(kap, float(mu), 1.0)) <= 1e-12
+        assert abs(ht.F_value(ht.HomothetyProblem("positive", kap, float(mu)), 1.0)) <= 1e-12
     lows = np.linspace(0.0, math.sqrt(ht.MU_POLE_MINUS_SQ) - 1e-3, 25)
     highs = np.linspace(math.sqrt(ht.MU_POLE_PLUS_SQ) + 1e-3, 5.0, 25)
     for mu in np.concatenate([lows, highs]):
         kap = ht.kappa_crit_n(float(mu))
         assert kap >= 0.0
-        assert abs(ht.F_n(kap, float(mu), 1.0)) <= 1e-12
+        assert abs(ht.F_value(ht.HomothetyProblem("negative", kap, float(mu)), 1.0)) <= 1e-12
 
 
 def test_kappa_crit_n_blows_up_at_poles():
@@ -63,9 +63,10 @@ def test_kappa0_tangency_residuals():
         kap0, y0 = ht.kappa0(mu)
         assert 0.0 < y0 < 1.0
         assert kap0 > 0.0
-        assert abs(ht.F_p(kap0, mu, y0)) <= 1e-10
+        problem = ht.HomothetyProblem("positive", kap0, mu)
+        assert abs(ht.F_value(problem, y0)) <= 1e-10
         dy = 1e-6
-        deriv = (ht.F_p(kap0, mu, y0 + dy) - ht.F_p(kap0, mu, y0 - dy)) / (2 * dy)
+        deriv = (ht.F_value(problem, y0 + dy) - ht.F_value(problem, y0 - dy)) / (2 * dy)
         assert abs(deriv) <= 1e-4  # double root: first derivative vanishes too
 
 
@@ -138,7 +139,8 @@ def test_lambert_w_domain_errors():
         (ht.su2_collapse_time, (math.nan,)),
         (ht.su2_collapse_time, (math.inf,)),
         (ht.su2_closed_form, (1.0, math.nan)),
-        (ht.su2_coefficients, (math.nan,)),
+        (ht.su2_closed_form, (1.0, 1e3)),  # exp overflows far past t_max
+        (ht.HomothetyProblem, ("su2", math.nan)),
         (ht.lambert_w, (math.nan,)),
         (ht.lambert_w, (math.inf,)),
         (ht.kappa0, (math.nan,)),
@@ -151,20 +153,23 @@ def test_closed_forms_reject_out_of_domain_input(fn, args):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "fn, args, message",
+    "case, couplings, y, message",
     [
-        (ht.reduction_coefficients, (math.nan, 1.0, 1.0), "kappa"),
-        (ht.reduction_coefficients, (-1.0, 1.0, 1.0), "kappa"),
-        (ht.reduction_coefficients, (1.0, math.inf, 1.0), "mu"),
-        (ht.reduction_coefficients, (1.0, 1.0, math.nan), "s must be finite"),
-        (ht.F_general, (1.0, 1.0, math.nan, 1.0), "s must be finite"),  # not the conformal factor
-        (ht.F_p, (-1.0, 1.0, 1.0), "kappa"),
-        (ht.F_flat, (1.0, math.nan, 1.0), "mu"),
+        ("general", (math.nan, 1.0, 1.0), None, "kappa"),
+        ("general", (-1.0, 1.0, 1.0), None, "kappa"),
+        ("general", (1.0, math.inf, 1.0), None, "mu"),
+        ("general", (1.0, 1.0, math.nan), None, "s must be finite"),
+        ("general", (1.0, 1.0, math.nan), 1.0, "s must be finite"),  # not the conformal factor
+        ("positive", (-1.0, 1.0), 1.0, "kappa"),
+        ("flat", (1.0, math.nan), 1.0, "mu"),
     ],
 )
-def test_reduction_coefficients_reject_invalid_couplings(fn, args, message):
+def test_reduction_coefficients_reject_invalid_couplings(case, couplings, y, message):
+    # HomothetyProblem validates; F_value never sees an invalid problem.
     with pytest.raises(ValueError, match=message):
-        fn(*args)
+        problem = ht.HomothetyProblem(case, *couplings)
+        if y is not None:
+            ht.F_value(problem, y)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +488,9 @@ def test_grid_coefficients_equal_scalar_bit_for_bit():
             for j, mu in enumerate(mus):
                 ref = np.array(_quintic_by_hand(case, kap, mu, s))
                 assert grid[i, j].tobytes() == ref.tobytes(), (case, kap, mu)
-    for got, ref in (
-        (ht.reduction_coefficients(1.3, 0.7, s), _quintic_by_hand("general", 1.3, 0.7, s)),
-        (ht.su2_coefficients(1.3), _quintic_by_hand("su2", 1.3, 0.0, s)),
-    ):
-        assert got.tobytes() == np.array(ref).tobytes()
+    for case, kap, mu in (("general", 1.3, 0.7), ("su2", 1.3, 0.0)):
+        got = ht.problem_coefficients(ht.HomothetyProblem(case, kap, mu, s))
+        assert got.tobytes() == np.array(_quintic_by_hand(case, kap, mu, s)).tobytes()
 
 
 def _positive_roots_reference(coeffs):
@@ -554,7 +557,8 @@ def test_su2_reduction_matches_remark_coefficients():
     kappa = 1.9
     su2 = hg.catalog("su2", kappa=kappa)
     report = ht.check_homothety_consistency(su2, np.eye(3), kappa, 0.0)
-    np.testing.assert_allclose(report.reduction, ht.su2_coefficients(kappa), atol=1e-10)
+    expected = ht.problem_coefficients(ht.HomothetyProblem("su2", kappa))
+    np.testing.assert_allclose(report.reduction, expected, atol=1e-10)
 
 
 def test_problem_validation():
@@ -626,11 +630,11 @@ def test_sweep_grid_rejects_what_classify_rejects(case, kappas, mus):
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (ht.reduction_coefficients, (1.0, 1e200, 1.0)),
-        (ht.F_general, (1.0, 1e200, 0.5, 1.0)),
-        (ht.F_p, (1.0, 1e200, 1.0)),
-        (ht.F_flat, (1.0, -1e200, 1.0)),
-        (ht.F_n, (1.0, 1e100, 1.0)),  # mu**4 overflows from |mu| ~ 1.2e77
+        (ht.problem_coefficients, (ht.HomothetyProblem("general", 1.0, 1e200, 1.0),)),
+        (ht.F_value, (ht.HomothetyProblem("general", 1.0, 1e200, 0.5), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("positive", 1.0, 1e200), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("flat", 1.0, -1e200), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("negative", 1.0, 1e100), 1.0)),  # mu**4 overflows from |mu| ~ 1.2e77
         (ht.kappa_crit_p, (1e200,)),
         (ht.kappa_crit_n, (-1e200,)),
         (ht.kappa0, (1e60,)),
@@ -641,6 +645,25 @@ def test_sweep_grid_rejects_what_classify_rejects(case, kappas, mus):
 )
 def test_scalar_helpers_reject_overflowing_mu(fn, args):
     with pytest.raises(ValueError, match="overflow"):
+        fn(*args)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ht.F_value, (ht.HomothetyProblem("positive", 1e10, 1e75), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("flat", 1e10, 1e75), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("negative", 1e10, 1e75), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("general", 1e10, 1e75, -0.5), 1.0)),
+        (ht.F_value, (ht.HomothetyProblem("su2", 1e-320), 1.0)),
+        (ht.check_homothety_consistency, (hg.catalog("hyperbolic"), np.eye(3), 1e10, 1e75)),
+    ],
+)
+def test_overflowing_couplings_are_blamed_on_kappa_and_mu(fn, args):
+    # kappa mu^4 (or 1/kappa) overflows while mu^2 does not: the error names
+    # the couplings, not the conformal factor, and no -inf coefficient leaks.
+    with pytest.raises(ValueError, match="overflow the quintic"):
         fn(*args)
 
 
@@ -719,12 +742,12 @@ def test_F_equals_polyval_bit_for_bit():
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (ht.F_p, (1.0, 1.0, 1e100)),  # y**4 overflows
-        (ht.F_su2, (1.0, 1e100)),
-        (ht.F_general, (1.0, 1.0, 0.5, 1e70)),  # the quintic overflows, y**4 does not
-        (ht.F_flat, (1.0, 1.0, 1e-100)),  # y**4 underflows to zero
-        (ht.F_n, (1.0, 1.0, math.inf)),
-        (ht.F_su2, (1.0, math.nan)),
+        (ht.F_value, (ht.HomothetyProblem("positive", 1.0, 1.0), 1e100)),  # y**4 overflows
+        (ht.F_value, (ht.HomothetyProblem("su2", 1.0), 1e100)),
+        (ht.F_value, (ht.HomothetyProblem("general", 1.0, 1.0, 0.5), 1e70)),  # the quintic overflows, y**4 does not
+        (ht.F_value, (ht.HomothetyProblem("flat", 1.0, 1.0), 1e-100)),  # y**4 underflows to zero
+        (ht.F_value, (ht.HomothetyProblem("negative", 1.0, 1.0), math.inf)),
+        (ht.F_value, (ht.HomothetyProblem("su2", 1.0), math.nan)),
         (ht.F_value, (ht.HomothetyProblem(case="flat", kappa=1.0, mu=1.0), 1e100)),
         (ht.classify, ("positive", 1.0, 1.0, 1e100)),
         (ht.classify, ("positive", 1.0, 1.0, 1e-100)),
