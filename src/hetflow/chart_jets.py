@@ -23,10 +23,18 @@ from k derivatives of the inputs has correct jet coefficients up to degree
 range (most outputs are read at degree zero, i.e. the value at the origin).
 
 The end product is a :class:`GeometrySample`: a bundle of plain ``float``
-arrays at the origin carrying every covariant quantity (including first
+arrays at the point carrying every covariant quantity (including first
 covariant derivatives of the quadratic curvature/torsion contractions) that
 the flow and soliton modules need.  The bundle is coupling-free: terms that
-carry the quadratic-curvature coupling are assembled by the consumers.
+carry the quadratic-curvature coupling are assembled by the consumers.  This
+backend and the homogeneous one (:mod:`hetflow.homogeneous`) fill it through
+one assembly, ``_assemble_sample``, where every derived field is written
+once.  Each backend hands it the metric, its inverse, the Levi-Civita
+coefficients, the torsion 3-form, its density and the dilaton 1-form, plus
+five primitives: a two-operand contraction (here ``jet_einsum``), the
+covariant derivative (``cov_deriv_jets``), the gradient (``jet_grad``), the
+curvature of connection coefficients (``curvature_jets``) and the value at
+the point (``jet_value``).
 """
 
 from __future__ import annotations
@@ -479,118 +487,108 @@ class GeometrySample:
     meta: dict = field(default_factory=dict)
 
 
+def _assemble_sample(
+    g, g_inv, gamma, torsion, f, dilaton, *,
+    contract, cov_deriv, grad, curvature, value,
+    backend: str, orientation: int, jet_depth: int, meta: dict,
+) -> GeometrySample:
+    """Every derived field of a :class:`GeometrySample`, for either backend.
+
+    Inputs are in the backend's representation (jets or plain arrays), and so
+    are the primitives ``contract(spec, a, b)`` (tensor axes only),
+    ``cov_deriv(gamma, tensor)``, ``grad(tensor)``, ``curvature(gamma)`` (the
+    (0,4) curvature of any connection coefficients) and ``value(x)``.
+    """
+    riemann = curvature(gamma)
+    ricci = contract("ab,aUVb->UV", g_inv, riemann)
+    scalar = contract("uv,uv->", g_inv, ricci)
+
+    # Twisted connection of the torsion 3-form H.
+    gamma_tw = gamma - 0.5 * contract("abc,cm->abm", torsion, g_inv)
+    riemann_tw = curvature(gamma_tw)
+    g_inv0 = value(g_inv)
+    nabla_torsion = cov_deriv(gamma, torsion)
+
+    def raised(tensor, slots):
+        for slot in slots:
+            tensor = np.moveaxis(contract("ab,b...->a...", g_inv, np.moveaxis(tensor, slot, 0)), 0, slot)
+        return tensor
+
+    torsion_up12 = raised(torsion, (1, 2))  # only the two slots H o H contracts
+    torsion_sq = 0.5 * contract("aij,bij->ab", torsion, torsion_up12)
+    torsion_norm2 = contract("abc,abc->", torsion, raised(torsion_up12, (0,))) / 6.0
+    riemann_tw_up3 = raised(riemann_tw, (1, 2, 3))
+    riemann_tw_sq = 0.5 * contract("aijk,bijk->ab", riemann_tw, riemann_tw_up3)
+    riemann_tw_norm2 = 0.25 * contract("abcd,abcd->", riemann_tw, raised(riemann_tw_up3, (0,)))
+
+    # Scalar torsion density block.
+    df = grad(f)
+    hess_f = cov_deriv(gamma, df)
+
+    nabla_dilaton = cov_deriv(gamma, dilaton)
+    delta_dilaton = -contract("ab,ab->", g_inv, nabla_dilaton)
+    dilaton_norm2 = contract("a,a->", dilaton, contract("ab,b->a", g_inv, dilaton))
+
+    return GeometrySample(
+        backend=backend,
+        n=3,
+        g=value(g),
+        g_inv=g_inv0,
+        gamma=value(gamma),
+        gamma_tw=value(gamma_tw),
+        riemann=value(riemann),
+        ricci=value(ricci),
+        scalar=value(scalar),
+        d_scalar=value(grad(scalar)),
+        nabla_ricci=value(cov_deriv(gamma, ricci)),
+        riemann_tw=value(riemann_tw),
+        ricci_tw=value(contract("ab,aUVb->UV", g_inv, riemann_tw)),
+        div_riemann_tw=-np.einsum("ab,abvcd->vcd", g_inv0, value(cov_deriv(gamma_tw, riemann_tw))),
+        torsion=value(torsion),
+        nabla_torsion=value(nabla_torsion),
+        delta_torsion=value(-contract("ab,abcd->cd", g_inv, nabla_torsion)),
+        torsion_sq=value(torsion_sq),
+        nabla_torsion_sq=value(cov_deriv(gamma, torsion_sq)),
+        torsion_norm2=value(torsion_norm2),
+        d_torsion_norm2=value(grad(torsion_norm2)),
+        riemann_tw_sq=value(riemann_tw_sq),
+        nabla_riemann_tw_sq=value(cov_deriv(gamma, riemann_tw_sq)),
+        riemann_tw_norm2=value(riemann_tw_norm2),
+        d_riemann_tw_norm2=value(grad(riemann_tw_norm2)),
+        f=value(f),
+        df=value(df),
+        hess_f=value(hess_f),
+        laplace_f=value(-contract("ab,ab->", g_inv, hess_f)),
+        dilaton=value(dilaton),
+        nabla_dilaton=value(nabla_dilaton),
+        nabla2_dilaton=value(cov_deriv(gamma, nabla_dilaton)),
+        delta_dilaton=value(delta_dilaton),
+        d_delta_dilaton=value(grad(delta_dilaton)),
+        dilaton_norm2=value(dilaton_norm2),
+        d_dilaton_norm2=value(grad(dilaton_norm2)),
+        orientation=orientation,
+        jet_depth=jet_depth,
+        meta=meta,
+    )
+
+
 def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     """Run the jet pipeline on a chart spec and read everything at the origin."""
     g = spec.metric
     g_inv, det = jet_matrix_inverse(g)
-    g0 = jet_value(g)
-    tc.validate_metric(g0)
-    g_inv0 = jet_value(g_inv)
-    sqrt_det = jet_sqrt(det)
-    eps = tc.levi_civita_symbol(3)
-    vol = spec.orientation * eps[..., None] * sqrt_det  # (3,3,3,20)
-
-    gamma = christoffel_jets(g, g_inv)
-    riemann = curvature_jets(gamma, g)
-    ricci = jet_einsum("ab,aUVb->UV", g_inv, riemann)
-    scalar = jet_einsum("uv,uv->", g_inv, ricci)
-    nabla_ricci = cov_deriv_jets(gamma, ricci)
-
-    # Torsion 3-form H = density * vol and the twisted connection.
-    density = spec.density
-    torsion = jet_mul(density[None, None, None, :], vol)
-    gamma_tw = gamma - 0.5 * jet_einsum("abc,cm->abm", torsion, g_inv)
-    riemann_tw = curvature_jets(gamma_tw, g)
-    ricci_tw = jet_einsum("ab,aUVb->UV", g_inv, riemann_tw)
-
-    nabla_tw_riemann_tw = cov_deriv_jets(gamma_tw, riemann_tw)
-    div_riemann_tw = -np.einsum(
-        "ab,abvcd->vcd", g_inv0, jet_value(nabla_tw_riemann_tw)
-    )
-
-    nabla_torsion = cov_deriv_jets(gamma, torsion)
-    delta_torsion = -jet_einsum("ab,abcd->cd", g_inv, nabla_torsion)
-
-    torsion_up12 = torsion  # raise only the two contracted slots for H o H
-    for slot in (1, 2):
-        torsion_up12 = np.moveaxis(
-            jet_einsum("ab,b...->a...", g_inv, np.moveaxis(torsion_up12, slot, 0)), 0, slot
-        )
-    torsion_sq = 0.5 * jet_einsum("aij,bij->ab", torsion, torsion_up12)
-    nabla_torsion_sq = cov_deriv_jets(gamma, torsion_sq)
-    torsion_up = jet_einsum("ab,b...->a...", g_inv, torsion_up12)  # fully raised
-    torsion_norm2 = jet_einsum("abc,abc->", torsion, torsion_up) / 6.0
-    d_torsion_norm2 = jet_grad(torsion_norm2)
-
-    riemann_tw_up3 = riemann_tw
-    for slot in range(1, 4):
-        riemann_tw_up3 = np.moveaxis(
-            jet_einsum("ab,b...->a...", g_inv, np.moveaxis(riemann_tw_up3, slot, 0)), 0, slot
-        )
-    riemann_tw_sq = 0.5 * jet_einsum("aijk,bijk->ab", riemann_tw, riemann_tw_up3)
-    nabla_riemann_tw_sq = cov_deriv_jets(gamma, riemann_tw_sq)
-    riemann_tw_up4 = jet_einsum("ab,b...->a...", g_inv, riemann_tw_up3)
-    riemann_tw_norm2 = 0.25 * jet_einsum("abcd,abcd->", riemann_tw, riemann_tw_up4)
-    d_riemann_tw_norm2 = jet_grad(riemann_tw_norm2)
-
-    # Scalar torsion density block.
-    df = jet_grad(density)
-    hess_f = cov_deriv_jets(gamma, df)
-    laplace_f = -jet_einsum("ab,ab->", g_inv, hess_f)
-
-    # Dilaton block: closed 1-form from the potential (or d log density).
-    if spec.maxwell:
-        potential = jet_log(density)
-    else:
-        potential = spec.potential
-    dilaton = jet_grad(potential)
-    nabla_dilaton = cov_deriv_jets(gamma, dilaton)
-    nabla2_dilaton = cov_deriv_jets(gamma, nabla_dilaton)
-    delta_dilaton = -jet_einsum("ab,ab->", g_inv, nabla_dilaton)
-    d_delta_dilaton = jet_grad(delta_dilaton)
-    dilaton_up = jet_einsum("ab,b->a", g_inv, dilaton)
-    dilaton_norm2 = jet_einsum("a,a->", dilaton, dilaton_up)
-    d_dilaton_norm2 = jet_grad(dilaton_norm2)
-
-    return GeometrySample(
-        backend="chart",
-        n=3,
-        g=g0,
-        g_inv=g_inv0,
-        gamma=jet_value(gamma),
-        gamma_tw=jet_value(gamma_tw),
-        riemann=jet_value(riemann),
-        ricci=jet_value(ricci),
-        scalar=jet_value(scalar),
-        d_scalar=jet_value(jet_grad(scalar)),
-        nabla_ricci=jet_value(nabla_ricci),
-        riemann_tw=jet_value(riemann_tw),
-        ricci_tw=jet_value(ricci_tw),
-        div_riemann_tw=div_riemann_tw,
-        torsion=jet_value(torsion),
-        nabla_torsion=jet_value(nabla_torsion),
-        delta_torsion=jet_value(delta_torsion),
-        torsion_sq=jet_value(torsion_sq),
-        nabla_torsion_sq=jet_value(nabla_torsion_sq),
-        torsion_norm2=jet_value(torsion_norm2),
-        d_torsion_norm2=jet_value(d_torsion_norm2),
-        riemann_tw_sq=jet_value(riemann_tw_sq),
-        nabla_riemann_tw_sq=jet_value(nabla_riemann_tw_sq),
-        riemann_tw_norm2=jet_value(riemann_tw_norm2),
-        d_riemann_tw_norm2=jet_value(d_riemann_tw_norm2),
-        f=jet_value(density),
-        df=jet_value(df),
-        hess_f=jet_value(hess_f),
-        laplace_f=jet_value(laplace_f),
-        dilaton=jet_value(dilaton),
-        nabla_dilaton=jet_value(nabla_dilaton),
-        nabla2_dilaton=jet_value(nabla2_dilaton),
-        delta_dilaton=jet_value(delta_dilaton),
-        d_delta_dilaton=jet_value(d_delta_dilaton),
-        dilaton_norm2=jet_value(dilaton_norm2),
-        d_dilaton_norm2=jet_value(d_dilaton_norm2),
-        orientation=spec.orientation,
-        jet_depth=JET_ORDER,
+    tc.validate_metric(jet_value(g))
+    vol = spec.orientation * tc.levi_civita_symbol(3)[..., None] * jet_sqrt(det)
+    # Closed dilaton 1-form from the potential (or d log density).
+    potential = jet_log(spec.density) if spec.maxwell else spec.potential
+    return _assemble_sample(
+        g, g_inv, christoffel_jets(g, g_inv),
+        jet_mul(spec.density[None, None, None, :], vol),  # H = density * vol
+        spec.density, jet_grad(potential),
+        # jet_einsum is read here, at call time, so a patched module attribute
+        # (a call counter, a tracer) sees every contraction.
+        contract=jet_einsum, cov_deriv=cov_deriv_jets, grad=jet_grad,
+        curvature=lambda gamma: curvature_jets(gamma, g), value=jet_value,
+        backend="chart", orientation=spec.orientation, jet_depth=JET_ORDER,
         meta={"seed": spec.seed, "maxwell": spec.maxwell},
     )
 

@@ -340,8 +340,8 @@ def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
     worst: dict[str, float] = {}
     for k in range(trials):
         for sample in (charts[k], hg.random_invariant_sample(seed + k)):
-            g, ric, scal, f, df = sample.g, sample.ricci, sample.scalar, sample.f, sample.df
-            g_inv = tc.metric_inverse(g)  # not sample.g_inv, a jet adjugate's on chart samples
+            g, g_inv, ric, scal = sample.g, sample.g_inv, sample.ricci, sample.scalar
+            f, df = sample.f, sample.df
             pairs = (
                 (
                     "curvature_reconstruction",

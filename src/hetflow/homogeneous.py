@@ -15,8 +15,13 @@ dimensional linear algebra:
 * Covariant derivatives of invariant (0,p) tensors reduce to
   ``(D_a T)(..) = - sum_r Gamma^m_{a i_r} T(.. e_m ..)``.
 
-Scalar invariants built from invariant data are constant, so every ``d_*``
-field of the resulting :class:`~hetflow.chart_jets.GeometrySample` vanishes.
+:func:`build_invariant_sample` fills a
+:class:`~hetflow.chart_jets.GeometrySample` through the assembly it shares
+with the chart backend, supplying plain arrays and five primitives:
+``np.einsum`` as the contraction, :func:`invariant_cov_deriv`, a zero
+gradient (invariant fields are constant, so every ``d_*`` field vanishes),
+:func:`invariant_riemann` as the curvature, and as the value at the point
+the array itself (a ``float`` for scalars).
 
 The unimodular three-dimensional entries of the catalog are kept in a
 diagonalized bracket normal form ``[e_2,e_3] = l1 e1`` (cyclic), which makes
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .chart_jets import GeometrySample
+from .chart_jets import GeometrySample, _assemble_sample
 
 __all__ = [
     "LieAlgebraData",
@@ -303,76 +308,16 @@ def build_invariant_sample(
     tc.validate_metric(g)
     if not np.isfinite(f):
         raise ValueError("torsion density f must be finite")
-    n = 3
-    zero_vec = np.zeros(n)
-
-    g_inv, gamma, riemann, ricci, scalar = invariant_curvature(alg, g)
-    nabla_ricci = invariant_cov_deriv(gamma, ricci)
-
-    torsion = f * tc.volume_form(g, orientation)
-    gamma_tw = connection_twisted(gamma, g_inv, torsion)
-    riemann_tw = invariant_riemann(alg, g, gamma_tw)
-    ricci_tw = tc.ricci_from_riemann(g_inv, riemann_tw)
-    nabla_tw_riemann_tw = invariant_cov_deriv(gamma_tw, riemann_tw)
-    div_riemann_tw = -np.einsum("ab,abvcd->vcd", g_inv, nabla_tw_riemann_tw)
-
-    nabla_torsion = invariant_cov_deriv(gamma, torsion)
-    delta_torsion = tc.codifferential_from_nabla(g_inv, nabla_torsion)
-    torsion_sq = tc.torsion_square(g_inv, torsion)
-    nabla_torsion_sq = invariant_cov_deriv(gamma, torsion_sq)
-    torsion_norm2 = tc.torsion_norm2(g_inv, torsion)
-
-    riemann_tw_sq = tc.riemann_square(g_inv, riemann_tw)
-    nabla_riemann_tw_sq = invariant_cov_deriv(gamma, riemann_tw_sq)
-    riemann_tw_norm2 = tc.riemann_norm2(g_inv, riemann_tw)
-
-    if dilaton is None:
-        dilaton = zero_vec
-    dilaton = np.asarray(dilaton, dtype=float)
-    nabla_dilaton = invariant_cov_deriv(gamma, dilaton)
-    nabla2_dilaton = invariant_cov_deriv(gamma, nabla_dilaton)
-    delta_dilaton = float(-np.einsum("ab,ab->", g_inv, nabla_dilaton))
-    dilaton_norm2 = float(dilaton @ g_inv @ dilaton)
-
-    return GeometrySample(
-        backend="homogeneous",
-        n=n,
-        g=g,
-        g_inv=g_inv,
-        gamma=gamma,
-        gamma_tw=gamma_tw,
-        riemann=riemann,
-        ricci=ricci,
-        scalar=scalar,
-        d_scalar=zero_vec,
-        nabla_ricci=nabla_ricci,
-        riemann_tw=riemann_tw,
-        ricci_tw=ricci_tw,
-        div_riemann_tw=div_riemann_tw,
-        torsion=torsion,
-        nabla_torsion=nabla_torsion,
-        delta_torsion=delta_torsion,
-        torsion_sq=torsion_sq,
-        nabla_torsion_sq=nabla_torsion_sq,
-        torsion_norm2=torsion_norm2,
-        d_torsion_norm2=zero_vec,
-        riemann_tw_sq=riemann_tw_sq,
-        nabla_riemann_tw_sq=nabla_riemann_tw_sq,
-        riemann_tw_norm2=riemann_tw_norm2,
-        d_riemann_tw_norm2=zero_vec,
-        f=float(f),
-        df=zero_vec,
-        hess_f=np.zeros((n, n)),
-        laplace_f=0.0,
-        dilaton=dilaton,
-        nabla_dilaton=nabla_dilaton,
-        nabla2_dilaton=nabla2_dilaton,
-        delta_dilaton=delta_dilaton,
-        d_delta_dilaton=zero_vec,
-        dilaton_norm2=dilaton_norm2,
-        d_dilaton_norm2=zero_vec,
-        orientation=orientation,
-        jet_depth=0,
+    g_inv = tc.metric_inverse(g)
+    return _assemble_sample(
+        g, g_inv, levi_civita_connection(alg, g, g_inv),
+        f * tc.volume_form(g, orientation), float(f),
+        np.zeros(3) if dilaton is None else np.asarray(dilaton, dtype=float),
+        contract=np.einsum, cov_deriv=invariant_cov_deriv,
+        grad=lambda tensor: np.zeros((3,) + np.shape(tensor)),
+        curvature=lambda gamma: invariant_riemann(alg, g, gamma),
+        value=lambda x: x if np.ndim(x) else float(x),
+        backend="homogeneous", orientation=orientation, jet_depth=0,
         meta={"algebra": alg.name, **alg.params},
     )
 

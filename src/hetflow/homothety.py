@@ -364,7 +364,7 @@ _BRANCH_SLACK = 1e-9
 _LAMBERT_TOL = 1e-14
 _LAMBERT_MAX_ITER = 80
 # Branch-point series W = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280,
-# p = +-sqrt(2 (e x + 1)).
+# p = sqrt(2 (e x + 1)).
 _BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0)
 
 
@@ -375,46 +375,35 @@ def _branch_series(p: float) -> float:
     return acc
 
 
-def lambert_w(x: float, branch: int = 0) -> float:
-    """Real Lambert W: the solution ``w`` of ``w * exp(w) = x``.
+def lambert_w(x: float) -> float:
+    """Principal real Lambert W: the solution ``w >= -1`` of ``w * exp(w) = x``.
 
-    ``branch=0`` is the principal branch on ``[-1/e, inf)``; ``branch=-1`` is
-    the lower branch on ``[-1/e, 0)``; an ``x`` at most ``_BRANCH_SLACK / e``
-    below ``-1/e`` gives ``-1``.  Halley iteration from a series /
-    logarithmic seed; residual relative error at most
-    ``_LAMBERT_TOL * (1 + |w|)`` (the extra factor is the rounding floor of
-    ``w * exp(w)`` in doubles).
+    Defined on ``[-1/e, inf)``; an ``x`` at most ``_BRANCH_SLACK / e`` below
+    ``-1/e`` gives ``-1``.  Halley iteration from a series / logarithmic
+    seed; residual relative error at most ``_LAMBERT_TOL * (1 + |w|)`` (the
+    extra factor is the rounding floor of ``w * exp(w)`` in doubles).
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"lambert_w: x must be finite, got {x!r}")
-    if branch not in (0, -1):
-        raise ValueError("branch must be 0 or -1")
     r = math.e * x + 1.0  # signed distance to the branch point, relative to 1/e
     if r < -_BRANCH_SLACK:
         raise ValueError(f"lambert_w: x = {x} below the branch point -1/e")
     r = max(r, 0.0)
-    if branch == -1 and x >= 0.0:
-        raise ValueError("branch -1 requires x < 0")
     if r == 0.0:
         return -1.0
     if x == 0.0:
         return 0.0
 
-    sign = 1.0 if branch == 0 else -1.0
-    p = sign * math.sqrt(2.0 * r)
-    if abs(p) < 2e-3:
+    p = math.sqrt(2.0 * r)
+    if p < 2e-3:
         return _branch_series(p)  # truncation ~p^6, below double rounding here
 
-    if branch == 0:
-        if x < math.e:
-            w = _branch_series(p) if x < 0.0 else math.log1p(x)
-        else:
-            lx = math.log(x)
-            w = lx - math.log(lx)
+    if x < math.e:
+        w = _branch_series(p) if x < 0.0 else math.log1p(x)
     else:
-        ln = math.log(-x)
-        w = _branch_series(p) if r < 0.18 else ln - math.log(-ln)
+        lx = math.log(x)
+        w = lx - math.log(lx)
 
     for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
@@ -427,14 +416,14 @@ def lambert_w(x: float, branch: int = 0) -> float:
         if abs(step) <= 1e-16 * (1.0 + abs(w)):
             break
     if abs(w * math.exp(w) - x) > _LAMBERT_TOL * (1.0 + abs(w)) * max(abs(x), 1e-300):
-        raise ArithmeticError(f"lambert_w failed to converge for x = {x}, branch {branch}")
+        raise ArithmeticError(f"lambert_w failed to converge for x = {x}")
     return w
 
 
 def _w0_of_exp(log_x: float) -> float:
     """``W_0(exp(log_x))`` without overflow, for any real ``log_x``."""
     if log_x < 500.0:
-        return lambert_w(math.exp(log_x), 0)
+        return lambert_w(math.exp(log_x))
     w = log_x - math.log(log_x)
     for _ in range(60):  # Newton on w + log w = log_x
         step = (w + math.log(w) - log_x) / (1.0 + 1.0 / w)
@@ -487,7 +476,7 @@ def flat_closed_form(kappa: float, mu: float, t: float) -> float:
         w = _w0_of_exp(math.log(b) + 12.0 * t / kappa + b)
     else:
         try:
-            w = lambert_w(b * math.exp(12.0 * t / kappa + b), 0)
+            w = lambert_w(b * math.exp(12.0 * t / kappa + b))
         except (ValueError, OverflowError) as exc:  # the argument lies past -1/e
             raise ValueError("t beyond the flat collapse time t_*") from exc
     return (v_star * (1.0 + w)) ** (1.0 / 3.0)
@@ -508,7 +497,7 @@ def su2_closed_form(kappa: float, t: float) -> float:
     _check_su2_kappa(kappa)
     _check_time(t)
     try:
-        w = lambert_w(-(2.0 / 3.0) * math.exp((2.0 / 3.0) * (2.0 * t / kappa - 1.0)), 0)
+        w = lambert_w(-(2.0 / 3.0) * math.exp((2.0 / 3.0) * (2.0 * t / kappa - 1.0)))
     except (ValueError, OverflowError) as exc:  # the argument lies past -1/e
         raise ValueError("t beyond the SU(2) collapse time t_max") from exc
     return 3.0 + 3.0 * w

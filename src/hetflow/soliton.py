@@ -327,10 +327,7 @@ def strong_residual(candidate: SolitonCandidate) -> tuple[np.ndarray, np.ndarray
     solutions.
     """
     s = candidate.sample
-    if s.n != 3:
-        raise ValueError("strong_residual requires a three-dimensional sample")
-    phi_up = s.g_inv @ s.dilaton
-    full = s.div_riemann_tw + np.einsum("a,avcd->vcd", phi_up, s.riemann_tw)
+    full = _strong_full(s)
     ric0 = s.ricci - (s.scalar / 3.0) * s.g
     vol = tc.volume_form(s.g, s.orientation)
     reduced = np.empty((3, 3, 3))
@@ -348,8 +345,15 @@ def strong_skew_scalar(candidate: SolitonCandidate) -> float:
     ``f phi = df`` it is ``-(f laplace f + |df|^2) / (3 f)`` — the pointwise
     obstruction forcing ``f`` constant on closed manifolds.
     """
-    full, _ = strong_residual(candidate)
-    return _skew_scalar(candidate.sample, full)
+    return _skew_scalar(candidate.sample, _strong_full(candidate.sample))
+
+
+def _strong_full(s) -> np.ndarray:
+    """The ``full`` residual of :func:`strong_residual`."""
+    if s.n != 3:
+        raise ValueError("strong_residual requires a three-dimensional sample")
+    phi_up = s.g_inv @ s.dilaton
+    return s.div_riemann_tw + np.einsum("a,avcd->vcd", phi_up, s.riemann_tw)
 
 
 def _skew_scalar(sample, full: np.ndarray) -> float:
@@ -363,7 +367,7 @@ def soliton_report(candidate: SolitonCandidate, tol: float = TOL_CONSTRUCTOR) ->
     s = candidate.sample
     kappa = candidate.kappa
     base = residual_general(candidate, tol)
-    full, _ = strong_residual(candidate)
+    full = _strong_full(s)
     skew_scalar = _skew_scalar(s, full)
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", s.ricci, s.ricci, s.g_inv, s.g_inv))
     trace_res = abs(2.0 * kappa * ric_norm2 - (2.0 * s.f**2 - 0.5 * kappa * s.f**4))

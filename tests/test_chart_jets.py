@@ -320,6 +320,14 @@ def test_sample_internal_consistency(chart_samples):
         )
 
 
+def test_chart_sample_contracts_through_the_module_jet_einsum(count_calls):
+    """The builder reads ``cj.jet_einsum`` when it runs, so a patched module
+    attribute (a call counter, a tracer) sees every one of its contractions."""
+    calls = count_calls(cj, "jet_einsum")
+    cj.build_chart_sample(cj.random_chart_spec(5))
+    assert len(calls) == 42
+
+
 def test_conformal_chart_curvature():
     """g = exp(2 c x1) Id has Ricci c^2 diag(0, -1, -1) - style values at 0."""
     c = 0.8

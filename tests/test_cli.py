@@ -161,14 +161,12 @@ def test_verify_builds_each_chart_sample_once_per_command(capsys, monkeypatch):
 
 
 def test_metric_inverse_calls_per_command(capsys, count_calls):
-    # verify: the identity suite inverts the metric of each of its 8 samples
-    # and builds 4 invariant samples; the soliton suite builds 8 candidates
-    # and evaluates the flow rhs at each (12 + 16), and classifies each from
-    # its sample's Ricci tensor.
+    # verify: the identity suite builds 4 invariant samples (4); the soliton
+    # suite builds 8 candidates and evaluates the flow rhs at each (16).
     # soliton-check: the one inverse its sample makes.
     inverses = count_calls(tc, "metric_inverse")
     assert _run(capsys, ["verify", "--suite", "all", "--trials", "4"])[0] == 0
-    assert len(inverses) == 28
+    assert len(inverses) == 20
     inverses.clear()
     assert _run(capsys, ["soliton-check", "--algebra", "heisenberg", "--kappa", "1.0"])[0] == 0
     assert len(inverses) == 1

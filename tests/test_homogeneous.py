@@ -374,12 +374,27 @@ def test_invariant_sample_internal_consistency(invariant_samples):
             sample.torsion, sample.f * tc.volume_form(g, sample.orientation), atol=1e-12
         )
         np.testing.assert_allclose(
+            sample.torsion_sq, tc.torsion_square(g_inv, sample.torsion), atol=1e-10
+        )
+        assert sample.torsion_norm2 == pytest.approx(sample.f**2, rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(
             sample.riemann_tw_sq, tc.riemann_square(g_inv, sample.riemann_tw), atol=1e-9
+        )
+        assert sample.riemann_tw_norm2 == pytest.approx(
+            tc.riemann_norm2(g_inv, sample.riemann_tw), rel=1e-9
         )
         np.testing.assert_allclose(
             sample.delta_torsion,
             tc.codifferential_from_nabla(g_inv, sample.nabla_torsion),
             atol=1e-10,
+        )
+        np.testing.assert_allclose(
+            sample.ricci_tw,
+            tc.ricci_twisted(sample.ricci, sample.torsion_sq, sample.delta_torsion),
+            atol=1e-10,
+        )
+        assert sample.dilaton_norm2 == pytest.approx(
+            float(sample.dilaton @ g_inv @ sample.dilaton), rel=1e-10, abs=1e-12
         )
         # invariant dilatons are closed 1-forms
         np.testing.assert_allclose(

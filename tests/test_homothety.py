@@ -110,19 +110,9 @@ def test_lambert_w_principal_roundtrip(w):
     assert got == pytest.approx(w, rel=1e-8, abs=1e-8)
 
 
-@settings(max_examples=50)
-@given(st.floats(min_value=-20.0, max_value=-1.0001))
-def test_lambert_w_lower_branch_roundtrip(w):
-    x = w * math.exp(w)
-    got = ht.lambert_w(x, branch=-1)
-    assert got == pytest.approx(w, rel=1e-8)
-
-
 def test_lambert_w_domain_errors():
     with pytest.raises(ValueError):
         ht.lambert_w(-1.0)
-    with pytest.raises(ValueError):
-        ht.lambert_w(0.5, branch=-1)
 
 
 @pytest.mark.filterwarnings("error")
