@@ -13,9 +13,9 @@ Every jet product goes through one gather--contract--scatter kernel.  The
 along a trailing 84-long axis, contracts the tensor axes in a single
 ``np.einsum`` that carries the pair axis along, and sums each pair into the
 coefficient of its product monomial with one ``(84, 20)`` 0/1 scatter
-matrix.  ``jet_mul``, ``jet_einsum`` and ``hodge_jets`` share it.  A
-coordinate derivative is one matrix product with a ``(20, 20)`` matrix that
-has a single nonzero entry per column, so it is exact.
+matrix.  ``jet_mul`` and ``jet_einsum`` share it.  A coordinate derivative
+is one matrix product with a ``(20, 20)`` matrix that has a single nonzero
+entry per column, so it is exact.
 
 Validity bookkeeping is positional rather than stored: a quantity assembled
 from k derivatives of the inputs has correct jet coefficients up to degree
@@ -68,7 +68,6 @@ __all__ = [
     "christoffel_jets",
     "curvature_jets",
     "cov_deriv_jets",
-    "hodge_jets",
     "ChartSpec",
     "random_chart_spec",
     "conformal_chart_spec",
@@ -317,18 +316,6 @@ def cov_deriv_jets(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
         corr = jet_einsum("aim,m...->ai...", gamma, moved)
         out -= np.moveaxis(corr, 1, r + 1)
     return out
-
-
-def hodge_jets(g_inv: np.ndarray, vol: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """Hodge star of a p-form jet array given inverse-metric and volume jets."""
-    form = np.asarray(form, dtype=float)
-    p = form.ndim - 1
-    raised = form
-    for _slot in range(p):
-        raised = np.moveaxis(jet_einsum("ab,b...->a...", g_inv, np.moveaxis(raised, _slot, 0)), 0, _slot)
-    letters = "abcdef"
-    spec = letters[:N_VARS] + "," + letters[:p] + "->" + letters[p:N_VARS]
-    return jet_einsum(spec, vol, raised) / math.factorial(p)
 
 
 # ---------------------------------------------------------------------------

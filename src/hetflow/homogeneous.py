@@ -48,7 +48,6 @@ __all__ = [
     "CATALOG_NAMES",
     "milnor_lambdas",
     "milnor_principal_ricci",
-    "milnor_ricci_diag",
     "levi_civita_connection",
     "connection_twisted",
     "invariant_riemann",
@@ -183,26 +182,6 @@ def _principal_ricci(l1: float, l2: float, l3: float) -> tuple:
 def milnor_principal_ricci(lambdas) -> np.ndarray:
     """Principal Ricci values of the identity metric in bracket normal form."""
     return np.array(_principal_ricci(*(float(v) for v in lambdas)))
-
-
-def milnor_ricci_diag(lambdas, diag) -> np.ndarray:
-    """Ricci tensor (diagonal entries in the original frame) of a diagonal
-    metric ``g = diag(d)`` on a bracket-normal-form algebra.
-
-    Rescaling ``ehat_i = e_i / sqrt(d_i)`` is orthonormal with brackets
-    ``lhat_1 = l1 sqrt(d1 / (d2 d3))`` (cyclic), so
-    ``Ric(e_i, e_i) = d_i * r_i(lhat)``.
-    """
-    d = np.asarray(diag, dtype=float)
-    l = np.asarray(lambdas, dtype=float)
-    lhat = np.array(
-        [
-            l[0] * np.sqrt(d[0] / (d[1] * d[2])),
-            l[1] * np.sqrt(d[1] / (d[2] * d[0])),
-            l[2] * np.sqrt(d[2] / (d[0] * d[1])),
-        ]
-    )
-    return d * milnor_principal_ricci(lhat)
 
 
 def levi_civita_connection(alg: LieAlgebraData, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:

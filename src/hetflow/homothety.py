@@ -17,11 +17,13 @@ classifier for long-time behavior.
 One way leads into a reduction: :class:`HomothetyProblem` validates a case
 and its couplings, :func:`problem_coefficients` gives its quintic (raising
 ``ValueError`` when ``kappa, mu`` overflow it) and :func:`F_value` evaluates
-``F``.  Every entry point reads the same three pieces: one coefficient builder
+``F``.  Every entry point reads the same pieces: one coefficient builder
 (:func:`_coefficients`, for a single point or a whole ``(kappa, mu)`` grid),
 one positive-root helper (:func:`_positive_roots`, for a stack of
-polynomials), and one static rule (:func:`_is_static`,
-``|F(sigma0)| <= 1e-12 max(1, max|c|)``).
+polynomials; it also gives the cubic threshold), one static rule
+(:func:`_is_static`, ``|F(sigma0)| <= 1e-12 max(1, max|c|)``), and one fate
+engine (:func:`_fates`), which tags a whole grid in one batched pass and
+which :func:`sweep_grid` and :func:`classify` (a grid of one cell) share.
 
 Conventions: ``kappa >= 0`` is the curvature-squared coupling, ``mu`` the
 torsion constant, ``y = sigma > 0`` the conformal factor.
@@ -38,6 +40,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import het_flow as hf
+from . import homogeneous as hg
+from . import tensor_core as tc
 
 __all__ = [
     "BehaviorTag",
@@ -51,7 +55,6 @@ __all__ = [
     "kappa_crit_n",
     "MU_POLE_MINUS_SQ",
     "MU_POLE_PLUS_SQ",
-    "mu_threshold_cubic",
     "MU_THRESHOLD_CUBIC_SQ",
     "kappa0",
     "lambert_w",
@@ -260,6 +263,8 @@ def kappa_crit_p(mu: float) -> float:
     Non-negative exactly when ``mu^2 >= 2/3``; the denominator is positive for
     every real ``mu``.
     """
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     m2 = mu**2
     return (36.0 * m2 - 24.0) / (9.0 * m2 * (m2 + 4.0) + 4.0)
 
@@ -271,40 +276,18 @@ def kappa_crit_n(mu: float) -> float:
     The denominator vanishes at ``mu^2 = (2/3)(3 -+ 2 sqrt 2)``; between the
     poles the curve is negative and no static solution exists.
     """
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     m2 = mu**2
     den = 9.0 * m2 * (m2 - 4.0) + 4.0
     if den == 0.0:
-        raise ZeroDivisionError("mu sits exactly on a pole of kappa_crit_n")
+        raise ValueError("mu sits exactly on a pole of kappa_crit_n")
     return (36.0 * m2 + 24.0) / den
 
 
-# Bisection width of mu_threshold_cubic.
-_CUBIC_TOL = 1e-12
-
-
-def mu_threshold_cubic() -> float:
-    """Unique positive root of ``27 x^3 + 6 x^2 - 68 x - 8`` (``x = mu^2``).
-
-    Bracketed in (1.5, 1.6) and bisected to ``_CUBIC_TOL``.
-    """
-
-    def q(x: float) -> float:
-        return ((27.0 * x + 6.0) * x - 68.0) * x - 8.0
-
-    lo, hi = 1.5, 1.6
-    if not (q(lo) < 0.0 < q(hi)):
-        raise RuntimeError("cubic bracket lost; coefficients corrupted")
-    while hi - lo > _CUBIC_TOL:
-        mid = 0.5 * (lo + hi)
-        if q(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# ``mu^2`` at the cubic threshold, bisected once at import.
-MU_THRESHOLD_CUBIC_SQ = mu_threshold_cubic()
+# ``mu^2`` at the cubic threshold: the one positive root of
+# ``27 x^3 + 6 x^2 - 68 x - 8``.
+MU_THRESHOLD_CUBIC_SQ = float(np.extract(*_positive_roots(np.array([[27.0, 6.0, -68.0, -8.0]])))[0])
 
 # Bound on the tangency residuals of kappa0, relative to y0**4.
 _KAPPA0_TOL = 1e-10
@@ -617,47 +600,80 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     return sgn * val
 
 
+def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
+    """The fate rule at every cell of a ``(kappa, mu)`` grid started at ``sigma0``.
+
+    Returns, in row-major cell order, the tags, ``F(sigma0)`` (the bits of
+    :func:`_F_from_coefficients`) and :func:`_positive_roots`' ``(mask, re)``.
+    ``sigma`` is monotone between consecutive roots of ``F``: with no root
+    below ``sigma0`` it reaches zero in finite time, with none above it
+    diverges, and between two it is eternal and regular.  Overflow raises
+    the errors of :func:`problem_coefficients` and :func:`F_value`.
+    """
+    coeffs = _coefficients(case, kappas, mus).reshape(-1, 6)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(_OVERFLOW)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = np.zeros(len(coeffs))
+        for column in coeffs.T:  # _F_from_coefficients' Horner order
+            p = p * sigma0 + column
+        try:
+            f0 = p / sigma0**4
+        except OverflowError:
+            f0 = np.full(len(p), math.inf)
+    if not np.all(np.isfinite(f0)):
+        raise ValueError(f"F overflows at the conformal factor {sigma0!r}")
+
+    static = _is_static(coeffs, f0)
+    unresolved = np.zeros_like(static)
+    if case == "positive":  # above the static curve, the cubic threshold leaves the fate open
+        over = np.array(kappas)[:, None] > np.array([max(0.0, kappa_crit_p(m)) for m in mus])
+        near = np.array([abs(m**2 - MU_THRESHOLD_CUBIC_SQ) <= 1e-9 for m in mus], dtype=bool)
+        unresolved = (over & near).ravel()
+    mask, re = _positive_roots(coeffs)
+    below = np.any(mask & (re < sigma0), axis=1)
+    above = np.any(mask & (re > sigma0), axis=1)
+    tags = np.select(
+        [static, unresolved, ~below, ~above & (f0 > 0.0), ~above],
+        [
+            BehaviorTag.STATIC,
+            BehaviorTag.UNRESOLVED,
+            BehaviorTag.FINITE_TIME_COLLAPSE,
+            BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT,
+            BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE,
+        ],
+        default=BehaviorTag.ETERNAL_REGULAR,
+    )
+    return tags, f0, mask, re
+
+
 def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavior:
     """Root/sign analysis of ``F`` deciding the long-time behavior.
 
-    The trajectory is monotone between consecutive roots of ``F``: it
-    asymptotes to the nearest root in its direction of motion (eternal,
-    finite limit), diverges linearly when no root blocks growth (eternal),
-    and reaches zero in finite time when no root blocks decay.
+    The tag is :func:`_fates`' at the one cell ``(kappa, mu)``.  The
+    trajectory asymptotes to the nearest root of ``F`` in each direction of
+    motion; those roots are the finite limits, and a collapsing start gets
+    its signed collapse time from :func:`collapse_time_quadrature`.
     """
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
-    coeffs = problem_coefficients(problem)
-    f0 = _F_from_coefficients(coeffs, sigma0)
-    mask, re = _positive_roots(coeffs[None])
+    tags, f0, mask, re = _fates(case, [kappa], [mu], float(sigma0))
+    tag, f0 = tags[0], float(f0[0])
     roots = tuple(sorted(re[0][mask[0]].tolist()))
-
-    if _is_static(coeffs, f0):
-        return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, roots=roots, f_at_start=f0)
-
-    if case == "positive" and kappa > max(0.0, kappa_crit_p(mu)):
-        if abs(mu**2 - MU_THRESHOLD_CUBIC_SQ) <= 1e-9:
-            # boundary of the cubic split: behavior not pinned down either way
-            return Behavior(tag=BehaviorTag.UNRESOLVED, roots=roots, f_at_start=f0)
+    if tag is BehaviorTag.STATIC:
+        return Behavior(tag=tag, sigma_past=sigma0, sigma_future=sigma0, roots=roots, f_at_start=f0)
+    if tag is BehaviorTag.UNRESOLVED:
+        return Behavior(tag=tag, roots=roots, f_at_start=f0)
 
     below = max((r for r in roots if r < sigma0), default=None)
     above = min((r for r in roots if r > sigma0), default=None)
-    # F > 0: sigma grows toward the root above (or diverges) and, backward in
-    # time, shrinks toward the root below (or reaches zero); F < 0 mirrors it.
+    # F > 0: sigma grows toward the root above and, backward in time, shrinks
+    # toward the root below; F < 0 mirrors it.
     rising = f0 > 0.0
     past, future = (below, above) if rising else (above, below)
     t_c = direction = None
-    if below is None:
-        tag = BehaviorTag.FINITE_TIME_COLLAPSE
+    if tag is BehaviorTag.FINITE_TIME_COLLAPSE:
         t_c = collapse_time_quadrature(problem)
         direction = "past" if rising else "future"
-    elif above is None:
-        tag = (
-            BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
-            if rising
-            else BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE
-        )
-    else:
-        tag = BehaviorTag.ETERNAL_REGULAR
     return Behavior(
         tag=tag,
         sigma_past=past,
@@ -691,46 +707,29 @@ def classify_from_trajectory(
 
     fwd_kind, fwd_ev = leg(+1.0)
     bwd_kind, bwd_ev = leg(-1.0)
-
-    def limit_of(ev):
-        return ev.y[0] if ev is not None else None
-
+    past = bwd_ev.y[0] if bwd_kind == "stall" else None
+    future = fwd_ev.y[0] if fwd_kind == "stall" else None
+    t_c = direction = None
     if fwd_kind == "collapse":
-        return Behavior(
-            tag=BehaviorTag.FINITE_TIME_COLLAPSE,
-            sigma_past=limit_of(bwd_ev) if bwd_kind == "stall" else None,
-            collapse_time=fwd_ev.t,
-            collapse_direction="future",
-            f_at_start=f0,
-        )
-    if bwd_kind == "collapse":
-        return Behavior(
-            tag=BehaviorTag.FINITE_TIME_COLLAPSE,
-            sigma_future=limit_of(fwd_ev) if fwd_kind == "stall" else None,
-            collapse_time=bwd_ev.t,
-            collapse_direction="past",
-            f_at_start=f0,
-        )
-    if fwd_kind == "stall" and bwd_kind == "stall":
-        return Behavior(
-            tag=BehaviorTag.ETERNAL_REGULAR,
-            sigma_past=limit_of(bwd_ev),
-            sigma_future=limit_of(fwd_ev),
-            f_at_start=f0,
-        )
-    if fwd_kind == "stall":
-        return Behavior(
-            tag=BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE,
-            sigma_future=limit_of(fwd_ev),
-            f_at_start=f0,
-        )
-    if bwd_kind == "stall":
-        return Behavior(
-            tag=BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT,
-            sigma_past=limit_of(bwd_ev),
-            f_at_start=f0,
-        )
-    raise RuntimeError("trajectory classification saw no terminal event in either direction")
+        tag, t_c, direction = BehaviorTag.FINITE_TIME_COLLAPSE, fwd_ev.t, "future"
+    elif bwd_kind == "collapse":
+        tag, t_c, direction = BehaviorTag.FINITE_TIME_COLLAPSE, bwd_ev.t, "past"
+    elif past is not None and future is not None:
+        tag = BehaviorTag.ETERNAL_REGULAR
+    elif future is not None:
+        tag = BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE
+    elif past is not None:
+        tag = BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
+    else:
+        raise RuntimeError("trajectory classification saw no terminal event in either direction")
+    return Behavior(
+        tag=tag,
+        sigma_past=past,
+        sigma_future=future,
+        collapse_time=t_c,
+        collapse_direction=direction,
+        f_at_start=f0,
+    )
 
 
 def _check_grid(case: str, kappas: list, mus: list) -> None:
@@ -750,51 +749,16 @@ def _check_grid(case: str, kappas: list, mus: list) -> None:
 def sweep_grid(case: str, kappas, mus) -> np.ndarray:
     """Tag every point of a (kappa, mu) grid started at ``sigma0 = 1``.
 
-    Returns a ``(len(kappas), len(mus))`` object array of :class:`BehaviorTag`
-    equal, cell by cell, to ``classify(case, kappa, mu).tag``.  The whole grid
-    is classified in one batched pass: the coefficients and ``F(1)`` are the
-    scalar path's bit for bit, the roots come from stacked ``eigvals`` calls,
-    and the rules of :func:`classify` apply as array masks.  Limits and
-    collapse times are not computed; :func:`classify` gives them per point.
-    An invalid cell raises the ``ValueError`` that :func:`classify` raises
-    for the first one in row-major order; a grid whose coefficients
-    overflow raises the one :func:`problem_coefficients` raises.
+    Returns a ``(len(kappas), len(mus))`` object array of :class:`BehaviorTag`,
+    :func:`_fates`' tags and so ``classify(case, kappa, mu).tag`` cell by
+    cell; limits and collapse times are left to :func:`classify`.  An invalid
+    cell raises the ``ValueError`` that :func:`classify` raises for the first
+    one in row-major order.
     """
     kappas = [float(k) for k in kappas]
     mus = [float(m) for m in mus]
     _check_grid(case, kappas, mus)
-    coeffs = _coefficients(case, kappas, mus).reshape(-1, 6)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError(_OVERFLOW)
-
-    f0 = np.zeros(len(coeffs))
-    for column in coeffs.T:  # np.polyval's Horner order at sigma0 = 1
-        f0 = f0 * 1.0 + column
-    static = _is_static(coeffs, f0)
-    unresolved = np.zeros_like(static)
-    if case == "positive":
-        over = np.array(kappas)[:, None] > np.array([max(0.0, kappa_crit_p(m)) for m in mus])
-        near = np.array([abs(m**2 - MU_THRESHOLD_CUBIC_SQ) <= 1e-9 for m in mus], dtype=bool)
-        unresolved = (over & near).ravel()
-
-    below = np.zeros_like(static)
-    above = np.zeros_like(static)
-    todo = ~(static | unresolved)
-    mask, re = _positive_roots(coeffs[todo])
-    below[todo] = np.any(mask & (re < 1.0), axis=1)
-    above[todo] = np.any(mask & (re > 1.0), axis=1)
-
-    tags = np.select(
-        [static, unresolved, ~below, ~above & (f0 > 0.0), ~above],
-        [
-            BehaviorTag.STATIC,
-            BehaviorTag.UNRESOLVED,
-            BehaviorTag.FINITE_TIME_COLLAPSE,
-            BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT,
-            BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE,
-        ],
-        default=BehaviorTag.ETERNAL_REGULAR,
-    )
+    tags, _, _, _ = _fates(case, kappas, mus, 1.0)
     return tags.reshape(len(kappas), len(mus))
 
 
@@ -831,16 +795,11 @@ class ConsistencyReport:
 @_overflow_guard
 def check_homothety_consistency(alg, g, kappa: float, mu: float) -> ConsistencyReport:
     """Decide whether (alg, g) supports the conformal-family reduction."""
-    import scipy.linalg
-
-    from . import homogeneous as hg
-    from . import tensor_core as tc
-
     _check_couplings(kappa, mu)
     g = np.asarray(g, dtype=float)
     tc.validate_metric(g)
     _, _, _, ric, _ = hg.invariant_curvature(alg, g)
-    lam = np.sort(scipy.linalg.eigh(ric, g, eigvals_only=True))
+    lam, _ = tc.principal_values(g, ric)
     s = float(np.sum(lam))
     scale = max(1.0, float(np.max(np.abs(lam))))
     f_t = None if kappa == 0.0 else 1.0 / kappa + s - mu**2 / 2.0

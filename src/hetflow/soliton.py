@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import homogeneous as hg
 from . import tensor_core as tc
@@ -312,7 +311,7 @@ def classify_constant_dilaton(alg: hg.LieAlgebraData, g: np.ndarray, kappa: floa
     """Classify an invariant metric by its principal Ricci curvatures."""
     tc.validate_metric(g)
     _, _, _, ricci, _ = hg.invariant_curvature(alg, g)
-    eigs = scipy.linalg.eigh(ricci, g, eigvals_only=True)
+    eigs, _ = tc.principal_values(g, ricci)
     return classify_ricci_spectrum(eigs, kappa)
 
 
@@ -422,7 +421,7 @@ def case1_axis(
     """
     tc.validate_metric(g)
     g_inv, _, _, ricci, _ = hg.invariant_curvature(alg, g)
-    w, vecs = scipy.linalg.eigh(ricci, g)
+    w, vecs = tc.principal_values(g, ricci)
     scale = max(float(np.max(np.abs(w))), 1e-30)
     if w[2] <= 0.0 or (w[2] - w[1]) <= 1e-8 * scale:
         raise ValueError("Ricci spectrum has no simple positive eigenvalue")

@@ -50,6 +50,7 @@ __all__ = [
     "validate_metric",
     "metric_inverse",
     "frame_orthonormalize",
+    "principal_values",
     "flat",
     "sharp",
     "raise_all",
@@ -117,6 +118,19 @@ def frame_orthonormalize(g: np.ndarray) -> np.ndarray:
     """
     chol = np.linalg.cholesky(np.asarray(g, dtype=float))
     return np.linalg.inv(chol).T
+
+
+def principal_values(g: np.ndarray, bilinear: np.ndarray) -> tuple:
+    """Principal values of a symmetric bilinear form relative to ``g``.
+
+    Returns ``(w, vecs)``: the ascending solutions of
+    ``bilinear @ v = w g @ v`` and their eigenvectors as ``g``-orthonormal
+    columns, from ``np.linalg.eigh`` of the form in the frame of
+    :func:`frame_orthonormalize`.
+    """
+    frame = frame_orthonormalize(g)
+    w, vecs = np.linalg.eigh(frame.T @ np.asarray(bilinear, dtype=float) @ frame)
+    return w, frame @ vecs
 
 
 def flat(g: np.ndarray, v: np.ndarray) -> np.ndarray:

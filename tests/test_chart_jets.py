@@ -53,16 +53,6 @@ def _einsum_triple_loop(spec, a, b):
     return out
 
 
-def _hodge_triple_loop(g_inv, vol, form):
-    p = form.ndim - 1
-    raised = form
-    for slot in range(p):
-        moved = np.moveaxis(raised, slot, 0)
-        raised = np.moveaxis(_einsum_triple_loop("ab,b...->a...", g_inv, moved), 0, slot)
-    spec = "abc," + "abc"[:p] + "->" + "abc"[p:]
-    return _einsum_triple_loop(spec, vol, raised) / math.factorial(p)
-
-
 def _assert_rel_close(actual, expected):
     assert actual.shape == expected.shape
     scale = np.max(np.abs(expected))
@@ -96,16 +86,6 @@ def test_jet_mul_matches_triple_loop():
         b = rng.normal(size=shape_b + (cj.N_COEFFS,))
         spec = "...,...->..."
         _assert_rel_close(cj.jet_mul(a, b), _einsum_triple_loop(spec, a, b))
-
-
-@pytest.mark.parametrize("p", [0, 1, 2, 3])
-def test_hodge_jets_matches_triple_loop(p):
-    rng = np.random.default_rng(33 + p)
-    spec = cj.random_chart_spec(40 + p)
-    g_inv, det = cj.jet_matrix_inverse(spec.metric)
-    vol = tc.levi_civita_symbol(3)[..., None] * cj.jet_sqrt(det)
-    form = rng.normal(size=(3,) * p + (cj.N_COEFFS,))
-    _assert_rel_close(cj.hodge_jets(g_inv, vol, form), _hodge_triple_loop(g_inv, vol, form))
 
 
 def test_jet_deriv_equals_rule_loop_bit_for_bit():
@@ -160,21 +140,6 @@ def test_jet_matrix_inverse_identity():
             np.testing.assert_allclose(prod[i, j], target, atol=1e-10)
     manual_det = cj.jet_determinant(g)
     np.testing.assert_allclose(det, manual_det, atol=1e-12)
-
-
-def test_hodge_jets_matches_pointwise_hodge():
-    spec = cj.random_chart_spec(17)
-    g_inv, _ = cj.jet_matrix_inverse(spec.metric)
-    vol_scalar = cj.jet_sqrt(cj.jet_determinant(spec.metric))
-    vol_form = tc.levi_civita_symbol(3)[..., None] * vol_scalar
-    rng = np.random.default_rng(4)
-    one_form = rng.normal(size=(3, cj.N_COEFFS))
-    starred = cj.hodge_jets(g_inv, vol_form, one_form)
-    point_g = cj.jet_value(spec.metric)
-    expected = tc.hodge(
-        tc.metric_inverse(point_g), tc.volume_form(point_g), cj.jet_value(one_form)
-    )
-    np.testing.assert_allclose(cj.jet_value(starred), expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

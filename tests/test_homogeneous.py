@@ -309,15 +309,6 @@ def test_hyperbolic_matches_chart_backend():
     assert tc.rel_err(inv.riemann, chart.riemann) <= 1e-9
 
 
-def test_milnor_ricci_diag_matches_pipeline(rng):
-    lambdas = [1.0, 1.0, -1.0]
-    diag = np.abs(rng.normal(size=3)) + 0.5
-    alg = hg.from_milnor(lambdas)
-    sample = hg.build_invariant_sample(alg, np.diag(diag), 0.0)
-    predicted = hg.milnor_ricci_diag(lambdas, diag)
-    np.testing.assert_allclose(sample.ricci, np.diag(predicted), atol=1e-11)
-
-
 def test_heisenberg_axis_rotation_relation():
     """On the nilpotent soliton metric the center direction rotates: its
     covariant derivative is the (-f/2)-scaled dual rotation."""

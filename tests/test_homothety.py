@@ -48,14 +48,12 @@ def test_kappa_crit_between_poles_is_negative():
 
 
 def test_mu_threshold_cubic_root():
-    x = ht.mu_threshold_cubic()
-    assert 1.5 < x < 1.6
-    poly = ((27.0 * x + 6.0) * x - 68.0) * x - 8.0
-    assert abs(poly) <= 1e-10
-    roots = np.roots([27.0, 6.0, -68.0, -8.0])
-    real_positive = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
-    assert len(real_positive) == 1
-    assert real_positive[0] == pytest.approx(x, abs=1e-10)
+    # The one positive root of 27 x^3 + 6 x^2 - 68 x - 8, to 40 digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = max(r for r in mpmath.polyroots([27, 6, -68, -8], maxsteps=200, extraprec=100))
+        err = abs(mpmath.mpf(ht.MU_THRESHOLD_CUBIC_SQ) - exact)
+    assert err <= 2 * math.ulp(ht.MU_THRESHOLD_CUBIC_SQ)
 
 
 def test_kappa0_tangency_residuals():
@@ -85,7 +83,7 @@ def test_reference_curve_values():
     assert ht.kappa_crit_n(2.1) == pytest.approx(9.014990, abs=1e-5)
     kap0, _ = ht.kappa0(1.0)
     assert kap0 == pytest.approx(0.30780464, abs=1e-7)
-    assert ht.mu_threshold_cubic() == pytest.approx(1.5391526006100325, abs=1e-12)
+    assert ht.MU_THRESHOLD_CUBIC_SQ == pytest.approx(1.5391526006097773, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +132,11 @@ def test_lambert_w_domain_errors():
         (ht.lambert_w, (math.nan,)),
         (ht.lambert_w, (math.inf,)),
         (ht.kappa0, (math.nan,)),
+        (ht.kappa_crit_p, (math.nan,)),
+        (ht.kappa_crit_p, (math.inf,)),
+        (ht.kappa_crit_n, (math.nan,)),
+        (ht.kappa_crit_n, (-math.inf,)),
+        (ht.kappa_crit_n, (0.3382039574515255,)),  # exactly on the lower pole
     ],
 )
 def test_closed_forms_reject_out_of_domain_input(fn, args):
@@ -349,7 +352,7 @@ def test_su2_case_bullet():
 
 
 def test_threshold_mu_is_unresolved():
-    mu = math.sqrt(ht.mu_threshold_cubic())
+    mu = math.sqrt(ht.MU_THRESHOLD_CUBIC_SQ)
     kap = 2.0 * max(ht.kappa_crit_p(mu), 0.0) + 1.0
     assert ht.classify("positive", kap, mu).tag == TAG.UNRESOLVED
 
@@ -366,9 +369,10 @@ def test_classifier_agrees_with_trajectories():
         ("su2", 1.0, 0.0),
     ]
     for case, kappa, mu in points:
-        a = ht.classify(case, kappa, mu)
-        b = ht.classify_from_trajectory(case, kappa, mu)
-        assert a.tag == b.tag, (case, kappa, mu)
+        for sigma0 in (1.0, 0.4, 2.5):
+            a = ht.classify(case, kappa, mu, sigma0)
+            b = ht.classify_from_trajectory(case, kappa, mu, sigma0)
+            assert a.tag == b.tag, (case, kappa, mu, sigma0)
 
 
 def test_trajectory_classifier_follows_a_slow_relaxation():
@@ -412,7 +416,7 @@ def _dense_axes(case):
     special = [
         math.sqrt(ht.MU_POLE_MINUS_SQ),
         math.sqrt(ht.MU_POLE_PLUS_SQ),
-        math.sqrt(ht.mu_threshold_cubic()),
+        math.sqrt(ht.MU_THRESHOLD_CUBIC_SQ),
         math.sqrt(2.0 / 3.0),
     ]
     mus = sorted(set(np.linspace(0.0, 3.0, 21).tolist() + special))

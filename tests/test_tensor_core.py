@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,22 @@ def test_frame_orthonormalize_property(seed):
     g = _spd(_rng(seed))
     frame = tc.frame_orthonormalize(g)
     np.testing.assert_allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
+
+
+def test_principal_values_match_scipy_generalized_eigh():
+    rng = _rng(61)
+    for _ in range(200):
+        g = _spd(rng)
+        a = rng.normal(size=(3, 3))
+        bilinear = a + a.T
+        w, vecs = tc.principal_values(g, bilinear)
+        ref_w, ref_vecs = scipy.linalg.eigh(bilinear, g)
+        scale = max(1.0, float(np.max(np.abs(ref_w))))
+        assert np.max(np.abs(w - ref_w)) <= 1e-12 * scale
+        # Eigenvectors are fixed up to sign.
+        signs = np.sign(np.sum(vecs * ref_vecs, axis=0))
+        assert np.max(np.abs(vecs * signs - ref_vecs)) <= 1e-12 * np.max(np.abs(ref_vecs))
+        np.testing.assert_allclose(vecs.T @ g @ vecs, np.eye(3), atol=1e-12)
 
 
 @settings(max_examples=25)
