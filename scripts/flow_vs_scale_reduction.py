@@ -12,7 +12,11 @@ script integrates both the 3x3 flow and the scalar reduction and reports
 
 The flat base agrees for every coupling, any base agrees at zero coupling,
 and the isotropic compact case leaves the conformal family once the coupling
-is switched on — run e.g.::
+is switched on.  Every metric on ``hyperbolic`` is Einstein, so its tensor
+run takes :func:`hetflow.het_flow.integrate_flow`'s Einstein path: it
+integrates the one scale of ``g = sigma g0`` and has no anisotropy by
+construction; the scale gap there compares that path with the ``negative``
+reduction.  Run e.g.::
 
     python3 scripts/flow_vs_scale_reduction.py --geometry flat --kappa 1.0 --mu 0.9
     python3 scripts/flow_vs_scale_reduction.py --geometry su2 --kappa 1.0

@@ -62,7 +62,6 @@ __all__ = [
     "jet_sqrt",
     "jet_exp",
     "jet_log",
-    "jet_eval",
     "jet_matrix_inverse",
     "jet_determinant",
     "christoffel_jets",
@@ -72,7 +71,6 @@ __all__ = [
     "random_chart_spec",
     "conformal_chart_spec",
     "hyperbolic_chart_spec",
-    "pullback_chart_metric",
     "GeometrySample",
     "build_chart_sample",
     "random_chart_sample",
@@ -232,15 +230,6 @@ def jet_log(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def jet_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated polynomial at a point (broadcasts leading axes)."""
-    a = np.asarray(a, dtype=float)
-    mono_vals = np.array(
-        [x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2] for m in MONOMIALS]
-    )
-    return a @ mono_vals
-
-
 def jet_determinant(g: np.ndarray) -> np.ndarray:
     """Determinant jet of a 3x3 matrix of jets (shape (3, 3, 20))."""
     def m(i: int, j: int) -> np.ndarray:
@@ -340,10 +329,8 @@ class ChartSpec:
     seed: int | None = None
 
 
-# Half-widths of the uniform coefficients of random_chart_spec and of the map
-# in pullback_chart_metric.
+# Half-width of the uniform coefficients of random_chart_spec.
 _CHART_AMPLITUDE = 0.3
-_PULLBACK_AMPLITUDE = 0.1
 
 
 def random_chart_spec(seed: int, maxwell: bool = False) -> ChartSpec:
@@ -395,23 +382,6 @@ def hyperbolic_chart_spec(c: float = 1.0) -> ChartSpec:
     metric[1, 1] = factor
     metric[2, 2] = jet_constant(1.0)
     return ChartSpec(metric=metric, density=jet_constant(1.0), potential=np.zeros(N_COEFFS))
-
-
-def pullback_chart_metric(seed: int) -> np.ndarray:
-    """Metric jets of the pullback of the flat metric under a random
-    polynomial diffeomorphism ``x -> x + quadratic`` (exactly flat)."""
-    rng = np.random.default_rng(seed)
-    # Jet of each component of the map and its partials.
-    jac = np.zeros((3, 3, N_COEFFS))  # jac[k, i] = d_i phi^k
-    for k in range(3):
-        comp = np.zeros(N_COEFFS)
-        comp[MONO_INDEX[tuple(np.eye(3, dtype=int)[k])]] = 1.0
-        for mono in MONOMIALS:
-            if 2 <= sum(mono) <= 3:
-                comp[MONO_INDEX[mono]] = rng.uniform(-_PULLBACK_AMPLITUDE, _PULLBACK_AMPLITUDE)
-        for i in range(3):
-            jac[k, i] = jet_deriv(comp, i)
-    return jet_einsum("ki,kj->ij", jac, jac)
 
 
 # ---------------------------------------------------------------------------

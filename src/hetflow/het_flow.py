@@ -16,13 +16,24 @@ The flow couples a metric, a closed 3-form torsion, and a coupling constant
 
   The second equation says ``f sqrt(det g)`` is constant, so
   :func:`integrate_flow` evolves only ``g`` and sets ``f`` from it.
-  It takes one of two paths, chosen from the start alone.  On an algebra in
+  It takes one of three paths, chosen from the start alone.  On an algebra in
   bracket normal form (:func:`~hetflow.homogeneous.milnor_lambdas` is not
   ``None``) a metric with exactly zero off-diagonal entries has diagonal
   Ricci (Milnor 1976), so the flow stays diagonal and is integrated as three
   ODEs for ``d = diag(g)``, with Milnor's principal Ricci values on Python
-  floats.  Every other start integrates the six entries of ``g`` through
-  the generic curvature chain of :func:`rhs_3d`.
+  floats.  On an algebra with brackets ``[x, y] = l(x) y - l(y) x``
+  (:func:`~hetflow.homogeneous.l_form` is not ``None``) every metric has
+  constant sectional curvature ``-K``, ``K = l.g^-1.l`` (Milnor 1976, section
+  1), so ``Ric = -2K g``, ``Ric.Ric = 4K^2 g``, ``|Ric|^2 = 12 K^2`` and
+  ``s = -6K``, and the rhs above collapses to
+
+  ``g' = phi g``,  ``phi = 4K + f^2 - k (2K + f^2/2)^2``.
+
+  The flow then stays on ``g = sigma g0``, where ``K = K0 / sigma`` and
+  ``f = f0 sigma^(-3/2)``, and integrates the one scalar
+  ``sigma' = sigma phi = 4K0 + f0^2/sigma^2 - k (2K0 + f0^2/(2 sigma^2))^2 / sigma``.
+  Every other start integrates the six entries of ``g`` through the generic
+  curvature chain of :func:`rhs_3d`.
   Gradient terms of ``f`` (``[*df, Ric]``, ``df (x) df``, ``|df|^2``, and the
   Laplacian in ``f'``) vanish identically on invariant data and are omitted.
 
@@ -56,6 +67,7 @@ from .homogeneous import (
     invariant_curvature,
     invariant_d,
     invariant_riemann,
+    l_form,
     levi_civita_connection,
     milnor_lambdas,
 )
@@ -342,6 +354,24 @@ class _DenseOutput:
         return (self.y0[seg] + h * ((((q[:, 3] * x + q[:, 2]) * x + q[:, 1]) * x + q[:, 0]) * x)).T
 
 
+def _step_interpolant(step, q):
+    """The state at a scalar ``tau`` on one step's quartic, as a list of Python floats.
+
+    ``step`` is ``(tau0, h, y0, K)`` and ``q`` the step's ``(4, n)``
+    coefficients from :class:`_DenseOutput`; the Horner order is the dense
+    evaluator's, so each value is its value bit for bit, without its array
+    gathers.
+    """
+    tau0, h, y0, _ = step
+    rows = list(zip(y0, *q.tolist()))
+
+    def at(tau):
+        x = (tau - tau0) / h
+        return [a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in rows]
+
+    return at
+
+
 @dataclass(frozen=True)
 class _Run:
     """A run of :func:`solve_ivp`: the step boundaries ``t``, the states there
@@ -425,13 +455,10 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
         steps.append(step)
         g = g_new
 
-    last = _DenseOutput((step[0], tau), [step])
+    at = _step_interpolant(step, _DenseOutput((step[0], tau), [step]).q[0])
 
     def event_root(fn):
-        def on_step(s):
-            return fn(s, last(np.array([s]))[:, 0].tolist())
-
-        return brentq(on_step, step[0], tau, xtol=4 * _EPS, rtol=4 * _EPS)
+        return brentq(lambda s: fn(s, at(s)), step[0], tau, xtol=4 * _EPS, rtol=4 * _EPS)
 
     root, i = min((event_root(events[i][0]), i) for i in active)
     if len(nodes) == 1 or root != nodes[-1]:  # else the run ends at the last node
@@ -540,7 +567,8 @@ def _sample_in_t(sol, ts, sign):
 
 
 # The generic path integrates the upper triangle of g, row by row; the
-# diagonal path its entries _DIAG, and leaves the others exactly 0.0.
+# diagonal path its entries _DIAG, and leaves the others exactly 0.0; the
+# Einstein path the scale of the whole triangle.
 _TRIU = np.triu_indices(3)
 _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _DIAG = [0, 3, 5]
@@ -586,46 +614,89 @@ def _milnor_system(lambdas: tuple, c: float, kappa: float) -> tuple:
     return rhs, events
 
 
+def _einstein_system(ell: tuple, g0: np.ndarray, c: float, kappa: float) -> tuple:
+    """``(rhs, events)`` of the scale ``sigma`` of ``g = sigma g0`` on an algebra
+    with brackets ``[x, y] = l(x) y - l(y) x``, where ``K0 = l.g0^-1.l`` and
+    ``f0^2 = c^2 / det g0``.  The events are the generic path's thresholds on
+    ``sigma g0``."""
+    ell = np.asarray(ell)
+    k0 = float(ell @ np.linalg.solve(g0, ell))
+    f0_sq = c * c / _det(g0[_TRIU].tolist())
+
+    def rhs(t, y):
+        sigma = y[0]
+        if not sigma > 0.0:  # off the cone, as in _generic_system
+            return [math.nan]
+        w = f0_sq / (sigma * sigma)
+        return [4.0 * k0 + w - kappa * (2.0 * k0 + 0.5 * w) ** 2 / sigma]
+
+    lam_min = float(np.min(np.linalg.eigvalsh(g0)))
+    entry_max = float(np.max(np.abs(g0)))
+    events = (
+        ("degenerate", lambda t, y: y[0] * lam_min - EPS_DEGENERATE, -1),
+        ("blowup", lambda t, y: y[0] * entry_max - M_BLOWUP, 1),
+    )
+    return rhs, events
+
+
 def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
     """Integrate the 3D reduction from ``state`` over ``params.t_span``.
 
     Only metric entries are integrated; the density is
     ``f = c / sqrt(det g)`` with ``c = f0 sqrt(det g0)``, so the flux volume
-    ``f sqrt(det g)`` is conserved exactly.  When the algebra is in bracket
-    normal form (:func:`~hetflow.homogeneous.milnor_lambdas`) and ``g0`` has
-    exactly zero off-diagonal entries, the three diagonal entries are
-    integrated with Milnor's closed-form Ricci and the off-diagonal ones stay
-    exactly ``0.0``; otherwise the six entries of the upper triangle are
-    integrated through the generic curvature chain.  Terminal events: metric
-    degeneration (smallest eigenvalue of ``g`` reaching ``1e-8``) and blow-up
-    (largest entry magnitude reaching ``1e8``), each located as a threshold
-    crossing by :func:`integrate_events`.  The trajectory is sampled on
-    ``n_points`` uniform times up to the end or the event, so the last sample
-    of a run that ends in an event is the event's state; an event's ``y`` is
-    the six upper-triangle entries on either path.  That final sample of a
-    degenerating run is accurate only to ``atol``, not ``rtol``: its smallest
-    entries sit near the ``1e-8`` threshold, so the default ``atol = 1e-12``
-    leaves them about ``1e-4`` relative error, and ``f`` inherits it.
+    ``f sqrt(det g)`` is conserved exactly.  One of three paths is taken,
+    from the input alone (see the module docstring):
+
+    * the algebra is in bracket normal form
+      (:func:`~hetflow.homogeneous.milnor_lambdas`) and ``g0`` has exactly
+      zero off-diagonal entries: the three diagonal entries are integrated
+      with Milnor's closed-form Ricci, and the off-diagonal ones stay
+      exactly ``0.0``;
+    * the algebra has brackets ``[x, y] = l(x) y - l(y) x``
+      (:func:`~hetflow.homogeneous.l_form`): every metric there is Einstein,
+      and the one scale ``sigma`` of ``g = sigma g0`` is integrated;
+    * otherwise the six entries of the upper triangle are integrated through
+      the generic curvature chain.
+
+    Terminal events: metric degeneration (smallest eigenvalue of ``g``
+    reaching ``1e-8``) and blow-up (largest entry magnitude reaching
+    ``1e8``), each located as a threshold crossing by
+    :func:`integrate_events`.  The trajectory is sampled on ``n_points``
+    uniform times up to the end or the event, so the last sample of a run
+    that ends in an event is the event's state; an event's ``y`` is the six
+    upper-triangle entries on every path.  That final sample of a
+    degenerating run on the generic or diagonal path is accurate only to
+    ``atol``, not ``rtol``: its smallest entries sit near the ``1e-8``
+    threshold, so the default ``atol = 1e-12`` leaves them about ``1e-4``
+    relative error, and ``f`` inherits it.  On the Einstein path the
+    threshold on the one scale fixes the whole final sample.
     """
     alg, g0 = state.algebra, state.g
     packed = g0[_TRIU]
     c = state.f * math.sqrt(_det(packed.tolist()))
     lambdas = milnor_lambdas(alg)
+    ell = l_form(alg)
     if lambdas is not None and not np.any(g0 - np.diag(np.diagonal(g0))):
-        entries = _DIAG
+        y0 = packed[_DIAG]
         rhs, events = _milnor_system(lambdas, c, params.kappa)
+
+        def packed_g(y):
+            six = np.zeros((6,) + np.shape(y)[1:])
+            six[_DIAG] = y
+            return six
+    elif ell is not None:
+        y0 = [1.0]
+        rhs, events = _einstein_system(ell, g0, c, params.kappa)
+
+        def packed_g(y):
+            return np.multiply.outer(packed, y[0])
     else:
-        entries = slice(None)
+        y0 = packed
         rhs, events = _generic_system(alg, c, params.kappa)
+        packed_g = np.asarray
     ts, ys, found, status = integrate_events(
-        rhs, params.t_span, packed[entries], events, params.rtol, params.atol, params.n_points
+        rhs, params.t_span, y0, events, params.rtol, params.atol, params.n_points
     )
-
-    def packed_g(y):
-        six = np.zeros((6,) + np.shape(y)[1:])
-        six[entries] = y
-        return six
-
     six = packed_g(ys)
     return FlowTrajectory(
         algebra=alg,

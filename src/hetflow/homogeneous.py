@@ -28,7 +28,9 @@ diagonalized bracket normal form ``[e_2,e_3] = l1 e1`` (cyclic), which makes
 the classical principal-Ricci formulas available as an independent oracle
 and as the three-ODE flow of diagonal metrics in :mod:`hetflow.het_flow`:
 with ``m_i = (l1+l2+l3)/2 - l_i`` the Ricci endomorphism of the identity
-metric is ``diag(2 m_2 m_3, 2 m_1 m_3, 2 m_1 m_2)``.
+metric is ``diag(2 m_2 m_3, 2 m_1 m_3, 2 m_1 m_2)``.  The non-unimodular
+``hyperbolic`` entry has brackets ``[x, y] = l(x) y - l(y) x``
+(:func:`l_form`), on which every invariant metric is Einstein.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "catalog",
     "CATALOG_NAMES",
     "milnor_lambdas",
+    "l_form",
     "milnor_principal_ricci",
     "levi_civita_connection",
     "connection_twisted",
@@ -170,6 +173,28 @@ def milnor_lambdas(alg: LieAlgebraData) -> tuple | None:
     c = alg.structure
     lambdas = (float(c[1, 2, 0]), float(c[2, 0, 1]), float(c[0, 1, 2]))
     return lambdas if np.array_equal(c, from_milnor(lambdas).structure) else None
+
+
+def l_form(alg: LieAlgebraData) -> tuple | None:
+    """The one-form ``l`` of an algebra with brackets ``[x, y] = l(x) y - l(y) x``.
+
+    ``l_i = 1/2 sum_j C[i, j, j]``; ``None`` unless the algebra is
+    three-dimensional and its structure constants equal
+    ``l_i delta_jk - l_j delta_ik`` exactly, as :func:`milnor_lambdas` asks
+    of its normal form.  Every left-invariant metric ``g`` on such an algebra
+    has constant sectional curvature ``-K`` with ``K = l.g^-1.l`` (Milnor
+    1976, section 1), so ``Ric = -2 K g``.  ``hyperbolic`` gives ``(0, 0, c)``
+    and the abelian ``r3`` gives ``(0, 0, 0)``; a rotated frame of
+    ``hyperbolic`` gives ``None``, since rounding leaves its constants off
+    that form.
+    """
+    if alg.dim != 3:
+        return None
+    c = alg.structure
+    ell = 0.5 * np.einsum("ijj->i", c)
+    eye = np.eye(3)
+    form = np.einsum("i,jk->ijk", ell, eye) - np.einsum("j,ik->ijk", ell, eye)
+    return tuple(ell.tolist()) if np.array_equal(c, form) else None
 
 
 def _principal_ricci(l1: float, l2: float, l3: float) -> tuple:

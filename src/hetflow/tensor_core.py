@@ -65,8 +65,6 @@ __all__ = [
     "form_norm2",
     "bilinear_from_endo",
     "endo_from_bilinear",
-    "wedge_vectors_endo",
-    "torsion_endo",
     "torsion_square",
     "torsion_norm2",
     "riemann_square",
@@ -260,16 +258,6 @@ def bilinear_from_endo(g: np.ndarray, endo: np.ndarray) -> np.ndarray:
 def endo_from_bilinear(g_inv: np.ndarray, bilinear: np.ndarray) -> np.ndarray:
     """Endomorphism ``A`` with ``g(A u, v) = B(u, v)``, i.e. ``A^m_b = B_bc g^cm``."""
     return (bilinear @ g_inv).T
-
-
-def wedge_vectors_endo(g: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Skew endomorphism ``(v1 ^ v2)(w) = g(v1, w) v2 - g(v2, w) v1``."""
-    return np.outer(v2, g @ v1) - np.outer(v1, g @ v2)
-
-
-def torsion_endo(g_inv: np.ndarray, torsion: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Endomorphism ``w -> (H(u, w, .))^sharp`` of a 3-form ``H`` and vector ``u``."""
-    return np.einsum("a,abc,cm->mb", u, torsion, g_inv)
 
 
 def torsion_square(g_inv: np.ndarray, torsion: np.ndarray) -> np.ndarray:

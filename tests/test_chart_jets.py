@@ -13,6 +13,31 @@ from hetflow import tensor_core as tc
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
 
+def _jet_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate the truncated polynomial at a point (broadcasts leading axes)."""
+    a = np.asarray(a, dtype=float)
+    mono_vals = np.array([x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2] for m in cj.MONOMIALS])
+    return a @ mono_vals
+
+
+def _pullback_chart_metric(seed: int) -> np.ndarray:
+    """Metric jets of the pullback of the flat metric under a random
+    polynomial diffeomorphism ``x -> x + quadratic`` (exactly flat), with
+    coefficients uniform in ``[-0.1, 0.1]``."""
+    rng = np.random.default_rng(seed)
+    # Jet of each component of the map and its partials.
+    jac = np.zeros((3, 3, cj.N_COEFFS))  # jac[k, i] = d_i phi^k
+    for k in range(3):
+        comp = np.zeros(cj.N_COEFFS)
+        comp[cj.MONO_INDEX[tuple(np.eye(3, dtype=int)[k])]] = 1.0
+        for mono in cj.MONOMIALS:
+            if 2 <= sum(mono) <= 3:
+                comp[cj.MONO_INDEX[mono]] = rng.uniform(-0.1, 0.1)
+        for i in range(3):
+            jac[k, i] = cj.jet_deriv(comp, i)
+    return cj.jet_einsum("ki,kj->ij", jac, jac)
+
+
 # ---------------------------------------------------------------------------
 # jet arithmetic
 # ---------------------------------------------------------------------------
@@ -22,7 +47,7 @@ def test_jet_eval_matches_polynomial():
     jet = cj.jet_from_poly({(0, 0, 0): 2.0, (1, 0, 0): -1.0, (0, 2, 0): 3.0, (1, 1, 1): 0.5})
     x = np.array([0.2, -0.3, 0.1])
     expected = 2.0 - x[0] + 3.0 * x[1] ** 2 + 0.5 * x[0] * x[1] * x[2]
-    assert cj.jet_eval(jet, x) == pytest.approx(expected, rel=1e-14)
+    assert _jet_eval(jet, x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_jet_mul_is_truncated_product():
@@ -30,16 +55,16 @@ def test_jet_mul_is_truncated_product():
     b = cj.jet_from_poly({(0, 1, 0): 3.0})
     prod = cj.jet_mul(a, b)
     x = np.array([0.1, 0.2, -0.05])
-    assert cj.jet_eval(prod, x) == pytest.approx((2.0 + x[0]) * 3.0 * x[1], rel=1e-12)
+    assert _jet_eval(prod, x) == pytest.approx((2.0 + x[0]) * 3.0 * x[1], rel=1e-12)
 
 
 def test_jet_deriv_and_grad():
     jet = cj.jet_from_poly({(2, 1, 0): 4.0})
     dx = cj.jet_deriv(jet, 0)
     x = np.array([0.3, -0.2, 0.0])
-    assert cj.jet_eval(dx, x) == pytest.approx(8.0 * x[0] * x[1], rel=1e-12)
+    assert _jet_eval(dx, x) == pytest.approx(8.0 * x[0] * x[1], rel=1e-12)
     grad = cj.jet_grad(jet)
-    assert cj.jet_eval(grad[1], x) == pytest.approx(4.0 * x[0] ** 2, rel=1e-12)
+    assert _jet_eval(grad[1], x) == pytest.approx(4.0 * x[0] ** 2, rel=1e-12)
 
 
 def _einsum_triple_loop(spec, a, b):
@@ -126,7 +151,7 @@ def test_jet_exp_derivative_identity():
     rhs = cj.jet_mul(cj.jet_exp(p), cj.jet_deriv(p, 0))
     # truncation drops one order on differentiation; compare below top degree
     x = np.array([0.01, 0.02, -0.01])
-    assert cj.jet_eval(lhs, x) == pytest.approx(cj.jet_eval(rhs, x), abs=1e-6)
+    assert _jet_eval(lhs, x) == pytest.approx(_jet_eval(rhs, x), abs=1e-6)
 
 
 def test_jet_matrix_inverse_identity():
@@ -157,7 +182,7 @@ def test_constant_metric_has_zero_connection():
 
 
 def test_pullback_flat_metric_has_zero_curvature():
-    g = cj.pullback_chart_metric(seed=23)
+    g = _pullback_chart_metric(seed=23)
     g_inv, _ = cj.jet_matrix_inverse(g)
     gamma = cj.christoffel_jets(g, g_inv)
     riem = cj.curvature_jets(gamma, g)

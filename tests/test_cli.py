@@ -11,6 +11,8 @@ import pytest
 
 from hetflow import chart_jets as cj
 from hetflow import cli
+from hetflow import het_flow as hf
+from hetflow import homogeneous as hg
 from hetflow import homothety as ht
 from hetflow import tensor_core as tc
 
@@ -324,6 +326,21 @@ def test_flow_soliton_start_is_constant(capsys):
     for row in rows:
         for col, expected in zip(row[1:], (1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0)):
             assert float(col) == pytest.approx(expected, abs=1e-9)
+
+
+def test_no_flow_command_reaches_the_generic_curvature_chain(capsys, monkeypatch):
+    # `flow` starts from a diagonal metric: the algebras in bracket normal
+    # form take the diagonal path, hyperbolic the Einstein path.
+    def refuse(*args):
+        raise AssertionError("the generic curvature chain was reached")
+
+    monkeypatch.setattr(hf, "_generic_system", refuse)
+    for name in hg.CATALOG_NAMES:
+        code, out, err = _run(capsys, ["flow", "--algebra", name, "--kappa", "0.5", "--f", "0.8",
+                                       "--metric-diag", "1.2", "0.9", "1.1", "--t-max", "0.2",
+                                       "--n-points", "5"])
+        assert (code, err) == (0, ""), name
+        assert len(_read_csv(out)[1]) == 5
 
 
 def test_flow_scale_extraction_matches_homothety(capsys):

@@ -7,7 +7,10 @@ Oracles used here:
 * scalar conformal-factor ODEs from :mod:`hetflow.homothety` in the regimes
   where the tensor flow provably preserves the conformal family (flat base
   for any coupling, ``kappa = 0`` for any base, and initial slopes at unit
-  scale);
+  scale, at zero flux for a curved Einstein base);
+* the generic curvature chain for the diagonal and Einstein paths of
+  :func:`hf.integrate_flow`, in a rotated frame that keeps it generic, and an
+  ``mpmath`` quadrature for the Einstein path's degeneration time;
 * a Maurer-Cartan antiderivation build of the exterior derivative plus a
   permutation-sum wedge of curvature 2-forms for the dimension-4 constraint.
 """
@@ -76,6 +79,13 @@ def _rotated(alg, diag):
     """
     c = np.einsum("ia,jb,abm,km->ijk", _Q, _Q, alg.structure, _Q)
     return hg.LieAlgebraData(f"{alg.name}-rotated", 3, c), _Q @ np.diag(diag) @ _Q.T
+
+
+def _l_form_algebra(ell):
+    """The algebra ``[e_i, e_j] = l_i e_j - l_j e_i`` of a one-form ``l``."""
+    eye = np.eye(3)
+    c = np.einsum("i,jk->ijk", ell, eye) - np.einsum("j,ik->ijk", ell, eye)
+    return hg.LieAlgebraData("l-form", 3, c)
 
 
 def _compare_with_scalar(alg, case, kappa, mu, t_end, n_points=17):
@@ -188,6 +198,29 @@ def test_milnor_lambdas_accept_only_the_normal_form():
             assert hg.milnor_lambdas(_rotated(alg, [1.0, 1.0, 1.0])[0]) is None, name
     assert hg.milnor_lambdas(hg.catalog("hyperbolic", c=0.8)) is None
     assert hg.milnor_lambdas(hg.LieAlgebraData("abelian4", 4, np.zeros((4, 4, 4)))) is None
+
+
+def test_rhs_is_a_multiple_of_g_on_l_form_algebras(random_spd, rng):
+    # [x, y] = l(x) y - l(y) x: every metric has Ric = -2K g with K = l.g^-1.l,
+    # so g' = (4K + f^2 - kappa (2K + f^2/2)^2) g.
+    for _ in range(20):
+        alg = _l_form_algebra(rng.normal(size=3))
+        assert alg.jacobi_residual() <= 1e-14
+        g, f, kappa = random_spd(), float(rng.normal()), float(rng.uniform(0.0, 2.0))
+        ell = np.array(hg.l_form(alg))
+        k = float(ell @ np.linalg.solve(g, ell))
+        phi = 4.0 * k + f * f - kappa * (2.0 * k + 0.5 * f * f) ** 2
+        g_dot, _ = hf.rhs_3d(hf.FlowState3(algebra=alg, g=g, f=f), kappa)
+        assert np.max(np.abs(g_dot - phi * g)) <= 1e-12 * np.max(np.abs(phi * g))
+
+
+def test_l_form_accepts_only_the_exact_form():
+    assert hg.l_form(hg.catalog("hyperbolic", c=0.7)) == (0.0, 0.0, 0.7)
+    assert hg.l_form(hg.catalog("r3")) == (0.0, 0.0, 0.0)  # l = 0: flat
+    for name in ("heisenberg", "su2", "sl2r", "e11", "e2"):
+        assert hg.l_form(hg.catalog(name)) is None, name
+    assert hg.l_form(_rotated(hg.catalog("hyperbolic", c=0.7), [1.0, 1.0, 1.0])[0]) is None
+    assert hg.l_form(_l_form_algebra([0.3, -1.1, 0.5])) == (0.3, -1.1, 0.5)
 
 
 def test_rhs_validation():
@@ -429,6 +462,11 @@ def test_one_metric_inverse_per_rhs_evaluation(monkeypatch, count_calls):
     traj = hf.integrate_flow(diagonal, hf.FlowParams(kappa=0.3, t_span=(0.0, 0.5)))
     assert traj.status == "completed"
     assert (len(inverses), len(connections)) == (0, 0)
+    # Every metric on hyperbolic is Einstein: the scalar path inverts nothing.
+    einstein = hf.FlowState3(algebra=hg.catalog("hyperbolic", c=0.8), g=g0, f=0.7)
+    traj = hf.integrate_flow(einstein, hf.FlowParams(kappa=0.3, t_span=(0.0, 0.5)))
+    assert traj.status == "completed"
+    assert (len(inverses), len(connections)) == (0, 0)
 
 
 # (algebra, catalog parameters, kappa, f, metric diagonal, status): per
@@ -466,6 +504,60 @@ def test_diagonal_path_matches_generic_path_in_a_rotated_frame(name, params, kap
         np.testing.assert_allclose(generic.f, fast.f, rtol=1e-8)
 
 
+# The hyperbolic rows of the benchmark's flow design: two runs that reach
+# t = 1 and one that degenerates first.
+_EINSTEIN_RUNS = (
+    (1.287, 0.0, 0.2148, (1.892, 0.7962, 1.066), "completed"),
+    (0.576, 0.7643, 0.2091, (1.275, 1.224, 1.167), "completed"),
+    (1.616, 1.628, 0.4419, (0.7241, 0.9038, 1.452), "event"),
+)
+
+
+@pytest.mark.parametrize("c, kappa, f, diag, status", _EINSTEIN_RUNS)
+def test_einstein_path_matches_generic_path_in_a_rotated_frame(c, kappa, f, diag, status):
+    alg = hg.catalog("hyperbolic", c=c)
+    rotated, g0 = _rotated(alg, diag)
+    assert hg.l_form(alg) is not None and hg.l_form(rotated) is None
+    flow = hf.FlowParams(kappa=kappa, t_span=(0.0, 1.0), n_points=11)
+    fast = hf.integrate_flow(hf.FlowState3(algebra=alg, g=np.diag(diag), f=f), flow)
+    generic = hf.integrate_flow(hf.FlowState3(algebra=rotated, g=g0, f=f), flow)
+    assert fast.status == generic.status == status
+    assert [e.kind for e in fast.events] == [e.kind for e in generic.events]
+    for a, b in zip(fast.events, generic.events):
+        assert a.t == pytest.approx(b.t, rel=1e-8, abs=0.0)
+        np.testing.assert_array_equal(np.array(a.y)[hf._SYM], fast.g[-1])
+    for g_fast, g_generic in zip(fast.g, generic.g):
+        expected = _Q @ g_fast @ _Q.T
+        assert np.max(np.abs(g_generic - expected)) <= 1e-8 * np.max(np.abs(expected))
+    np.testing.assert_allclose(generic.f, fast.f, rtol=1e-8)
+    np.testing.assert_allclose(fast.torsion_volume, f * math.sqrt(math.prod(diag)), rtol=1e-14)
+
+
+def test_einstein_degeneration_time_matches_quadrature():
+    # sigma' = F(sigma) on g = sigma g0 from sigma = 1 down to the threshold
+    # sigma lam_min(g0) = 1e-8 takes t = int_1^sigma_e dsigma / F(sigma).
+    mpmath = pytest.importorskip("mpmath")
+    c, kappa, f, diag, _ = _EINSTEIN_RUNS[2]
+    g0 = _Q @ np.diag(diag) @ _Q.T  # a non-diagonal start on catalog hyperbolic
+    traj = hf.integrate_flow(hf.FlowState3(algebra=hg.catalog("hyperbolic", c=c), g=g0, f=f),
+                             hf.FlowParams(kappa=kappa))
+    (event,) = traj.events
+    assert event.kind == "degenerate"
+    with mpmath.workdps(30):
+        ell = mpmath.matrix([0, 0, c])
+        k0 = (ell.T * mpmath.inverse(mpmath.matrix(g0.tolist())) * ell)[0]
+        f0_sq = mpmath.mpf(f) ** 2
+
+        def rate(s):
+            w = f0_sq / s**2
+            return 4 * k0 + w - kappa * (2 * k0 + w / 2) ** 2 / s
+
+        sigma_e = mpmath.mpf(hf.EPS_DEGENERATE) / min(np.linalg.eigvalsh(g0))
+        assert rate(1) < 0
+        t_deg = mpmath.quad(lambda s: 1 / rate(s), [1, mpmath.mpf("1e-3"), sigma_e])
+    assert event.t == pytest.approx(float(t_deg), rel=1e-9, abs=0.0)
+
+
 def test_integration_is_deterministic():
     state = hf.FlowState3(algebra=hg.catalog("sl2r"), g=np.diag([1.0, 1.3, 0.7]), f=0.4)
     params = hf.FlowParams(kappa=0.5, t_span=(0.0, 0.4), n_points=11)
@@ -479,6 +571,17 @@ def test_integration_is_deterministic():
 # ---------------------------------------------------------------------------
 # the Dormand-Prince stepper against scipy's RK45
 # ---------------------------------------------------------------------------
+
+
+def test_step_interpolant_matches_dense_output_bit_for_bit(rng):
+    fun = _milnor_rhs()
+    y0, tau0, h = [1.0, 1.3, 0.7], 0.37, 0.21
+    _, ks, _ = hf._dp_step(fun, tau0, y0, fun(tau0, y0), h)
+    step = (tau0, h, y0, ks)
+    dense = hf._DenseOutput((tau0, tau0 + h), [step])
+    at = hf._step_interpolant(step, dense.q[0])
+    for tau in [tau0, tau0 + h, *rng.uniform(tau0, tau0 + h, size=200)]:
+        assert at(float(tau)) == dense(np.array([tau]))[:, 0].tolist()
 
 
 def _forced_decay(tau, y):
