@@ -41,8 +41,8 @@ Every trajectory, here and in :mod:`hetflow.homothety`, comes from
 :func:`integrate_events`, whose stepper :func:`solve_ivp` is an in-house
 Dormand-Prince 5(4) on Python floats with the rules of scipy's RK45: the
 states are a few floats, for which numpy's per-step bookkeeping costs more
-than the right-hand side.  Right-hand sides and event functions receive the
-state as a list of floats.
+than the right-hand side.  One Illinois routine finds its event roots and
+puts its samples on their times, so the module needs numpy alone.
 
 Flows are integrated only on invariant data; pointwise chart samples are
 never integrated.  Both fixed-point families of the soliton module are
@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import tensor_core as tc
 from .homogeneous import (
@@ -207,19 +206,7 @@ def rhs_3d(state: FlowState3, kappa: float) -> tuple:
     return g_dot, f_dot
 
 
-def _twisted_curvature(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray) -> tuple:
-    """``(g_inv, Rh)`` with ``Rh`` the curvature of the connection with torsion ``-H``."""
-    g_inv = tc.metric_inverse(g)
-    gamma = levi_civita_connection(alg, g, g_inv)
-    return g_inv, invariant_riemann(alg, g, connection_twisted(gamma, g_inv, torsion))
-
-
-def rhs_general(
-    alg: LieAlgebraData,
-    g: np.ndarray,
-    torsion: np.ndarray,
-    kappa: float,
-) -> tuple:
+def rhs_general(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: float) -> tuple:
     """Time derivative ``(g', H')`` of the unreduced flow in any dimension.
 
     ``H' = -d delta H`` vanishes on three-dimensional invariant torsion
@@ -249,20 +236,23 @@ def bianchi_residual(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, ka
     g = np.asarray(g, dtype=float)
     torsion = np.asarray(torsion, dtype=float)
     tc.validate_metric(g)
-    g_inv, riemann_tw = _twisted_curvature(alg, g, torsion)
+    g_inv = tc.metric_inverse(g)
+    gamma = levi_civita_connection(alg, g, g_inv)
+    riemann_tw = invariant_riemann(alg, g, connection_twisted(gamma, g_inv, torsion))  # torsion -H
     return invariant_d(alg, torsion) + kappa * tc.riemann_wedge_riemann(g_inv, riemann_tw)
 
 
 def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     """Scalar rate ``(|H|^2 - kappa |Rh|^2) / 2`` driving the density weight.
 
+    In 3D ``|H|^2 = f^2``, and ``|Rh|^2`` is the closed form
+    :func:`~hetflow.tensor_core.riemann_norm2_twisted_dim3` in Ricci data.
     The codifferential/Laplacian contribution vanishes on invariant data.
     Zero on both constant-density fixed points (stationarity).
     """
-    g, f = state.g, state.f
-    torsion = f * tc.volume_form(g)
-    g_inv, riemann_tw = _twisted_curvature(state.algebra, g, torsion)
-    return 0.5 * (tc.torsion_norm2(g_inv, torsion) - kappa * tc.riemann_norm2(g_inv, riemann_tw))
+    g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
+    f = state.f
+    return 0.5 * (f * f - kappa * tc.riemann_norm2_twisted_dim3(g_inv, ricci, scalar, f, np.zeros(3)))
 
 
 def validate_solver_args(t_span, rtol: float, atol: float, n_points: int) -> None:
@@ -331,7 +321,7 @@ def _dp_step(fun, t, y, k0, h):
 
 
 class _DenseOutput:
-    """The quartic interpolants of consecutive steps, evaluated on arrays of ``tau``.
+    """The quartic interpolants of consecutive steps, on arrays of ``tau`` or one segment on a scalar.
 
     ``nodes`` are the step boundaries and ``steps`` one ``(tau0, h, y0, K)``
     per step; the last interpolant may end before ``tau0 + h``, at an event
@@ -353,23 +343,41 @@ class _DenseOutput:
         q = self.q[seg]
         return (self.y0[seg] + h * ((((q[:, 3] * x + q[:, 2]) * x + q[:, 1]) * x + q[:, 0]) * x)).T
 
+    def interpolant(self, i: int):
+        """Segment ``i``'s state at a scalar ``tau`` as Python floats: inside the
+        segment, :meth:`__call__`'s value bit for bit (same Horner order), without its gathers."""
+        tau0, h = float(self.tau0[i]), float(self.h[i])
+        rows = list(zip(self.y0[i].tolist(), *self.q[i].tolist()))
 
-def _step_interpolant(step, q):
-    """The state at a scalar ``tau`` on one step's quartic, as a list of Python floats.
+        def at(tau):
+            x = (tau - tau0) / h
+            return [a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in rows]
 
-    ``step`` is ``(tau0, h, y0, K)`` and ``q`` the step's ``(4, n)``
-    coefficients from :class:`_DenseOutput`; the Horner order is the dense
-    evaluator's, so each value is its value bit for bit, without its array
-    gathers.
+        return at
+
+
+def _illinois(fn, a: float, b: float, fa: float, fb: float, x: float, ftol: float) -> float:
+    """A root of ``fn`` in ``[a, b]``, where ``fa = fn(a)`` and ``fb = fn(b)`` differ
+    in sign, by the Illinois method (Dowell & Jarratt 1971) from the first iterate ``x``.
+
+    Each iterate replaces the end whose value has its sign, and the next is
+    the secant of the ends; an end kept twice in a row has its value halved.
+    Stops at ``|fn(x)| <= ftol``, at ends within 4 ulps of ``b`` or after 60
+    iterations, and returns the evaluated iterate with the smallest ``|fn|``.
     """
-    tau0, h, y0, _ = step
-    rows = list(zip(y0, *q.tolist()))
-
-    def at(tau):
-        x = (tau - tau0) / h
-        return [a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in rows]
-
-    return at
+    ends, vals, last, best, f_best = [a, b], [fa, fb], -1, x, math.inf
+    for _ in range(60):
+        fx = fn(x)
+        if abs(fx) < f_best:
+            best, f_best = x, abs(fx)
+        if abs(fx) <= ftol or ends[1] - ends[0] <= 4.0 * _EPS * abs(ends[1]):
+            break
+        side = int((fx > 0.0) != (vals[0] > 0.0))  # the end x replaces: 0 for a, 1 for b
+        if side == last:
+            vals[1 - side] *= 0.5
+        ends[side], vals[side], last = x, fx, side
+        x = (ends[0] * vals[1] - ends[1] * vals[0]) / (vals[1] - vals[0])
+    return best
 
 
 @dataclass(frozen=True)
@@ -404,9 +412,10 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     ``events`` is a sequence of ``(fn, direction)``, all terminal, and one
     of them must fire: ``tau`` has no bound.  After each accepted step an
     event is active when ``fn`` reached or crossed zero in ``direction``
-    (either way for 0); ``brentq`` finds its root on the step's interpolant,
-    and the earliest root ends the run.  The state at that last node is the
-    dense output's value there.
+    (either way for 0); :func:`_illinois` finds its root on the step's
+    interpolant from ``fn``'s values at the step's ends (an end where it is
+    0 is the root), and the earliest root ends the run.  The state at that
+    last node is the dense output's value there.
 
     The benchmark's tracer and the tests count ``fun`` evaluations by
     replacing this module attribute and reading the result's ``nfev``.
@@ -440,8 +449,10 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
                 break
             h_abs = h * max(0.2, 0.9 * err**-0.2)  # 0.2 when err is NaN
             rejected = True
-        step = (tau, h, y, ks)
+        steps.append((tau, h, y, ks))
         tau, y, f = tau_new, y_new, ks[-1]
+        nodes.append(tau)
+        states.append(y)
         g_new = [fn(tau, y) for fn, _ in events]
         active = [
             i
@@ -450,23 +461,23 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
         ]
         if active:
             break
-        nodes.append(tau)
-        states.append(y)
-        steps.append(step)
         g = g_new
 
-    at = _step_interpolant(step, _DenseOutput((step[0], tau), [step]).q[0])
-
-    def event_root(fn):
-        return brentq(lambda s: fn(s, at(s)), step[0], tau, xtol=4 * _EPS, rtol=4 * _EPS)
-
-    root, i = min((event_root(events[i][0]), i) for i in active)
-    if len(nodes) == 1 or root != nodes[-1]:  # else the run ends at the last node
-        nodes.append(root)
-        steps.append(step)
     sol = _DenseOutput(nodes, steps)
-    # the last node's state, new or replaced
-    states[len(nodes) - 1 :] = [sol(np.array(nodes[-1:]))[:, 0].tolist()]
+    at = sol.interpolant(-1)
+
+    def event_root(i):
+        a, b, fa, fb = nodes[-2], tau, g[i], g_new[i]
+        if fa == 0.0 or fb == 0.0:  # an end is the root, the first if both are
+            return a if fa == 0.0 else b
+        return _illinois(lambda s: events[i][0](s, at(s)), a, b, fa, fb, (a * fb - b * fa) / (fb - fa), 0.0)
+
+    root, i = min((event_root(i), i) for i in active)
+    if len(steps) > 1 and root == nodes[-2]:  # the run ends at the node before the last step
+        del nodes[-1], states[-1], steps[-1]
+        sol = _DenseOutput(nodes, steps)
+    nodes[-1] = sol.nodes[-1] = root
+    states[-1] = sol(np.array([root]))[:, 0].tolist()
     return _Run(np.array(nodes), np.array(states).T, sol, i, nfev)
 
 
@@ -537,32 +548,20 @@ def _sample_in_t(sol, ts, sign):
     """Dense state ``(y, t)`` of a :func:`solve_ivp` run in ``tau`` at the times ``ts`` (from ``t0``).
 
     A time is first placed on the line between the solver nodes around it,
-    which is exact to rounding in a step where ``dt/dtau = 1``; where that
-    misses, Illinois secant steps on the step's interpolant of ``t`` refine it.
+    which is exact to rounding in a step where ``dt/dtau = 1``; a sample whose
+    ``t`` then misses by more than ``16 eps max|t|`` is refined on its own, by
+    :func:`_illinois` on the step's interpolant of ``t`` from that guess.
     """
     elapsed = sign * (sol.y[-1] - ts[0])  # at each node, non-decreasing
     u = sign * (ts - ts[0])
     tau = np.interp(u, elapsed, sol.t)
     z = sol.sol(tau)
-    tol = 16.0 * np.finfo(float).eps * max(abs(ts[0]), abs(ts[-1]))
-    j = np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1]))
-    k, cols = np.searchsorted(elapsed, u[j]), np.arange(j.size)
-    ends = np.array([sol.t[k - 1], sol.t[k]])
-    vals, last = np.array([elapsed[k - 1], elapsed[k]]) - u[j], np.full(j.size, -1)
-    for _ in range(60):
-        f = sign * (z[-1, j] - ts[0]) - u[j]
-        live = (np.abs(f) > tol) & (ends[1] - ends[0] > 4.0 * np.finfo(float).eps * ends[1])
-        if not live.any():
-            break
-        # tau replaces the end on its side of the root; the other end's value
-        # is halved when the same end moves twice in a row.
-        side = (f > 0.0).astype(int)
-        vals[1 - side, cols] *= np.where(live & (side == last), 0.5, 1.0)
-        ends[side, cols] = np.where(live, tau[j], ends[side, cols])
-        vals[side, cols] = np.where(live, f, vals[side, cols])
-        last = np.where(live, side, last)
-        tau[j] = np.where(live, (ends[0] * vals[1] - ends[1] * vals[0]) / (vals[1] - vals[0]), tau[j])
-        z[:, j] = sol.sol(tau[j])
+    tol, t0 = float(16.0 * _EPS * max(abs(ts[0]), abs(ts[-1]))), float(ts[0])
+    for j in np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1])).tolist():
+        k, uj = int(np.searchsorted(elapsed, u[j])), float(u[j])
+        at, (a, b) = sol.sol.interpolant(k - 1), sol.t[k - 1 : k + 1].tolist()
+        fa, fb = (elapsed[k - 1 : k + 1] - uj).tolist()  # Python floats: numpy scalars double the cost
+        z[:, j] = at(_illinois(lambda s: sign * (at(s)[-1] - t0) - uj, a, b, fa, fb, float(tau[j]), tol))
     return z
 
 

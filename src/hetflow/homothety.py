@@ -146,6 +146,12 @@ def _check_su2_kappa(kappa: float) -> None:
         raise ValueError("the SU(2) reduction requires kappa > 0")
 
 
+def _F_in_powers_of_inverse(c, y):
+    """``F(y)`` in powers of ``w = 1/y`` (one row or a stack's columns ``c``), finite where ``y**4`` is not."""
+    w = 1.0 / y
+    return c[0] * y + c[1] + w * (c[2] + w * (c[3] + w * (c[4] + w * c[5])))
+
+
 def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
     y = float(y)
     if not 0.0 < y < math.inf:
@@ -159,6 +165,8 @@ def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
         value = p / y**4
     except (OverflowError, ZeroDivisionError):
         value = math.inf
+    if not math.isfinite(value) and y > 1.0:
+        value = _F_in_powers_of_inverse(coeffs.tolist(), y)
     if not math.isfinite(value):
         raise ValueError(f"F overflows at the conformal factor {y!r}")
     return value
@@ -621,6 +629,8 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
             f0 = p / sigma0**4
         except OverflowError:
             f0 = np.full(len(p), math.inf)
+        large = ~np.isfinite(f0) & (sigma0 > 1.0)
+        f0[large] = _F_in_powers_of_inverse(coeffs[large].T, sigma0)
     if not np.all(np.isfinite(f0)):
         raise ValueError(f"F overflows at the conformal factor {sigma0!r}")
 

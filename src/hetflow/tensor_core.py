@@ -72,7 +72,6 @@ __all__ = [
     "riemann_wedge_riemann",
     "ricci_from_riemann",
     "scalar_curvature",
-    "ricci_twisted",
     "codifferential_from_nabla",
     "riemann_from_ricci_dim3",
     "riemann_square_dim3",
@@ -299,15 +298,6 @@ def ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
 
 def scalar_curvature(g_inv: np.ndarray, ricci: np.ndarray) -> float:
     return float(np.tensordot(g_inv, ricci, axes=2))
-
-
-def ricci_twisted(ricci: np.ndarray, torsion_sq: np.ndarray, delta_torsion: np.ndarray) -> np.ndarray:
-    """Ricci tensor of the torsion connection: ``Ric - 1/2 H o H + 1/2 delta H``.
-
-    The symmetric part is ``Ric - 1/2 H o H``; the 2-form ``delta H``
-    contributes the antisymmetric part.
-    """
-    return ricci - 0.5 * torsion_sq + 0.5 * delta_torsion
 
 
 def codifferential_from_nabla(g_inv: np.ndarray, nabla_form: np.ndarray) -> np.ndarray:

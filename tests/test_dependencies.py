@@ -11,10 +11,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hetflow"
 
 # module -> the scipy modules it may import.
-ALLOWED = {
-    "het_flow": {"scipy.optimize"},
-    "homothety": {"scipy.integrate"},
-}
+ALLOWED = {"homothety": {"scipy.integrate"}}
 
 
 def _scipy_imports(path: Path) -> set:

@@ -579,9 +579,89 @@ def test_step_interpolant_matches_dense_output_bit_for_bit(rng):
     _, ks, _ = hf._dp_step(fun, tau0, y0, fun(tau0, y0), h)
     step = (tau0, h, y0, ks)
     dense = hf._DenseOutput((tau0, tau0 + h), [step])
-    at = hf._step_interpolant(step, dense.q[0])
+    at = dense.interpolant(0)
     for tau in [tau0, tau0 + h, *rng.uniform(tau0, tau0 + h, size=200)]:
         assert at(float(tau)) == dense(np.array([tau]))[:, 0].tolist()
+
+
+def test_illinois_converges_where_regula_falsi_stalls():
+    # On x^10 - 0.5 over [0, 1] regula falsi keeps the end 1 for good and
+    # creeps towards the root from below; halving the kept end's value
+    # moves both ends in.
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x**10 - 0.5
+
+    root = hf._illinois(fn, 0.0, 1.0, -0.5, 0.5, 0.5, 0.0)
+    assert abs(root - 0.5**0.1) <= 4 * math.ulp(0.5**0.1)
+    assert len(calls) < 60
+    assert root in calls and abs(root**10 - 0.5) == min(abs(x**10 - 0.5) for x in calls)
+
+
+@pytest.mark.parametrize("crossing", [1.0, 0.0])  # a threshold met at a node; an event that is 0 throughout
+def test_an_event_that_is_zero_at_an_end_has_its_root_there(crossing):
+    # y' = 1 has no error estimate, so the steps grow tenfold from 1e-4.
+    nodes = hf.solve_ivp(lambda tau, y: [1.0], [0.0], [(lambda tau, y: tau - 5.0, 1)], 1e-10, 1e-12).t
+    level = float(nodes[3])
+    run = hf.solve_ivp(lambda tau, y: [1.0], [0.0], [(lambda tau, y: crossing * (tau - level), 0)], 1e-10, 1e-12)
+    # the run ends at the step's end, or at its start when both ends are 0
+    np.testing.assert_array_equal(run.t, nodes[:4] if crossing else [0.0, 0.0])
+
+
+def _collapsing_runs():
+    yield lambda: ht.integrate(ht.HomothetyProblem("su2", 1.0), (0.0, 5.0), n_points=201)
+    yield lambda: ht.integrate(ht.HomothetyProblem("flat", 1.0, 3.0), (0.0, 5.0), n_points=201)  # b < 0
+    state = hf.FlowState3(algebra=hg.catalog("su2", kappa=1.0), g=np.eye(3), f=0.0)  # diagonal, steep
+    yield lambda: hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0), n_points=201))
+
+
+@pytest.mark.parametrize("run", list(_collapsing_runs()))
+def test_samples_sit_on_their_times_through_a_collapse(monkeypatch, run):
+    # Near a singularity tau runs slower than t, the line between nodes
+    # misses, and the sample is refined on its own by the root finder.
+    refined, sampled = [], []
+    illinois, sample_in_t = hf._illinois, hf._sample_in_t
+
+    def counted(*args):
+        refined.append(args[1:])
+        return illinois(*args)
+
+    def recorded(sol, ts, sign):
+        refined.clear()
+        z = sample_in_t(sol, ts, sign)
+        sampled.append((ts, z[-1], len(refined)))
+        return z
+
+    monkeypatch.setattr(hf, "_illinois", counted)
+    monkeypatch.setattr(hf, "_sample_in_t", recorded)
+    traj = run()
+    assert traj.status == "event"
+    ((ts, t_rows, n_refined),) = sampled
+    assert n_refined >= 1
+    tol = 16.0 * np.finfo(float).eps * max(abs(ts[0]), abs(ts[-1]))
+    assert np.max(np.abs(t_rows - ts)) <= tol
+
+
+@pytest.mark.parametrize("run", list(_collapsing_runs()))
+def test_event_roots_agree_with_brentq(monkeypatch, run):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    runs = []
+    solve_ivp = hf.solve_ivp
+
+    def recorded(fun, y0, events, rtol, atol):
+        result = solve_ivp(fun, y0, events, rtol, atol)
+        runs.append((events[result.event][0], result))
+        return result
+
+    monkeypatch.setattr(hf, "solve_ivp", recorded)
+    run()
+    ((event, result),) = runs
+    sol = result.sol
+    at, tau0, h = sol.interpolant(-1), float(sol.tau0[-1]), float(sol.h[-1])
+    ref = brentq(lambda s: event(s, at(s)), tau0, tau0 + h, xtol=4 * hf._EPS, rtol=4 * hf._EPS)
+    assert abs(result.t[-1] - ref) <= 16 * math.ulp(ref)
 
 
 def _forced_decay(tau, y):

@@ -381,7 +381,7 @@ def test_invariant_sample_internal_consistency(invariant_samples):
         )
         np.testing.assert_allclose(
             sample.ricci_tw,
-            tc.ricci_twisted(sample.ricci, sample.torsion_sq, sample.delta_torsion),
+            sample.ricci - 0.5 * sample.torsion_sq + 0.5 * sample.delta_torsion,
             atol=1e-10,
         )
         assert sample.dilaton_norm2 == pytest.approx(

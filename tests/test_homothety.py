@@ -736,22 +736,40 @@ def test_F_equals_polyval_bit_for_bit():
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (ht.F_value, (ht.HomothetyProblem("positive", 1.0, 1.0), 1e100)),  # y**4 overflows
-        (ht.F_value, (ht.HomothetyProblem("su2", 1.0), 1e100)),
-        (ht.F_value, (ht.HomothetyProblem("general", 1.0, 1.0, 0.5), 1e70)),  # the quintic overflows, y**4 does not
+        (ht.F_value, (ht.HomothetyProblem("positive", 1e10, 1.0), 1e300)),  # F ~ c0 y overflows, y**4 too
+        (ht.F_value, (ht.HomothetyProblem("su2", 1.0), 1e308)),  # F = 4y - 12 overflows
+        (ht.F_value, (ht.HomothetyProblem("general", 1.0, 1.0, 3e125), 1e70)),  # F and the quintic overflow, y**4 does not
         (ht.F_value, (ht.HomothetyProblem("flat", 1.0, 1.0), 1e-100)),  # y**4 underflows to zero
         (ht.F_value, (ht.HomothetyProblem("negative", 1.0, 1.0), math.inf)),
         (ht.F_value, (ht.HomothetyProblem("su2", 1.0), math.nan)),
-        (ht.F_value, (ht.HomothetyProblem(case="flat", kappa=1.0, mu=1.0), 1e100)),
-        (ht.classify, ("positive", 1.0, 1.0, 1e100)),
+        (ht.F_value, (ht.HomothetyProblem(case="flat", kappa=1e300, mu=1.0), 1e-10)),  # F ~ -kappa mu^4 / 4y^4
+        (ht.classify, ("su2", 1.0, 0.0, 1e308)),
         (ht.classify, ("positive", 1.0, 1.0, 1e-100)),
-        (ht.classify_from_trajectory, ("positive", 1.0, 1.0, 1e100)),
+        (ht.classify_from_trajectory, ("su2", 1.0, 0.0, 1e308)),
         (ht.classify_from_trajectory, ("positive", 1.0, 1.0, 1e-100)),
     ],
 )
 def test_F_rejects_an_unrepresentable_conformal_factor(fn, args):
     with pytest.raises(ValueError, match="conformal factor"):
         fn(*args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_F_is_finite_at_a_large_conformal_factor():
+    # Above y = 1, where p(y) / y**4 is not finite, F is summed in powers of
+    # 1/y; there F is c0 y + c1 up to terms far below its last bit.
+    assert ht.F_value(ht.HomothetyProblem("flat", 1.0, 0.5), 1e78) == pytest.approx(0.25e-78, rel=1e-15)
+    assert ht.F_value(ht.HomothetyProblem("flat", 1.0, 1.0), 1e100) == pytest.approx(1e-100, rel=1e-15)
+    assert ht.F_value(ht.HomothetyProblem("positive", 1.0, 1.0), 1e100) == pytest.approx(-4e100 / 9, rel=1e-15)
+    assert ht.F_value(ht.HomothetyProblem("su2", 1.0), 1e100) == pytest.approx(4e100, rel=1e-15)
+    assert ht.F_value(ht.HomothetyProblem("general", 1.0, 1.0, 0.5), 1e70) == pytest.approx(-5e70 / 18, rel=1e-15)
+    collapse = ht.classify("positive", 1.0, 0.5, 1e70)
+    assert collapse.tag is ht.BehaviorTag.FINITE_TIME_COLLAPSE
+    assert collapse.f_at_start == pytest.approx(-4e70 / 9, rel=1e-15)
+    assert collapse.collapse_time == pytest.approx(2.25e70, rel=1e-9)  # int_0^sigma0 9/4 dy
+    kappa, mu = 4.848285431783504, -1.6441619265703111
+    assert ht.classify("flat", kappa, mu, 1e76).tag is ht.BehaviorTag.STATIC
+    assert ht.classify("flat", kappa, mu, 1e90).tag is ht.BehaviorTag.STATIC
 
 
 @pytest.mark.parametrize("n_points", [0, 1])

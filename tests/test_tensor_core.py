@@ -506,16 +506,6 @@ def test_twisted_square_constant_flux_reduces(rng):
     )
 
 
-def test_ricci_twisted_assembly(rng):
-    g = _spd(rng)
-    ric = tc.sym(rng.normal(size=(3, 3)))
-    hoh = tc.sym(rng.normal(size=(3, 3)))
-    dh = rng.normal(size=(3, 3))
-    np.testing.assert_allclose(
-        tc.ricci_twisted(ric, hoh, dh), ric - 0.5 * hoh + 0.5 * dh, atol=1e-14
-    )
-
-
 def test_rel_err_floor():
     assert tc.rel_err(np.zeros(3), np.zeros(3)) == 0.0
     assert tc.rel_err(np.array([1e-20]), np.array([0.0])) <= 1e-19
