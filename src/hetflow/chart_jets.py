@@ -1,26 +1,32 @@
-"""Polynomial coordinate charts evaluated through third-order jet arithmetic.
+"""Polynomial coordinate charts evaluated through graded third-order jet arithmetic.
 
 A *jet* here is a truncated Taylor expansion at the chart origin in three
-coordinates, kept to total degree three and stored densely as the 20 Taylor
-coefficients ``c_alpha = d^alpha F / alpha!`` ordered by total degree.  All
-tensor fields (metric, connection, curvatures, torsion data, dilaton data)
-are arrays whose trailing axis is the jet axis, so the chart pipeline is
-exact polynomial arithmetic: the only rounding is double precision itself.
+coordinates.  A jet of degree ``d`` (0 to 3) is stored densely as its
+``JET_SIZES[d] = (1, 4, 10, 20)[d]`` Taylor coefficients
+``c_alpha = d^alpha F / alpha!``, the monomials of total degree at most ``d``
+in ``MONOMIALS`` order (ordered by total degree, so a lower degree is a
+prefix).  All tensor fields (metric, connection, curvatures, torsion data,
+dilaton data) are arrays whose trailing axis is the jet axis, so the chart
+pipeline is exact polynomial arithmetic: the only rounding is double
+precision itself.
 
-Every jet product goes through one gather--contract--scatter kernel.  The
-84 pairs of monomials whose product has degree at most three are listed once
-(``MUL_TRIPLES``); a product gathers the pair coefficients of both factors
-along a trailing 84-long axis, contracts the tensor axes in a single
-``np.einsum`` that carries the pair axis along, and sums each pair into the
-coefficient of its product monomial with one ``(84, 20)`` 0/1 scatter
-matrix.  ``jet_mul`` and ``jet_einsum`` share it.  A coordinate derivative
-is one matrix product with a ``(20, 20)`` matrix that has a single nonzero
+Validity is stored in the shape.  A coordinate derivative drops one degree
+(:func:`jet_deriv` of a degree-``d`` jet has degree ``d - 1``, and a
+degree-0 jet has none), and a product is valid to the lower degree of its
+factors, so it is computed at that degree and no further.  Every
+coefficient an array holds is therefore a correct one, and nothing is
+multiplied that a later step could not use: ``Rhat`` is built at degree
+one because only its value and first derivatives are read.
+
+Every jet product goes through one gather--contract--scatter kernel.  For
+each degree ``d`` the pairs of monomials whose product has degree at most
+``d`` are listed once (1, 7, 28 and 84 pairs); a product gathers the pair
+coefficients of both factors along a trailing pair axis, contracts the
+tensor axes in a single ``np.einsum`` that carries the pair axis along, and
+sums each pair into the coefficient of its product monomial with one 0/1
+scatter matrix.  ``jet_mul`` and ``jet_einsum`` share it.  A coordinate
+derivative is one matrix product with a matrix that has a single nonzero
 entry per column, so it is exact.
-
-Validity bookkeeping is positional rather than stored: a quantity assembled
-from k derivatives of the inputs has correct jet coefficients up to degree
-``3 - k``, and the pipeline below only ever reads coefficients inside that
-range (most outputs are read at degree zero, i.e. the value at the origin).
 
 The end product is a :class:`GeometrySample`: a bundle of plain ``float``
 arrays at the point carrying every covariant quantity (including first
@@ -34,13 +40,16 @@ coefficients, the torsion 3-form, its density and the dilaton 1-form, plus
 five primitives: a two-operand contraction (here ``jet_einsum``), the
 covariant derivative (``cov_deriv_jets``), the gradient (``jet_grad``), the
 curvature of connection coefficients (``curvature_jets``) and the value at
-the point (``jet_value``).
+the point (``jet_value``).  Index raises and covariant derivatives contract
+one slot at a time through cached explicit einsum specs, so the same specs
+serve jets and plain arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +59,9 @@ __all__ = [
     "N_VARS",
     "JET_ORDER",
     "N_COEFFS",
+    "JET_SIZES",
     "MONOMIALS",
+    "jet_degree",
     "jet_from_poly",
     "jet_constant",
     "jet_value",
@@ -86,6 +97,9 @@ for _deg in range(JET_ORDER + 1):
             MONOMIALS.append((_i, _j, _deg - _i - _j))
 N_COEFFS = len(MONOMIALS)  # 20
 MONO_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
+# Coefficients of a degree-d jet: (1, 4, 10, 20).
+JET_SIZES = tuple(sum(1 for m in MONOMIALS if sum(m) <= d) for d in range(JET_ORDER + 1))
+_DEGREE_OF_SIZE = {size: d for d, size in enumerate(JET_SIZES)}
 
 # (i, j, k) with monomial_i * monomial_j = monomial_k, truncated at degree 3.
 MUL_TRIPLES: list[tuple[int, int, int]] = []
@@ -107,22 +121,40 @@ for _axis in range(N_VARS):
             rules.append((_idx, MONO_INDEX[bumped], float(bumped[_axis])))
     DERIV_RULES.append(rules)
 
-_MUL_I = np.array([t[0] for t in MUL_TRIPLES])
-_MUL_J = np.array([t[1] for t in MUL_TRIPLES])
-_MUL_K = np.array([t[2] for t in MUL_TRIPLES])
-# _MUL_SCATTER[t, k] = 1 when pair t lands on coefficient k.
-_MUL_SCATTER = np.zeros((len(MUL_TRIPLES), N_COEFFS))
-_MUL_SCATTER[np.arange(len(MUL_TRIPLES)), _MUL_K] = 1.0
 
-# _DERIV[axis][src, dst] = factor, so that ``a @ _DERIV[axis]`` applies DERIV_RULES.
+def _mul_tables(degree: int) -> tuple:
+    """Gather indices of both factors and the (pairs, JET_SIZES[degree]) 0/1
+    scatter matrix of the pairs whose product has degree <= ``degree``."""
+    triples = [t for t in MUL_TRIPLES if t[2] < JET_SIZES[degree]]
+    scatter = np.zeros((len(triples), JET_SIZES[degree]))
+    scatter[np.arange(len(triples)), [t[2] for t in triples]] = 1.0
+    return np.array([t[0] for t in triples]), np.array([t[1] for t in triples]), scatter
+
+
+_MUL_TABLES = tuple(_mul_tables(d) for d in range(JET_ORDER + 1))  # 1, 7, 28, 84 pairs
+
+# _DERIV[axis][src, dst] = factor, so that ``a @ _DERIV[axis]`` applies DERIV_RULES;
+# a degree-d jet takes the leading (JET_SIZES[d], JET_SIZES[d - 1]) block.
 _DERIV = np.zeros((N_VARS, N_COEFFS, N_COEFFS))
 for _axis, _rules in enumerate(DERIV_RULES):
     for _dst, _src, _factor in _rules:
         _DERIV[_axis, _src, _dst] = _factor
+_DERIV_BLOCKS = (None,) + tuple(
+    _DERIV[:, : JET_SIZES[d], : JET_SIZES[d - 1]].copy() for d in range(1, JET_ORDER + 1)
+)
+
+
+def jet_degree(a: np.ndarray) -> int:
+    """Degree of a jet array, read off the length of its trailing (jet) axis."""
+    shape = a.shape if isinstance(a, np.ndarray) else np.shape(a)
+    try:
+        return _DEGREE_OF_SIZE[shape[-1]]
+    except (IndexError, KeyError):
+        raise ValueError(f"a jet axis holds one of {JET_SIZES} coefficients, not shape {shape}") from None
 
 
 def jet_from_poly(coeffs: dict[tuple[int, int, int], float]) -> np.ndarray:
-    """Jet of a polynomial given as ``{(i, j, k): coefficient}`` (degree <= 3)."""
+    """Degree-3 jet of a polynomial given as ``{(i, j, k): coefficient}`` (degree <= 3)."""
     out = np.zeros(N_COEFFS)
     for mono, c in coeffs.items():
         if sum(mono) > JET_ORDER:
@@ -131,8 +163,8 @@ def jet_from_poly(coeffs: dict[tuple[int, int, int], float]) -> np.ndarray:
     return out
 
 
-def jet_constant(value: float) -> np.ndarray:
-    out = np.zeros(N_COEFFS)
+def jet_constant(value: float, degree: int = JET_ORDER) -> np.ndarray:
+    out = np.zeros(JET_SIZES[degree])
     out[0] = value
     return out
 
@@ -146,52 +178,65 @@ def jet_value(jets: np.ndarray):
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of jets; broadcasts over leading (tensor) axes."""
+    """Product of jets at the lower of their degrees; broadcasts over leading (tensor) axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (np.take(a, _MUL_I, axis=-1) * np.take(b, _MUL_J, axis=-1)) @ _MUL_SCATTER
+    take_a, take_b, scatter = _MUL_TABLES[min(jet_degree(a), jet_degree(b))]
+    return (a.take(take_a, axis=-1) * b.take(take_b, axis=-1)) @ scatter
 
 
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Einsum over the leading tensor axes of two jet arrays.
 
     ``spec`` addresses only the tensor axes and names its output explicitly
-    (e.g. ``"abc,cm->abm"``); the jet axis is convolved with degree
-    truncation.
+    (e.g. ``"abc,cm->abm"``); the jet axis is convolved and truncated at the
+    lower of the two degrees.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    take_a, take_b, scatter = _MUL_TABLES[min(jet_degree(a), jet_degree(b))]
+    # take gives C-ordered gathers with the pair axis innermost; indexing
+    # with ``[..., take_a]`` would put it outermost and slow the einsum.
+    terms = np.einsum(_pair_spec(spec), a.take(take_a, axis=-1), b.take(take_b, axis=-1))
+    return terms @ scatter
+
+
+@lru_cache(maxsize=256)
+def _pair_spec(spec: str) -> str:
+    """``spec`` with a pair axis appended to both operands and the output."""
     inputs, arrow, output = spec.partition("->")
     if not arrow:
         raise ValueError(f"jet_einsum needs an explicit output in {spec!r}")
     pair = next(c for c in "zyxwvutsrqponmlkjihgfedcba" if c not in spec)
     spec_a, spec_b = inputs.split(",")
-    # np.take gives C-ordered gathers with the pair axis innermost; indexing
-    # with ``[..., _MUL_I]`` would put it outermost and slow the einsum.
-    terms = np.einsum(
-        f"{spec_a}{pair},{spec_b}{pair}->{output}{pair}",
-        np.take(np.asarray(a, dtype=float), _MUL_I, axis=-1),
-        np.take(np.asarray(b, dtype=float), _MUL_J, axis=-1),
-    )
-    return terms @ _MUL_SCATTER
+    return f"{spec_a}{pair},{spec_b}{pair}->{output}{pair}"
+
+
+def _deriv_block(a: np.ndarray) -> np.ndarray:
+    degree = jet_degree(a)
+    if degree == 0:
+        raise ValueError("a degree-0 jet has no valid derivative")
+    return _DERIV_BLOCKS[degree]
 
 
 def jet_deriv(a: np.ndarray, axis: int) -> np.ndarray:
-    """Coordinate derivative of a jet array (valid one degree lower)."""
-    return np.asarray(a, dtype=float) @ _DERIV[axis]
+    """Coordinate derivative of a jet array, one degree lower than ``a``."""
+    a = np.asarray(a, dtype=float)
+    return a @ _deriv_block(a)[axis]
 
 
 def jet_grad(a: np.ndarray) -> np.ndarray:
     """Stack of coordinate derivatives; the new derivative axis comes first."""
-    return np.stack([jet_deriv(a, axis) for axis in range(N_VARS)], axis=0)
+    a = np.asarray(a, dtype=float)
+    return np.einsum("...i,xij->x...j", a, _deriv_block(a))
 
 
 def _jet_series(a: np.ndarray, series: list[float], scale: float) -> np.ndarray:
-    """Evaluate ``scale * sum series[k] u^k`` with ``u = a / a0 - 1``."""
-    a0 = a[0]
-    u = a / a0
-    u = u.copy()
+    """Evaluate ``scale * sum series[k] u^k`` with ``u = a / a0 - 1``, at the degree of ``a``."""
+    u = a / a[0]
     u[0] -= 1.0
-    out = jet_constant(series[0])
-    power = jet_constant(1.0)
+    out = jet_constant(series[0], jet_degree(a))
+    power = jet_constant(1.0, jet_degree(a))
     for coeff in series[1:]:
         power = jet_mul(power, u)
         out = out + coeff * power
@@ -214,8 +259,8 @@ def jet_sqrt(a: np.ndarray) -> np.ndarray:
 def jet_exp(a: np.ndarray) -> np.ndarray:
     u = a.copy()
     u[0] = 0.0
-    out = jet_constant(1.0)
-    power = jet_constant(1.0)
+    out = jet_constant(1.0, jet_degree(a))
+    power = jet_constant(1.0, jet_degree(a))
     for k in range(1, JET_ORDER + 1):
         power = jet_mul(power, u)
         out = out + power / math.factorial(k)
@@ -231,7 +276,7 @@ def jet_log(a: np.ndarray) -> np.ndarray:
 
 
 def jet_determinant(g: np.ndarray) -> np.ndarray:
-    """Determinant jet of a 3x3 matrix of jets (shape (3, 3, 20))."""
+    """Determinant jet of a 3x3 matrix of jets (shape (3, 3, JET_SIZES[d]))."""
     def m(i: int, j: int) -> np.ndarray:
         return g[i, j]
 
@@ -266,15 +311,31 @@ def jet_matrix_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, det
 
 
+# Index letters of the tensor slots in the specs below; "a" is a derivative
+# slot and "z" the contracted index.
+_SLOT_LETTERS = "bcdefghijklmnopqrstuvwxy"
+
+
+@lru_cache(maxsize=None)
+def _raise_spec(rank: int, slot: int) -> str:
+    """Spec of ``g^{s z} T_{..z..}``: slot ``slot`` of a rank-``rank`` tensor raised in place."""
+    idx = _SLOT_LETTERS[:rank]
+    return f"{idx[slot]}z,{idx[:slot]}z{idx[slot + 1:]}->{idx}"
+
+
+@lru_cache(maxsize=None)
+def _cov_deriv_spec(rank: int, slot: int) -> str:
+    """Spec of ``Gamma^z_{a s} T_{..z..}`` with ``s`` in slot ``slot``: the
+    connection term of the covariant derivative for that slot, derivative slot first."""
+    idx = _SLOT_LETTERS[:rank]
+    return f"a{idx[slot]}z,{idx[:slot]}z{idx[slot + 1:]}->a{idx}"
+
+
 def christoffel_jets(g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Levi-Civita coefficients ``Gamma[a, b, m] = Gamma^m_ab`` as jets."""
-    dg = np.stack([jet_deriv(g, axis) for axis in range(N_VARS)], axis=0)  # dg[a,i,j]
+    """Levi-Civita coefficients ``Gamma[a, b, m] = Gamma^m_ab`` as jets, one degree below ``g``."""
+    dg = jet_grad(g)  # dg[a, i, j] = d_a g_ij
     # t[a, b, c] = d_a g_cb + d_b g_ca - d_c g_ab
-    t = np.empty((3, 3, 3, N_COEFFS))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                t[a, b, c] = dg[a, c, b] + dg[b, c, a] - dg[c, a, b]
+    t = dg.transpose(0, 2, 1, 3) + dg.transpose(2, 0, 1, 3) - dg.transpose(1, 2, 0, 3)
     return 0.5 * jet_einsum("abc,cm->abm", t, g_inv)
 
 
@@ -282,11 +343,12 @@ def curvature_jets(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(0,4) curvature jets of a coordinate-frame connection ``gamma[a, b, m]``.
 
     ``R^m_abc = d_a Gamma^m_bc - d_b Gamma^m_ac + Gamma^l_bc Gamma^m_al
-    - Gamma^l_ac Gamma^m_bl`` and ``R_abcd = R^m_abc g_md``.  Works for any
-    connection coefficients, in particular the torsion-twisted ones.
+    - Gamma^l_ac Gamma^m_bl`` and ``R_abcd = R^m_abc g_md``, one degree below
+    ``gamma``.  Works for any connection coefficients, in particular the
+    torsion-twisted ones.
     """
-    dgamma = np.stack([jet_deriv(gamma, axis) for axis in range(N_VARS)], axis=0)
-    # dgamma[a, b, c, m] = d_a Gamma^m_bc
+    dgamma = jet_grad(gamma)  # dgamma[a, b, c, m] = d_a Gamma^m_bc
+    gamma = gamma[..., : dgamma.shape[-1]]  # the quadratic term to the derivative's degree
     quad = jet_einsum("bcl,alm->abcm", gamma, gamma)
     r_up = dgamma - np.transpose(dgamma, (1, 0, 2, 3, 4)) + quad - np.transpose(quad, (1, 0, 2, 3, 4))
     return jet_einsum("abcm,md->abcd", r_up, g)
@@ -295,15 +357,16 @@ def curvature_jets(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
 def cov_deriv_jets(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Covariant derivative of a (0,p) jet tensor; derivative slot first.
 
-    ``(D_a T)_{i1..ip} = d_a T_{i1..ip} - sum_r Gamma^m_{a i_r} T_{..m..}``.
+    ``(D_a T)_{i1..ip} = d_a T_{i1..ip} - sum_r Gamma^m_{a i_r} T_{..m..}``,
+    at one degree below ``tensor`` (or at the degree of ``gamma``, if lower).
     """
     tensor = np.asarray(tensor, dtype=float)
-    p = tensor.ndim - 1
-    out = np.stack([jet_deriv(tensor, axis) for axis in range(N_VARS)], axis=0)
-    for r in range(p):
-        moved = np.moveaxis(tensor, r, 0)  # contract slot r
-        corr = jet_einsum("aim,m...->ai...", gamma, moved)
-        out -= np.moveaxis(corr, 1, r + 1)
+    rank = tensor.ndim - 1
+    size = JET_SIZES[min(jet_degree(tensor) - 1, jet_degree(gamma))]
+    out = jet_grad(tensor)[..., :size]
+    gamma = gamma[..., :size]  # the connection terms to the derivative's degree
+    for slot in range(rank):
+        out -= jet_einsum(_cov_deriv_spec(rank, slot), gamma, tensor)
     return out
 
 
@@ -466,17 +529,17 @@ def _assemble_sample(
     g_inv0 = value(g_inv)
     nabla_torsion = cov_deriv(gamma, torsion)
 
-    def raised(tensor, slots):
+    def raised(tensor, rank, slots):
         for slot in slots:
-            tensor = np.moveaxis(contract("ab,b...->a...", g_inv, np.moveaxis(tensor, slot, 0)), 0, slot)
+            tensor = contract(_raise_spec(rank, slot), g_inv, tensor)
         return tensor
 
-    torsion_up12 = raised(torsion, (1, 2))  # only the two slots H o H contracts
+    torsion_up12 = raised(torsion, 3, (1, 2))  # only the two slots H o H contracts
     torsion_sq = 0.5 * contract("aij,bij->ab", torsion, torsion_up12)
-    torsion_norm2 = contract("abc,abc->", torsion, raised(torsion_up12, (0,))) / 6.0
-    riemann_tw_up3 = raised(riemann_tw, (1, 2, 3))
+    torsion_norm2 = contract("abc,abc->", torsion, raised(torsion_up12, 3, (0,))) / 6.0
+    riemann_tw_up3 = raised(riemann_tw, 4, (1, 2, 3))
     riemann_tw_sq = 0.5 * contract("aijk,bijk->ab", riemann_tw, riemann_tw_up3)
-    riemann_tw_norm2 = 0.25 * contract("abcd,abcd->", riemann_tw, raised(riemann_tw_up3, (0,)))
+    riemann_tw_norm2 = 0.25 * contract("abcd,abcd->", riemann_tw, raised(riemann_tw_up3, 4, (0,)))
 
     # Scalar torsion density block.
     df = grad(f)
@@ -534,13 +597,15 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     g = spec.metric
     g_inv, det = jet_matrix_inverse(g)
     tc.validate_metric(jet_value(g))
-    vol = spec.orientation * tc.levi_civita_symbol(3)[..., None] * jet_sqrt(det)
+    # H and f are read with at most two derivatives: degree 2 carries them.
+    two = JET_SIZES[2]
+    vol = spec.orientation * tc.levi_civita_symbol(3)[..., None] * jet_sqrt(det[:two])
     # Closed dilaton 1-form from the potential (or d log density).
     potential = jet_log(spec.density) if spec.maxwell else spec.potential
     return _assemble_sample(
         g, g_inv, christoffel_jets(g, g_inv),
         jet_mul(spec.density[None, None, None, :], vol),  # H = density * vol
-        spec.density, jet_grad(potential),
+        spec.density[:two], jet_grad(potential),
         # jet_einsum is read here, at call time, so a patched module attribute
         # (a call counter, a tracer) sees every contraction.
         contract=jet_einsum, cov_deriv=cov_deriv_jets, grad=jet_grad,

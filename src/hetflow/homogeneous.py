@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .chart_jets import GeometrySample, _assemble_sample
+from .chart_jets import GeometrySample, _assemble_sample, _cov_deriv_spec
 
 __all__ = [
     "LieAlgebraData",
@@ -50,7 +50,6 @@ __all__ = [
     "CATALOG_NAMES",
     "milnor_lambdas",
     "l_form",
-    "milnor_principal_ricci",
     "levi_civita_connection",
     "connection_twisted",
     "invariant_riemann",
@@ -204,11 +203,6 @@ def _principal_ricci(l1: float, l2: float, l3: float) -> tuple:
     return 2.0 * m2 * m3, 2.0 * m1 * m3, 2.0 * m1 * m2
 
 
-def milnor_principal_ricci(lambdas) -> np.ndarray:
-    """Principal Ricci values of the identity metric in bracket normal form."""
-    return np.array(_principal_ricci(*(float(v) for v in lambdas)))
-
-
 def levi_civita_connection(alg: LieAlgebraData, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Koszul coefficients ``Gamma[i, j, m]`` with ``D_{e_i} e_j = Gamma[i,j,m] e_m``."""
     a = np.einsum("ijm,mk->ijk", alg.structure, g)  # g([e_i, e_j], e_k)
@@ -245,13 +239,10 @@ def invariant_curvature(alg: LieAlgebraData, g: np.ndarray) -> tuple:
 def invariant_cov_deriv(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Covariant derivative of an invariant (0,p) tensor; derivative slot first."""
     tensor = np.asarray(tensor, dtype=float)
-    p = tensor.ndim
-    n = gamma.shape[0]
-    out = np.zeros((n,) + tensor.shape)
-    for r in range(p):
-        moved = np.moveaxis(tensor, r, 0)
-        corr = np.einsum("aim,m...->ai...", gamma, moved)
-        out -= np.moveaxis(corr, 1, r + 1)
+    rank = tensor.ndim
+    out = np.zeros((gamma.shape[0],) + tensor.shape)
+    for slot in range(rank):
+        out -= np.einsum(_cov_deriv_spec(rank, slot), gamma, tensor)
     return out
 
 

@@ -702,8 +702,18 @@ def classify_from_trajectory(
     sigma0: float = 1.0,
 ) -> Behavior:
     """Event-driven classification: integrate both time directions and read
-    the tag off the terminal events.  Used to cross-check :func:`classify`."""
+    the tag off the terminal events.  Used to cross-check :func:`classify`.
+
+    The start must lie strictly between the event thresholds
+    ``EPS_COLLAPSE`` and ``M_BLOWUP``; outside them no leg can meet its
+    terminal event, so such a start raises ``ValueError``.
+    """
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
+    if not EPS_COLLAPSE < sigma0 < M_BLOWUP:
+        raise ValueError(
+            f"trajectory classification needs a conformal factor strictly between "
+            f"EPS_COLLAPSE = {EPS_COLLAPSE:g} and M_BLOWUP = {M_BLOWUP:g}, got {sigma0!r}"
+        )
     coeffs = problem_coefficients(problem)
     f0 = _F_from_coefficients(coeffs, sigma0)
     if _is_static(coeffs, f0):

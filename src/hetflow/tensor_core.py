@@ -138,13 +138,17 @@ def sharp(g_inv: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return g_inv @ alpha
 
 
+@lru_cache(maxsize=None)
+def _raise_all_spec(rank: int) -> str:
+    """``"abcd,ea,fb,gc,hd->efgh"`` for rank 4: every slot raised, in place."""
+    low, up = _LETTERS[:rank], _LETTERS[rank : 2 * rank]
+    return ",".join([low] + [u + l for u, l in zip(up, low)]) + "->" + up
+
+
 def raise_all(g_inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Raise every index of a (0,p) tensor with ``g^{-1}``."""
-    out = np.asarray(tensor, dtype=float)
-    for axis in range(out.ndim):
-        out = np.tensordot(g_inv, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out
+    """Raise every index of a (0,p) tensor with ``g^{-1}``, in one einsum."""
+    tensor = np.asarray(tensor, dtype=float)
+    return np.einsum(_raise_all_spec(tensor.ndim), tensor, *(g_inv,) * tensor.ndim)
 
 
 def alt(tensor: np.ndarray) -> np.ndarray:

@@ -16,17 +16,18 @@ SEEDS = st.integers(min_value=0, max_value=10**6)
 def _jet_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the truncated polynomial at a point (broadcasts leading axes)."""
     a = np.asarray(a, dtype=float)
-    mono_vals = np.array([x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2] for m in cj.MONOMIALS])
+    monomials = cj.MONOMIALS[: a.shape[-1]]  # a degree-d jet is a prefix
+    mono_vals = np.array([x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2] for m in monomials])
     return a @ mono_vals
 
 
 def _pullback_chart_metric(seed: int) -> np.ndarray:
-    """Metric jets of the pullback of the flat metric under a random
+    """Degree-2 metric jets of the pullback of the flat metric under a random
     polynomial diffeomorphism ``x -> x + quadratic`` (exactly flat), with
     coefficients uniform in ``[-0.1, 0.1]``."""
     rng = np.random.default_rng(seed)
     # Jet of each component of the map and its partials.
-    jac = np.zeros((3, 3, cj.N_COEFFS))  # jac[k, i] = d_i phi^k
+    jac = np.zeros((3, 3, cj.JET_SIZES[2]))  # jac[k, i] = d_i phi^k
     for k in range(3):
         comp = np.zeros(cj.N_COEFFS)
         comp[cj.MONO_INDEX[tuple(np.eye(3, dtype=int)[k])]] = 1.0
@@ -61,14 +62,31 @@ def test_jet_mul_is_truncated_product():
 def test_jet_deriv_and_grad():
     jet = cj.jet_from_poly({(2, 1, 0): 4.0})
     dx = cj.jet_deriv(jet, 0)
+    assert dx.shape == (cj.JET_SIZES[2],)
     x = np.array([0.3, -0.2, 0.0])
     assert _jet_eval(dx, x) == pytest.approx(8.0 * x[0] * x[1], rel=1e-12)
     grad = cj.jet_grad(jet)
+    assert grad.shape == (3, cj.JET_SIZES[2])
     assert _jet_eval(grad[1], x) == pytest.approx(4.0 * x[0] ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (3, 3, 3)])
+def test_jet_deriv_of_a_degree_zero_jet_raises(shape):
+    value = np.ones(shape + (cj.JET_SIZES[0],))
+    with pytest.raises(ValueError, match="degree-0"):
+        cj.jet_deriv(value, 0)
+    with pytest.raises(ValueError, match="degree-0"):
+        cj.jet_grad(value)
+
+
+@pytest.mark.parametrize("size", [0, 2, 5, 21])
+def test_jet_degree_rejects_a_length_that_is_no_degree(size):
+    with pytest.raises(ValueError, match="jet axis"):
+        cj.jet_degree(np.zeros((3, size)))
+
+
 def _einsum_triple_loop(spec, a, b):
-    """Reference product: one ``np.einsum`` per monomial pair of MUL_TRIPLES."""
+    """Reference product of degree-3 jets: one ``np.einsum`` per monomial pair of MUL_TRIPLES."""
     out = None
     for i, j, k in cj.MUL_TRIPLES:
         term = np.einsum(spec, a[..., i], b[..., j])
@@ -78,10 +96,17 @@ def _einsum_triple_loop(spec, a, b):
     return out
 
 
-def _assert_rel_close(actual, expected):
+def _assert_rel_close(actual, expected, rtol=1e-15):
     assert actual.shape == expected.shape
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(actual - expected)) <= 1e-15 * scale
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+def _graded_pairs(a, b):
+    """Every pair of degrees ``(da, db)``, with ``a`` and ``b`` cut to them."""
+    for da, size_a in enumerate(cj.JET_SIZES):
+        for db, size_b in enumerate(cj.JET_SIZES):
+            yield min(da, db), a[..., :size_a], b[..., :size_b]
 
 
 @pytest.mark.parametrize(
@@ -97,11 +122,18 @@ def _assert_rel_close(actual, expected):
     ],
 )
 def test_jet_einsum_matches_triple_loop(spec, shape_a, shape_b):
+    """At degree 3 to 1e-15; at every pair of degrees, the graded product is
+    the leading ``JET_SIZES[min]`` coefficients of the degree-3 loop."""
     rng = np.random.default_rng(31)
     for _ in range(5):
         a = rng.normal(size=shape_a + (cj.N_COEFFS,))
         b = rng.normal(size=shape_b + (cj.N_COEFFS,))
-        _assert_rel_close(cj.jet_einsum(spec, a, b), _einsum_triple_loop(spec, a, b))
+        full = _einsum_triple_loop(spec, a, b)
+        _assert_rel_close(cj.jet_einsum(spec, a, b), full)
+        for degree, a_d, b_d in _graded_pairs(a, b):
+            _assert_rel_close(
+                cj.jet_einsum(spec, a_d, b_d), full[..., : cj.JET_SIZES[degree]], rtol=1e-14
+            )
 
 
 def test_jet_mul_matches_triple_loop():
@@ -110,17 +142,25 @@ def test_jet_mul_matches_triple_loop():
         a = rng.normal(size=shape_a + (cj.N_COEFFS,))
         b = rng.normal(size=shape_b + (cj.N_COEFFS,))
         spec = "...,...->..."
-        _assert_rel_close(cj.jet_mul(a, b), _einsum_triple_loop(spec, a, b))
+        full = _einsum_triple_loop(spec, a, b)
+        _assert_rel_close(cj.jet_mul(a, b), full)
+        for degree, a_d, b_d in _graded_pairs(a, b):
+            _assert_rel_close(cj.jet_mul(a_d, b_d), full[..., : cj.JET_SIZES[degree]], rtol=1e-14)
 
 
 def test_jet_deriv_equals_rule_loop_bit_for_bit():
+    """At every degree d >= 1, the derivative is the rule loop's output cut
+    to degree d - 1; the loop sets nothing above it."""
     rng = np.random.default_rng(34)
     jets = rng.normal(size=(3, 3, cj.N_COEFFS))
     for axis in range(cj.N_VARS):
         expected = np.zeros_like(jets)
         for dst, src, factor in cj.DERIV_RULES[axis]:
             expected[..., dst] = factor * jets[..., src]
-        assert np.array_equal(cj.jet_deriv(jets, axis), expected)
+        assert not np.any(expected[..., cj.JET_SIZES[2]:])
+        for degree in range(1, cj.JET_ORDER + 1):
+            derivative = cj.jet_deriv(jets[..., : cj.JET_SIZES[degree]], axis)
+            assert np.array_equal(derivative, expected[..., : cj.JET_SIZES[degree - 1]])
 
 
 def test_jet_deriv_commutes():
@@ -149,9 +189,9 @@ def test_jet_exp_derivative_identity():
     p = cj.jet_from_poly({(1, 0, 0): 0.7, (0, 1, 1): -0.2})
     lhs = cj.jet_deriv(cj.jet_exp(p), 0)
     rhs = cj.jet_mul(cj.jet_exp(p), cj.jet_deriv(p, 0))
-    # truncation drops one order on differentiation; compare below top degree
-    x = np.array([0.01, 0.02, -0.01])
-    assert _jet_eval(lhs, x) == pytest.approx(_jet_eval(rhs, x), abs=1e-6)
+    # differentiation drops one degree, and the product is cut to it
+    assert lhs.shape == rhs.shape == (cj.JET_SIZES[2],)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-15)
 
 
 def test_jet_matrix_inverse_identity():
@@ -187,6 +227,31 @@ def test_pullback_flat_metric_has_zero_curvature():
     gamma = cj.christoffel_jets(g, g_inv)
     riem = cj.curvature_jets(gamma, g)
     assert np.max(np.abs(cj.jet_value(riem))) <= 1e-10
+
+
+def test_christoffel_transposes_equal_the_index_loop_bit_for_bit():
+    spec = cj.random_chart_spec(17)
+    g_inv, _ = cj.jet_matrix_inverse(spec.metric)
+    dg = cj.jet_grad(spec.metric)
+    t = np.empty((3, 3, 3, dg.shape[-1]))
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                t[a, b, c] = dg[a, c, b] + dg[b, c, a] - dg[c, a, b]
+    expected = 0.5 * cj.jet_einsum("abc,cm->abm", t, g_inv)
+    assert np.array_equal(cj.christoffel_jets(spec.metric, g_inv), expected)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_cov_deriv_slot_specs_match_the_moveaxis_loop(rank):
+    rng = np.random.default_rng(40 + rank)
+    gamma = rng.normal(size=(3, 3, 3, cj.JET_SIZES[2]))
+    tensor = rng.normal(size=(3,) * rank + (cj.JET_SIZES[2],))
+    expected = cj.jet_grad(tensor)
+    for r in range(rank):
+        corr = cj.jet_einsum("aim,m...->ai...", gamma[..., : cj.JET_SIZES[1]], np.moveaxis(tensor, r, 0))
+        expected -= np.moveaxis(corr, 1, r + 1)
+    _assert_rel_close(cj.cov_deriv_jets(gamma, tensor), expected, rtol=1e-14)
 
 
 def test_christoffel_metricity():

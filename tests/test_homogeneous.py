@@ -257,19 +257,31 @@ def test_codifferential_of_invariant_flux_vanishes(rng):
         )
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_invariant_cov_deriv_matches_the_moveaxis_loop(rank):
+    rng = np.random.default_rng(60 + rank)
+    gamma = rng.normal(size=(3, 3, 3))
+    tensor = rng.normal(size=(3,) * rank)
+    expected = np.zeros((3,) + tensor.shape)
+    for r in range(rank):
+        corr = np.einsum("aim,m...->ai...", gamma, np.moveaxis(tensor, r, 0))
+        expected -= np.moveaxis(corr, 1, r + 1)
+    got = hg.invariant_cov_deriv(gamma, tensor)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(expected)))
+
+
 # ---------------------------------------------------------------------------
 # curvature facts
 # ---------------------------------------------------------------------------
 
 
 def test_principal_ricci_catalog_values():
-    np.testing.assert_allclose(hg.milnor_principal_ricci([0.0, 0.0, 0.0]), 0.0, atol=0.0)
+    np.testing.assert_allclose(hg._principal_ricci(0.0, 0.0, 0.0), 0.0, atol=0.0)
     # heisenberg normal form (1, 0, 0) at g = I
-    np.testing.assert_allclose(
-        hg.milnor_principal_ricci([1.0, 0.0, 0.0]), [0.5, -0.5, -0.5], atol=1e-13
-    )
+    np.testing.assert_allclose(hg._principal_ricci(1.0, 0.0, 0.0), [0.5, -0.5, -0.5], atol=1e-13)
     # flat e2 (1, 1, 0)
-    np.testing.assert_allclose(hg.milnor_principal_ricci([1.0, 1.0, 0.0]), 0.0, atol=1e-13)
+    np.testing.assert_allclose(hg._principal_ricci(1.0, 1.0, 0.0), 0.0, atol=1e-13)
 
 
 def test_su2_remark_principal_ricci():

@@ -375,6 +375,24 @@ def test_classifier_agrees_with_trajectories():
             assert a.tag == b.tag, (case, kappa, mu, sigma0)
 
 
+@pytest.mark.parametrize("sigma0", [1e9, ht.M_BLOWUP, ht.EPS_COLLAPSE, 1e-13])
+def test_trajectory_classifier_rejects_a_start_outside_the_thresholds(sigma0):
+    # No leg can meet its terminal event from a start at or beyond a threshold.
+    with pytest.raises(ValueError, match="strictly between EPS_COLLAPSE"):
+        ht.classify_from_trajectory("positive", 1.0, 1.0, sigma0)
+
+
+@pytest.mark.parametrize(
+    "sigma0", [math.nextafter(ht.EPS_COLLAPSE, 1.0), math.nextafter(ht.M_BLOWUP, 0.0)]
+)
+def test_trajectory_classifier_accepts_a_start_just_inside_the_thresholds(sigma0):
+    for case, kappa, mu in (("positive", 1.0, 1.0), ("su2", 1.0, 0.0), ("negative", 3.0, 0.2)):
+        assert (
+            ht.classify_from_trajectory(case, kappa, mu, sigma0).tag
+            == ht.classify(case, kappa, mu, sigma0).tag
+        )
+
+
 def test_trajectory_classifier_follows_a_slow_relaxation():
     # The forward leg reaches the stall threshold only after about twice its
     # first span (roots 0.490 and 3.513).

@@ -126,6 +126,18 @@ def test_interior_is_antiderivation_on_decomposables(rng):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_raise_all_matches_the_slot_loop(random_spd, rank):
+    g_inv = tc.metric_inverse(random_spd())
+    tensor = np.random.default_rng(70 + rank).normal(size=(3,) * rank)
+    expected = tensor
+    for axis in range(rank):
+        expected = np.moveaxis(np.tensordot(g_inv, expected, axes=([1], [axis])), 0, axis)
+    got = tc.raise_all(g_inv, tensor)
+    assert np.shape(got) == np.shape(expected)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+
 # ---------------------------------------------------------------------------
 # volume form and duality
 # ---------------------------------------------------------------------------
