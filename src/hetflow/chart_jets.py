@@ -26,13 +26,18 @@ tensor axes in a single ``np.einsum`` that carries the pair axis along, and
 sums each pair into the coefficient of its product monomial with one 0/1
 scatter matrix.  ``jet_mul`` and ``jet_einsum`` share it.  A coordinate
 derivative is one matrix product with a matrix that has a single nonzero
-entry per column, so it is exact.
+entry per column, so it is exact.  The metric inverse is the adjugate
+written as an epsilon contraction, ``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc``:
+one plain einsum against the constant ``eps (x) eps`` and one ``jet_einsum``
+give every cofactor, and ``det = 1/3 g_ia C_ia``.
 
 The end product is a :class:`GeometrySample`: a bundle of plain ``float``
-arrays at the point carrying every covariant quantity (including first
-covariant derivatives of the quadratic curvature/torsion contractions) that
-the flow and soliton modules need.  The bundle is coupling-free: terms that
-carry the quadratic-curvature coupling are assembled by the consumers.  This
+arrays at a point of a three-dimensional chart, carrying the covariant
+quantities (including first covariant derivatives of the quadratic
+curvature/torsion contractions) that the soliton residuals, the divergence
+identities and the ``verify`` suites read.  The bundle is coupling-free:
+terms that carry the quadratic-curvature coupling are assembled by the
+consumers.  This
 backend and the homogeneous one (:mod:`hetflow.homogeneous`) fill it through
 one assembly, ``_assemble_sample``, where every derived field is written
 once.  Each backend hands it the metric, its inverse, the Levi-Civita
@@ -74,7 +79,6 @@ __all__ = [
     "jet_exp",
     "jet_log",
     "jet_matrix_inverse",
-    "jet_determinant",
     "christoffel_jets",
     "curvature_jets",
     "cov_deriv_jets",
@@ -275,39 +279,22 @@ def jet_log(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def jet_determinant(g: np.ndarray) -> np.ndarray:
-    """Determinant jet of a 3x3 matrix of jets (shape (3, 3, JET_SIZES[d]))."""
-    def m(i: int, j: int) -> np.ndarray:
-        return g[i, j]
-
-    def mul3(a, b, c):
-        return jet_mul(jet_mul(a, b), c)
-
-    return (
-        mul3(m(0, 0), m(1, 1), m(2, 2))
-        + mul3(m(0, 1), m(1, 2), m(2, 0))
-        + mul3(m(0, 2), m(1, 0), m(2, 1))
-        - mul3(m(0, 2), m(1, 1), m(2, 0))
-        - mul3(m(0, 1), m(1, 0), m(2, 2))
-        - mul3(m(0, 0), m(1, 2), m(2, 1))
-    )
+# _EPS_PAIR[i, j, k, a, b, c] = eps_ijk eps_abc, the constant of the adjugate.
+_EPS_PAIR = np.einsum("ijk,abc->ijkabc", tc.levi_civita_symbol(3), tc.levi_civita_symbol(3))
 
 
 def jet_matrix_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of a 3x3 jet matrix via the adjugate; returns (inverse, det)."""
-    det = jet_determinant(g)
-    inv_det = jet_inverse(det)
-    cof = np.zeros_like(g)
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minor = jet_mul(g[rows[0], cols[0]], g[rows[1], cols[1]]) - jet_mul(
-                g[rows[0], cols[1]], g[rows[1], cols[0]]
-            )
-            cof[i, j] = (-1) ** (i + j) * minor
-    adj = np.swapaxes(cof, 0, 1)
-    inv = jet_mul(adj, inv_det[None, None, :])
+    """Inverse of a 3x3 jet matrix via the adjugate; returns (inverse, det).
+
+    The cofactors ``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc`` are one plain
+    einsum against the constant ``eps (x) eps`` (linear in ``g``, so exact
+    on jets) and one jet product; then ``det = 1/3 g_ia C_ia`` and
+    ``g^-1 = C^T / det``.
+    """
+    half = 0.5 * np.einsum("ijkabc,jb...->ikac...", _EPS_PAIR, g)
+    cof = jet_einsum("ikac,kc->ia", half, g)
+    det = jet_einsum("ia,ia->", g, cof) / 3.0
+    inv = jet_mul(np.swapaxes(cof, 0, 1), jet_inverse(det)[None, None, :])
     return inv, det
 
 
@@ -456,32 +443,31 @@ def hyperbolic_chart_spec(c: float = 1.0) -> ChartSpec:
 class GeometrySample:
     """Pointwise geometric data bundle shared by the chart and homogeneous backends.
 
-    All entries are plain float arrays in the frame at the sample point.
-    ``gamma[a, b, m] = Gamma^m_ab`` carries the Levi-Civita coefficients and
-    ``gamma_tw`` the torsion-twisted ones.  ``div_riemann_tw[v, c, d]`` is the
-    twisted divergence ``-g^{ab} (Dhat_a Rhat)_{b v c d}``.  Derivative-flavored
-    scalars (``d_*``) are 1-forms; on homogeneous samples they vanish.
-    The bundle carries no coupling constant: consumers weight the
-    quadratic-curvature blocks themselves.  It carries no four-form either:
-    every four-form vanishes in dimension three.
+    A sample is three-dimensional by construction: both builders take a
+    3x3 metric and ``H = f vol``.  All entries are plain float arrays in the
+    frame at the sample point.  Each is read by the soliton residuals, the
+    divergence identities or the ``verify`` suites, except ``laplace_f``,
+    the test oracle of the identity in
+    :func:`hetflow.soliton.strong_skew_scalar`.
+    ``div_riemann_tw[v, c, d]`` is the twisted divergence
+    ``-g^{ab} (Dhat_a Rhat)_{b v c d}``.  Derivative-flavored scalars
+    (``d_*``) are 1-forms; on homogeneous samples they vanish.  The bundle
+    carries no coupling constant: consumers weight the quadratic-curvature
+    blocks themselves.  It carries no four-form either: every four-form
+    vanishes in dimension three.
     """
 
     backend: str
-    n: int
     g: np.ndarray
     g_inv: np.ndarray
-    gamma: np.ndarray
-    gamma_tw: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
     d_scalar: np.ndarray
     nabla_ricci: np.ndarray
     riemann_tw: np.ndarray
-    ricci_tw: np.ndarray
     div_riemann_tw: np.ndarray
     torsion: np.ndarray
-    nabla_torsion: np.ndarray
     delta_torsion: np.ndarray
     torsion_sq: np.ndarray
     nabla_torsion_sq: np.ndarray
@@ -493,7 +479,6 @@ class GeometrySample:
     d_riemann_tw_norm2: np.ndarray
     f: float
     df: np.ndarray
-    hess_f: np.ndarray
     laplace_f: float
     dilaton: np.ndarray
     nabla_dilaton: np.ndarray
@@ -503,14 +488,13 @@ class GeometrySample:
     dilaton_norm2: float
     d_dilaton_norm2: np.ndarray
     orientation: int = 1
-    jet_depth: int = JET_ORDER
     meta: dict = field(default_factory=dict)
 
 
 def _assemble_sample(
     g, g_inv, gamma, torsion, f, dilaton, *,
     contract, cov_deriv, grad, curvature, value,
-    backend: str, orientation: int, jet_depth: int, meta: dict,
+    backend: str, orientation: int, meta: dict,
 ) -> GeometrySample:
     """Every derived field of a :class:`GeometrySample`, for either backend.
 
@@ -551,21 +535,16 @@ def _assemble_sample(
 
     return GeometrySample(
         backend=backend,
-        n=3,
         g=value(g),
         g_inv=g_inv0,
-        gamma=value(gamma),
-        gamma_tw=value(gamma_tw),
         riemann=value(riemann),
         ricci=value(ricci),
         scalar=value(scalar),
         d_scalar=value(grad(scalar)),
         nabla_ricci=value(cov_deriv(gamma, ricci)),
         riemann_tw=value(riemann_tw),
-        ricci_tw=value(contract("ab,aUVb->UV", g_inv, riemann_tw)),
         div_riemann_tw=-np.einsum("ab,abvcd->vcd", g_inv0, value(cov_deriv(gamma_tw, riemann_tw))),
         torsion=value(torsion),
-        nabla_torsion=value(nabla_torsion),
         delta_torsion=value(-contract("ab,abcd->cd", g_inv, nabla_torsion)),
         torsion_sq=value(torsion_sq),
         nabla_torsion_sq=value(cov_deriv(gamma, torsion_sq)),
@@ -577,7 +556,6 @@ def _assemble_sample(
         d_riemann_tw_norm2=value(grad(riemann_tw_norm2)),
         f=value(f),
         df=value(df),
-        hess_f=value(hess_f),
         laplace_f=value(-contract("ab,ab->", g_inv, hess_f)),
         dilaton=value(dilaton),
         nabla_dilaton=value(nabla_dilaton),
@@ -587,7 +565,6 @@ def _assemble_sample(
         dilaton_norm2=value(dilaton_norm2),
         d_dilaton_norm2=value(grad(dilaton_norm2)),
         orientation=orientation,
-        jet_depth=jet_depth,
         meta=meta,
     )
 
@@ -610,7 +587,7 @@ def build_chart_sample(spec: ChartSpec) -> GeometrySample:
         # (a call counter, a tracer) sees every contraction.
         contract=jet_einsum, cov_deriv=cov_deriv_jets, grad=jet_grad,
         curvature=lambda gamma: curvature_jets(gamma, g), value=jet_value,
-        backend="chart", orientation=spec.orientation, jet_depth=JET_ORDER,
+        backend="chart", orientation=spec.orientation,
         meta={"seed": spec.seed, "maxwell": spec.maxwell},
     )
 

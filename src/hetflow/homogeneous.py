@@ -312,7 +312,7 @@ def build_invariant_sample(
         grad=lambda tensor: np.zeros((3,) + np.shape(tensor)),
         curvature=lambda gamma: invariant_riemann(alg, g, gamma),
         value=lambda x: x if np.ndim(x) else float(x),
-        backend="homogeneous", orientation=orientation, jet_depth=0,
+        backend="homogeneous", orientation=orientation,
         meta={"algebra": alg.name, **alg.params},
     )
 

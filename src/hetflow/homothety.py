@@ -21,7 +21,7 @@ and its couplings, :func:`problem_coefficients` gives its quintic (raising
 (:func:`_coefficients`, for a single point or a whole ``(kappa, mu)`` grid),
 one positive-root helper (:func:`_positive_roots`, for a stack of
 polynomials; it also gives the cubic threshold), one static rule
-(:func:`_is_static`, ``|F(sigma0)| <= 1e-12 max(1, max|c|)``), and one fate
+(:func:`_is_static`, ``|F(sigma0)| <= 1e-12 sum_k |c_k| sigma0^(1-k)``), and one fate
 engine (:func:`_fates`), which tags a whole grid in one batched pass and
 which :func:`sweep_grid` and :func:`classify` (a grid of one cell) share.
 
@@ -214,10 +214,18 @@ def F_value(problem: HomothetyProblem, y: float) -> float:
     return _F_from_coefficients(problem_coefficients(problem), y)
 
 
-def _is_static(coeffs: np.ndarray, f0):
+def _is_static(coeffs: np.ndarray, f0, sigma0: float):
     """Whether ``F(sigma0) = f0`` vanishes to rounding, for one quintic
-    ``(6,)`` or a stack ``(N, 6)``: ``|f0| <= 1e-12 max(1, max|c|)``."""
-    return np.abs(f0) <= 1e-12 * np.maximum(1.0, np.max(np.abs(coeffs), axis=-1))
+    ``(6,)`` or a stack ``(N, 6)``: ``|f0| <= 1e-12 sum_k |c_k| sigma0^(1-k)``.
+
+    The bound is the size of ``F``'s own terms at ``sigma0``, which is also
+    the scale of the rounding in its evaluation, so the rule is covariant
+    under ``sigma -> l sigma``, ``c_k -> c_k l^(k-1)``.  It is summed in
+    powers of ``1/sigma0``, as :func:`_F_in_powers_of_inverse` sums ``F``,
+    with the 1e-12 applied first: two terms of a finite ``F`` can cancel
+    above the largest double.
+    """
+    return np.abs(f0) <= _F_in_powers_of_inverse(1e-12 * np.abs(coeffs).T, sigma0)
 
 
 def _positive_roots(coeffs: np.ndarray) -> tuple:
@@ -533,7 +541,7 @@ def integrate(
     run that ends in an event is the event's state.
     """
     coeffs = problem_coefficients(problem)
-    if _is_static(coeffs, _F_from_coefficients(coeffs, problem.sigma0)):
+    if _is_static(coeffs, _F_from_coefficients(coeffs, problem.sigma0), problem.sigma0):
         # static start: constant trajectory, no integration needed
         hf.validate_solver_args(t_span, rtol, atol, n_points)
         t = np.linspace(t_span[0], t_span[1], n_points)
@@ -597,7 +605,7 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     coeffs = problem_coefficients(problem)
     f0 = _F_from_coefficients(coeffs, problem.sigma0)
     mask, re = _positive_roots(coeffs[None])
-    if _is_static(coeffs, f0) or np.any(mask & (re < problem.sigma0)):
+    if _is_static(coeffs, f0, problem.sigma0) or np.any(mask & (re < problem.sigma0)):
         raise ValueError("F has a root in (0, sigma0]: the trajectory does not reach zero")
     sgn = -1.0 if f0 > 0.0 else 1.0
 
@@ -634,7 +642,7 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
     if not np.all(np.isfinite(f0)):
         raise ValueError(f"F overflows at the conformal factor {sigma0!r}")
 
-    static = _is_static(coeffs, f0)
+    static = _is_static(coeffs, f0, sigma0)
     unresolved = np.zeros_like(static)
     if case == "positive":  # above the static curve, the cubic threshold leaves the fate open
         over = np.array(kappas)[:, None] > np.array([max(0.0, kappa_crit_p(m)) for m in mus])
@@ -716,7 +724,7 @@ def classify_from_trajectory(
         )
     coeffs = problem_coefficients(problem)
     f0 = _F_from_coefficients(coeffs, sigma0)
-    if _is_static(coeffs, f0):
+    if _is_static(coeffs, f0, sigma0):
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, f_at_start=f0)
 
     def leg(direction: float):

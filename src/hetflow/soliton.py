@@ -145,7 +145,7 @@ def _meta(candidate: SolitonCandidate) -> dict:
     return {
         "name": candidate.name,
         "backend": s.backend,
-        "dim": int(s.n),
+        "dim": 3,
         "kappa": float(candidate.kappa),
         "f": float(s.f),
     }
@@ -174,8 +174,6 @@ def einstein_maps(sample: GeometrySample, kappa: float) -> tuple[np.ndarray, np.
 
 def maxwell_residual_3d(sample: GeometrySample) -> np.ndarray:
     """Two-form ``-*df + f *phi``; equals twice the general skew map in 3D."""
-    if sample.n != 3:
-        raise ValueError("maxwell_residual_3d requires a three-dimensional sample")
     vol = tc.volume_form(sample.g, sample.orientation)
     return tc.hodge(sample.g_inv, vol, sample.f * sample.dilaton - sample.df)
 
@@ -206,8 +204,6 @@ def residual_3d(candidate: SolitonCandidate, tol: float = TOL_JET) -> ResidualRe
     ``s = 3 delta phi + 2 |phi|^2 - f^2/2``.
     """
     s = candidate.sample
-    if s.n != 3:
-        raise ValueError("residual_3d requires a three-dimensional sample")
     kappa = candidate.kappa
     rr_tw = tc.riemann_square_twisted_dim3(
         s.g, s.g_inv, s.ricci, s.scalar, s.f, s.df, s.orientation
@@ -349,8 +345,6 @@ def strong_skew_scalar(candidate: SolitonCandidate) -> float:
 
 def _strong_full(s) -> np.ndarray:
     """The ``full`` residual of :func:`strong_residual`."""
-    if s.n != 3:
-        raise ValueError("strong_residual requires a three-dimensional sample")
     phi_up = s.g_inv @ s.dilaton
     return s.div_riemann_tw + np.einsum("a,avcd->vcd", phi_up, s.riemann_tw)
 
@@ -505,19 +499,17 @@ def verify_divergence_identities(
 
     # Divergence of the twisted-curvature square.
     lhs1 = -np.einsum("ab,abv->v", ginv, s.nabla_riemann_tw_sq)
-    rhs1 = np.empty(s.n)
-    for v in range(s.n):
+    rhs1 = np.empty(3)
+    for v in range(3):
         rhs1[v] = _lam12_inner(ginv, div_tw, s.riemann_tw[v]) - 0.5 * s.d_riemann_tw_norm2[v]
 
-    # Divergence of the torsion square.
+    # Divergence of the torsion square; skew_h[v] = <e_skew, H(v, ., .)>
+    # enters it and the divergence of the symmetric map.
+    skew_h = np.array([np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv) for v in range(3)])
     lhs2 = -np.einsum("ab,abv->v", ginv, s.nabla_torsion_sq)
-    rhs2 = np.empty(s.n)
-    for v in range(s.n):
-        rhs2[v] = (
-            -0.5 * s.d_torsion_norm2[v]
-            - float(phi_up @ s.torsion_sq[:, v])
-            + np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv)
-        )
+    rhs2 = np.empty(3)
+    for v in range(3):
+        rhs2[v] = -0.5 * s.d_torsion_norm2[v] - float(phi_up @ s.torsion_sq[:, v]) + skew_h[v]
 
     # Divergence of the symmetric map.
     nabla_e = (
@@ -542,12 +534,12 @@ def verify_divergence_identities(
         + kappa * s.d_riemann_tw_norm2
     )
     phi_curv = np.einsum("m,macd->acd", phi_up, s.riemann_tw)
-    rhs3 = np.empty(s.n)
-    for v in range(s.n):
+    rhs3 = np.empty(3)
+    for v in range(3):
         rhs3[v] = (
             kappa * _lam12_inner(ginv, s.riemann_tw[v], div_tw + phi_curv)
             + 0.5 * d_e_dil[v]
-            - 0.5 * np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv)
+            - 0.5 * skew_h[v]
         )
 
     eqs = {
@@ -555,5 +547,5 @@ def verify_divergence_identities(
         "div_torsion_square": EquationResidual(float(np.max(np.abs(lhs2 - rhs2))), tol),
         "div_einstein_map": EquationResidual(float(np.max(np.abs(lhs3 - rhs3))), tol),
     }
-    meta = {"backend": s.backend, "dim": int(s.n), "kappa": float(kappa), "f": float(s.f)}
+    meta = {"backend": s.backend, "dim": 3, "kappa": float(kappa), "f": float(s.f)}
     return ResidualReport(eqs, meta=meta)

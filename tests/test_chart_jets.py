@@ -194,17 +194,64 @@ def test_jet_exp_derivative_identity():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-15)
 
 
-def test_jet_matrix_inverse_identity():
-    spec = cj.random_chart_spec(11)
-    g = spec.metric
-    g_inv, det = cj.jet_matrix_inverse(g)
-    prod = cj.jet_einsum("ij,jk->ik", g, g_inv)
+def _cofactor_loop_inverse(g):
+    """Reference inverse: the rule-of-Sarrus determinant and the 9-minor
+    cofactor loop, one ``jet_mul`` per product."""
+    def mul3(a, b, c):
+        return cj.jet_mul(cj.jet_mul(a, b), c)
+
+    det = (
+        mul3(g[0, 0], g[1, 1], g[2, 2]) + mul3(g[0, 1], g[1, 2], g[2, 0])
+        + mul3(g[0, 2], g[1, 0], g[2, 1]) - mul3(g[0, 2], g[1, 1], g[2, 0])
+        - mul3(g[0, 1], g[1, 0], g[2, 2]) - mul3(g[0, 0], g[1, 2], g[2, 1])
+    )
+    cof = np.zeros_like(g)
     for i in range(3):
         for j in range(3):
-            target = cj.jet_constant(1.0 if i == j else 0.0)
-            np.testing.assert_allclose(prod[i, j], target, atol=1e-10)
-    manual_det = cj.jet_determinant(g)
-    np.testing.assert_allclose(det, manual_det, atol=1e-12)
+            rows = [r for r in range(3) if r != i]
+            cols = [c for c in range(3) if c != j]
+            minor = cj.jet_mul(g[rows[0], cols[0]], g[rows[1], cols[1]]) - cj.jet_mul(
+                g[rows[0], cols[1]], g[rows[1], cols[0]]
+            )
+            cof[i, j] = (-1) ** (i + j) * minor
+    return cj.jet_mul(np.swapaxes(cof, 0, 1), cj.jet_inverse(det)[None, None, :]), det
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_jet_matrix_inverse_matches_the_cofactor_loop(degree):
+    size = cj.JET_SIZES[degree]
+    rng = np.random.default_rng(degree)
+    for seed in range(20):
+        g = cj.random_chart_spec(seed).metric[..., :size]
+        if seed % 2:  # the adjugate holds for any matrix; a skew part tells C from C^T
+            g = g + rng.uniform(-0.1, 0.1, size=g.shape)
+        inv, det = cj.jet_matrix_inverse(g)
+        ref_inv, ref_det = _cofactor_loop_inverse(g)
+        _assert_rel_close(inv, ref_inv, rtol=1e-14)
+        _assert_rel_close(det, ref_det, rtol=1e-14)
+        # g g^-1 = I at this degree: the constant identity, no higher terms
+        prod = cj.jet_einsum("ij,jk->ik", g, inv)
+        expected = np.zeros((3, 3, size))
+        expected[..., 0] = np.eye(3)
+        np.testing.assert_allclose(prod, expected, rtol=0.0, atol=1e-13)
+
+
+def test_jet_matrix_inverse_identity():
+    """``g g^-1 = I``; ``det`` is the determinant at the point, and its first
+    derivatives obey Jacobi's formula ``d det = det tr(g^-1 dg)``."""
+    first = [cj.MONO_INDEX[tuple(e)] for e in np.eye(3, dtype=int)]
+    for seed in range(20):
+        g = cj.random_chart_spec(seed).metric
+        g_inv, det = cj.jet_matrix_inverse(g)
+        prod = cj.jet_einsum("ij,jk->ik", g, g_inv)
+        for i in range(3):
+            for j in range(3):
+                np.testing.assert_allclose(prod[i, j], cj.jet_constant(1.0 if i == j else 0.0), atol=1e-10)
+        g0 = cj.jet_value(g)
+        det0 = np.linalg.det(g0)
+        assert det[0] == pytest.approx(det0, rel=1e-14)
+        jacobi = [det0 * np.trace(np.linalg.solve(g0, g[..., k])) for k in first]
+        np.testing.assert_allclose(det[first], jacobi, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +322,15 @@ def test_flat_zero_sample_all_derived_fields_vanish():
     sample = cj.build_chart_sample(spec)
     np.testing.assert_allclose(sample.g, np.eye(3), atol=0.0)
     for name in (
-        "riemann", "ricci", "riemann_tw", "ricci_tw", "div_riemann_tw", "torsion",
-        "torsion_sq", "riemann_tw_sq", "df", "hess_f", "dilaton",
+        "riemann", "ricci", "riemann_tw", "div_riemann_tw", "torsion",
+        "torsion_sq", "riemann_tw_sq", "df", "dilaton",
         "nabla_dilaton", "d_scalar", "nabla_ricci", "delta_torsion",
     ):
         assert np.max(np.abs(np.asarray(getattr(sample, name)))) == 0.0, name
+    assert np.max(np.abs(tc.ricci_from_riemann(sample.g_inv, sample.riemann_tw))) == 0.0
     assert sample.scalar == 0.0
     assert sample.f == 0.0
+    assert sample.laplace_f == 0.0
     assert sample.riemann_tw_norm2 == 0.0
 
 
@@ -295,9 +344,12 @@ def test_zero_flux_sample_twisted_equals_untwisted():
     )
     sample = cj.build_chart_sample(spec)
     assert sample.f == 0.0
+    # no torsion, so the twisted connection is the Levi-Civita one
+    assert np.max(np.abs(sample.torsion)) == 0.0
     np.testing.assert_allclose(sample.riemann_tw, sample.riemann, atol=1e-12)
-    np.testing.assert_allclose(sample.ricci_tw, sample.ricci, atol=1e-12)
-    np.testing.assert_allclose(sample.gamma_tw, sample.gamma, atol=1e-12)
+    np.testing.assert_allclose(
+        tc.ricci_from_riemann(sample.g_inv, sample.riemann_tw), sample.ricci, atol=1e-12
+    )
 
 
 def test_maxwell_sample_couples_flux_to_dilaton(chart_samples):
@@ -341,13 +393,15 @@ def test_sample_internal_consistency(chart_samples):
             sample.torsion_sq, tc.torsion_square(inv, sample.torsion), atol=1e-10
         )
         assert sample.torsion_norm2 == pytest.approx(sample.f**2, rel=1e-10, abs=1e-12)
+        # H = f vol and vol is parallel, so nabla H = df (x) vol
+        nabla_torsion = np.einsum("a,bcd->abcd", sample.df, tc.volume_form(g, sample.orientation))
         np.testing.assert_allclose(
             sample.delta_torsion,
-            tc.codifferential_from_nabla(g_inv, sample.nabla_torsion),
+            tc.codifferential_from_nabla(g_inv, nabla_torsion),
             atol=1e-10,
         )
         np.testing.assert_allclose(
-            sample.ricci_tw,
+            tc.ricci_from_riemann(inv, sample.riemann_tw),
             sample.ricci - 0.5 * sample.torsion_sq + 0.5 * sample.delta_torsion,
             atol=1e-10,
         )
@@ -362,13 +416,18 @@ def test_sample_internal_consistency(chart_samples):
         assert sample.dilaton_norm2 == pytest.approx(
             float(sample.dilaton @ g_inv @ sample.dilaton), rel=1e-10, abs=1e-12
         )
+        # laplace f = -g^ab (d_a d_b f - Gamma^m_ab d_m f), from the chart spec
+        spec = cj.random_chart_spec(sample.meta["seed"], maxwell=sample.meta["maxwell"])
+        gamma = cj.jet_value(cj.christoffel_jets(spec.metric, cj.jet_matrix_inverse(spec.metric)[0]))
+        d2f = cj.jet_value(cj.jet_grad(cj.jet_grad(spec.density)))
+        hess_f = d2f - np.einsum("abm,m->ab", gamma, sample.df)
+        np.testing.assert_allclose(hess_f, hess_f.T, atol=1e-10)
         assert sample.laplace_f == pytest.approx(
-            -float(np.tensordot(g_inv, sample.hess_f, axes=2)), rel=1e-10, abs=1e-12
+            -float(np.tensordot(inv, hess_f, axes=2)), rel=1e-10, abs=1e-12
         )
         assert sample.delta_dilaton == pytest.approx(
             -float(np.tensordot(g_inv, sample.nabla_dilaton, axes=2)), rel=1e-10, abs=1e-12
         )
-        np.testing.assert_allclose(sample.hess_f, sample.hess_f.T, atol=1e-10)
         # chart dilatons come from a potential, so their derivative is symmetric
         np.testing.assert_allclose(
             sample.nabla_dilaton, sample.nabla_dilaton.T, atol=1e-10
@@ -376,11 +435,13 @@ def test_sample_internal_consistency(chart_samples):
 
 
 def test_chart_sample_contracts_through_the_module_jet_einsum(count_calls):
-    """The builder reads ``cj.jet_einsum`` when it runs, so a patched module
-    attribute (a call counter, a tracer) sees every one of its contractions."""
-    calls = count_calls(cj, "jet_einsum")
-    cj.build_chart_sample(cj.random_chart_spec(5))
-    assert len(calls) == 42
+    """The builder reads ``cj.jet_einsum`` and ``cj.jet_mul`` when it runs, so
+    a patched module attribute (a call counter, a tracer) sees every one of
+    its products: 43 contractions and 11 scalar products on a maxwell chart."""
+    contractions = count_calls(cj, "jet_einsum")
+    products = count_calls(cj, "jet_mul")
+    cj.build_chart_sample(cj.random_chart_spec(5, maxwell=True))
+    assert (len(contractions), len(products)) == (43, 11)
 
 
 def test_conformal_chart_curvature():

@@ -785,9 +785,112 @@ def test_F_is_finite_at_a_large_conformal_factor():
     assert collapse.tag is ht.BehaviorTag.FINITE_TIME_COLLAPSE
     assert collapse.f_at_start == pytest.approx(-4e70 / 9, rel=1e-15)
     assert collapse.collapse_time == pytest.approx(2.25e70, rel=1e-9)  # int_0^sigma0 9/4 dy
+    # F = mu^2 / y > 0 far above the one root: sigma grows, however small F is
     kappa, mu = 4.848285431783504, -1.6441619265703111
-    assert ht.classify("flat", kappa, mu, 1e76).tag is ht.BehaviorTag.STATIC
-    assert ht.classify("flat", kappa, mu, 1e90).tag is ht.BehaviorTag.STATIC
+    for sigma0 in (1e76, 1e90):
+        behavior = ht.classify("flat", kappa, mu, sigma0)
+        assert behavior.tag is ht.BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
+        assert behavior.f_at_start == pytest.approx(mu**2 / sigma0, rel=1e-15)
+
+
+def _static_rule_rows(rng):
+    """Quintic rows of every case plus random rows spanning twelve orders."""
+    rows = [
+        ht.problem_coefficients(ht.HomothetyProblem(case, kappa, mu, s))
+        for case, kappa, mu, s in (
+            ("positive", ht.kappa_crit_p(1.2), 1.2, 0.0),
+            ("negative", ht.kappa_crit_n(2.5), 2.5, 0.0),
+            ("flat", 4.0 / 1.3**2, 1.3, 0.0),
+            ("flat", 1.0, 1.0, 0.0),
+            ("su2", 1.4, 0.0, 0.0),
+            ("general", 0.7, 0.9, -2.0),
+        )
+    ]
+    for _ in range(40):
+        row = rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(-6.0, 6.0, size=6)
+        row[rng.random(6) < 0.25] = 0.0
+        rows.append(row)
+    return rows
+
+
+def test_static_rule_matches_the_exact_bound_across_scales():
+    """``_is_static`` asks ``|F(sigma0)| <= 1e-12 sum_k |c_k| sigma0^(1-k)``.
+
+    Against 40-digit mpmath values of ``F`` and of that bound, taken from the
+    same doubles: the verdict is exact outside a band of 1e-3 around the
+    bound, a float start on an exact root is static, and a non-static verdict
+    has the sign of the exact ``F``.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    verdicts = {True: 0, False: 0}
+    roots_seen = 0
+    with mpmath.workdps(40):
+        def exact(row, y):
+            y = mpmath.mpf(y)
+            terms = [mpmath.mpf(c) * y ** (1 - k) for k, c in enumerate(row.tolist())]
+            return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+        for row in _static_rule_rows(rng):
+            nonzero = np.flatnonzero(row)  # leading and trailing zeros add no positive root
+            coeffs = [mpmath.mpf(c) for c in row[nonzero[0] : nonzero[-1] + 1].tolist()]
+            roots = mpmath.polyroots(coeffs, maxsteps=2000, extraprec=200) if len(coeffs) > 1 else []
+            positive = [float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-30 and mpmath.re(r) > 0]
+            starts = [float(y) for y in 10.0 ** rng.uniform(-6.0, 14.0, size=12)]
+            for r in positive:
+                roots_seen += 1
+                assert ht._is_static(row, ht._F_from_coefficients(row, r), r)
+                starts += [r * (1.0 + d) for d in (-1e-14, 1e-13, -1e-12, 1e-11, -1e-9, 1e-3)]
+            for y in starts:
+                try:
+                    f0 = ht._F_from_coefficients(row, y)
+                except ValueError:  # F itself overflows at this start
+                    continue
+                static = bool(ht._is_static(row, f0, y))
+                value, scale = exact(row, y)
+                if abs(value) > 1.001e-12 * scale:
+                    assert not static and (f0 > 0) == (value > 0), (row, y)
+                elif abs(value) < 0.999e-12 * scale:
+                    assert static, (row, y)
+                verdicts[static] += 1
+    assert roots_seen >= 20 and min(verdicts.values()) >= 20, (roots_seen, verdicts)
+
+
+@pytest.mark.parametrize("power", [-40, -20, -7, 7, 20, 40])
+def test_static_rule_is_scale_covariant(power):
+    """``sigma -> l sigma``, ``c_k -> c_k l^(k-1)`` leaves ``F`` unchanged; with
+    ``l`` a power of two both sides are exact, so the verdicts agree bit for bit."""
+    rng = np.random.default_rng(18)
+    scale = 2.0**power
+    for row in _static_rule_rows(rng):
+        scaled = row * scale ** np.arange(-1.0, 5.0)
+        for y in [1.0, 0.37, 5.5] + [float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, size=8)]:
+            f0 = ht._F_from_coefficients(row, y)
+            f_scaled = ht._F_from_coefficients(scaled, y * scale)
+            assert f_scaled == f0
+            assert ht._is_static(scaled, f_scaled, y * scale) == ht._is_static(row, f0, y)
+
+
+def test_static_rule_bound_stays_finite_where_terms_of_F_cancel_above_overflow():
+    """At ``sigma0 = 5e-38`` the terms ``c3/y^2`` and ``c5/y^4`` of this
+    quintic are each about 4e308 and cancel, leaving ``F = c1 = -3.3e307``."""
+    problem = ht.HomothetyProblem("general", 1.0, 1e40, -1e154, sigma0=5e-38)
+    coeffs = ht.problem_coefficients(problem)
+    f0 = ht._F_from_coefficients(coeffs, problem.sigma0)
+    assert f0 == pytest.approx(-1e308 / 3, rel=1e-12)
+    assert not ht._is_static(coeffs, f0, problem.sigma0)
+
+
+def test_a_flat_start_far_above_its_root_is_not_static():
+    """``F = mu^2 / sigma0 > 0`` at every scale, so the start is not static."""
+    mpmath = pytest.importorskip("mpmath")
+    for k in range(0, 31, 3):
+        sigma0 = 10.0**k
+        behavior = ht.classify("flat", 1.0, 1.0, sigma0)
+        assert behavior.tag is ht.BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT, sigma0
+        with mpmath.workdps(40):
+            exact = 1 / mpmath.mpf(sigma0) - mpmath.mpf(0.25) / mpmath.mpf(sigma0) ** 4
+        assert behavior.f_at_start == pytest.approx(float(exact), rel=1e-15)
 
 
 @pytest.mark.parametrize("n_points", [0, 1])

@@ -120,15 +120,6 @@ def test_maxwell_residual_equals_twice_skew_map():
         )
 
 
-def test_maxwell_residual_requires_dimension_three():
-    sample = cj.random_chart_sample(0)
-    bad = so.SolitonCandidate(sample, 1.0)
-    object.__setattr__(bad.sample, "n", 4)
-    with pytest.raises(ValueError):
-        so.maxwell_residual_3d(bad.sample)
-    object.__setattr__(bad.sample, "n", 3)
-
-
 # ---------------------------------------------------------------------------
 # constant-dilaton classification
 # ---------------------------------------------------------------------------
@@ -322,14 +313,6 @@ def test_case2_passes_pointwise_but_fails_strong(kappa):
     assert not report.all_passed
     assert not report.equations["strong_full"].passed
     assert report.equations["einstein_sym"].passed
-
-
-def test_strong_residual_requires_dimension_three():
-    candidate = so.heisenberg_strong_soliton(1.0)
-    object.__setattr__(candidate.sample, "n", 4)
-    with pytest.raises(ValueError):
-        so.strong_residual(candidate)
-    object.__setattr__(candidate.sample, "n", 3)
 
 
 def test_strong_skew_scalar_gradient_identity():
