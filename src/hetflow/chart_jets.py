@@ -31,23 +31,34 @@ written as an epsilon contraction, ``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc``:
 one plain einsum against the constant ``eps (x) eps`` and one ``jet_einsum``
 give every cofactor, and ``det = 1/3 g_ia C_ia``.
 
+Arrays may carry batch axes in front of the tensor axes.  Every spec
+addresses the tensor axes only and is given a leading ellipsis, so the jet
+kernel, the metric inverse, the connection, the curvature and the covariant
+derivative run on one chart or on a stack of charts through the same calls;
+a stack costs the same number of numpy calls as one chart.
+
 The end product is a :class:`GeometrySample`: a bundle of plain ``float``
 arrays at a point of a three-dimensional chart, carrying the covariant
 quantities (including first covariant derivatives of the quadratic
 curvature/torsion contractions) that the soliton residuals, the divergence
 identities and the ``verify`` suites read.  The bundle is coupling-free:
 terms that carry the quadratic-curvature coupling are assembled by the
-consumers.  This
-backend and the homogeneous one (:mod:`hetflow.homogeneous`) fill it through
-one assembly, ``_assemble_sample``, where every derived field is written
-once.  Each backend hands it the metric, its inverse, the Levi-Civita
-coefficients, the torsion 3-form, its density and the dilaton 1-form, plus
-five primitives: a two-operand contraction (here ``jet_einsum``), the
-covariant derivative (``cov_deriv_jets``), the gradient (``jet_grad``), the
-curvature of connection coefficients (``curvature_jets``) and the value at
-the point (``jet_value``).  Index raises and covariant derivatives contract
-one slot at a time through cached explicit einsum specs, so the same specs
-serve jets and plain arrays.
+consumers.  This backend and the homogeneous one
+(:mod:`hetflow.homogeneous`) fill it through one assembly,
+``_assemble_sample``, where every derived field is written once, for a
+whole batch of samples: its inputs carry one leading batch axis, and it
+hands out one sample per batch entry.  :func:`build_chart_samples` runs a
+list of chart specs through it in one pass; :func:`build_chart_sample` is
+a batch of one.  Each backend hands the assembly the metric, its inverse,
+the Levi-Civita coefficients, the torsion 3-form, its density and the
+dilaton 1-form, plus six primitives: a two-operand contraction (here
+``jet_einsum``), the covariant derivative (``cov_deriv_jets``), the
+gradient of a scalar, the curvature of connection coefficients
+(``curvature_jets``), the value at the point (``jet_value``) and the cut of
+a jet to a lower degree, so that a contraction read only to first order
+is built only to first order.  Index raises and covariant derivatives
+contract one slot at a time through cached explicit einsum specs, so the
+same specs serve jets and plain arrays.
 """
 
 from __future__ import annotations
@@ -88,6 +99,7 @@ __all__ = [
     "hyperbolic_chart_spec",
     "GeometrySample",
     "build_chart_sample",
+    "build_chart_samples",
     "random_chart_sample",
 ]
 
@@ -190,11 +202,13 @@ def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Einsum over the leading tensor axes of two jet arrays.
+    """Einsum over the tensor axes of two jet arrays.
 
     ``spec`` addresses only the tensor axes and names its output explicitly
-    (e.g. ``"abc,cm->abm"``); the jet axis is convolved and truncated at the
-    lower of the two degrees.
+    (e.g. ``"abc,cm->abm"``); any axes in front of them are batch axes,
+    broadcast as by a leading ellipsis (a spec may also place the ellipsis
+    itself, as in ``"ab,b...->a..."``).  The jet axis is convolved and
+    truncated at the lower of the two degrees.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -206,14 +220,31 @@ def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pair_spec(spec: str) -> str:
-    """``spec`` with a pair axis appended to both operands and the output."""
+def _batch_spec(spec: str) -> str:
+    """``spec`` with leading batch axes (an ellipsis) on every operand and the
+    output; a spec that places an ellipsis itself is kept as it is."""
     inputs, arrow, output = spec.partition("->")
     if not arrow:
-        raise ValueError(f"jet_einsum needs an explicit output in {spec!r}")
+        raise ValueError(f"a tensor-axis spec needs an explicit output, not {spec!r}")
+    if "..." in spec:
+        return spec
+    return ",".join("..." + term for term in inputs.split(",")) + "->..." + output
+
+
+@lru_cache(maxsize=256)
+def _pair_spec(spec: str) -> str:
+    """:func:`_batch_spec` of ``spec`` with a pair axis appended to both operands and the output."""
     pair = next(c for c in "zyxwvutsrqponmlkjihgfedcba" if c not in spec)
+    inputs, _, output = _batch_spec(spec).partition("->")
     spec_a, spec_b = inputs.split(",")
     return f"{spec_a}{pair},{spec_b}{pair}->{output}{pair}"
+
+
+def _transpose_trailing(a: np.ndarray, perm: tuple) -> np.ndarray:
+    """``a`` with its trailing ``len(perm)`` axes permuted as ``np.transpose``
+    would permute them; the axes in front (batch axes) stay in place."""
+    lead = a.ndim - len(perm)
+    return a.transpose(*range(lead), *(lead + p for p in perm))
 
 
 def _deriv_block(a: np.ndarray) -> np.ndarray:
@@ -232,13 +263,29 @@ def jet_deriv(a: np.ndarray, axis: int) -> np.ndarray:
 def jet_grad(a: np.ndarray) -> np.ndarray:
     """Stack of coordinate derivatives; the new derivative axis comes first."""
     a = np.asarray(a, dtype=float)
-    return np.einsum("...i,xij->x...j", a, _deriv_block(a))
+    return _grad(a, a.ndim - 1)
 
 
-def _jet_series(a: np.ndarray, series: list[float], scale: float) -> np.ndarray:
-    """Evaluate ``scale * sum series[k] u^k`` with ``u = a / a0 - 1``, at the degree of ``a``."""
-    u = a / a[0]
-    u[0] -= 1.0
+def _grad(a: np.ndarray, rank: int) -> np.ndarray:
+    """Coordinate derivatives of a jet array whose last ``rank`` non-jet axes
+    are tensor axes; the derivative axis goes in front of them, behind any
+    batch axes."""
+    return np.einsum(_grad_spec(rank), a, _deriv_block(a))
+
+
+@lru_cache(maxsize=None)
+def _grad_spec(rank: int) -> str:
+    idx = _SLOT_LETTERS[:rank]
+    return f"...{idx}Y,aYX->...a{idx}X"
+
+
+def _jet_series(a: np.ndarray, series: list[float], scale) -> np.ndarray:
+    """Evaluate ``scale * sum series[k] u^k`` with ``u = a / a0 - 1``, at the degree of ``a``.
+
+    Leading axes of ``a`` are batch axes; ``scale`` broadcasts against ``a``.
+    """
+    u = a / a[..., :1]
+    u[..., 0] -= 1.0
     out = jet_constant(series[0], jet_degree(a))
     power = jet_constant(1.0, jet_degree(a))
     for coeff in series[1:]:
@@ -249,15 +296,17 @@ def _jet_series(a: np.ndarray, series: list[float], scale: float) -> np.ndarray:
 
 def jet_inverse(a: np.ndarray) -> np.ndarray:
     """Jet of ``1 / a``; requires a nonzero value at the origin."""
-    if a[0] == 0.0:
+    a = np.asarray(a, dtype=float)
+    if np.any(a[..., 0] == 0.0):
         raise ZeroDivisionError("jet has zero constant term")
-    return _jet_series(a, [1.0, -1.0, 1.0, -1.0], 1.0 / a[0])
+    return _jet_series(a, [1.0, -1.0, 1.0, -1.0], 1.0 / a[..., :1])
 
 
 def jet_sqrt(a: np.ndarray) -> np.ndarray:
-    if a[0] <= 0.0:
+    a = np.asarray(a, dtype=float)
+    if np.any(a[..., 0] <= 0.0):
         raise ValueError("jet sqrt needs a positive constant term")
-    return _jet_series(a, [1.0, 0.5, -0.125, 0.0625], math.sqrt(a[0]))
+    return _jet_series(a, [1.0, 0.5, -0.125, 0.0625], np.sqrt(a[..., :1]))
 
 
 def jet_exp(a: np.ndarray) -> np.ndarray:
@@ -272,10 +321,11 @@ def jet_exp(a: np.ndarray) -> np.ndarray:
 
 
 def jet_log(a: np.ndarray) -> np.ndarray:
-    if a[0] <= 0.0:
+    a = np.asarray(a, dtype=float)
+    if np.any(a[..., 0] <= 0.0):
         raise ValueError("jet log needs a positive constant term")
     out = _jet_series(a, [0.0, 1.0, -0.5, 1.0 / 3.0], 1.0)
-    out[0] = math.log(a[0])
+    out[..., 0] = np.log(a[..., 0])
     return out
 
 
@@ -289,12 +339,12 @@ def jet_matrix_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The cofactors ``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc`` are one plain
     einsum against the constant ``eps (x) eps`` (linear in ``g``, so exact
     on jets) and one jet product; then ``det = 1/3 g_ia C_ia`` and
-    ``g^-1 = C^T / det``.
+    ``g^-1 = C^T / det``.  Leading axes of ``g`` are batch axes.
     """
-    half = 0.5 * np.einsum("ijkabc,jb...->ikac...", _EPS_PAIR, g)
+    half = 0.5 * np.einsum("ijkabc,...jbY->...ikacY", _EPS_PAIR, g)
     cof = jet_einsum("ikac,kc->ia", half, g)
     det = jet_einsum("ia,ia->", g, cof) / 3.0
-    inv = jet_mul(np.swapaxes(cof, 0, 1), jet_inverse(det)[None, None, :])
+    inv = jet_mul(_transpose_trailing(cof, (1, 0, 2)), jet_inverse(det)[..., None, None, :])
     return inv, det
 
 
@@ -319,10 +369,14 @@ def _cov_deriv_spec(rank: int, slot: int) -> str:
 
 
 def christoffel_jets(g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Levi-Civita coefficients ``Gamma[a, b, m] = Gamma^m_ab`` as jets, one degree below ``g``."""
-    dg = jet_grad(g)  # dg[a, i, j] = d_a g_ij
+    """Levi-Civita coefficients ``Gamma[a, b, m] = Gamma^m_ab`` as jets, one degree below ``g``.
+
+    Leading axes of ``g`` and ``g_inv`` are batch axes.
+    """
+    dg = _grad(g, 2)  # dg[a, i, j] = d_a g_ij
     # t[a, b, c] = d_a g_cb + d_b g_ca - d_c g_ab
-    t = dg.transpose(0, 2, 1, 3) + dg.transpose(2, 0, 1, 3) - dg.transpose(1, 2, 0, 3)
+    t = (_transpose_trailing(dg, (0, 2, 1, 3)) + _transpose_trailing(dg, (2, 0, 1, 3))
+         - _transpose_trailing(dg, (1, 2, 0, 3)))
     return 0.5 * jet_einsum("abc,cm->abm", t, g_inv)
 
 
@@ -332,12 +386,13 @@ def curvature_jets(gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     ``R^m_abc = d_a Gamma^m_bc - d_b Gamma^m_ac + Gamma^l_bc Gamma^m_al
     - Gamma^l_ac Gamma^m_bl`` and ``R_abcd = R^m_abc g_md``, one degree below
     ``gamma``.  Works for any connection coefficients, in particular the
-    torsion-twisted ones.
+    torsion-twisted ones.  Leading axes are batch axes.
     """
-    dgamma = jet_grad(gamma)  # dgamma[a, b, c, m] = d_a Gamma^m_bc
+    dgamma = _grad(gamma, 3)  # dgamma[a, b, c, m] = d_a Gamma^m_bc
     gamma = gamma[..., : dgamma.shape[-1]]  # the quadratic term to the derivative's degree
     quad = jet_einsum("bcl,alm->abcm", gamma, gamma)
-    r_up = dgamma - np.transpose(dgamma, (1, 0, 2, 3, 4)) + quad - np.transpose(quad, (1, 0, 2, 3, 4))
+    swap = (1, 0, 2, 3, 4)
+    r_up = dgamma - _transpose_trailing(dgamma, swap) + quad - _transpose_trailing(quad, swap)
     return jet_einsum("abcm,md->abcd", r_up, g)
 
 
@@ -346,11 +401,12 @@ def cov_deriv_jets(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
     ``(D_a T)_{i1..ip} = d_a T_{i1..ip} - sum_r Gamma^m_{a i_r} T_{..m..}``,
     at one degree below ``tensor`` (or at the degree of ``gamma``, if lower).
+    Both carry the same leading batch axes, if any.
     """
     tensor = np.asarray(tensor, dtype=float)
-    rank = tensor.ndim - 1
+    rank = tensor.ndim - gamma.ndim + 3  # gamma has three tensor slots
     size = JET_SIZES[min(jet_degree(tensor) - 1, jet_degree(gamma))]
-    out = jet_grad(tensor)[..., :size]
+    out = _grad(tensor, rank)[..., :size]
     gamma = gamma[..., :size]  # the connection terms to the derivative's degree
     for slot in range(rank):
         out -= jet_einsum(_cov_deriv_spec(rank, slot), gamma, tensor)
@@ -445,11 +501,11 @@ class GeometrySample:
 
     A sample is three-dimensional by construction: both builders take a
     3x3 metric and ``H = f vol``.  All entries are plain float arrays in the
-    frame at the sample point.  Each is read by the soliton residuals, the
-    divergence identities or the ``verify`` suites, except ``laplace_f``,
-    the test oracle of the identity in
-    :func:`hetflow.soliton.strong_skew_scalar`.
-    ``div_riemann_tw[v, c, d]`` is the twisted divergence
+    frame at the sample point, and each is read by the soliton residuals,
+    the divergence identities or the ``verify`` suites.  Samples are built
+    in batches: the assembly carries one leading batch axis on every field
+    and hands out one sample per batch entry, so a sample holds no batch
+    axis.  ``div_riemann_tw[v, c, d]`` is the twisted divergence
     ``-g^{ab} (Dhat_a Rhat)_{b v c d}``.  Derivative-flavored scalars
     (``d_*``) are 1-forms; on homogeneous samples they vanish.  The bundle
     carries no coupling constant: consumers weight the quadratic-curvature
@@ -479,7 +535,6 @@ class GeometrySample:
     d_riemann_tw_norm2: np.ndarray
     f: float
     df: np.ndarray
-    laplace_f: float
     dilaton: np.ndarray
     nabla_dilaton: np.ndarray
     nabla2_dilaton: np.ndarray
@@ -493,15 +548,20 @@ class GeometrySample:
 
 def _assemble_sample(
     g, g_inv, gamma, torsion, f, dilaton, *,
-    contract, cov_deriv, grad, curvature, value,
-    backend: str, orientation: int, meta: dict,
-) -> GeometrySample:
-    """Every derived field of a :class:`GeometrySample`, for either backend.
+    contract, cov_deriv, grad, curvature, value, truncate,
+    backend: str, orientations: list, metas: list,
+) -> list[GeometrySample]:
+    """Every derived field of a batch of :class:`GeometrySample`, for either backend.
 
-    Inputs are in the backend's representation (jets or plain arrays), and so
-    are the primitives ``contract(spec, a, b)`` (tensor axes only),
-    ``cov_deriv(gamma, tensor)``, ``grad(tensor)``, ``curvature(gamma)`` (the
-    (0,4) curvature of any connection coefficients) and ``value(x)``.
+    Inputs carry one leading batch axis and are in the backend's
+    representation (jets or plain arrays), and so are the primitives
+    ``contract(spec, a, b)`` (``spec`` addresses the tensor axes only),
+    ``cov_deriv(gamma, tensor)``, ``grad(scalar)`` (derivative axis behind
+    the batch axis), ``curvature(gamma)`` (the (0,4) curvature of any
+    connection coefficients), ``value(x)`` and ``truncate(x, degree)`` (a jet
+    cut to ``degree``; plain arrays pass through).  Returns one sample per
+    batch entry, and raises ``ValueError`` naming the first entry with a
+    non-finite field.
     """
     riemann = curvature(gamma)
     ricci = contract("ab,aUVb->UV", g_inv, riemann)
@@ -511,30 +571,29 @@ def _assemble_sample(
     gamma_tw = gamma - 0.5 * contract("abc,cm->abm", torsion, g_inv)
     riemann_tw = curvature(gamma_tw)
     g_inv0 = value(g_inv)
-    nabla_torsion = cov_deriv(gamma, torsion)
+    # H o H, |H|^2 and |phi|^2 are read to first order and nabla H at its
+    # value, so their products stop there.
+    torsion1 = truncate(torsion, 1)
+    dilaton1 = truncate(dilaton, 1)
+    nabla_torsion = cov_deriv(gamma, torsion1)
 
     def raised(tensor, rank, slots):
         for slot in slots:
             tensor = contract(_raise_spec(rank, slot), g_inv, tensor)
         return tensor
 
-    torsion_up12 = raised(torsion, 3, (1, 2))  # only the two slots H o H contracts
-    torsion_sq = 0.5 * contract("aij,bij->ab", torsion, torsion_up12)
-    torsion_norm2 = contract("abc,abc->", torsion, raised(torsion_up12, 3, (0,))) / 6.0
+    torsion_up12 = raised(torsion1, 3, (1, 2))  # only the two slots H o H contracts
+    torsion_sq = 0.5 * contract("aij,bij->ab", torsion1, torsion_up12)
+    torsion_norm2 = contract("abc,abc->", torsion1, raised(torsion_up12, 3, (0,))) / 6.0
     riemann_tw_up3 = raised(riemann_tw, 4, (1, 2, 3))
     riemann_tw_sq = 0.5 * contract("aijk,bijk->ab", riemann_tw, riemann_tw_up3)
     riemann_tw_norm2 = 0.25 * contract("abcd,abcd->", riemann_tw, raised(riemann_tw_up3, 4, (0,)))
 
-    # Scalar torsion density block.
-    df = grad(f)
-    hess_f = cov_deriv(gamma, df)
-
     nabla_dilaton = cov_deriv(gamma, dilaton)
     delta_dilaton = -contract("ab,ab->", g_inv, nabla_dilaton)
-    dilaton_norm2 = contract("a,a->", dilaton, contract("ab,b->a", g_inv, dilaton))
+    dilaton_norm2 = contract("a,a->", dilaton1, contract("ab,b->a", g_inv, dilaton1))
 
-    return GeometrySample(
-        backend=backend,
+    fields = dict(
         g=value(g),
         g_inv=g_inv0,
         riemann=value(riemann),
@@ -543,7 +602,8 @@ def _assemble_sample(
         d_scalar=value(grad(scalar)),
         nabla_ricci=value(cov_deriv(gamma, ricci)),
         riemann_tw=value(riemann_tw),
-        div_riemann_tw=-np.einsum("ab,abvcd->vcd", g_inv0, value(cov_deriv(gamma_tw, riemann_tw))),
+        div_riemann_tw=-np.einsum("...ab,...abvcd->...vcd", g_inv0,
+                                  value(cov_deriv(gamma_tw, riemann_tw))),
         torsion=value(torsion),
         delta_torsion=value(-contract("ab,abcd->cd", g_inv, nabla_torsion)),
         torsion_sq=value(torsion_sq),
@@ -555,8 +615,7 @@ def _assemble_sample(
         riemann_tw_norm2=value(riemann_tw_norm2),
         d_riemann_tw_norm2=value(grad(riemann_tw_norm2)),
         f=value(f),
-        df=value(df),
-        laplace_f=value(-contract("ab,ab->", g_inv, hess_f)),
+        df=value(grad(f)),
         dilaton=value(dilaton),
         nabla_dilaton=value(nabla_dilaton),
         nabla2_dilaton=value(cov_deriv(gamma, nabla_dilaton)),
@@ -564,32 +623,97 @@ def _assemble_sample(
         d_delta_dilaton=value(grad(delta_dilaton)),
         dilaton_norm2=value(dilaton_norm2),
         d_dilaton_norm2=value(grad(dilaton_norm2)),
-        orientation=orientation,
-        meta=meta,
     )
+    size = len(metas)
+    finite = np.isfinite(np.concatenate([v.reshape(size, -1) for v in fields.values()], axis=1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample {int(np.argmin(finite))}: its {backend} geometry is not finite "
+                         "in double precision")
+    # Per-sample columns: Python floats for scalars, views of the batch otherwise.
+    columns = [v.tolist() if v.ndim == 1 else list(v) for v in fields.values()]
+    return [
+        GeometrySample(backend=backend, orientation=orientation, meta=meta, **dict(zip(fields, row)))
+        for orientation, meta, *row in zip(orientations, metas, *columns)
+    ]
+
+
+def _stack_chart_specs(specs: list) -> tuple:
+    """``(metric, density, potential)`` of the specs stacked on a leading
+    batch axis, after checking each spec's shapes, coefficients, orientation
+    and metric value; errors name the spec's index."""
+    shapes = (("metric", (3, 3, N_COEFFS)), ("density", (N_COEFFS,)), ("potential", (N_COEFFS,)))
+    for k, spec in enumerate(specs):
+        for name, shape in shapes:
+            if np.shape(getattr(spec, name)) != shape:
+                raise ValueError(f"sample {k}: {name} must have shape {shape}, "
+                                 f"not {np.shape(getattr(spec, name))}")
+        if spec.orientation not in (1, -1):
+            raise ValueError(f"sample {k}: orientation must be +1 or -1, not {spec.orientation!r}")
+    metric, density, potential = (
+        np.array([getattr(spec, name) for spec in specs], dtype=float) for name, _ in shapes
+    )
+    finite = (np.isfinite(metric).all(axis=(1, 2, 3)) & np.isfinite(density).all(axis=1)
+              & np.isfinite(potential).all(axis=1))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ValueError(f"sample {bad[0]}: metric, density and potential jets must be finite")
+    tc.validate_metric(metric[..., 0])
+    return metric, density, potential
+
+
+def build_chart_samples(specs) -> list[GeometrySample]:
+    """Run the jet pipeline on a batch of chart specs in one pass and read
+    every sample at the origin; one :class:`GeometrySample` per spec, in order.
+
+    Raises ``ValueError``, naming the spec's index, for a spec that is not
+    a finite degree-3 chart with an SPD metric value and orientation +-1, a
+    ``maxwell`` spec whose density is not positive at the origin, and a spec
+    whose geometry overflows.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite field
+        g, density, potential = _stack_chart_specs(specs)
+        maxwell = np.array([bool(spec.maxwell) for spec in specs])
+        bad = np.flatnonzero(maxwell & ~(density[:, 0] > 0.0))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]}: a maxwell chart needs a positive density at the origin")
+        try:
+            g_inv, det = jet_matrix_inverse(g)
+        except ZeroDivisionError:
+            raise ValueError("a chart metric's determinant rounds to zero") from None
+        bad = np.flatnonzero(~(det[:, 0] > 0.0))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]}: metric determinant {det[bad[0], 0]:.3e} "
+                             "is not positive in double precision")
+        # H and f are read with at most two derivatives: degree 2 carries them.
+        two = JET_SIZES[2]
+        orientation = np.array([spec.orientation for spec in specs], dtype=float)
+        vol = (orientation[:, None, None, None, None] * tc.levi_civita_symbol(3)[..., None]
+               * jet_sqrt(det[:, :two])[:, None, None, None, :])
+        # Closed dilaton 1-form from the potential (or d log density); log
+        # only where it is taken, since other densities may be negative.
+        if maxwell.any():
+            potential[maxwell] = jet_log(density[maxwell])
+        return _assemble_sample(
+            g, g_inv, christoffel_jets(g, g_inv),
+            jet_mul(density[:, None, None, None, :], vol),  # H = density * vol
+            density[:, :two], _grad(potential, 0),
+            # jet_einsum is read here, at call time, so a patched module
+            # attribute (a call counter, a tracer) sees every contraction.
+            contract=jet_einsum, cov_deriv=cov_deriv_jets, grad=lambda scalar: _grad(scalar, 0),
+            curvature=lambda gamma: curvature_jets(gamma, g), value=jet_value,
+            truncate=lambda jets, degree: jets[..., : JET_SIZES[degree]],
+            backend="chart", orientations=[spec.orientation for spec in specs],
+            metas=[{"seed": spec.seed, "maxwell": spec.maxwell} for spec in specs],
+        )
 
 
 def build_chart_sample(spec: ChartSpec) -> GeometrySample:
-    """Run the jet pipeline on a chart spec and read everything at the origin."""
-    g = spec.metric
-    g_inv, det = jet_matrix_inverse(g)
-    tc.validate_metric(jet_value(g))
-    # H and f are read with at most two derivatives: degree 2 carries them.
-    two = JET_SIZES[2]
-    vol = spec.orientation * tc.levi_civita_symbol(3)[..., None] * jet_sqrt(det[:two])
-    # Closed dilaton 1-form from the potential (or d log density).
-    potential = jet_log(spec.density) if spec.maxwell else spec.potential
-    return _assemble_sample(
-        g, g_inv, christoffel_jets(g, g_inv),
-        jet_mul(spec.density[None, None, None, :], vol),  # H = density * vol
-        spec.density[:two], jet_grad(potential),
-        # jet_einsum is read here, at call time, so a patched module attribute
-        # (a call counter, a tracer) sees every contraction.
-        contract=jet_einsum, cov_deriv=cov_deriv_jets, grad=jet_grad,
-        curvature=lambda gamma: curvature_jets(gamma, g), value=jet_value,
-        backend="chart", orientation=spec.orientation,
-        meta={"seed": spec.seed, "maxwell": spec.maxwell},
-    )
+    """Run the jet pipeline on a chart spec and read everything at the origin
+    (:func:`build_chart_samples` on a batch of one)."""
+    return build_chart_samples([spec])[0]
 
 
 def random_chart_sample(seed: int, maxwell: bool = False) -> GeometrySample:

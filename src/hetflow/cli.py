@@ -328,17 +328,45 @@ def cmd_soliton_check(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chart_samples(trials: int, seed: int) -> list:
-    """The chart samples of one ``verify`` call, shared by the chart suites."""
-    return [cj.random_chart_sample(seed + k, maxwell=bool(k % 2)) for k in range(trials)]
+# The exact soliton families of the constructor suite: candidate name,
+# argument factory and the constant-dilaton case the family realises.
+_SOLITON_FAMILIES = (("heisenberg", so._heisenberg_args, 1), ("hyperbolic", so._hyperbolic_args, 3))
 
 
-def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
+def _verify_samples(selected: tuple, trials: int, seed: int) -> dict:
+    """Every sample the selected suites read, built once per call in at most
+    two passes: the chart samples in one, and the identity suite's invariant
+    samples together with the soliton candidates in the other."""
+    charts = []
+    if {"identities", "divergence"} & set(selected):
+        specs = [cj.random_chart_spec(seed + k, maxwell=bool(k % 2)) for k in range(trials)]
+        charts = cj.build_chart_samples(specs)
+    args = []
+    if "identities" in selected:
+        args += [hg._random_invariant_args(seed + k) for k in range(trials)]
+    n_invariant = len(args)
+    families = []
+    if "solitons" in selected:
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            kappa = float(rng.uniform(0.2, 5.0))
+            for name, make_args, case in _SOLITON_FAMILIES:
+                args.append(make_args(kappa))
+                families.append((name, kappa, case))
+    built = hg.build_invariant_samples(args)
+    candidates = [
+        (so.SolitonCandidate(sample, kappa, name=name), case)
+        for sample, (name, kappa, case) in zip(built[n_invariant:], families)
+    ]
+    return {"charts": charts, "invariants": built[:n_invariant], "candidates": candidates}
+
+
+def _suite_identities(seed: int, samples: dict) -> list[dict]:
     """Curvature-identity suite: generic contractions against the 3D closed forms,
     over chart and homogeneous samples."""
     worst: dict[str, float] = {}
-    for k in range(trials):
-        for sample in (charts[k], hg.random_invariant_sample(seed + k)):
+    for chart, invariant in zip(samples["charts"], samples["invariants"]):
+        for sample in (chart, invariant):
             g, g_inv, ric, scal = sample.g, sample.g_inv, sample.ricci, sample.scalar
             f, df = sample.f, sample.df
             pairs = (
@@ -376,13 +404,13 @@ def _suite_identities(trials: int, seed: int, charts: list) -> list[dict]:
     ]
 
 
-def _suite_divergence(trials: int, seed: int, charts: list) -> list[dict]:
+def _suite_divergence(seed: int, samples: dict) -> list[dict]:
     """Divergence-identity suite over chart samples with nonconstant f, phi."""
     rng = np.random.default_rng(seed)
     worst = {"div_curvature_square": 0.0, "div_torsion_square": 0.0, "div_einstein_map": 0.0}
-    for k in range(trials):
+    for chart in samples["charts"]:
         kappa = float(rng.uniform(0.05, 3.0))
-        report = so.verify_divergence_identities(charts[k], kappa)
+        report = so.verify_divergence_identities(chart, kappa)
         for name, eq in report.equations.items():
             worst[name] = max(worst[name], eq.value)
     return [
@@ -391,38 +419,29 @@ def _suite_divergence(trials: int, seed: int, charts: list) -> list[dict]:
     ]
 
 
-def _suite_solitons(trials: int, seed: int, charts: list) -> list[dict]:
-    """Constructor suite: residuals, classification round-trip, stationarity.
-
-    Uses no chart samples; ``charts`` keeps the suites' common signature.
-    """
-    rng = np.random.default_rng(seed)
+def _suite_solitons(seed: int, samples: dict) -> list[dict]:
+    """Constructor suite: residuals, classification round-trip, stationarity."""
     worst_resid = 0.0
     worst_disc = 0.0
     worst_rhs = 0.0
     cases_ok = True
-    for _ in range(trials):
-        kappa = float(rng.uniform(0.2, 5.0))
-        for make, case_expected in (
-            (so.heisenberg_strong_soliton, 1),
-            (so.hyperbolic_soliton, 3),
-        ):
-            candidate = make(kappa)
-            report = so.soliton_report(candidate)
-            worst_resid = max(worst_resid, max(eq.value for eq in report.equations.values()))
-            _, disc = so.residual_quadratic_form(candidate)
-            worst_disc = max(worst_disc, abs(disc - 1.0))
-            sample = candidate.sample
-            # The sample's Ricci tensor is the one classify_constant_dilaton
-            # would derive again from the algebra.
-            eigs, _ = tc.principal_values(sample.g, sample.ricci)
-            if so.classify_ricci_spectrum(eigs, kappa).case != case_expected:
-                cases_ok = False
-            alg = _algebra_for_sample(sample)
-            g_dot, f_dot = hf.rhs_3d(
-                hf.FlowState3(algebra=alg, g=sample.g, f=sample.f), kappa=kappa
-            )
-            worst_rhs = max(worst_rhs, float(np.max(np.abs(g_dot))), abs(f_dot))
+    for candidate, case_expected in samples["candidates"]:
+        kappa = candidate.kappa
+        report = so.soliton_report(candidate)
+        worst_resid = max(worst_resid, max(eq.value for eq in report.equations.values()))
+        _, disc = so.residual_quadratic_form(candidate)
+        worst_disc = max(worst_disc, abs(disc - 1.0))
+        sample = candidate.sample
+        # The sample's Ricci tensor is the one classify_constant_dilaton
+        # would derive again from the algebra.
+        eigs, _ = tc.principal_values(sample.g, sample.ricci)
+        if so.classify_ricci_spectrum(eigs, kappa).case != case_expected:
+            cases_ok = False
+        alg = _algebra_for_sample(sample)
+        g_dot, f_dot = hf.rhs_3d(
+            hf.FlowState3(algebra=alg, g=sample.g, f=sample.f), kappa=kappa
+        )
+        worst_rhs = max(worst_rhs, float(np.max(np.abs(g_dot))), abs(f_dot))
     return [
         {"name": "constructor_residuals", "worst": worst_resid, "tol": 1e-12,
          "pass": worst_resid <= 1e-12},
@@ -457,13 +476,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
     selected = tuple(_SUITES) if cfg.suite == "all" else (cfg.suite,)
     # Built once per call: the identity and divergence suites read the same
-    # samples, and nothing keeps them past this command.
-    charts = []
-    if {"identities", "divergence"} & set(selected):
-        charts = _chart_samples(cfg.trials, cfg.seed)
+    # chart samples, and nothing keeps them past this command.
+    samples = _verify_samples(selected, cfg.trials, cfg.seed)
     checks = []
     for name in selected:
-        for check in _SUITES[name](cfg.trials, cfg.seed, charts):
+        for check in _SUITES[name](cfg.seed, samples):
             checks.append({"suite": name, **check})
     all_pass = all(check["pass"] for check in checks)
     payload = {

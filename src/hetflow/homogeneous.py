@@ -15,13 +15,19 @@ dimensional linear algebra:
 * Covariant derivatives of invariant (0,p) tensors reduce to
   ``(D_a T)(..) = - sum_r Gamma^m_{a i_r} T(.. e_m ..)``.
 
-:func:`build_invariant_sample` fills a
-:class:`~hetflow.chart_jets.GeometrySample` through the assembly it shares
-with the chart backend, supplying plain arrays and five primitives:
-``np.einsum`` as the contraction, :func:`invariant_cov_deriv`, a zero
-gradient (invariant fields are constant, so every ``d_*`` field vanishes),
-:func:`invariant_riemann` as the curvature, and as the value at the point
-the array itself (a ``float`` for scalars).
+:func:`build_invariant_samples` fills a batch of
+:class:`~hetflow.chart_jets.GeometrySample` in one pass through the
+assembly it shares with the chart backend.  The metrics, densities,
+dilatons and the structure constants of each entry's algebra are stacked
+on one leading batch axis, so one batch may mix algebras; a single
+:func:`build_invariant_sample` is a batch of one.  The backend supplies
+plain arrays and six primitives: ``np.einsum`` with a leading ellipsis as
+the contraction, :func:`invariant_cov_deriv`, a zero gradient (invariant
+fields are constant, so every ``d_*`` field vanishes),
+:func:`invariant_riemann` as the curvature, and the array itself as the
+value at the point and as its own cut to a lower jet degree.
+:func:`levi_civita_connection`, :func:`invariant_riemann` and
+:func:`invariant_cov_deriv` take one sample or a stack of them.
 
 The unimodular three-dimensional entries of the catalog are kept in a
 diagonalized bracket normal form ``[e_2,e_3] = l1 e1`` (cyclic), which makes
@@ -41,7 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .chart_jets import GeometrySample, _assemble_sample, _cov_deriv_spec
+from .chart_jets import (
+    GeometrySample,
+    _assemble_sample,
+    _batch_spec,
+    _cov_deriv_spec,
+    _transpose_trailing,
+)
 
 __all__ = [
     "LieAlgebraData",
@@ -58,6 +70,7 @@ __all__ = [
     "invariant_d",
     "closed_one_forms",
     "build_invariant_sample",
+    "build_invariant_samples",
     "random_invariant_sample",
 ]
 
@@ -203,11 +216,19 @@ def _principal_ricci(l1: float, l2: float, l3: float) -> tuple:
     return 2.0 * m2 * m3, 2.0 * m1 * m3, 2.0 * m1 * m2
 
 
+def _structure(alg) -> np.ndarray:
+    return alg.structure if isinstance(alg, LieAlgebraData) else alg
+
+
 def levi_civita_connection(alg: LieAlgebraData, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Koszul coefficients ``Gamma[i, j, m]`` with ``D_{e_i} e_j = Gamma[i,j,m] e_m``."""
-    a = np.einsum("ijm,mk->ijk", alg.structure, g)  # g([e_i, e_j], e_k)
-    n = 0.5 * (a - np.transpose(a, (2, 0, 1)) + np.transpose(a, (1, 2, 0)))
-    return np.einsum("ijk,km->ijm", n, g_inv)
+    """Koszul coefficients ``Gamma[i, j, m]`` with ``D_{e_i} e_j = Gamma[i,j,m] e_m``.
+
+    ``alg`` may also be structure constants stacked on leading batch axes,
+    which ``g`` and ``g_inv`` then share.
+    """
+    a = np.einsum("...ijm,...mk->...ijk", _structure(alg), g)  # g([e_i, e_j], e_k)
+    n = 0.5 * (a - _transpose_trailing(a, (2, 0, 1)) + _transpose_trailing(a, (1, 2, 0)))
+    return np.einsum("...ijk,...km->...ijm", n, g_inv)
 
 
 def connection_twisted(gamma: np.ndarray, g_inv: np.ndarray, torsion: np.ndarray) -> np.ndarray:
@@ -221,10 +242,13 @@ def invariant_riemann(alg: LieAlgebraData, g: np.ndarray, gamma: np.ndarray) -> 
 
     ``R(e_i, e_j) e_k = D_i D_j e_k - D_j D_i e_k - D_{[e_i, e_j]} e_k``;
     valid for the Levi-Civita and the torsion-twisted coefficients alike.
+    ``alg`` may also be structure constants stacked on leading batch axes,
+    which ``g`` and ``gamma`` then share.
     """
-    quad = np.einsum("jkm,imp->ijkp", gamma, gamma)
-    r_up = quad - np.transpose(quad, (1, 0, 2, 3)) - np.einsum("ijl,lkp->ijkp", alg.structure, gamma)
-    return np.einsum("ijkp,pd->ijkd", r_up, g)
+    quad = np.einsum("...jkm,...imp->...ijkp", gamma, gamma)
+    r_up = (quad - _transpose_trailing(quad, (1, 0, 2, 3))
+            - np.einsum("...ijl,...lkp->...ijkp", _structure(alg), gamma))
+    return np.einsum("...ijkp,...pd->...ijkd", r_up, g)
 
 
 def invariant_curvature(alg: LieAlgebraData, g: np.ndarray) -> tuple:
@@ -237,12 +261,15 @@ def invariant_curvature(alg: LieAlgebraData, g: np.ndarray) -> tuple:
 
 
 def invariant_cov_deriv(gamma: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Covariant derivative of an invariant (0,p) tensor; derivative slot first."""
+    """Covariant derivative of an invariant (0,p) tensor; derivative slot first.
+
+    ``gamma`` and ``tensor`` carry the same leading batch axes, if any.
+    """
     tensor = np.asarray(tensor, dtype=float)
-    rank = tensor.ndim
-    out = np.zeros((gamma.shape[0],) + tensor.shape)
+    rank = tensor.ndim - gamma.ndim + 3  # gamma has three tensor slots
+    out = np.zeros(gamma.shape[:-2] + tensor.shape[tensor.ndim - rank:])
     for slot in range(rank):
-        out -= np.einsum(_cov_deriv_spec(rank, slot), gamma, tensor)
+        out -= np.einsum(_batch_spec(_cov_deriv_spec(rank, slot)), gamma, tensor)
     return out
 
 
@@ -294,36 +321,75 @@ def build_invariant_sample(
 
     ``dilaton`` is an invariant 1-form (coefficient vector); closedness is the
     caller's responsibility (see :func:`closed_one_forms`).  All invariant
-    scalars are constant, so the ``d_*`` entries vanish identically and the
-    Laplacian of the torsion density is zero.
+    scalars are constant, so the ``d_*`` entries vanish identically.  This is
+    :func:`build_invariant_samples` on a batch of one.
     """
+    return build_invariant_samples([(alg, g, f, dilaton, orientation)])[0]
+
+
+def _checked_args(k: int, alg, g, f, dilaton=None, orientation=1) -> tuple:
+    """The arguments of :func:`build_invariant_sample` as arrays, after the
+    checks that need no linear algebra (the metrics are checked together);
+    errors name the sample's index."""
     if alg.dim != 3:
-        raise ValueError("full geometry samples are three-dimensional; use the raw helpers in higher dimension")
+        raise ValueError(f"sample {k}: full geometry samples are three-dimensional; "
+                         "use the raw helpers in higher dimension")
     g = np.asarray(g, dtype=float)
-    tc.validate_metric(g)
+    if g.shape != (3, 3):
+        raise ValueError(f"sample {k}: metric must be a 3x3 matrix, not shape {g.shape}")
     if not np.isfinite(f):
-        raise ValueError("torsion density f must be finite")
-    g_inv = tc.metric_inverse(g)
-    return _assemble_sample(
-        g, g_inv, levi_civita_connection(alg, g, g_inv),
-        f * tc.volume_form(g, orientation), float(f),
-        np.zeros(3) if dilaton is None else np.asarray(dilaton, dtype=float),
-        contract=np.einsum, cov_deriv=invariant_cov_deriv,
-        grad=lambda tensor: np.zeros((3,) + np.shape(tensor)),
-        curvature=lambda gamma: invariant_riemann(alg, g, gamma),
-        value=lambda x: x if np.ndim(x) else float(x),
-        backend="homogeneous", orientation=orientation,
-        meta={"algebra": alg.name, **alg.params},
-    )
+        raise ValueError(f"sample {k}: torsion density f must be finite")
+    dilaton = np.zeros(3) if dilaton is None else np.asarray(dilaton, dtype=float)
+    if dilaton.shape != (3,) or not np.all(np.isfinite(dilaton)):
+        raise ValueError(f"sample {k}: dilaton must be a finite vector of shape (3,)")
+    if orientation not in (1, -1):
+        raise ValueError(f"sample {k}: orientation must be +1 or -1, not {orientation!r}")
+    return alg, g, float(f), dilaton, orientation
 
 
-def random_invariant_sample(seed: int):
-    """Deterministic random invariant geometry for batch verification.
+def build_invariant_samples(args) -> list[GeometrySample]:
+    """Invariant geometry bundles of a batch in one pass, one per entry, in order.
 
-    Draws a catalog algebra (with random coupling where the family has one),
-    a well-conditioned random invariant metric, a random flux scale, a random
-    closed invariant one-form, and a random orientation.
+    Each entry of ``args`` is a tuple of :func:`build_invariant_sample`
+    arguments, ``(alg, g, f)``, ``(alg, g, f, dilaton)`` or
+    ``(alg, g, f, dilaton, orientation)``.  The algebras may differ: their
+    structure constants are stacked on the batch axis with the metrics.
+    Raises ``ValueError``, naming the entry's index, for an algebra that is
+    not three-dimensional, a metric that is not a finite SPD 3x3 matrix, a
+    non-finite ``f``, a dilaton that is not a finite ``(3,)`` vector, an
+    orientation other than +-1, and a geometry that overflows.
     """
+    checked = [_checked_args(k, *entry) for k, entry in enumerate(args)]
+    if not checked:
+        return []
+    algs, gs, fs, dilatons, orientations = zip(*checked)
+    g = np.array(gs)
+    structure = np.array([alg.structure for alg in algs])
+    f = np.array(fs)
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite field
+        tc.validate_metric(g)
+        g_inv = tc.metric_inverse(g)
+        # f * vol, vol = orientation sqrt(det g) eps, as tc.volume_form builds it
+        root = np.array(orientations, dtype=float) * np.sqrt(np.linalg.det(g))
+        torsion = f[:, None, None, None] * (root[:, None, None, None] * tc.levi_civita_symbol(3))
+        return _assemble_sample(
+            g, g_inv, levi_civita_connection(structure, g, g_inv), torsion, f, np.array(dilatons),
+            contract=_contract, cov_deriv=invariant_cov_deriv,
+            grad=lambda scalar: np.zeros(np.shape(scalar) + (3,)),
+            curvature=lambda gamma: invariant_riemann(structure, g, gamma),
+            value=lambda x: x, truncate=lambda x, degree: x,
+            backend="homogeneous", orientations=list(orientations),
+            metas=[{"algebra": alg.name, **alg.params} for alg in algs],
+        )
+
+
+def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum`` of a tensor-axis spec over leading batch axes."""
+    return np.einsum(_batch_spec(spec), a, b)
+
+
+def _random_invariant_args(seed: int) -> tuple:
+    """The :func:`build_invariant_sample` arguments of :func:`random_invariant_sample`."""
     rng = np.random.default_rng(seed)
     name = CATALOG_NAMES[int(rng.integers(len(CATALOG_NAMES)))]
     if name == "su2":
@@ -340,4 +406,14 @@ def random_invariant_sample(seed: int):
     if basis.shape[0]:
         dilaton = basis.T @ rng.uniform(-1.0, 1.0, size=basis.shape[0])
     orientation = int(rng.choice([-1, 1]))
-    return build_invariant_sample(alg, g, f, dilaton=dilaton, orientation=orientation)
+    return alg, g, f, dilaton, orientation
+
+
+def random_invariant_sample(seed: int):
+    """Deterministic random invariant geometry for batch verification.
+
+    Draws a catalog algebra (with random coupling where the family has one),
+    a well-conditioned random invariant metric, a random flux scale, a random
+    closed invariant one-form, and a random orientation.
+    """
+    return build_invariant_sample(*_random_invariant_args(seed))

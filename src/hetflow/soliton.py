@@ -377,22 +377,31 @@ def heisenberg_strong_soliton(kappa: float) -> SolitonCandidate:
     The Ricci spectrum is ``(f^2/2, -f^2/2, -f^2/2)`` (case 1) and the unit
     axis along the center satisfies ``nabla xi = -(f/2) * hodge(xi_flat)``.
     """
+    sample = hg.build_invariant_sample(*_heisenberg_args(kappa))
+    return SolitonCandidate(sample, float(kappa), name="heisenberg")
+
+
+def _heisenberg_args(kappa: float) -> tuple:
+    """The :func:`hetflow.homogeneous.build_invariant_sample` arguments of
+    :func:`heisenberg_strong_soliton`."""
     if kappa <= 0.0:
         raise ValueError("coupling kappa must be positive")
     f = 1.0 / np.sqrt(kappa)
-    alg = hg.catalog("heisenberg")
-    g = np.diag([f * f, 1.0, 1.0])
-    sample = hg.build_invariant_sample(alg, g, f)
-    return SolitonCandidate(sample, float(kappa), name="heisenberg")
+    return hg.catalog("heisenberg"), np.diag([f * f, 1.0, 1.0]), f
 
 
 def hyperbolic_soliton(kappa: float) -> SolitonCandidate:
     """Exact Einstein strong soliton: curvature ``-1/(4 kappa)``, ``f = sqrt(3/kappa)``."""
+    sample = hg.build_invariant_sample(*_hyperbolic_args(kappa))
+    return SolitonCandidate(sample, float(kappa), name="hyperbolic")
+
+
+def _hyperbolic_args(kappa: float) -> tuple:
+    """The :func:`hetflow.homogeneous.build_invariant_sample` arguments of
+    :func:`hyperbolic_soliton`."""
     if kappa <= 0.0:
         raise ValueError("coupling kappa must be positive")
-    alg = hg.catalog("hyperbolic", c=0.5 / np.sqrt(kappa))
-    sample = hg.build_invariant_sample(alg, np.eye(3), float(np.sqrt(3.0 / kappa)))
-    return SolitonCandidate(sample, float(kappa), name="hyperbolic")
+    return hg.catalog("hyperbolic", c=0.5 / np.sqrt(kappa)), np.eye(3), float(np.sqrt(3.0 / kappa))
 
 
 # Residual case1_axis allows in d(xi_flat) = -f * hodge(xi_flat), relative to

@@ -90,17 +90,31 @@ _SYMMETRY_TOL = 1e-12
 
 
 def validate_metric(g: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``g`` is a symmetric positive definite matrix."""
+    """Raise ``ValueError`` unless ``g`` is a symmetric positive definite matrix.
+
+    ``g`` may also be a stack ``(B, n, n)``, checked matrix by matrix; the
+    error then names the first failing index.  The eigenvalues come from one
+    ``eigvalsh`` of the matrices scaled to unit max norm, so that no entry
+    overflows on the way.
+    """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"metric must be a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("metric contains non-finite entries")
-    if np.max(np.abs(g - g.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
-        raise ValueError("metric is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if eigs.min() <= 0.0:
-        raise ValueError(f"metric is not positive definite (min eigenvalue {eigs.min():.3e})")
+    stack = g.reshape((-1,) + g.shape[-2:])
+
+    def require(ok: np.ndarray, message) -> None:
+        if not ok.all():
+            k = int(np.argmin(ok))  # the first failing matrix
+            raise ValueError((f"sample {k}: " if g.ndim == 3 else "") + message(k))
+
+    require(np.isfinite(stack).all(axis=(1, 2)), lambda k: "metric contains non-finite entries")
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    asym = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
+    require(asym <= _SYMMETRY_TOL * np.maximum(1.0, scale), lambda k: "metric is not symmetric")
+    unit = stack / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    eig_min = np.linalg.eigvalsh(0.5 * (unit + np.swapaxes(unit, 1, 2)))[:, 0]
+    require(eig_min > 0.0, lambda k: "metric is not positive definite "
+            f"(min eigenvalue {float(eig_min[k]) * float(scale[k]):.3e})")
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:

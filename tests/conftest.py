@@ -1,5 +1,7 @@
 """Shared fixtures: deterministic RNGs and reusable geometry samples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,38 @@ def chart_samples():
 def invariant_samples():
     """A small bank of random invariant-geometry samples."""
     return [hg.random_invariant_sample(seed) for seed in range(8)]
+
+
+def _chart_laplacian(spec) -> float:
+    """``laplace f = -g^ab (d_a d_b f - Gamma^m_ab d_m f)`` of a chart spec's
+    density at the origin, from its jets (samples carry no Laplacian)."""
+    g_inv = cj.jet_matrix_inverse(spec.metric)[0]
+    gamma = cj.jet_value(cj.christoffel_jets(spec.metric, g_inv))
+    df = cj.jet_value(cj.jet_grad(spec.density))
+    hess_f = cj.jet_value(cj.jet_grad(cj.jet_grad(spec.density))) - np.einsum("abm,m->ab", gamma, df)
+    return -float(np.tensordot(cj.jet_value(g_inv), hess_f, axes=2))
+
+
+@pytest.fixture
+def chart_laplacian():
+    """The Laplacian of a chart spec's density at the origin (a function of the spec)."""
+    return _chart_laplacian
+
+
+def _assert_samples_match(batch, singles, rtol: float = 1e-15) -> None:
+    """Samples agree field by field to ``rtol`` relative to ``max(1, |x|)``."""
+    assert len(batch) == len(singles)
+    for k, (a, b) in enumerate(zip(batch, singles)):
+        assert (a.backend, a.orientation, a.meta) == (b.backend, b.orientation, b.meta), k
+        for item in dataclasses.fields(a):
+            if item.name in ("backend", "orientation", "meta"):
+                continue
+            x, y = np.asarray(getattr(a, item.name)), np.asarray(getattr(b, item.name))
+            assert x.shape == y.shape, (k, item.name)
+            assert np.all(np.abs(x - y) <= rtol * np.maximum(1.0, np.abs(y))), (k, item.name)
+
+
+@pytest.fixture
+def samples_match():
+    """Check that a batch build agrees with batches of one, field by field."""
+    return _assert_samples_match

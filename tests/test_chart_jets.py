@@ -1,5 +1,6 @@
 """Polynomial-chart backend: jet calculus and sample self-consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetflow import chart_jets as cj
+from hetflow import soliton as so
 from hetflow import tensor_core as tc
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
@@ -314,7 +316,7 @@ def test_christoffel_metricity():
 # ---------------------------------------------------------------------------
 
 
-def test_flat_zero_sample_all_derived_fields_vanish():
+def test_flat_zero_sample_all_derived_fields_vanish(chart_laplacian):
     g = np.zeros((3, 3, cj.N_COEFFS))
     for i in range(3):
         g[i, i] = cj.jet_constant(1.0)
@@ -330,7 +332,8 @@ def test_flat_zero_sample_all_derived_fields_vanish():
     assert np.max(np.abs(tc.ricci_from_riemann(sample.g_inv, sample.riemann_tw))) == 0.0
     assert sample.scalar == 0.0
     assert sample.f == 0.0
-    assert sample.laplace_f == 0.0
+    assert chart_laplacian(spec) == 0.0
+    assert so.strong_skew_scalar(so.SolitonCandidate(sample, 1.0)) == 0.0
     assert sample.riemann_tw_norm2 == 0.0
 
 
@@ -368,7 +371,7 @@ def test_generic_sample_dilaton_is_independent(chart_samples):
     assert any(np.max(np.abs(s.f * s.dilaton - s.df)) > 1e-3 for s in generic)
 
 
-def test_sample_internal_consistency(chart_samples):
+def test_sample_internal_consistency(chart_samples, chart_laplacian):
     for sample in chart_samples:
         g, g_inv = sample.g, sample.g_inv
         np.testing.assert_allclose(g_inv, np.linalg.inv(g), atol=1e-10)
@@ -416,14 +419,21 @@ def test_sample_internal_consistency(chart_samples):
         assert sample.dilaton_norm2 == pytest.approx(
             float(sample.dilaton @ g_inv @ sample.dilaton), rel=1e-10, abs=1e-12
         )
-        # laplace f = -g^ab (d_a d_b f - Gamma^m_ab d_m f), from the chart spec
+        # Hess f from the chart spec is symmetric, and laplace f =
+        # -g^ab (d_a d_b f - Gamma^m_ab d_m f) equals the divergence form
+        # -(1/sqrt(det g)) d_a (sqrt(det g) g^ab d_b f)
         spec = cj.random_chart_spec(sample.meta["seed"], maxwell=sample.meta["maxwell"])
-        gamma = cj.jet_value(cj.christoffel_jets(spec.metric, cj.jet_matrix_inverse(spec.metric)[0]))
+        g_inv_jets, det = cj.jet_matrix_inverse(spec.metric)
+        gamma = cj.jet_value(cj.christoffel_jets(spec.metric, g_inv_jets))
         d2f = cj.jet_value(cj.jet_grad(cj.jet_grad(spec.density)))
         hess_f = d2f - np.einsum("abm,m->ab", gamma, sample.df)
         np.testing.assert_allclose(hess_f, hess_f.T, atol=1e-10)
-        assert sample.laplace_f == pytest.approx(
-            -float(np.tensordot(inv, hess_f, axes=2)), rel=1e-10, abs=1e-12
+        root = cj.jet_sqrt(det)
+        flux = cj.jet_einsum("ab,b->a", g_inv_jets, cj.jet_grad(spec.density))
+        flux = cj.jet_mul(flux, root[None, :])
+        divergence = sum(cj.jet_value(cj.jet_deriv(flux[a], a)) for a in range(3))
+        assert chart_laplacian(spec) == pytest.approx(
+            -divergence / cj.jet_value(root), rel=1e-10, abs=1e-12
         )
         assert sample.delta_dilaton == pytest.approx(
             -float(np.tensordot(g_inv, sample.nabla_dilaton, axes=2)), rel=1e-10, abs=1e-12
@@ -437,11 +447,11 @@ def test_sample_internal_consistency(chart_samples):
 def test_chart_sample_contracts_through_the_module_jet_einsum(count_calls):
     """The builder reads ``cj.jet_einsum`` and ``cj.jet_mul`` when it runs, so
     a patched module attribute (a call counter, a tracer) sees every one of
-    its products: 43 contractions and 11 scalar products on a maxwell chart."""
+    its products: 41 contractions and 11 scalar products on a maxwell chart."""
     contractions = count_calls(cj, "jet_einsum")
     products = count_calls(cj, "jet_mul")
     cj.build_chart_sample(cj.random_chart_spec(5, maxwell=True))
-    assert (len(contractions), len(products)) == (43, 11)
+    assert (len(contractions), len(products)) == (41, 11)
 
 
 def test_conformal_chart_curvature():
@@ -492,12 +502,131 @@ def test_deterministic_rebuild():
     assert a.f == b.f
 
 
-def test_maxwell_exponential_relation():
+def test_maxwell_exponential_relation(chart_laplacian):
     """The tied charts satisfy f = f(0) * exp(potential) along the jet."""
     spec = cj.random_chart_spec(13, maxwell=True)
     sample = cj.build_chart_sample(spec)
     assert sample.f != 0.0
-    assert math.isfinite(sample.laplace_f)
+    assert math.isfinite(chart_laplacian(spec))
     # closed dilaton: the twisted skew residual equals the dual of (f phi - df)
     residual = sample.f * sample.dilaton - sample.df
     np.testing.assert_allclose(residual, 0.0, atol=1e-10)
+
+
+
+# ---------------------------------------------------------------------------
+# batches and input checks
+# ---------------------------------------------------------------------------
+
+
+def _all_fields_finite(sample) -> bool:
+    return all(
+        np.all(np.isfinite(getattr(sample, item.name)))
+        for item in dataclasses.fields(sample)
+        if item.name not in ("backend", "orientation", "meta")
+    )
+
+
+def test_chart_batch_matches_batches_of_one(samples_match):
+    specs = [cj.random_chart_spec(seed, maxwell=bool(seed % 2)) for seed in range(6)]
+    specs[2].orientation = -1  # a plain chart
+    specs[3].orientation = -1  # a maxwell chart
+    negative = cj.random_chart_spec(17)
+    negative.density[0] = -0.9  # no log is taken of a plain chart's density
+    specs += [negative, cj.hyperbolic_chart_spec(0.7), cj.conformal_chart_spec(1.1)]
+    batch = cj.build_chart_samples(specs)
+    samples_match(batch, [cj.build_chart_sample(spec) for spec in specs])
+    assert batch[6].f < 0.0 and batch[3].orientation == -1
+    # the order of a batch does not matter either
+    samples_match(cj.build_chart_samples(specs[::-1]), batch[::-1])
+    assert cj.build_chart_samples([]) == []
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_chart_batch_contracts_as_often_as_one_sample(count_calls, size):
+    contractions = count_calls(cj, "jet_einsum")
+    products = count_calls(cj, "jet_mul")
+    cj.build_chart_samples([cj.random_chart_spec(seed, maxwell=True) for seed in range(size)])
+    assert (len(contractions), len(products)) == (41, 11)
+
+
+def _set_jet(name, index, value):
+    def edit(spec):
+        getattr(spec, name)[index] = value
+    return edit
+
+
+def _set_attr(name, value):
+    def edit(spec):
+        setattr(spec, name, value)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_set_jet("metric", Ellipsis, 0.0), "not positive definite"),
+        (_set_jet("metric", (0, 0, 0), -1.0), "not positive definite"),
+        (_set_jet("metric", (0, 1, 0), 0.2), "not symmetric"),
+        (_set_jet("metric", (1, 2, 17), math.nan), "must be finite"),
+        (_set_jet("density", 8, math.inf), "must be finite"),
+        (_set_jet("potential", 19, -math.inf), "must be finite"),
+        (_set_attr("orientation", 0), "orientation"),
+        (_set_attr("orientation", 2), "orientation"),
+        (_set_attr("density", np.ones(cj.JET_SIZES[2])), "shape"),
+        (_set_attr("metric", np.zeros((3, 3, cj.JET_SIZES[2]))), "shape"),
+    ],
+)
+def test_chart_builders_reject_bad_input(edit, match):
+    specs = [cj.random_chart_spec(seed) for seed in range(3)]
+    edit(specs[1])
+    with pytest.raises(ValueError, match=f"sample 1: .*{match}"):
+        cj.build_chart_samples(specs)
+    with pytest.raises(ValueError, match=f"sample 0: .*{match}"):
+        cj.build_chart_sample(specs[1])
+
+
+def test_chart_builder_rejects_a_maxwell_chart_without_positive_density():
+    spec = cj.random_chart_spec(4, maxwell=True)
+    spec.density[0] = -0.5
+    with pytest.raises(ValueError, match="sample 1: .*positive density"):
+        cj.build_chart_samples([cj.random_chart_spec(3), spec])
+
+
+def test_chart_builder_rejects_a_determinant_that_rounds_to_zero():
+    spec = cj.random_chart_spec(4)
+    spec.metric = spec.metric * 1e-120  # SPD, but det g underflows
+    with pytest.raises(ValueError, match="determinant"):
+        cj.build_chart_sample(spec)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    maxwell=st.booleans(),
+    orientation=st.sampled_from([1, -1, 1, -1, 0, 2]),
+    scale=st.sampled_from([1.0, 1.0, 1e-110, 1e110]),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["metric", "density", "potential"]), st.integers(0, 179), ANY_FLOAT),
+        max_size=3,
+    ),
+)
+def test_chart_builders_return_finite_fields_or_raise_value_error(seed, maxwell, orientation, scale, edits):
+    """No other exception and no RuntimeWarning (an error under this suite's
+    warning filter), whatever the coefficients."""
+    spec = cj.random_chart_spec(seed, maxwell=maxwell)
+    spec.metric = spec.metric * scale
+    spec.orientation = orientation
+    for name, index, value in edits:
+        jets = getattr(spec, name).reshape(-1)
+        jets[index % jets.size] = value
+    for build in (lambda: [cj.build_chart_sample(spec)],
+                  lambda: cj.build_chart_samples([cj.random_chart_spec(seed + 1), spec])):
+        try:
+            samples = build()
+        except ValueError:
+            continue
+        assert all(_all_fields_finite(sample) for sample in samples)

@@ -144,13 +144,13 @@ def test_verify_identities_small_run(capsys):
 
 def test_verify_builds_each_chart_sample_once_per_command(capsys, monkeypatch):
     built = []
-    original = cj.build_chart_sample
+    original = cj.build_chart_samples
 
-    def counting(spec):
-        built.append(spec.seed)
-        return original(spec)
+    def counting(specs):
+        built.extend(spec.seed for spec in specs)
+        return original(specs)
 
-    monkeypatch.setattr(cj, "build_chart_sample", counting)
+    monkeypatch.setattr(cj, "build_chart_samples", counting)
     argv = ["verify", "--suite", "all", "--trials", "4", "--seed", "11"]
     assert _run(capsys, argv)[0] == 0
     assert built == [11, 12, 13, 14]
@@ -163,15 +163,25 @@ def test_verify_builds_each_chart_sample_once_per_command(capsys, monkeypatch):
 
 
 def test_metric_inverse_calls_per_command(capsys, count_calls):
-    # verify: the identity suite builds 4 invariant samples (4); the soliton
-    # suite builds 8 candidates and evaluates the flow rhs at each (16).
-    # soliton-check: the one inverse its sample makes.
+    # verify: one batched inverse for the identity suite's 4 invariant samples
+    # and the soliton suite's 8 candidates (1), and the flow rhs at each
+    # candidate (8).  soliton-check: the one inverse its sample makes.
     inverses = count_calls(tc, "metric_inverse")
     assert _run(capsys, ["verify", "--suite", "all", "--trials", "4"])[0] == 0
-    assert len(inverses) == 20
+    assert len(inverses) == 9
     inverses.clear()
     assert _run(capsys, ["soliton-check", "--algebra", "heisenberg", "--kappa", "1.0"])[0] == 0
     assert len(inverses) == 1
+
+
+@pytest.mark.parametrize("trials", [1, 4])
+def test_verify_assembles_its_samples_in_two_passes(capsys, count_calls, trials):
+    """One assembly for the chart samples, one for the invariant samples and
+    soliton candidates, whatever the number of trials."""
+    chart_passes = count_calls(cj, "_assemble_sample")
+    invariant_passes = count_calls(hg, "_assemble_sample")
+    assert _run(capsys, ["verify", "--suite", "all", "--trials", str(trials)])[0] == 0
+    assert (len(chart_passes), len(invariant_passes)) == (1, 1)
 
 
 def test_verify_solitons_suite(capsys):

@@ -1,5 +1,6 @@
 """Left-invariant geometry backend: catalog facts, connection, curvature."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hetflow import chart_jets as cj
 from hetflow import homogeneous as hg
+from hetflow import soliton as so
 from hetflow import tensor_core as tc
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
@@ -351,7 +353,8 @@ def test_invariant_sample_gradient_fields_vanish(invariant_samples):
             "d_dilaton_norm2", "d_delta_dilaton",
         ):
             assert np.max(np.abs(np.asarray(getattr(sample, name)))) <= 1e-12, name
-        assert sample.laplace_f == 0.0
+        # f is constant, so the skew obstruction -(laplace f + <phi, df>)/3 vanishes
+        assert abs(so.strong_skew_scalar(so.SolitonCandidate(sample, 1.0))) <= 1e-12
 
 
 def test_invariant_sample_inverts_the_metric_once(count_calls):
@@ -417,3 +420,98 @@ def test_random_invariant_sample_deterministic():
 def test_build_invariant_sample_rejects_bad_metric():
     with pytest.raises(ValueError):
         hg.build_invariant_sample(hg.catalog("r3"), np.diag([1.0, -1.0, 1.0]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batches and input checks
+# ---------------------------------------------------------------------------
+
+_PARAMS = {"su2": {"kappa": 0.7}, "hyperbolic": {"c": 1.3}}
+
+
+def test_invariant_batch_matches_batches_of_one(samples_match):
+    """Every catalog algebra, with and without a dilaton, in one batch."""
+    rng = np.random.default_rng(5)
+    args = []
+    for name in hg.CATALOG_NAMES:
+        alg = hg.catalog(name, **_PARAMS.get(name, {}))
+        g, f = _spd(rng), float(rng.uniform(-2.0, 2.0))
+        basis = hg.closed_one_forms(alg)
+        dilaton = basis.T @ rng.uniform(-1.0, 1.0, size=basis.shape[0])
+        args += [(alg, g, f), (alg, g, f, dilaton, -1)]
+    batch = hg.build_invariant_samples(args)
+    samples_match(batch, [hg.build_invariant_sample(*entry) for entry in args])
+    assert [sample.meta["algebra"] for sample in batch[::2]] == list(hg.CATALOG_NAMES)
+    assert hg.build_invariant_samples([]) == []
+
+
+def test_random_invariant_sample_is_a_batch_of_one(samples_match):
+    samples_match(
+        hg.build_invariant_samples([hg._random_invariant_args(seed) for seed in range(6)]),
+        [hg.random_invariant_sample(seed) for seed in range(6)],
+    )
+
+
+_R3 = hg.catalog("r3")
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((_R3, np.zeros((3, 3)), 1.0), "not positive definite"),
+        ((_R3, np.diag([1.0, -1.0, 1.0]), 1.0), "not positive definite"),
+        ((_R3, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1.0), "not symmetric"),
+        ((_R3, np.diag([1.0, np.nan, 1.0]), 1.0), "non-finite"),
+        ((_R3, np.eye(2), 1.0), "3x3"),
+        ((_R3, np.eye(3), np.inf), "must be finite"),
+        ((_R3, np.eye(3), 1.0, [np.nan, 0.0, 0.0]), "dilaton"),
+        ((_R3, np.eye(3), 1.0, [1.0, 0.0]), "dilaton"),
+        ((_R3, np.eye(3), 1.0, None, 0), "orientation"),
+        ((_R3, np.eye(3), 1.0, None, 2), "orientation"),
+        ((_R3, np.eye(3) * 1e200, 1.0), "not finite in double precision"),
+    ],
+)
+def test_invariant_builders_reject_bad_input(args, match):
+    good = (hg.catalog("su2"), np.eye(3), 1.0)
+    with pytest.raises(ValueError, match=f"sample 1: .*{match}"):
+        hg.build_invariant_samples([good, args])
+    with pytest.raises(ValueError, match=f"sample 0: .*{match}"):
+        hg.build_invariant_sample(*args)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    name=st.sampled_from(hg.CATALOG_NAMES),
+    scale=st.sampled_from([1.0, 1.0, 1e-110, 1e110]),
+    edits=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), ANY_FLOAT), max_size=2),
+    f=st.one_of(st.floats(-3.0, 3.0), ANY_FLOAT),
+    dilaton=st.one_of(
+        st.none(),
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.lists(ANY_FLOAT, min_size=2, max_size=4),
+    ),
+    orientation=st.sampled_from([1, -1, 1, -1, 0, 2]),
+)
+def test_invariant_builders_return_finite_fields_or_raise_value_error(
+    seed, name, scale, edits, f, dilaton, orientation
+):
+    """No other exception and no RuntimeWarning (an error under this suite's
+    warning filter), whatever the metric, density, dilaton and orientation."""
+    g = _spd(np.random.default_rng(seed)) * scale
+    for i, j, value in edits:
+        g[i, j] = g[j, i] = value
+    args = (hg.catalog(name), g, f, dilaton, orientation)
+    for build in (lambda: [hg.build_invariant_sample(*args)],
+                  lambda: hg.build_invariant_samples([(hg.catalog("su2"), np.eye(3), 1.0), args])):
+        try:
+            samples = build()
+        except ValueError:
+            continue
+        for sample in samples:
+            for item in dataclasses.fields(sample):
+                if item.name not in ("backend", "orientation", "meta"):
+                    assert np.all(np.isfinite(getattr(sample, item.name))), item.name

@@ -48,6 +48,24 @@ def test_validate_metric_rejects_indefinite():
         tc.validate_metric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.diag([1.0, -1.0, 1.0]), "metric is not positive definite \\(min eigenvalue -1.000e\\+00\\)"),
+        (np.zeros((3, 3)), "metric is not positive definite"),
+        (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "metric is not symmetric"),
+        (np.diag([1.0, np.inf, 1.0]), "metric contains non-finite entries"),
+    ],
+)
+def test_validate_metric_names_the_failing_matrix_of_a_stack(bad, match):
+    good = np.eye(3) + 0.1
+    with pytest.raises(ValueError, match=f"^{match}"):
+        tc.validate_metric(bad)
+    with pytest.raises(ValueError, match=f"^sample 2: {match}"):
+        tc.validate_metric(np.array([good, 2.0 * good, bad, bad]))
+    tc.validate_metric(np.array([good, 1e300 * good, 1e-300 * good]))
+
+
 @settings(max_examples=25)
 @given(SEEDS)
 def test_frame_orthonormalize_property(seed):
