@@ -369,9 +369,7 @@ def build_invariant_samples(args) -> list[GeometrySample]:
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite field
         tc.validate_metric(g)
         g_inv = tc.metric_inverse(g)
-        # f * vol, vol = orientation sqrt(det g) eps, as tc.volume_form builds it
-        root = np.array(orientations, dtype=float) * np.sqrt(np.linalg.det(g))
-        torsion = f[:, None, None, None] * (root[:, None, None, None] * tc.levi_civita_symbol(3))
+        torsion = f[:, None, None, None] * tc.volume_form(g, np.array(orientations))
         return _assemble_sample(
             g, g_inv, levi_civita_connection(structure, g, g_inv), torsion, f, np.array(dilatons),
             contract=_contract, cov_deriv=invariant_cov_deriv,

@@ -226,10 +226,15 @@ def levi_civita_symbol(n: int) -> np.ndarray:
     return eps
 
 
-def volume_form(g: np.ndarray, orientation: int = 1) -> np.ndarray:
-    """Riemannian volume form ``sqrt(det g) e^1 ^ ... ^ e^n`` as a (0,n) array."""
-    n = g.shape[0]
-    return orientation * math.sqrt(np.linalg.det(g)) * levi_civita_symbol(n)
+def volume_form(g: np.ndarray, orientation=1) -> np.ndarray:
+    """Riemannian volume form ``sqrt(det g) e^1 ^ ... ^ e^n`` as a (0,n) array.
+
+    ``g`` may be a stack ``(..., n, n)`` with ``orientation`` broadcast over
+    its leading axes; the forms stack the same way.
+    """
+    n = g.shape[-1]
+    root = orientation * np.sqrt(np.linalg.det(g))
+    return np.reshape(root, np.shape(root) + (1,) * n) * levi_civita_symbol(n)
 
 
 def hodge(g_inv: np.ndarray, vol: np.ndarray, alpha: np.ndarray) -> np.ndarray:

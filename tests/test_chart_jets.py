@@ -447,11 +447,16 @@ def test_sample_internal_consistency(chart_samples, chart_laplacian):
 def test_chart_sample_contracts_through_the_module_jet_einsum(count_calls):
     """The builder reads ``cj.jet_einsum`` and ``cj.jet_mul`` when it runs, so
     a patched module attribute (a call counter, a tracer) sees every one of
-    its products: 41 contractions and 11 scalar products on a maxwell chart."""
+    its products: 41 contractions and 11 scalar products on a maxwell chart.
+    Each contraction runs at the degree its readers need: the Christoffel
+    symbols and the twisted connection at degree 2, ``H o H``, ``|H|^2`` and
+    ``|phi|^2`` at degree 1, ``nabla H`` and ``delta H`` at degree 0."""
     contractions = count_calls(cj, "jet_einsum")
     products = count_calls(cj, "jet_mul")
     cj.build_chart_sample(cj.random_chart_spec(5, maxwell=True))
     assert (len(contractions), len(products)) == (41, 11)
+    degrees = [min(cj.jet_degree(a), cj.jet_degree(b)) for _, a, b in contractions]
+    assert {d: degrees.count(d) for d in range(4)} == {0: 16, 1: 21, 2: 2, 3: 2}
 
 
 def test_conformal_chart_curvature():
