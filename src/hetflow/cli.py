@@ -16,7 +16,8 @@ Verbs
     candidate and emit a JSON report.
 ``verify``
     Run batch verification suites (curvature identities, divergence
-    identities, soliton constructors) and emit a JSON summary.
+    identities, soliton constructors, and stationarity: the flow law on each
+    candidate's own Ricci data) on samples built once, and emit a JSON summary.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain error,
 3 verification failure.  Output files are written atomically (temp file +
@@ -361,9 +362,10 @@ def _verify_samples(selected: tuple, trials: int, seed: int) -> dict:
     return {"charts": charts, "invariants": built[:n_invariant], "candidates": candidates}
 
 
-def _suite_identities(seed: int, samples: dict) -> list[dict]:
+def _suite_identities(seed: int, samples: dict) -> list[tuple]:
     """Curvature-identity suite: generic contractions against the 3D closed forms,
-    over chart and homogeneous samples."""
+    over chart and homogeneous samples.  Each suite returns its checks as
+    ``(name, worst, tol)``."""
     worst: dict[str, float] = {}
     for chart, invariant in zip(samples["charts"], samples["invariants"]):
         for sample in (chart, invariant):
@@ -398,13 +400,10 @@ def _suite_identities(seed: int, samples: dict) -> list[dict]:
             )
             for name, generic, closed_form in pairs:
                 worst[name] = max(worst.get(name, 0.0), tc.rel_err(generic, closed_form))
-    return [
-        {"name": name, "worst": value, "tol": 1e-9, "pass": value <= 1e-9}
-        for name, value in worst.items()
-    ]
+    return [(name, value, 1e-9) for name, value in worst.items()]
 
 
-def _suite_divergence(seed: int, samples: dict) -> list[dict]:
+def _suite_divergence(seed: int, samples: dict) -> list[tuple]:
     """Divergence-identity suite over chart samples with nonconstant f, phi."""
     rng = np.random.default_rng(seed)
     worst = {"div_curvature_square": 0.0, "div_torsion_square": 0.0, "div_einstein_map": 0.0}
@@ -413,53 +412,27 @@ def _suite_divergence(seed: int, samples: dict) -> list[dict]:
         report = so.verify_divergence_identities(chart, kappa)
         for name, eq in report.equations.items():
             worst[name] = max(worst[name], eq.value)
-    return [
-        {"name": name, "worst": value, "tol": 1e-8, "pass": value <= 1e-8}
-        for name, value in worst.items()
-    ]
+    return [(name, value, 1e-8) for name, value in worst.items()]
 
 
-def _suite_solitons(seed: int, samples: dict) -> list[dict]:
-    """Constructor suite: residuals, classification round-trip, stationarity."""
-    worst_resid = 0.0
-    worst_disc = 0.0
-    worst_rhs = 0.0
-    cases_ok = True
+def _suite_solitons(seed: int, samples: dict) -> list[tuple]:
+    """Constructor suite: residuals, classification round-trip, and
+    stationarity, the flow law evaluated on each candidate's own Ricci data."""
+    names = ("constructor_residuals", "discriminant_unity", "classification_roundtrip", "stationarity")
+    worst = dict.fromkeys(names, 0.0)
     for candidate, case_expected in samples["candidates"]:
-        kappa = candidate.kappa
-        report = so.soliton_report(candidate)
-        worst_resid = max(worst_resid, max(eq.value for eq in report.equations.values()))
-        _, disc = so.residual_quadratic_form(candidate)
-        worst_disc = max(worst_disc, abs(disc - 1.0))
-        sample = candidate.sample
-        # The sample's Ricci tensor is the one classify_constant_dilaton
-        # would derive again from the algebra.
-        eigs, _ = tc.principal_values(sample.g, sample.ricci)
-        if so.classify_ricci_spectrum(eigs, kappa).case != case_expected:
-            cases_ok = False
-        alg = _algebra_for_sample(sample)
-        g_dot, f_dot = hf.rhs_3d(
-            hf.FlowState3(algebra=alg, g=sample.g, f=sample.f), kappa=kappa
+        s, kappa = candidate.sample, candidate.kappa
+        eigs, _ = tc.principal_values(s.g, s.ricci)
+        g_dot, f_dot = hf._rhs_3d_core(s.g, s.g_inv, s.ricci, s.scalar, s.f, kappa)
+        values = (
+            max(eq.value for eq in so.soliton_report(candidate).equations.values()),
+            abs(so.residual_quadratic_form(candidate)[1] - 1.0),
+            float(so.classify_ricci_spectrum(eigs, kappa).case != case_expected),
+            max(float(np.max(np.abs(g_dot))), abs(f_dot)),
         )
-        worst_rhs = max(worst_rhs, float(np.max(np.abs(g_dot))), abs(f_dot))
-    return [
-        {"name": "constructor_residuals", "worst": worst_resid, "tol": 1e-12,
-         "pass": worst_resid <= 1e-12},
-        {"name": "discriminant_unity", "worst": worst_disc, "tol": 1e-12,
-         "pass": worst_disc <= 1e-12},
-        {"name": "classification_roundtrip", "worst": 0.0 if cases_ok else 1.0, "tol": 0.0,
-         "pass": cases_ok},
-        {"name": "stationarity", "worst": worst_rhs, "tol": 1e-10, "pass": worst_rhs <= 1e-10},
-    ]
-
-
-def _algebra_for_sample(sample) -> hg.LieAlgebraData:
-    meta = sample.meta or {}
-    name = meta.get("algebra")
-    if name is None:
-        raise ValueError("sample carries no algebra tag")
-    params = {k: v for k, v in meta.items() if k != "algebra"}
-    return hg.catalog(name, **params)
+        for name, value in zip(names, values):
+            worst[name] = max(worst[name], value)
+    return [(name, worst[name], tol) for name, tol in zip(names, (1e-12, 1e-12, 0.0, 1e-10))]
 
 
 _SUITES = {
@@ -480,8 +453,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     samples = _verify_samples(selected, cfg.trials, cfg.seed)
     checks = []
     for name in selected:
-        for check in _SUITES[name](cfg.seed, samples):
-            checks.append({"suite": name, **check})
+        for check, worst, tol in _SUITES[name](cfg.seed, samples):
+            checks.append({"suite": name, "name": check, "worst": worst, "tol": tol, "pass": worst <= tol})
     all_pass = all(check["pass"] for check in checks)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -165,15 +165,16 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be finite and non-negative, got {kappa!r}")
 
 
-def _rhs_3d_core(alg: LieAlgebraData, g: np.ndarray, f: float, kappa: float) -> tuple:
-    g_inv, _, _, ricci, scalar = invariant_curvature(alg, g)
+def _rhs_3d_core(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: float, f: float, kappa: float) -> tuple:
+    """The 3D law ``(g', f')`` of the module docstring, from the Ricci data of ``g``."""
     ric_comp = ricci @ g_inv @ ricci
     ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    return g_inv, (
+    g_dot = (
         2.0 * kappa * ric_comp
         - (2.0 + kappa * (2.0 * scalar - f * f)) * ricci
         + (f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
     )
+    return g_dot, -0.5 * float(np.einsum("ab,ab->", g_inv, g_dot)) * f
 
 
 def _rhs_milnor(lambdas: tuple, d: list, f: float, kappa: float) -> list:
@@ -201,9 +202,8 @@ def rhs_3d(state: FlowState3, kappa: float) -> tuple:
     """Time derivative ``(g', f')`` of the three-dimensional reduction."""
     _check_kappa(kappa)
     tc.validate_metric(state.g)
-    g_inv, g_dot = _rhs_3d_core(state.algebra, state.g, state.f, kappa)
-    f_dot = -0.5 * float(np.einsum("ab,ab->", g_inv, g_dot)) * state.f
-    return g_dot, f_dot
+    g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
+    return _rhs_3d_core(state.g, g_inv, ricci, scalar, state.f, kappa)
 
 
 def rhs_general(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: float) -> tuple:
@@ -588,7 +588,9 @@ def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
             # A trial step past a degeneration can leave the positive-definite
             # cone; NaN makes the stepper reject it and shrink.
             return [math.nan] * 6
-        return _rhs_3d_core(alg, np.asarray(y)[_SYM], c / math.sqrt(det), kappa)[1][_TRIU].tolist()
+        g = np.asarray(y)[_SYM]
+        g_inv, _, _, ricci, scalar = invariant_curvature(alg, g)
+        return _rhs_3d_core(g, g_inv, ricci, scalar, c / math.sqrt(det), kappa)[0][_TRIU].tolist()
 
     events = (
         ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(np.asarray(y)[_SYM]))) - EPS_DEGENERATE, -1),

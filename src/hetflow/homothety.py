@@ -80,6 +80,7 @@ _CASE_S = {"positive": 1.0, "flat": 0.0, "negative": -1.0}
 
 
 _OVERFLOW = "kappa and mu overflow the quintic coefficients"
+_TIME_OVERFLOW = "the collapse time overflows a double"
 
 
 def _overflow_guard(fn):
@@ -601,19 +602,31 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     Positive when the collapse lies in the future (``F < 0``), negative when
     in the past.  Raises ``ValueError`` unless ``F`` has no root in
     ``(0, sigma0]``: a static start or a root below it means no collapse.
+    Also raises ``ValueError`` where the time overflows a double, as at a
+    subnormal ``mu**2`` (``flat``, ``kappa = 0``: ``t = -1/(3 mu^2)``).
     """
     coeffs = problem_coefficients(problem)
     f0 = _F_from_coefficients(coeffs, problem.sigma0)
     mask, re = _positive_roots(coeffs[None])
+    root_below = "F has a root in (0, sigma0]: the trajectory does not reach zero"
     if _is_static(coeffs, f0, problem.sigma0) or np.any(mask & (re < problem.sigma0)):
-        raise ValueError("F has a root in (0, sigma0]: the trajectory does not reach zero")
+        raise ValueError(root_below)
     sgn = -1.0 if f0 > 0.0 else 1.0
+    sigma0 = problem.sigma0
 
-    def integrand(y: float) -> float:
-        return y / abs(_F_from_coefficients(coeffs, y))
+    def integrand(x: float) -> float:
+        y = sigma0 * x  # on [0, 1] the quadrature's sums overflow only where the time does
+        f = -sgn * _F_from_coefficients(coeffs, y)  # |F| while F keeps its sign at sigma0
+        if f < 0.0:  # a root below the 1e-12 floor of _positive_roots
+            raise ValueError(root_below)
+        if f == 0.0 or y / f == math.inf:  # F underflows
+            raise ValueError(_TIME_OVERFLOW)
+        return y / f
 
-    val, _ = quad(integrand, 0.0, problem.sigma0, limit=200, epsabs=1e-13, epsrel=1e-11)
-    return sgn * val
+    t_c = sigma0 * quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-13, epsrel=1e-11)[0]
+    if not math.isfinite(t_c):
+        raise ValueError(_TIME_OVERFLOW)
+    return sgn * t_c
 
 
 def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
@@ -703,14 +716,17 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
     )
 
 
-def classify_from_trajectory(
-    case: str,
-    kappa: float,
-    mu: float,
-    sigma0: float = 1.0,
-) -> Behavior:
+def classify_from_trajectory(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavior:
     """Event-driven classification: integrate both time directions and read
     the tag off the terminal events.  Used to cross-check :func:`classify`.
+
+    Each leg integrates ``(sigma, t)`` in a time ``tau`` with ``dt/dtau =
+    +-sigma^2 / max(|F|, b)``, where the stall band ``b = 1e-9 sum_k |c_k|
+    sigma^(1-k)`` is the size of ``F``'s terms.  Outside the band ``log
+    sigma`` moves at unit speed, so a leg however slow in ``t`` meets a
+    threshold or stalls by a root before ``tau = 2 log(M_BLOWUP /
+    EPS_COLLAPSE)``; a leg that starts in the band heading for its root
+    relaxes onto it and stalls there at that ``tau``.
 
     The start must lie strictly between the event thresholds
     ``EPS_COLLAPSE`` and ``M_BLOWUP``; outside them no leg can meet its
@@ -726,30 +742,47 @@ def classify_from_trajectory(
     f0 = _F_from_coefficients(coeffs, sigma0)
     if _is_static(coeffs, f0, sigma0):
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, f_at_start=f0)
+    band_terms = (1e-9 * np.abs(coeffs)).tolist()
 
-    def leg(direction: float):
-        # A leg that meets no threshold by |t| = 1e9 is open: it relaxes onto
-        # no root and grows too slowly to reach the blow-up threshold.
-        tr = integrate(problem, (0.0, direction * 1e9), rtol=1e-10, atol=1e-13)
-        return (tr.events[0].kind, tr.events[0]) if tr.events else ("open", None)
+    def band_gap(y) -> tuple:
+        """``(sigma, F, |F| - b)`` at the state ``y``, clamped as :func:`integrate` clamps."""
+        sig = max(y[0], 1e-9)
+        f = _F_from_coefficients(coeffs, sig)
+        return sig, f, abs(f) - _F_in_powers_of_inverse(band_terms, sig)
 
-    fwd_kind, fwd_ev = leg(+1.0)
-    bwd_kind, bwd_ev = leg(-1.0)
-    past = bwd_ev.y[0] if bwd_kind == "stall" else None
-    future = fwd_ev.y[0] if fwd_kind == "stall" else None
+    def leg(direction: float) -> tuple:
+        def rhs(tau, y):
+            sig, f, gap = band_gap(y)
+            dt = direction * sig * sig / (abs(f) - min(gap, 0.0))  # sigma^2 / max(|F|, b)
+            if not math.isfinite(dt):
+                raise ValueError("the trajectory's time overflows a double")
+            return [dt * f / sig, dt]
+
+        events = (
+            ("collapse", lambda tau, y: y[0] - EPS_COLLAPSE, -1),
+            ("blowup", lambda tau, y: y[0] - M_BLOWUP, 1),
+            ("stall", lambda tau, y: band_gap(y)[2], -1),
+            ("stall", lambda tau, y: tau - 2.0 * math.log(M_BLOWUP / EPS_COLLAPSE), 1),
+        )
+        run = hf.solve_ivp(rhs, [sigma0, 0.0], [event[1:] for event in events], rtol=1e-10, atol=1e-13)
+        return (events[run.event][0], *run.y[:, -1].tolist())
+
+    (fwd_kind, fwd_sigma, fwd_t), (bwd_kind, bwd_sigma, bwd_t) = leg(1.0), leg(-1.0)
+    past = bwd_sigma if bwd_kind == "stall" else None
+    future = fwd_sigma if fwd_kind == "stall" else None
     t_c = direction = None
     if fwd_kind == "collapse":
-        tag, t_c, direction = BehaviorTag.FINITE_TIME_COLLAPSE, fwd_ev.t, "future"
+        tag, t_c, direction = BehaviorTag.FINITE_TIME_COLLAPSE, fwd_t, "future"
     elif bwd_kind == "collapse":
-        tag, t_c, direction = BehaviorTag.FINITE_TIME_COLLAPSE, bwd_ev.t, "past"
+        tag, t_c, direction = BehaviorTag.FINITE_TIME_COLLAPSE, bwd_t, "past"
     elif past is not None and future is not None:
         tag = BehaviorTag.ETERNAL_REGULAR
     elif future is not None:
         tag = BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE
     elif past is not None:
         tag = BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
-    else:
-        raise RuntimeError("trajectory classification saw no terminal event in either direction")
+    else:  # sigma is monotone, so at most one leg grows
+        raise RuntimeError("both legs of the trajectory reached the blow-up threshold")
     return Behavior(
         tag=tag,
         sigma_past=past,

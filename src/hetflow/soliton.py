@@ -474,9 +474,10 @@ def heisenberg_auxiliary_connection(
     return gamma_bar
 
 
-def _lam12_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product on one-form (x) two-form blocks with 2-form weight 1/2."""
-    return 0.5 * float(np.einsum("acd,bef,ab,ce,df->", a, b, g_inv, g_inv, g_inv))
+def _lam12_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products, with 2-form weight 1/2, of the one-form (x) two-form
+    block ``a`` with each block ``b[v]`` of the direction-indexed ``b``."""
+    return 0.5 * np.einsum("acd,vbef,ab,ce,df->v", a, b, g_inv, g_inv, g_inv)
 
 
 def verify_divergence_identities(
@@ -508,17 +509,13 @@ def verify_divergence_identities(
 
     # Divergence of the twisted-curvature square.
     lhs1 = -np.einsum("ab,abv->v", ginv, s.nabla_riemann_tw_sq)
-    rhs1 = np.empty(3)
-    for v in range(3):
-        rhs1[v] = _lam12_inner(ginv, div_tw, s.riemann_tw[v]) - 0.5 * s.d_riemann_tw_norm2[v]
+    rhs1 = _lam12_inner(ginv, div_tw, s.riemann_tw) - 0.5 * s.d_riemann_tw_norm2
 
     # Divergence of the torsion square; skew_h[v] = <e_skew, H(v, ., .)>
     # enters it and the divergence of the symmetric map.
-    skew_h = np.array([np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv) for v in range(3)])
+    skew_h = np.einsum("cd,vef,ce,df->v", e_skew, s.torsion, ginv, ginv)
     lhs2 = -np.einsum("ab,abv->v", ginv, s.nabla_torsion_sq)
-    rhs2 = np.empty(3)
-    for v in range(3):
-        rhs2[v] = -0.5 * s.d_torsion_norm2[v] - float(phi_up @ s.torsion_sq[:, v]) + skew_h[v]
+    rhs2 = -0.5 * s.d_torsion_norm2 - phi_up @ s.torsion_sq + skew_h
 
     # Divergence of the symmetric map.
     nabla_e = (
@@ -543,13 +540,7 @@ def verify_divergence_identities(
         + kappa * s.d_riemann_tw_norm2
     )
     phi_curv = np.einsum("m,macd->acd", phi_up, s.riemann_tw)
-    rhs3 = np.empty(3)
-    for v in range(3):
-        rhs3[v] = (
-            kappa * _lam12_inner(ginv, s.riemann_tw[v], div_tw + phi_curv)
-            + 0.5 * d_e_dil[v]
-            - 0.5 * skew_h[v]
-        )
+    rhs3 = kappa * _lam12_inner(ginv, div_tw + phi_curv, s.riemann_tw) + 0.5 * d_e_dil - 0.5 * skew_h
 
     eqs = {
         "div_curvature_square": EquationResidual(float(np.max(np.abs(lhs1 - rhs1))), tol),

@@ -164,14 +164,34 @@ def test_verify_builds_each_chart_sample_once_per_command(capsys, monkeypatch):
 
 def test_metric_inverse_calls_per_command(capsys, count_calls):
     # verify: one batched inverse for the identity suite's 4 invariant samples
-    # and the soliton suite's 8 candidates (1), and the flow rhs at each
-    # candidate (8).  soliton-check: the one inverse its sample makes.
+    # and the soliton suite's 8 candidates; the flow law at each candidate
+    # reads the candidate's own g_inv.  soliton-check: the one inverse its
+    # sample makes.
     inverses = count_calls(tc, "metric_inverse")
     assert _run(capsys, ["verify", "--suite", "all", "--trials", "4"])[0] == 0
-    assert len(inverses) == 9
+    assert len(inverses) == 1
     inverses.clear()
     assert _run(capsys, ["soliton-check", "--algebra", "heisenberg", "--kappa", "1.0"])[0] == 0
     assert len(inverses) == 1
+
+
+def test_verify_suites_read_the_samples_they_were_given(capsys, count_calls, monkeypatch):
+    """No suite derives curvature or rebuilds an algebra once the samples exist:
+    the 12 catalog calls (4 random invariant starts, 8 soliton candidates) all
+    come from _verify_samples."""
+    catalogs = count_calls(hg, "catalog")
+    curvatures = count_calls(hg, "invariant_curvature")
+    at_samples = []
+    original = cli._verify_samples
+
+    def recording(*args):
+        samples = original(*args)
+        at_samples.append(len(catalogs))
+        return samples
+
+    monkeypatch.setattr(cli, "_verify_samples", recording)
+    assert _run(capsys, ["verify", "--suite", "all", "--trials", "4"])[0] == 0
+    assert (at_samples, len(catalogs), len(curvatures)) == ([12], 12, 0)
 
 
 @pytest.mark.parametrize("trials", [1, 4])

@@ -180,7 +180,7 @@ def test_milnor_rhs_matches_generic_rhs_on_diagonal_metrics():
         alg = hg.catalog(name, **params)
         d = rng.uniform(0.1, 3.0, size=3)
         kappa, f = float(rng.uniform(0.0, 3.0)), float(rng.uniform(-2.0, 2.0))
-        _, g_dot = hf._rhs_3d_core(alg, np.diag(d), f, kappa)
+        g_dot, _ = hf.rhs_3d(hf.FlowState3(alg, np.diag(d), f), kappa)
         diagonal = np.diagonal(g_dot)
         fast = hf._rhs_milnor(hg.milnor_lambdas(alg), d.tolist(), f, kappa)
         worst = max(worst, float(np.max(np.abs(fast - diagonal)) / np.max(np.abs(diagonal))))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetflow import het_flow as hf
@@ -393,6 +393,32 @@ def test_trajectory_classifier_accepts_a_start_just_inside_the_thresholds(sigma0
         )
 
 
+@pytest.mark.parametrize("sigma0", [5e7, math.nextafter(ht.M_BLOWUP, 0.0)])
+def test_trajectory_classifier_follows_a_slow_leg_to_its_threshold(sigma0):
+    # F = mu^2 / sigma - kappa mu^4 / (4 sigma^4) is about 5e-9 here: in t the
+    # blow-up lies near t = 1e24 and the stall by the root 0.397 beyond
+    # t = -1e23, but each leg is integrated in a time where log sigma moves
+    # at unit speed.
+    a = ht.classify("flat", 1.0, 0.5, sigma0)
+    b = ht.classify_from_trajectory("flat", 1.0, 0.5, sigma0)
+    assert a.tag is b.tag is TAG.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
+    assert b.sigma_past == pytest.approx(a.sigma_past, rel=1e-6)
+    assert b.sigma_future is None
+
+
+def test_trajectory_classifier_agrees_with_classify_across_scales():
+    # Starts from just above the collapse threshold to just below the blow-up
+    # one; before the regularised legs, slow flat starts raised RuntimeError.
+    rng = np.random.default_rng(5)
+    for k in range(24):
+        case = ("positive", "flat", "negative", "su2")[k % 4]
+        kappa, mu = float(rng.uniform(0.01, 3.0)), float(rng.uniform(0.0, 2.5))
+        sigma0 = float(10.0 ** rng.uniform(-7.9, 7.99))
+        a = ht.classify(case, kappa, mu, sigma0)
+        b = ht.classify_from_trajectory(case, kappa, mu, sigma0)
+        assert a.tag is b.tag, (case, kappa, mu, sigma0)
+
+
 def test_trajectory_classifier_follows_a_slow_relaxation():
     # The forward leg reaches the stall threshold only after about twice its
     # first span (roots 0.490 and 3.513).
@@ -714,8 +740,15 @@ def test_collapse_event_sits_on_the_threshold(case, kappa, mu):
     st.floats(min_value=0.0, max_value=2.5),
     st.floats(min_value=0.5, max_value=2.0),
 )
+@example("flat", 1.0, 1.0051776217371298e-160, 1.0)  # mu^2 is subnormal
 def test_every_collapse_is_a_threshold_crossing(case, kappa, mu, sigma0):
-    behavior = ht.classify(case, kappa, mu, sigma0)
+    try:
+        behavior = ht.classify(case, kappa, mu, sigma0)
+    except ValueError as exc:
+        # A flux so small that F underflows: the collapse lies beyond the
+        # largest double in time.
+        assert "collapse time overflows a double" in str(exc)
+        return
     assume(behavior.tag is ht.BehaviorTag.FINITE_TIME_COLLAPSE)
     # A start where F nearly vanishes lingers by a root, and there any
     # integrated time is ill conditioned: flat, kappa = 2.00001, mu = 0.5,
@@ -791,6 +824,68 @@ def test_F_is_finite_at_a_large_conformal_factor():
         behavior = ht.classify("flat", kappa, mu, sigma0)
         assert behavior.tag is ht.BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT
         assert behavior.f_at_start == pytest.approx(mu**2 / sigma0, rel=1e-15)
+
+
+@pytest.mark.parametrize("mu", [1e-155, 1e-158, 1.0051776217371298e-160])
+def test_a_subnormal_flux_square_raises_value_error(mu):
+    # mu^2 is subnormal and mu^4 is zero, so F = mu^2 / sigma > 0 and the start
+    # collapses in the past at t = -1/(3 mu^2) (kappa = 0), beyond the largest
+    # double; at 1e-158 F underflows to zero below sigma = 0.1.
+    assert ht.sweep_grid("flat", [1.0], [mu])[0, 0] is TAG.FINITE_TIME_COLLAPSE
+    for kappa in (0.0, 1.0):
+        with pytest.raises(ValueError, match="collapse time overflows a double"):
+            ht.classify("flat", kappa, mu, 1.0)
+    # Within range the time is finite.
+    assert ht.classify("flat", 0.0, 1e-154).collapse_time == pytest.approx(-1.0 / 3e-308, rel=1e-9)
+
+
+def test_collapse_time_quadrature_rejects_a_root_below_its_threshold():
+    # The one root, 6.3e-31, lies below _positive_roots' 1e-12 floor, so the
+    # fate rule sees none below sigma0; the quadrature meets F's sign change.
+    x = 1.0945366673135564e-30
+    problem = ht.HomothetyProblem("general", kappa=x, mu=-x, sigma0=x)
+    with pytest.raises(ValueError, match="F has a root in"):
+        ht.collapse_time_quadrature(problem)
+
+
+# Magnitudes from the smallest subnormal to 1e150, and zero.
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e150))
+
+
+def _finite_fields(value) -> bool:
+    """Every number in ``value`` (a result, or a Behavior's fields) is finite."""
+    fields = vars(value).values() if isinstance(value, ht.Behavior) else [value]
+    items = [x for field in fields if field is not None for x in np.ravel(np.asarray(field, dtype=object))]
+    return all(math.isfinite(x) for x in items if not isinstance(x, (str, TAG)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["positive", "flat", "negative", "su2", "general"]),
+    _MAGNITUDES,
+    _MAGNITUDES,
+    st.booleans(),
+    _MAGNITUDES,
+)
+@example("flat", 1.0, 1.0051776217371298e-160, False, 1.0)
+@example("flat", 0.0, 1.8618743999536332e16, True, 1.076076045802983e149)  # the time overflows
+def test_scalar_entry_points_return_finite_fields_or_raise_value_error(case, kappa, mu, negative, sigma0):
+    mu = -mu if negative else mu
+    calls = (
+        lambda: ht.problem_coefficients(ht.HomothetyProblem(case, kappa, mu, sigma0=sigma0)),
+        lambda: ht.F_value(ht.HomothetyProblem(case, kappa, mu), sigma0),
+        lambda: ht.classify(case, kappa, mu, sigma0),
+        lambda: ht.collapse_time_quadrature(ht.HomothetyProblem(case, kappa, mu, sigma0=sigma0)),
+        lambda: ht.sweep_grid(case, [kappa], [mu]),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = call()
+            except ValueError:
+                continue
+        assert _finite_fields(value), value
 
 
 def _static_rule_rows(rng):

@@ -401,6 +401,57 @@ def test_divergence_identities_on_invariant_samples(invariant_samples):
         assert report.all_passed, {n: e.value for n, e in report.equations.items()}
 
 
+def _per_direction_divergence_residuals(s, kappa):
+    """The three residuals of verify_divergence_identities, one frame direction
+    at a time: the formulas as first written, kept as an oracle."""
+    ginv = s.g_inv
+    phi_up = ginv @ s.dilaton
+    e_sym, e_skew, _ = so.einstein_maps(s, kappa)
+    div_tw = s.div_riemann_tw
+
+    def lam12(a, b):
+        return 0.5 * float(np.einsum("acd,bef,ab,ce,df->", a, b, ginv, ginv, ginv))
+
+    lhs1 = -np.einsum("ab,abv->v", ginv, s.nabla_riemann_tw_sq)
+    rhs1 = np.empty(3)
+    for v in range(3):
+        rhs1[v] = lam12(div_tw, s.riemann_tw[v]) - 0.5 * s.d_riemann_tw_norm2[v]
+    skew_h = np.array([np.einsum("cd,ef,ce,df->", e_skew, s.torsion[v], ginv, ginv) for v in range(3)])
+    lhs2 = -np.einsum("ab,abv->v", ginv, s.nabla_torsion_sq)
+    rhs2 = np.empty(3)
+    for v in range(3):
+        rhs2[v] = -0.5 * s.d_torsion_norm2[v] - float(phi_up @ s.torsion_sq[:, v]) + skew_h[v]
+    nabla_e = s.nabla_ricci + s.nabla2_dilaton - 0.5 * s.nabla_torsion_sq + kappa * s.nabla_riemann_tw_sq
+    tr_e_d = s.d_scalar - s.d_delta_dilaton - 1.5 * s.d_torsion_norm2 + 2.0 * kappa * s.d_riemann_tw_norm2
+    lhs3 = -np.einsum("ab,abv->v", ginv, nabla_e) + np.einsum("m,mv->v", phi_up, e_sym) + 0.5 * tr_e_d
+    d_e_dil = s.d_delta_dilaton + s.d_dilaton_norm2 - s.d_torsion_norm2 + kappa * s.d_riemann_tw_norm2
+    phi_curv = np.einsum("m,macd->acd", phi_up, s.riemann_tw)
+    rhs3 = np.empty(3)
+    for v in range(3):
+        rhs3[v] = kappa * lam12(s.riemann_tw[v], div_tw + phi_curv) + 0.5 * d_e_dil[v] - 0.5 * skew_h[v]
+    return {
+        "div_curvature_square": float(np.max(np.abs(lhs1 - rhs1))),
+        "div_torsion_square": float(np.max(np.abs(lhs2 - rhs2))),
+        "div_einstein_map": float(np.max(np.abs(lhs3 - rhs3))),
+    }
+
+
+def test_divergence_identities_match_the_per_direction_formulas():
+    # The whole-direction contractions sum in another order than the
+    # per-direction ones, so they agree to rounding, not bit for bit.
+    specs = [cj.random_chart_spec(300 + k, maxwell=bool(k % 2)) for k in range(50)]
+    samples = cj.build_chart_samples(specs)
+    samples += [c.sample for k in KAPPAS for c in (so.heisenberg_strong_soliton(k), so.hyperbolic_soliton(k))]
+    samples += [_case_candidate(case, k).sample for case in (1, 2, 3) for k in KAPPAS]
+    rng = np.random.default_rng(19)
+    for sample in samples:
+        kappa = float(rng.uniform(0.05, 3.0))
+        report = so.verify_divergence_identities(sample, kappa)
+        for name, expected in _per_direction_divergence_residuals(sample, kappa).items():
+            value = report.equations[name].value
+            assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected)), (name, value, expected)
+
+
 def test_divergence_identities_exact_on_flat_data():
     sample = hg.build_invariant_sample(hg.catalog("r3"), np.eye(3), 0.0)
     report = so.verify_divergence_identities(sample, 1.0)
