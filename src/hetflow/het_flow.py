@@ -406,7 +406,9 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     |y_new|)``, and step factors ``0.9 err^(-1/5)`` clipped to ``[0.2, 10]``
     and not above 1 right after a rejection.  A non-finite error (a NaN
     stage) rejects the step and shrinks it fivefold; a step below ten ulps of
-    ``tau`` raises ``RuntimeError``.  ``fun`` and the event functions receive
+    ``tau`` raises ``RuntimeError``.  A start whose derivative, scaled by
+    ``atol + rtol |y|``, overflows (the initial step underflows to 0) raises
+    ``ValueError``.  ``fun`` and the event functions receive
     the state as a list of floats, and ``fun`` returns a sequence of floats.
 
     ``events`` is a sequence of ``(fn, direction)``, all terminal, and one
@@ -425,6 +427,8 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = _rms([v / s for v, s in zip(y, scale)]), _rms([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:
+        raise ValueError("the initial step underflows: the derivative at the start overflows atol + rtol |y|")
     f1 = fun(h0, [v + h0 * p for v, p in zip(y, f)])
     d2 = _rms([(q - p) / s for p, q, s in zip(f, f1, scale)]) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2

@@ -21,9 +21,13 @@ and its couplings, :func:`problem_coefficients` gives its quintic (raising
 (:func:`_coefficients`, for a single point or a whole ``(kappa, mu)`` grid),
 one positive-root helper (:func:`_positive_roots`, for a stack of
 polynomials; it also gives the cubic threshold), one static rule
-(:func:`_is_static`, ``|F(sigma0)| <= 1e-12 sum_k |c_k| sigma0^(1-k)``), and one fate
-engine (:func:`_fates`), which tags a whole grid in one batched pass and
-which :func:`sweep_grid` and :func:`classify` (a grid of one cell) share.
+(:func:`_is_static`, ``|F(sigma0)| <= 1e-12 sum_k |c_k| sigma0^(1-k)``), one
+curve per ``mu`` (:func:`_kappa_curve`: every non-SU(2) quintic is linear in
+``kappa``, ``p = A + kappa B``, and ``K = -A/B`` is monotone between the
+positive roots of ``B`` and of ``W = A'B - AB'``), and one fate engine
+(:func:`_fates`), which tags a whole grid from the sign of ``p`` at each
+column's roots of ``B`` and ``W``, with no eigenproblem per cell, and which
+:func:`sweep_grid` and :func:`classify` (a grid of one cell) share.
 
 Conventions: ``kappa >= 0`` is the curvature-squared coupling, ``mu`` the
 torsion constant, ``y = sigma > 0`` the conformal factor.
@@ -37,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import het_flow as hf
 from . import homogeneous as hg
@@ -264,6 +267,71 @@ def _positive_roots(coeffs: np.ndarray) -> tuple:
     return mask, re
 
 
+def _rescaled(coeffs: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Rows of ``c(2^shift z)`` (highest degree first), each multiplied by the
+    power of two that puts its largest coefficient in ``[0.5, 1)``.
+
+    Exact but for underflow: the exponents are summed before any product is
+    formed, so no row overflows on the way.
+    """
+    mant, ex = np.frexp(coeffs)
+    ex = ex + shift[:, None] * np.arange(coeffs.shape[1] - 1, -1, -1)
+    top = np.max(np.where(mant != 0.0, ex, -4096), axis=1, keepdims=True)
+    return np.ldexp(mant, ex - top)
+
+
+def _wronskian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of ``a'b - ab'`` for two ``(N, 6)`` stacks of quintics (highest
+    degree first), ``(N, 9)``: the two ``y^9`` terms cancel identically, so
+    their rounding residue is dropped."""
+    powers = np.arange(5, 0, -1)
+    da, db = a[:, :-1] * powers, b[:, :-1] * powers
+    w = np.zeros((len(a), 10))
+    for i in range(5):
+        w[:, i : i + 6] += da[:, i : i + 1] * b - db[:, i : i + 1] * a
+    return w[:, 1:]
+
+
+@_overflow_guard
+def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
+    """A non-SU(2) quintic as a pencil in ``kappa``, and where its curve turns.
+
+    ``p = A + kappa B`` with ``A = [-2s/3, 0, mu^2, 0, 0, 0]`` and ``B =
+    [2s^2/9, -s^2/3, 0, -s mu^2, 0, -mu^4/4]`` (``s`` fixed by the named
+    cases, the powers of ``mu`` as :func:`_coefficients` takes them), so
+    ``y > 0`` is a root exactly where ``kappa = K(y) = -A(y)/B(y)``.  ``K``
+    is monotone between consecutive positive roots of ``B`` (its poles) and
+    of ``W = A'B - AB'`` (its turning points, degree 8), so on each piece
+    between them ``p`` has at most one root, and that root is simple.
+
+    Returns ``(A, B, poles, turns)``: the ``(len(mus), 6)`` stacks ``A`` and
+    ``B`` and the ``(len(mus), 5)`` and ``(len(mus), 8)`` positive roots of
+    ``B`` and ``W``, NaN in the slots of other roots.  Each comes from one
+    :func:`_positive_roots` call on the stack in ``z = y / 2^e``: the roots
+    lie near ``|mu|`` for ``mu^2 <= 1`` and near ``|mu|^(4/5)`` (and, for
+    ``W``, ``2 mu^2 / s``) above it, and ``2^e`` follows them, so the
+    companion matrices stay finite (``W``'s ``mu^6`` term alone overflows
+    from ``|mu|`` near 1e51) and the 1e-12 floor applies to ``z``.
+    """
+    s = _CASE_S.get(case, s)
+    mu2 = np.array([float(m) ** 2 for m in mus])
+    mu4 = np.array([float(m) ** 4 for m in mus])
+    a = np.zeros((len(mus), 6))
+    b = np.zeros((len(mus), 6))
+    a[:, 0] = -2.0 * s / 3.0
+    a[:, 2] = mu2
+    b[:, 0] = 2.0 * s * s / 9.0
+    b[:, 1] = -s * s / 3.0
+    b[:, 3] = -s * mu2
+    b[:, 5] = -mu4 / 4.0
+    e = np.frexp(mu2)[1].astype(np.int64)
+    shift = np.where(e > 0, (2 * e) // 5, e // 2)
+    a_z, b_z = _rescaled(a, shift), _rescaled(b, shift)
+    roots = [_positive_roots(c) for c in (b_z, _wronskian(a_z, b_z))]
+    poles, turns = (np.where(mask, np.ldexp(re, shift[:, None]), np.nan) for mask, re in roots)
+    return a, b, poles, turns
+
+
 # ---------------------------------------------------------------------------
 # Critical parameter curves
 # ---------------------------------------------------------------------------
@@ -314,38 +382,35 @@ def kappa0(mu: float) -> tuple:
     """Tangency parameters ``(kappa0, y0)`` of the positive case.
 
     Solves ``F = 0`` and ``dF/dy = 0`` of the positive case with ``y0`` in (0,1).
-    The quintic is linear in ``kappa``, ``p = kappa a + b``, so along
-    ``kappa(y) = -b(y)/a(y)`` the tangency is an interior critical point: a
-    root of ``b'a - ba'``, found exactly instead of scanned on a grid (the
-    tangency ordinate approaches 1 as ``mu^2`` nears the cubic threshold).
-    Its residuals ``(p, p')`` must lie within ``_KAPPA0_TOL * y0**4``.  Raises
-    ``ValueError`` when no interior tangency with ``kappa0 > 0`` exists for
-    this ``mu`` (``mu = 0`` or ``mu^2`` at or above the cubic threshold).
+    The quintic is linear in ``kappa``, ``p = A + kappa B``, so along
+    ``kappa = K(y) = -A(y)/B(y)`` the tangency is an interior critical point:
+    a root of ``W = A'B - AB'`` (:func:`_kappa_curve`), found exactly instead
+    of scanned on a grid (the tangency ordinate approaches 1 as ``mu^2``
+    nears the cubic threshold).  Its residuals ``(p, p')`` must lie within
+    ``_KAPPA0_TOL * y0**4``.  Raises ``ValueError`` when no interior tangency
+    with ``kappa0 > 0`` exists for this ``mu`` (``mu = 0`` or ``mu^2`` at or
+    above the cubic threshold), and where ``W``'s own coefficients overflow
+    (its ``mu^6`` term, from ``|mu|`` near 1e51).
     """
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    b, p1 = _coefficients("positive", [0.0, 1.0], [mu])[:, 0]
-    a = p1 - b
-    da, db = np.polyder(a), np.polyder(b)
+    a, b, _, turns = (x[0] for x in _kappa_curve("positive", [mu]))
     with np.errstate(over="ignore", invalid="ignore"):
-        # Two quintics' y^9 terms cancel identically; drop the rounding residue.
-        crit = np.polysub(np.polymul(db, a), np.polymul(b, da))[1:]
-    if not np.all(np.isfinite(crit)):
-        raise ValueError(_OVERFLOW)
-    mask, re = _positive_roots(crit[None])
+        if not np.all(np.isfinite(_wronskian(a[None], b[None]))):
+            raise ValueError(_OVERFLOW)
     best = None
-    for y_c in re[0][mask[0]].tolist():
+    for y_c in turns[~np.isnan(turns)].tolist():
         if not y_c < 1.0 - 1e-12:
             continue
-        a_c = np.polyval(a, y_c)
-        kap_c = -np.polyval(b, y_c) / a_c if a_c != 0.0 else -np.inf
+        b_c = np.polyval(b, y_c)
+        kap_c = -np.polyval(a, y_c) / b_c if b_c != 0.0 else -np.inf
         if kap_c > 0.0 and (best is None or kap_c > best[0]):
             best = (kap_c, y_c)
     if best is None:
         raise ValueError(f"no interior tangency with kappa0 > 0 in (0,1) for mu = {mu}")
     kap, y = best
     # Where p = 0, F = p / y^4 and F' = p' / y^4.
-    p = kap * a + b
+    p = a + kap * b
     if max(abs(np.polyval(p, y)), abs(np.polyval(np.polyder(p), y))) > _KAPPA0_TOL * y**4:
         raise ValueError(f"tangency residuals did not reach {_KAPPA0_TOL} for mu = {mu}")
     return float(kap), float(y)
@@ -611,13 +676,15 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     root_below = "F has a root in (0, sigma0]: the trajectory does not reach zero"
     if _is_static(coeffs, f0, problem.sigma0) or np.any(mask & (re < problem.sigma0)):
         raise ValueError(root_below)
+    from scipy.integrate import quad  # the CLI never integrates, so it never loads scipy
+
     sgn = -1.0 if f0 > 0.0 else 1.0
     sigma0 = problem.sigma0
 
     def integrand(x: float) -> float:
         y = sigma0 * x  # on [0, 1] the quadrature's sums overflow only where the time does
         f = -sgn * _F_from_coefficients(coeffs, y)  # |F| while F keeps its sign at sigma0
-        if f < 0.0:  # a root below the 1e-12 floor of _positive_roots
+        if f < 0.0:  # a root below the 1e-12 floor of _positive_roots, which the fate rule sees
             raise ValueError(root_below)
         if f == 0.0 or y / f == math.inf:  # F underflows
             raise ValueError(_TIME_OVERFLOW)
@@ -632,12 +699,25 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
 def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
     """The fate rule at every cell of a ``(kappa, mu)`` grid started at ``sigma0``.
 
-    Returns, in row-major cell order, the tags, ``F(sigma0)`` (the bits of
-    :func:`_F_from_coefficients`) and :func:`_positive_roots`' ``(mask, re)``.
     ``sigma`` is monotone between consecutive roots of ``F``: with no root
     below ``sigma0`` it reaches zero in finite time, with none above it
-    diverges, and between two it is eternal and regular.  Overflow raises
-    the errors of :func:`problem_coefficients` and :func:`F_value`.
+    diverges, and between two it is eternal and regular.  Each column's
+    knots are ``0``, the positive roots of ``B`` and ``W`` from
+    :func:`_kappa_curve` (none for ``"su2"``, whose one root is 3) and
+    ``inf``; between two knots ``p`` has at most one root, so a root lies
+    below ``sigma0`` exactly when ``p``'s sign at a knot below it differs
+    from ``F(sigma0)``'s (or vanishes), and likewise above.  ``p``'s sign at
+    a root of ``B`` or ``W`` is that of ``F = A/y^4 + kappa B/y^4``, summed
+    in powers of ``1/y`` and finite at the poles of ``K``; at 0 it is the
+    sign of the lowest nonzero coefficient, at ``inf`` of the leading one.
+    No absolute floor applies to the roots of ``p``; the whole grid costs
+    two :func:`_positive_roots` calls.
+
+    Returns, in row-major cell order, the tags, ``F(sigma0)`` (the bits of
+    :func:`_F_from_coefficients`), the ``(len(mus), n)`` knots, NaN in the
+    slots of absent roots, and the ``(cells, n)`` values whose signs the
+    rule read there.  Overflow raises the errors of
+    :func:`problem_coefficients` and :func:`F_value`.
     """
     coeffs = _coefficients(case, kappas, mus).reshape(-1, 6)
     if not np.all(np.isfinite(coeffs)):
@@ -661,9 +741,28 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
         over = np.array(kappas)[:, None] > np.array([max(0.0, kappa_crit_p(m)) for m in mus])
         near = np.array([abs(m**2 - MU_THRESHOLD_CUBIC_SQ) <= 1e-9 for m in mus], dtype=bool)
         unresolved = (over & near).ravel()
-    mask, re = _positive_roots(coeffs)
-    below = np.any(mask & (re < sigma0), axis=1)
-    above = np.any(mask & (re > sigma0), axis=1)
+
+    cells = np.arange(len(coeffs))
+    nonzero = coeffs != 0.0
+    low = coeffs[cells, 5 - np.argmax(nonzero[:, ::-1], axis=1)]
+    lead = coeffs[cells, np.argmax(nonzero, axis=1)]
+    if case == "su2":
+        inner, inner_values = np.zeros((len(mus), 0)), np.zeros((len(coeffs), 0))
+    else:
+        a, b, poles, turns = _kappa_curve(case, mus)
+        inner = np.concatenate([poles, turns], axis=1)
+        y = np.where(np.isnan(inner), 1.0, inner)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fa = _F_in_powers_of_inverse(a.T[:, :, None], y)
+            fb = _F_in_powers_of_inverse(b.T[:, :, None], y)
+            inner_values = fa + np.array(kappas)[:, None, None] * fb
+        inner_values = inner_values.reshape(len(coeffs), -1)
+    knots = np.concatenate([np.zeros((len(mus), 1)), inner, np.full((len(mus), 1), math.inf)], axis=1)
+    values = np.concatenate([low[:, None], inner_values, lead[:, None]], axis=1)
+
+    differs = (np.sign(values) != np.sign(f0)[:, None]).reshape(len(kappas), len(mus), -1)
+    below = np.any(differs & (knots < sigma0), axis=2).ravel()
+    above = np.any(differs & (knots > sigma0), axis=2).ravel()
     tags = np.select(
         [static, unresolved, ~below, ~above & (f0 > 0.0), ~above],
         [
@@ -675,7 +774,61 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
         ],
         default=BehaviorTag.ETERNAL_REGULAR,
     )
-    return tags, f0, mask, re
+    return tags, f0, knots, values
+
+
+def _root_between(coeffs: np.ndarray, a: float, b: float, positive_at_a: bool) -> float:
+    """A root of ``p`` in ``[a, b]``, ``0 <= a < b <= inf``, where the fate
+    rule read ``p`` positive at ``a`` exactly when ``positive_at_a`` and of
+    the other sign at ``b``.
+
+    :func:`hetflow.het_flow._illinois` runs on ``p(y) / y^t`` in ``y`` up to
+    1 and on ``p(y) / y^(t+d)`` in ``w = 1/y`` beyond (``t`` trailing zero
+    coefficients, ``d`` the degree left), polynomials finite on ``[0, 1]``
+    and nonzero at 0, so the ends 0 and ``inf`` need no limit; a bracket
+    across 1 is cut there first.  The ends keep the rule's signs, so where
+    rounding flips ``p``'s sign at an end the root found lies by that end.
+    """
+    c = np.trim_zeros(coeffs).tolist()
+
+    def horner(cs, x):
+        acc = 0.0
+        for ck in cs:
+            acc = acc * x + ck
+        return acc
+
+    def solve(fn, lo, hi, positive_at_lo):
+        f_lo, f_hi = abs(fn(lo)), abs(fn(hi))
+        if f_lo == 0.0 or f_hi == 0.0:
+            return lo if f_lo == 0.0 else hi
+        f_lo, f_hi = (f_lo, -f_hi) if positive_at_lo else (-f_lo, f_hi)
+        return hf._illinois(fn, lo, hi, f_lo, f_hi, (lo * f_hi - hi * f_lo) / (f_hi - f_lo), 0.0)
+
+    if a < 1.0 < b:
+        f1 = horner(c, 1.0)
+        if f1 == 0.0:
+            return 1.0
+        if (f1 > 0.0) == positive_at_a:
+            a = 1.0
+        else:
+            b = 1.0
+    if b <= 1.0:
+        return solve(lambda y: horner(c, y), a, b, positive_at_a)
+    return 1.0 / solve(lambda w: horner(c[::-1], w), 1.0 / b, 1.0 / a, not positive_at_a)
+
+
+def _nearest_root(coeffs: np.ndarray, sigma0: float, f0: float, points: list):
+    """The root of ``F`` nearest ``sigma0`` on one side, or ``None``: ``points``
+    are the knots ``(y, value)`` of :func:`_fates` on that side, outward from
+    ``sigma0``."""
+    near = sigma0
+    for y, v in points:
+        if v == 0.0:
+            return y
+        if np.sign(v) != np.sign(f0):
+            return _root_between(coeffs, min(near, y), max(near, y), (f0 > 0.0) == (near < y))
+        near = y
+    return None
 
 
 def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavior:
@@ -683,20 +836,26 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
 
     The tag is :func:`_fates`' at the one cell ``(kappa, mu)``.  The
     trajectory asymptotes to the nearest root of ``F`` in each direction of
-    motion; those roots are the finite limits, and a collapsing start gets
-    its signed collapse time from :func:`collapse_time_quadrature`.
+    motion; those roots are the finite limits, found on the knots' bracket
+    that decided the tag, and a collapsing start gets its signed collapse
+    time from :func:`collapse_time_quadrature`.  ``roots`` lists the
+    positive roots above :func:`_positive_roots`' 1e-12 floor.
     """
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
-    tags, f0, mask, re = _fates(case, [kappa], [mu], float(sigma0))
+    tags, f0, knots, values = _fates(case, [kappa], [mu], float(sigma0))
     tag, f0 = tags[0], float(f0[0])
+    coeffs = problem_coefficients(problem)
+    mask, re = _positive_roots(coeffs[None])
     roots = tuple(sorted(re[0][mask[0]].tolist()))
     if tag is BehaviorTag.STATIC:
         return Behavior(tag=tag, sigma_past=sigma0, sigma_future=sigma0, roots=roots, f_at_start=f0)
     if tag is BehaviorTag.UNRESOLVED:
         return Behavior(tag=tag, roots=roots, f_at_start=f0)
 
-    below = max((r for r in roots if r < sigma0), default=None)
-    above = min((r for r in roots if r > sigma0), default=None)
+    live = ~np.isnan(knots[0])
+    points = sorted(zip(knots[0][live].tolist(), values[0][live].tolist()))
+    below = _nearest_root(coeffs, sigma0, f0, [pt for pt in reversed(points) if pt[0] < sigma0])
+    above = _nearest_root(coeffs, sigma0, f0, [pt for pt in points if pt[0] > sigma0])
     # F > 0: sigma grows toward the root above and, backward in time, shrinks
     # toward the root below; F < 0 mirrors it.
     rising = f0 > 0.0

@@ -610,6 +610,13 @@ def test_an_event_that_is_zero_at_an_end_has_its_root_there(crossing):
     np.testing.assert_array_equal(run.t, nodes[:4] if crossing else [0.0, 0.0])
 
 
+def test_a_start_whose_initial_step_underflows_raises_value_error():
+    # The derivative scaled by atol overflows, so the initial step 0.01 d0 / d1
+    # underflows to 0; the step-size rule used to divide by it.
+    with pytest.raises(ValueError, match="initial step underflows"):
+        hf.solve_ivp(lambda tau, y: [1e308, 1.0], [1.0, 0.0], [(lambda tau, y: tau - 1.0, 1)], 1e-10, 1e-13)
+
+
 def _collapsing_runs():
     yield lambda: ht.integrate(ht.HomothetyProblem("su2", 1.0), (0.0, 5.0), n_points=201)
     yield lambda: ht.integrate(ht.HomothetyProblem("flat", 1.0, 3.0), (0.0, 5.0), n_points=201)  # b < 0

@@ -1,5 +1,6 @@
 """Scalar conformal-factor reduction: curves, closed forms, classification."""
 
+import itertools
 import math
 import warnings
 
@@ -382,6 +383,13 @@ def test_trajectory_classifier_rejects_a_start_outside_the_thresholds(sigma0):
         ht.classify_from_trajectory("positive", 1.0, 1.0, sigma0)
 
 
+def test_trajectory_classifier_rejects_a_start_whose_time_overflows():
+    # dt/dtau = sigma^2 / F = 1e308 at the start, against atol 1e-13: the
+    # solver's initial step underflows to 0 (it used to divide by it).
+    with pytest.raises(ValueError, match="initial step underflows"):
+        ht.classify_from_trajectory("flat", 0.0, 1e-154, 1.0)
+
+
 @pytest.mark.parametrize(
     "sigma0", [math.nextafter(ht.EPS_COLLAPSE, 1.0), math.nextafter(ht.M_BLOWUP, 0.0)]
 )
@@ -495,6 +503,154 @@ def test_sweep_grid_equals_classify_on_dense_grid(case, expected):
             assert tags[i, j] is ref, (case, kap, mu)
             seen.add(ref)
     assert expected <= seen
+
+
+def _fates_by_cell(case, kappas, mus, sigma0):
+    """Each cell's tag by the per-cell rule: the roots of the cell's own
+    quintic, one companion eigenproblem each (:func:`_positive_roots`, with
+    its 1e-12 floor), read against ``sigma0``."""
+    coeffs = ht._coefficients(case, kappas, mus).reshape(-1, 6)
+    mask, re = ht._positive_roots(coeffs)
+    tags = []
+    for (kappa, mu), row, m, r in zip(itertools.product(kappas, mus), coeffs, mask, re):
+        f0 = ht._F_from_coefficients(row, sigma0)
+        below, above = np.any(r[m] < sigma0), np.any(r[m] > sigma0)
+        if ht._is_static(row, f0, sigma0):
+            tags.append(TAG.STATIC)
+        elif (
+            case == "positive"
+            and kappa > max(0.0, ht.kappa_crit_p(mu))
+            and abs(mu**2 - ht.MU_THRESHOLD_CUBIC_SQ) <= 1e-9
+        ):
+            tags.append(TAG.UNRESOLVED)
+        elif not below:
+            tags.append(TAG.FINITE_TIME_COLLAPSE)
+        elif not above:
+            tags.append(
+                TAG.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT if f0 > 0.0 else TAG.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE
+            )
+        else:
+            tags.append(TAG.ETERNAL_REGULAR)
+    return tags
+
+
+_SIGMA0S = (1e-7, 1e-3, 0.37, 1.0, 2.9, 3.0, 50.0)
+
+
+@pytest.mark.parametrize("case", ["positive", "flat", "negative", "su2", "general"])
+def test_fates_equal_the_per_cell_rule_on_dense_grids(case):
+    kappas, mus = _dense_axes(case)
+    mus = sorted(set(mus + [-mu for mu in mus]))
+    for sigma0 in _SIGMA0S:
+        tags = ht._fates(case, kappas, mus, sigma0)[0]
+        assert tags.tolist() == _fates_by_cell(case, kappas, mus, sigma0), sigma0
+
+
+_DENSE_KAPPAS, _DENSE_MUS = _dense_axes("positive")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["positive", "flat", "negative", "su2", "general"]),
+    st.lists(st.one_of(st.floats(0.0, 6.0), st.sampled_from(_DENSE_KAPPAS)), min_size=1, max_size=8),
+    st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_DENSE_MUS + [-mu for mu in _DENSE_MUS])),
+        min_size=1,
+        max_size=8,
+    ),
+    st.one_of(st.sampled_from(_SIGMA0S), st.floats(1e-7, 50.0)),
+)
+@example("positive", [0.0], [6.3467496966003585e-46], 1e-7)  # the root 7.8e-46 lies below the floor
+def test_fates_equal_the_per_cell_rule(case, kappas, mus, sigma0):
+    # Where the two differ, the per-cell rule's 1e-12 floor hid a root (a tiny
+    # mu puts one near sqrt(3/2) |mu|), and an exact count decides.
+    if case == "su2":  # 12 / kappa must be finite
+        kappas = [kappa for kappa in kappas if kappa > 1e-300] or [1.0]
+    tags, f0 = ht._fates(case, kappas, mus, sigma0)[:2]
+    reference = _fates_by_cell(case, kappas, mus, sigma0)
+    coeffs = ht._coefficients(case, kappas, mus).reshape(-1, 6)
+    for tag, ref, row, f in zip(tags, reference, coeffs, f0):
+        if tag is not ref:
+            assert tag is _tag_from_roots(*_roots_either_side_exact(row, sigma0), f > 0.0), (tag, ref, row)
+
+
+@pytest.mark.parametrize("case, calls", [("positive", 2), ("flat", 2), ("negative", 2), ("general", 2), ("su2", 0)])
+def test_sweep_grid_solves_two_eigenproblem_stacks_whatever_its_size(count_calls, case, calls):
+    # One stack of roots of B and one of W per grid, none per cell; su2 has no curve.
+    roots = count_calls(ht, "_positive_roots")
+    for nk, nm in ((1, 1), (3, 40), (60, 2), (41, 41)):
+        before = len(roots)
+        ht.sweep_grid(case, np.linspace(0.1, 6.0, nk), np.linspace(-3.0, 3.0, nm))
+        assert len(roots) - before == calls, (nk, nm)
+
+
+def _roots_either_side(coeffs, sigma0):
+    """The positive roots of the quintic nearest ``sigma0`` below and above it
+    (``None`` where there is none), by mpmath at 400 digits in ``z = y / l``,
+    with ``l`` the geometric mean of the roots' magnitudes: enough to tell a
+    real root from a complex pair down to subnormal coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    c = [mpmath.mpf(ck) for ck in np.trim_zeros(coeffs).tolist()]
+    real = []
+    with mpmath.workdps(400):
+        if len(c) > 1:
+            scale = abs(c[-1] / c[0]) ** (mpmath.mpf(1) / (len(c) - 1))
+            scaled = [ck * scale ** (len(c) - 1 - k) for k, ck in enumerate(c)]
+            roots = [scale * z for z in mpmath.polyroots(scaled, maxsteps=200, extraprec=400)]
+            real = [float(r.real) for r in roots if abs(mpmath.im(r)) <= 1e-40 * abs(r) and r.real > 0]
+    below = max((r for r in real if r < sigma0), default=None)
+    above = min((r for r in real if r > sigma0), default=None)
+    return below, above
+
+
+def _roots_either_side_exact(coeffs, sigma0):
+    """Whether the quintic has a positive root below ``sigma0`` and one above
+    it: Sturm counts by sympy on the coefficients' exact rationals."""
+    sympy = pytest.importorskip("sympy")
+    c = np.trim_zeros(coeffs).tolist()  # no root at 0
+    if len(c) < 2:
+        return False, False
+    poly = sympy.Poly([sympy.Rational(ck) for ck in c], sympy.Symbol("y"))
+    start = sympy.Rational(sigma0)
+    return poly.count_roots(0, start) > 0, poly.count_roots(start, None) > 0
+
+
+def _tag_from_roots(below, above, rising):
+    """The fate of a start that is neither static nor unresolved, from
+    whether a root lies below it and above it."""
+    if not below:
+        return TAG.FINITE_TIME_COLLAPSE
+    if not above:
+        return TAG.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT if rising else TAG.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE
+    return TAG.ETERNAL_REGULAR
+
+
+@pytest.mark.parametrize(
+    "case, kappa, mu, sigma0",
+    [
+        # The one root, 5e-17, lies below the 1e-12 floor of _positive_roots.
+        ("negative", 1e-16, 0.0, 1e-16),
+        # The one root, 6.9e-31, likewise.
+        ("general", 1.0945366673135564e-30, -1.0945366673135564e-30, 1.0945366673135564e-30),
+        ("negative", 1e-16, 0.0, 1.0),
+        ("positive", 0.1, 1.0, 1.0),
+        ("positive", 0.0499266523989978, 2.87899379041725, 1.0),
+        ("negative", 3.0, 0.2, 0.4),
+        ("negative", 40.0, 0.2, 2.5),
+        ("flat", 1.0, 0.5, 5e7),
+        ("flat", 1.0, 2.5, 1.0),
+        ("su2", 1.4, 0.0, 0.4),
+    ],
+)
+def test_classify_limits_are_the_nearest_roots(case, kappa, mu, sigma0):
+    behavior = ht.classify(case, kappa, mu, sigma0)
+    below, above = _roots_either_side(ht.problem_coefficients(ht.HomothetyProblem(case, kappa, mu)), sigma0)
+    rising = behavior.f_at_start > 0.0
+    assert behavior.tag is _tag_from_roots(below is not None, above is not None, rising)
+    for limit, root in zip((behavior.sigma_past, behavior.sigma_future), (below, above) if rising else (above, below)):
+        assert (limit is None) == (root is None)
+        if root is not None:
+            assert limit == pytest.approx(root, rel=1e-12)
 
 
 def _quintic_by_hand(case, kappa, mu, s):
@@ -840,8 +996,8 @@ def test_a_subnormal_flux_square_raises_value_error(mu):
 
 
 def test_collapse_time_quadrature_rejects_a_root_below_its_threshold():
-    # The one root, 6.3e-31, lies below _positive_roots' 1e-12 floor, so the
-    # fate rule sees none below sigma0; the quadrature meets F's sign change.
+    # The one root, 6.9e-31, lies below _positive_roots' 1e-12 floor, so the
+    # quadrature's root check misses it; its integrand meets F's sign change.
     x = 1.0945366673135564e-30
     problem = ht.HomothetyProblem("general", kappa=x, mu=-x, sigma0=x)
     with pytest.raises(ValueError, match="F has a root in"):
