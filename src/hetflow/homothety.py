@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,9 @@ _CASE_S = {"positive": 1.0, "flat": 0.0, "negative": -1.0}
 
 _OVERFLOW = "kappa and mu overflow the quintic coefficients"
 _TIME_OVERFLOW = "the collapse time overflows a double"
+# The positive doubles, which bound every root the fate rule can report, and
+# the smallest whose reciprocal is finite.
+_TINIEST, _LARGEST, _SMALLEST_NORMAL = math.ulp(0.0), sys.float_info.max, sys.float_info.min
 
 
 def _overflow_guard(fn):
@@ -267,16 +271,17 @@ def _positive_roots(coeffs: np.ndarray) -> tuple:
     return mask, re
 
 
-def _rescaled(coeffs: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Rows of ``c(2^shift z)`` (highest degree first), each multiplied by the
-    power of two that puts its largest coefficient in ``[0.5, 1)``.
+def _rescaled(mant: np.ndarray, ex: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Rows of ``c(2^shift z)`` for the polynomials ``c = mant 2^ex``
+    (highest degree first), each multiplied by the power of two that puts
+    its largest coefficient in ``[0.5, 1)``.
 
     Exact but for underflow: the exponents are summed before any product is
-    formed, so no row overflows on the way.
+    formed, so no row over- or underflows on the way.
     """
-    mant, ex = np.frexp(coeffs)
-    ex = ex + shift[:, None] * np.arange(coeffs.shape[1] - 1, -1, -1)
-    top = np.max(np.where(mant != 0.0, ex, -4096), axis=1, keepdims=True)
+    mant, e = np.frexp(mant)
+    ex = e + ex + shift[:, None] * np.arange(mant.shape[1] - 1, -1, -1)
+    top = np.max(np.where(mant != 0.0, ex, -(2**40)), axis=1, keepdims=True)
     return np.ldexp(mant, ex - top)
 
 
@@ -292,44 +297,45 @@ def _wronskian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w[:, 1:]
 
 
-@_overflow_guard
 def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
     """A non-SU(2) quintic as a pencil in ``kappa``, and where its curve turns.
 
     ``p = A + kappa B`` with ``A = [-2s/3, 0, mu^2, 0, 0, 0]`` and ``B =
     [2s^2/9, -s^2/3, 0, -s mu^2, 0, -mu^4/4]`` (``s`` fixed by the named
-    cases, the powers of ``mu`` as :func:`_coefficients` takes them), so
-    ``y > 0`` is a root exactly where ``kappa = K(y) = -A(y)/B(y)``.  ``K``
-    is monotone between consecutive positive roots of ``B`` (its poles) and
-    of ``W = A'B - AB'`` (its turning points, degree 8), so on each piece
-    between them ``p`` has at most one root, and that root is simple.
+    cases), so ``y > 0`` is a root exactly where ``kappa = K(y) =
+    -A(y)/B(y)``.  ``K`` is monotone between consecutive positive roots of
+    ``B`` (its poles) and of ``W = A'B - AB'`` (its turning points, degree
+    8), so on each piece between them ``p`` has at most one root.
 
     Returns ``(A, B, poles, turns)``: the ``(len(mus), 6)`` stacks ``A`` and
-    ``B`` and the ``(len(mus), 5)`` and ``(len(mus), 8)`` positive roots of
-    ``B`` and ``W``, NaN in the slots of other roots.  Each comes from one
-    :func:`_positive_roots` call on the stack in ``z = y / 2^e``: the roots
-    lie near ``|mu|`` for ``mu^2 <= 1`` and near ``|mu|^(4/5)`` (and, for
-    ``W``, ``2 mu^2 / s``) above it, and ``2^e`` follows them, so the
-    companion matrices stay finite (``W``'s ``mu^6`` term alone overflows
-    from ``|mu|`` near 1e51) and the 1e-12 floor applies to ``z``.
+    ``B`` (inf where they overflow) and the ``(len(mus), 10)`` and
+    ``(len(mus), 16)`` positive roots of ``B`` and ``W``, NaN in the other
+    slots.  Each stack goes to one :func:`_positive_roots` call in ``z = y /
+    2^e``, each row twice: the roots lie near ``|mu|`` and (for ``B``) 1 when
+    ``mu^2 <= 1``, near ``|mu|^(4/5)`` and (for ``W``) ``2 mu^2 / s`` above
+    it, and each ``2^e`` follows one cluster.  The powers of ``mu`` enter as
+    mantissa and exponent, so no row over- or underflows before it is
+    scaled (``W``'s ``mu^6`` term alone overflows from ``|mu|`` near 1e51),
+    and coefficients below 2^-53 of a row's largest are dropped, so the
+    other cluster does not spoil this one's roots.  Roots outside the
+    normal doubles are dropped.
     """
     s = _CASE_S.get(case, s)
-    mu2 = np.array([float(m) ** 2 for m in mus])
-    mu4 = np.array([float(m) ** 4 for m in mus])
-    a = np.zeros((len(mus), 6))
-    b = np.zeros((len(mus), 6))
-    a[:, 0] = -2.0 * s / 3.0
-    a[:, 2] = mu2
-    b[:, 0] = 2.0 * s * s / 9.0
-    b[:, 1] = -s * s / 3.0
-    b[:, 3] = -s * mu2
-    b[:, 5] = -mu4 / 4.0
-    e = np.frexp(mu2)[1].astype(np.int64)
-    shift = np.where(e > 0, (2 * e) // 5, e // 2)
-    a_z, b_z = _rescaled(a, shift), _rescaled(b, shift)
-    roots = [_positive_roots(c) for c in (b_z, _wronskian(a_z, b_z))]
-    poles, turns = (np.where(mask, np.ldexp(re, shift[:, None]), np.nan) for mask, re in roots)
-    return a, b, poles, turns
+    m, e = np.frexp(np.array(mus, dtype=float))
+    m2, e2, zero = m * m, 2 * e.astype(np.int64), np.zeros(len(mus))  # mu^2 = m2 2^e2
+    a = np.stack([zero - 2.0 * s / 3.0, zero, m2, zero, zero, zero], axis=1)
+    b = np.stack([zero + 2.0 * s * s / 9.0, zero - s * s / 3.0, zero, -s * m2, zero, -m2 * m2 / 4.0], axis=1)
+    a_ex, b_ex = np.outer(e2, [0, 0, 1, 0, 0, 0]), np.outer(e2, [0, 0, 0, 1, 0, 2])
+    shift = np.concatenate([np.where(e2 > 0, (2 * e2) // 5, e2 // 2), np.maximum(e2, 0)])
+    a_z, b_z = (_rescaled(np.tile(c, (2, 1)), np.tile(ex, (2, 1)), shift) for c, ex in ((a, a_ex), (b, b_ex)))
+    knots = []
+    for c in (b_z, _wronskian(a_z, b_z)):
+        c[np.abs(c) < 2.0**-53 * np.max(np.abs(c), axis=1, keepdims=True)] = 0.0
+        mask, re = _positive_roots(c)
+        y = np.ldexp(re, shift[:, None])
+        knots.append(np.hstack(np.split(np.where(mask & (y >= _SMALLEST_NORMAL) & (y < math.inf), y, np.nan), 2)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(a, a_ex), np.ldexp(b, b_ex), *knots
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +713,16 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
     ``inf``; between two knots ``p`` has at most one root, so a root lies
     below ``sigma0`` exactly when ``p``'s sign at a knot below it differs
     from ``F(sigma0)``'s (or vanishes), and likewise above.  ``p``'s sign at
-    a root of ``B`` or ``W`` is that of ``F = A/y^4 + kappa B/y^4``, summed
-    in powers of ``1/y`` and finite at the poles of ``K``; at 0 it is the
-    sign of the lowest nonzero coefficient, at ``inf`` of the leading one.
-    No absolute floor applies to the roots of ``p``; the whole grid costs
-    two :func:`_positive_roots` calls.
+    a root of ``B`` or ``W`` is that of the cell's own ``F``, summed in
+    powers of ``1/y`` (finite at the poles of ``K`` and where ``y^4``
+    underflows); at 0 it is the sign of the lowest nonzero coefficient, at
+    ``inf`` of the leading one.  No absolute floor applies to the roots of
+    ``p``, and the whole grid costs two :func:`_positive_roots` calls.
 
     Returns, in row-major cell order, the tags, ``F(sigma0)`` (the bits of
-    :func:`_F_from_coefficients`), the ``(len(mus), n)`` knots, NaN in the
-    slots of absent roots, and the ``(cells, n)`` values whose signs the
-    rule read there.  Overflow raises the errors of
+    :func:`_F_from_coefficients`), the ``(len(mus), n)`` knots, ascending
+    with NaN slots before ``inf``, and the ``(cells, n)`` values whose signs
+    the rule read there.  Overflow raises the errors of
     :func:`problem_coefficients` and :func:`F_value`.
     """
     coeffs = _coefficients(case, kappas, mus).reshape(-1, 6)
@@ -747,20 +753,18 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
     low = coeffs[cells, 5 - np.argmax(nonzero[:, ::-1], axis=1)]
     lead = coeffs[cells, np.argmax(nonzero, axis=1)]
     if case == "su2":
-        inner, inner_values = np.zeros((len(mus), 0)), np.zeros((len(coeffs), 0))
+        inner = np.zeros((len(mus), 0))
     else:
-        a, b, poles, turns = _kappa_curve(case, mus)
-        inner = np.concatenate([poles, turns], axis=1)
-        y = np.where(np.isnan(inner), 1.0, inner)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fa = _F_in_powers_of_inverse(a.T[:, :, None], y)
-            fb = _F_in_powers_of_inverse(b.T[:, :, None], y)
-            inner_values = fa + np.array(kappas)[:, None, None] * fb
-        inner_values = inner_values.reshape(len(coeffs), -1)
+        inner = np.sort(np.concatenate(_kappa_curve(case, mus)[2:], axis=1), axis=1)  # NaN last
+        inner = inner[:, : np.max(np.sum(~np.isnan(inner), axis=1), initial=0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner_values = _F_in_powers_of_inverse(
+            np.moveaxis(coeffs.reshape(len(kappas), len(mus), 1, 6), 3, 0), np.where(np.isnan(inner), 1.0, inner)
+        ).reshape(len(coeffs), inner.shape[1])
     knots = np.concatenate([np.zeros((len(mus), 1)), inner, np.full((len(mus), 1), math.inf)], axis=1)
     values = np.concatenate([low[:, None], inner_values, lead[:, None]], axis=1)
 
-    differs = (np.sign(values) != np.sign(f0)[:, None]).reshape(len(kappas), len(mus), -1)
+    differs = (np.sign(values) != np.sign(f0)[:, None]).reshape(len(kappas), *knots.shape)
     below = np.any(differs & (knots < sigma0), axis=2).ravel()
     above = np.any(differs & (knots > sigma0), axis=2).ravel()
     tags = np.select(
@@ -782,39 +786,46 @@ def _root_between(coeffs: np.ndarray, a: float, b: float, positive_at_a: bool) -
     rule read ``p`` positive at ``a`` exactly when ``positive_at_a`` and of
     the other sign at ``b``.
 
-    :func:`hetflow.het_flow._illinois` runs on ``p(y) / y^t`` in ``y`` up to
-    1 and on ``p(y) / y^(t+d)`` in ``w = 1/y`` beyond (``t`` trailing zero
-    coefficients, ``d`` the degree left), polynomials finite on ``[0, 1]``
-    and nonzero at 0, so the ends 0 and ``inf`` need no limit; a bracket
-    across 1 is cut there first.  The ends keep the rule's signs, so where
-    rounding flips ``p``'s sign at an end the root found lies by that end.
+    ``p`` is read at ``y = 2^e z`` as ``c(2^e z)`` in ``z``, with ``c`` its
+    coefficients less the trailing zeros and each such polynomial scaled by
+    :func:`_rescaled`, so no term under- or overflows near ``y``.  Geometric
+    bisection narrows the bracket, clipped to the positive doubles, to
+    within a factor 2, and :func:`hetflow.het_flow._illinois` finishes it
+    in ``z``.  The ends keep the rule's signs, so where rounding flips
+    ``p``'s sign at an end the root found lies by that end.
     """
-    c = np.trim_zeros(coeffs).tolist()
+    c = np.trim_zeros(coeffs, "b")[None]
 
-    def horner(cs, x):
-        acc = 0.0
-        for ck in cs:
-            acc = acc * x + ck
-        return acc
+    def at_scale(e: int):
+        cz = _rescaled(c, np.zeros_like(c, dtype=np.int64), np.array([e]))[0].tolist()
 
-    def solve(fn, lo, hi, positive_at_lo):
-        f_lo, f_hi = abs(fn(lo)), abs(fn(hi))
-        if f_lo == 0.0 or f_hi == 0.0:
-            return lo if f_lo == 0.0 else hi
-        f_lo, f_hi = (f_lo, -f_hi) if positive_at_lo else (-f_lo, f_hi)
-        return hf._illinois(fn, lo, hi, f_lo, f_hi, (lo * f_hi - hi * f_lo) / (f_hi - f_lo), 0.0)
+        def q(z):
+            acc = 0.0
+            for ck in cz:
+                acc = acc * z + ck
+            return acc
 
-    if a < 1.0 < b:
-        f1 = horner(c, 1.0)
-        if f1 == 0.0:
-            return 1.0
-        if (f1 > 0.0) == positive_at_a:
-            a = 1.0
+        return q
+
+    a, b = max(a, _TINIEST), min(b, _LARGEST)
+    while b > 2.0 * a:
+        m = math.sqrt(a) * math.sqrt(b)
+        z, e = math.frexp(m)
+        q_m = at_scale(e)(z)
+        if q_m == 0.0:
+            return m
+        if (q_m > 0.0) == positive_at_a:
+            a = m
         else:
-            b = 1.0
-    if b <= 1.0:
-        return solve(lambda y: horner(c, y), a, b, positive_at_a)
-    return 1.0 / solve(lambda w: horner(c[::-1], w), 1.0 / b, 1.0 / a, not positive_at_a)
+            b = m
+    e = math.frexp(a)[1]
+    q = at_scale(e)
+    lo, hi = math.ldexp(a, -e), math.ldexp(b, -e)
+    q_lo, q_hi = abs(q(lo)), abs(q(hi))
+    if q_lo == 0.0 or q_hi == 0.0:
+        return a if q_lo == 0.0 else b
+    q_lo, q_hi = (q_lo, -q_hi) if positive_at_a else (-q_lo, q_hi)
+    return math.ldexp(hf._illinois(q, lo, hi, q_lo, q_hi, (lo * q_hi - hi * q_lo) / (q_hi - q_lo), 0.0), e)
 
 
 def _nearest_root(coeffs: np.ndarray, sigma0: float, f0: float, points: list):
@@ -852,8 +863,7 @@ def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavio
     if tag is BehaviorTag.UNRESOLVED:
         return Behavior(tag=tag, roots=roots, f_at_start=f0)
 
-    live = ~np.isnan(knots[0])
-    points = sorted(zip(knots[0][live].tolist(), values[0][live].tolist()))
+    points = [(y, v) for y, v in zip(knots[0].tolist(), values[0].tolist()) if not math.isnan(y)]
     below = _nearest_root(coeffs, sigma0, f0, [pt for pt in reversed(points) if pt[0] < sigma0])
     above = _nearest_root(coeffs, sigma0, f0, [pt for pt in points if pt[0] > sigma0])
     # F > 0: sigma grows toward the root above and, backward in time, shrinks

@@ -578,9 +578,9 @@ def test_fates_equal_the_per_cell_rule(case, kappas, mus, sigma0):
 def test_sweep_grid_solves_two_eigenproblem_stacks_whatever_its_size(count_calls, case, calls):
     # One stack of roots of B and one of W per grid, none per cell; su2 has no curve.
     roots = count_calls(ht, "_positive_roots")
-    for nk, nm in ((1, 1), (3, 40), (60, 2), (41, 41)):
+    for nk, nm in ((1, 1), (3, 40), (60, 2), (41, 41), (0, 3), (3, 0)):
         before = len(roots)
-        ht.sweep_grid(case, np.linspace(0.1, 6.0, nk), np.linspace(-3.0, 3.0, nm))
+        assert ht.sweep_grid(case, np.linspace(0.1, 6.0, nk), np.linspace(-3.0, 3.0, nm)).shape == (nk, nm)
         assert len(roots) - before == calls, (nk, nm)
 
 
