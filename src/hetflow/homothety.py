@@ -327,13 +327,15 @@ def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
     b = np.stack([zero + 2.0 * s * s / 9.0, zero - s * s / 3.0, zero, -s * m2, zero, -m2 * m2 / 4.0], axis=1)
     a_ex, b_ex = np.outer(e2, [0, 0, 1, 0, 0, 0]), np.outer(e2, [0, 0, 0, 1, 0, 2])
     shift = np.concatenate([np.where(e2 > 0, (2 * e2) // 5, e2 // 2), np.maximum(e2, 0)])
-    a_z, b_z = (_rescaled(np.tile(c, (2, 1)), np.tile(ex, (2, 1)), shift) for c, ex in ((a, a_ex), (b, b_ex)))
+    a_z = _rescaled(np.tile(a, (2, 1)), np.tile(a_ex, (2, 1)), shift)
+    b_z = _rescaled(np.tile(b, (2, 1)), np.tile(b_ex, (2, 1)), shift)
     knots = []
     for c in (b_z, _wronskian(a_z, b_z)):
         c[np.abs(c) < 2.0**-53 * np.max(np.abs(c), axis=1, keepdims=True)] = 0.0
         mask, re = _positive_roots(c)
         y = np.ldexp(re, shift[:, None])
-        knots.append(np.hstack(np.split(np.where(mask & (y >= _SMALLEST_NORMAL) & (y < math.inf), y, np.nan), 2)))
+        y = np.where(mask & (y >= _SMALLEST_NORMAL) & (y < math.inf), y, np.nan)
+        knots.append(np.hstack(np.split(y, 2)))  # both scales of a column side by side
     with np.errstate(over="ignore"):
         return np.ldexp(a, a_ex), np.ldexp(b, b_ex), *knots
 
