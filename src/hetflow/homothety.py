@@ -297,7 +297,7 @@ def _wronskian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w[:, 1:]
 
 
-def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
+def _kappa_curve(case: str, mus) -> tuple:
     """A non-SU(2) quintic as a pencil in ``kappa``, and where its curve turns.
 
     ``p = A + kappa B`` with ``A = [-2s/3, 0, mu^2, 0, 0, 0]`` and ``B =
@@ -320,7 +320,7 @@ def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
     other cluster does not spoil this one's roots.  Roots outside the
     normal doubles are dropped.
     """
-    s = _CASE_S.get(case, s)
+    s = _CASE_S.get(case, 0.0)  # "general" enters the fate rule at s = 0
     m, e = np.frexp(np.array(mus, dtype=float))
     m2, e2, zero = m * m, 2 * e.astype(np.int64), np.zeros(len(mus))  # mu^2 = m2 2^e2
     a = np.stack([zero - 2.0 * s / 3.0, zero, m2, zero, zero, zero], axis=1)
