@@ -19,15 +19,14 @@ and its couplings, :func:`problem_coefficients` gives its quintic (raising
 ``ValueError`` when ``kappa, mu`` overflow it) and :func:`F_value` evaluates
 ``F``.  Every entry point reads the same pieces: one coefficient builder
 (:func:`_coefficients`, for a single point or a whole ``(kappa, mu)`` grid),
-one positive-root helper (:func:`_positive_roots`, for a stack of
-polynomials; it also gives the cubic threshold), one static rule
-(:func:`_is_static`, ``|F(sigma0)| <= 1e-12 sum_k |c_k| sigma0^(1-k)``), one
-curve per ``mu`` (:func:`_kappa_curve`: every non-SU(2) quintic is linear in
-``kappa``, ``p = A + kappa B``, and ``K = -A/B`` is monotone between the
-positive roots of ``B`` and of ``W = A'B - AB'``), and one fate engine
-(:func:`_fates`), which tags a whole grid from the sign of ``p`` at each
-column's roots of ``B`` and ``W``, with no eigenproblem per cell, and which
-:func:`sweep_grid` and :func:`classify` (a grid of one cell) share.
+one static rule (:func:`_is_static`, ``|F(sigma0)| <= 1e-12 sum_k |c_k|
+sigma0^(1-k)``), one curve per ``mu`` (:func:`_kappa_curve`: every non-SU(2)
+quintic is linear in ``kappa``, ``p = A + kappa B``, and ``K = -A/B`` is
+monotone between the positive roots of ``B`` and of ``W = A'B - AB'``), and
+one root rule (:func:`_fates`), which tags a whole grid from the sign of
+``p`` at each column's roots of ``B`` and ``W``.  :func:`sweep_grid` reads
+its tags; :func:`classify` and :func:`collapse_time_quadrature` read one
+cell's tag and the roots of ``F`` between its knots (:func:`_fate_and_roots`).
 
 Conventions: ``kappa >= 0`` is the curvature-squared coupling, ``mu`` the
 torsion constant, ``y = sigma > 0`` the conformal factor.
@@ -85,6 +84,7 @@ _CASE_S = {"positive": 1.0, "flat": 0.0, "negative": -1.0}
 
 _OVERFLOW = "kappa and mu overflow the quintic coefficients"
 _TIME_OVERFLOW = "the collapse time overflows a double"
+_ROOT_BELOW = "F has a root in (0, sigma0]: the trajectory does not reach zero"
 # The positive doubles, which bound every root the fate rule can report, and
 # the smallest whose reciprocal is finite.
 _TINIEST, _LARGEST, _SMALLEST_NORMAL = math.ulp(0.0), sys.float_info.max, sys.float_info.min
@@ -297,7 +297,7 @@ def _wronskian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w[:, 1:]
 
 
-def _kappa_curve(case: str, mus) -> tuple:
+def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
     """A non-SU(2) quintic as a pencil in ``kappa``, and where its curve turns.
 
     ``p = A + kappa B`` with ``A = [-2s/3, 0, mu^2, 0, 0, 0]`` and ``B =
@@ -318,9 +318,13 @@ def _kappa_curve(case: str, mus) -> tuple:
     scaled (``W``'s ``mu^6`` term alone overflows from ``|mu|`` near 1e51),
     and coefficients below 2^-53 of a row's largest are dropped, so the
     other cluster does not spoil this one's roots.  Roots outside the
-    normal doubles are dropped.
+    normal doubles are dropped.  Another ``s`` gives the pencil of ``sign(s)``
+    at ``mu / sqrt|s|``, whose knots are the same: ``F_s(y; kappa, mu) = |s|
+    F_sign(s)(y; kappa |s|, mu / sqrt|s|)``.
     """
-    s = _CASE_S.get(case, 0.0)  # "general" enters the fate rule at s = 0
+    s = _CASE_S.get(case, s)
+    if s not in (-1.0, 0.0, 1.0):
+        return _kappa_curve(case, np.array(mus, dtype=float) / math.sqrt(abs(s)), math.copysign(1.0, s))
     m, e = np.frexp(np.array(mus, dtype=float))
     m2, e2, zero = m * m, 2 * e.astype(np.int64), np.zeros(len(mus))  # mu^2 = m2 2^e2
     a = np.stack([zero - 2.0 * s / 3.0, zero, m2, zero, zero, zero], axis=1)
@@ -358,7 +362,7 @@ def kappa_crit_p(mu: float) -> float:
     """
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    m2 = mu**2
+    m2 = float(mu) ** 2
     return (36.0 * m2 - 24.0) / (9.0 * m2 * (m2 + 4.0) + 4.0)
 
 
@@ -371,7 +375,7 @@ def kappa_crit_n(mu: float) -> float:
     """
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    m2 = mu**2
+    m2 = float(mu) ** 2
     den = 9.0 * m2 * (m2 - 4.0) + 4.0
     if den == 0.0:
         raise ValueError("mu sits exactly on a pole of kappa_crit_n")
@@ -678,22 +682,25 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     Also raises ``ValueError`` where the time overflows a double, as at a
     subnormal ``mu**2`` (``flat``, ``kappa = 0``: ``t = -1/(3 mu^2)``).
     """
-    coeffs = problem_coefficients(problem)
-    f0 = _F_from_coefficients(coeffs, problem.sigma0)
-    mask, re = _positive_roots(coeffs[None])
-    root_below = "F has a root in (0, sigma0]: the trajectory does not reach zero"
-    if _is_static(coeffs, f0, problem.sigma0) or np.any(mask & (re < problem.sigma0)):
-        raise ValueError(root_below)
+    tag, f0, roots = _fate_and_roots(problem)
+    if tag is BehaviorTag.STATIC or (roots and roots[0] <= problem.sigma0):
+        raise ValueError(_ROOT_BELOW)
+    return _collapse_time(problem, f0)
+
+
+def _collapse_time(problem: HomothetyProblem, f0: float) -> float:
+    """:func:`collapse_time_quadrature` past its guard, with ``f0 = F(sigma0)``."""
     from scipy.integrate import quad  # the CLI never integrates, so it never loads scipy
 
+    coeffs = problem_coefficients(problem)
     sgn = -1.0 if f0 > 0.0 else 1.0
     sigma0 = problem.sigma0
 
     def integrand(x: float) -> float:
         y = sigma0 * x  # on [0, 1] the quadrature's sums overflow only where the time does
         f = -sgn * _F_from_coefficients(coeffs, y)  # |F| while F keeps its sign at sigma0
-        if f < 0.0:  # a root below the 1e-12 floor of _positive_roots, which the fate rule sees
-            raise ValueError(root_below)
+        if f < 0.0:  # rounding puts a root in (0, sigma0) after all
+            raise ValueError(_ROOT_BELOW)
         if f == 0.0 or y / f == math.inf:  # F underflows
             raise ValueError(_TIME_OVERFLOW)
         return y / f
@@ -704,7 +711,7 @@ def collapse_time_quadrature(problem: HomothetyProblem) -> float:
     return sgn * t_c
 
 
-def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
+def _fates(case: str, kappas, mus, sigma0: float, s: float = 0.0) -> tuple:
     """The fate rule at every cell of a ``(kappa, mu)`` grid started at ``sigma0``.
 
     ``sigma`` is monotone between consecutive roots of ``F``: with no root
@@ -724,10 +731,10 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
     Returns, in row-major cell order, the tags, ``F(sigma0)`` (the bits of
     :func:`_F_from_coefficients`), the ``(len(mus), n)`` knots, ascending
     with NaN slots before ``inf``, and the ``(cells, n)`` values whose signs
-    the rule read there.  Overflow raises the errors of
-    :func:`problem_coefficients` and :func:`F_value`.
+    the rule read there.  ``"general"`` takes ``s``; overflow raises the
+    errors of :func:`problem_coefficients` and :func:`F_value`.
     """
-    coeffs = _coefficients(case, kappas, mus).reshape(-1, 6)
+    coeffs = _coefficients(case, kappas, mus, s).reshape(-1, 6)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(_OVERFLOW)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -757,7 +764,7 @@ def _fates(case: str, kappas, mus, sigma0: float) -> tuple:
     if case == "su2":
         inner = np.zeros((len(mus), 0))
     else:
-        inner = np.sort(np.concatenate(_kappa_curve(case, mus)[2:], axis=1), axis=1)  # NaN last
+        inner = np.sort(np.concatenate(_kappa_curve(case, mus, s)[2:], axis=1), axis=1)  # NaN last
         inner = inner[:, : np.max(np.sum(~np.isnan(inner), axis=1), initial=0)]
     with np.errstate(over="ignore", invalid="ignore"):
         inner_values = _F_in_powers_of_inverse(
@@ -830,61 +837,53 @@ def _root_between(coeffs: np.ndarray, a: float, b: float, positive_at_a: bool) -
     return math.ldexp(hf._illinois(q, lo, hi, q_lo, q_hi, (lo * q_hi - hi * q_lo) / (q_hi - q_lo), 0.0), e)
 
 
-def _nearest_root(coeffs: np.ndarray, sigma0: float, f0: float, points: list):
-    """The root of ``F`` nearest ``sigma0`` on one side, or ``None``: ``points``
-    are the knots ``(y, value)`` of :func:`_fates` on that side, outward from
-    ``sigma0``."""
-    near = sigma0
-    for y, v in points:
-        if v == 0.0:
-            return y
-        if np.sign(v) != np.sign(f0):
-            return _root_between(coeffs, min(near, y), max(near, y), (f0 > 0.0) == (near < y))
-        near = y
-    return None
+def _fate_and_roots(problem: HomothetyProblem) -> tuple:
+    """``(tag, F(sigma0), roots)`` of one start, from :func:`_fates`' knots.
+
+    ``roots`` are the positive roots of ``F``, ascending: each inner knot
+    the rule read as 0, and one root (:func:`_root_between`) per pair of
+    consecutive knots it read with opposite signs.  A start that is neither
+    static nor unresolved is a knot too, so each root lies on its tag's side.
+    """
+    sigma0 = float(problem.sigma0)
+    tags, f0, knots, values = _fates(problem.case, [problem.kappa], [problem.mu], sigma0, problem.s)
+    tag, f0 = tags[0], float(f0[0])
+    points = [(y, v) for y, v in zip(knots[0].tolist(), values[0].tolist()) if not math.isnan(y)]
+    if tag not in (BehaviorTag.STATIC, BehaviorTag.UNRESOLVED):
+        points = sorted([pt for pt in points if pt[0] != sigma0] + [(sigma0, f0)])
+    coeffs, roots = problem_coefficients(problem), []
+    for (a, v_a), (b, v_b) in zip(points, points[1:]):
+        if v_a < 0.0 < v_b or v_b < 0.0 < v_a:
+            roots.append(_root_between(coeffs, a, b, v_a > 0.0))
+        elif v_b == 0.0 and b < math.inf:
+            roots.append(b)
+    return tag, f0, tuple(roots)
 
 
 def classify(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavior:
     """Root/sign analysis of ``F`` deciding the long-time behavior.
 
-    The tag is :func:`_fates`' at the one cell ``(kappa, mu)``.  The
-    trajectory asymptotes to the nearest root of ``F`` in each direction of
-    motion; those roots are the finite limits, found on the knots' bracket
-    that decided the tag, and a collapsing start gets its signed collapse
-    time from :func:`collapse_time_quadrature`.  ``roots`` lists the
-    positive roots above :func:`_positive_roots`' 1e-12 floor.
+    The tag, ``F(sigma0)`` and ``roots`` are :func:`_fate_and_roots`'.  The
+    trajectory asymptotes to the nearest root in each direction of motion,
+    its finite limit there, and a collapsing start gets its signed collapse
+    time from :func:`collapse_time_quadrature`'s quadrature.
     """
     problem = HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
-    tags, f0, knots, values = _fates(case, [kappa], [mu], float(sigma0))
-    tag, f0 = tags[0], float(f0[0])
-    coeffs = problem_coefficients(problem)
-    mask, re = _positive_roots(coeffs[None])
-    roots = tuple(sorted(re[0][mask[0]].tolist()))
+    tag, f0, roots = _fate_and_roots(problem)
     if tag is BehaviorTag.STATIC:
         return Behavior(tag=tag, sigma_past=sigma0, sigma_future=sigma0, roots=roots, f_at_start=f0)
     if tag is BehaviorTag.UNRESOLVED:
         return Behavior(tag=tag, roots=roots, f_at_start=f0)
-
-    points = [(y, v) for y, v in zip(knots[0].tolist(), values[0].tolist()) if not math.isnan(y)]
-    below = _nearest_root(coeffs, sigma0, f0, [pt for pt in reversed(points) if pt[0] < sigma0])
-    above = _nearest_root(coeffs, sigma0, f0, [pt for pt in points if pt[0] > sigma0])
+    below = max((r for r in roots if r < sigma0), default=None)
+    above = min((r for r in roots if r > sigma0), default=None)
     # F > 0: sigma grows toward the root above and, backward in time, shrinks
     # toward the root below; F < 0 mirrors it.
     rising = f0 > 0.0
     past, future = (below, above) if rising else (above, below)
     t_c = direction = None
     if tag is BehaviorTag.FINITE_TIME_COLLAPSE:
-        t_c = collapse_time_quadrature(problem)
-        direction = "past" if rising else "future"
-    return Behavior(
-        tag=tag,
-        sigma_past=past,
-        sigma_future=future,
-        collapse_time=t_c,
-        collapse_direction=direction,
-        roots=roots,
-        f_at_start=f0,
-    )
+        t_c, direction = _collapse_time(problem, f0), "past" if rising else "future"
+    return Behavior(tag, past, future, t_c, direction, roots, f0)
 
 
 def classify_from_trajectory(case: str, kappa: float, mu: float, sigma0: float = 1.0) -> Behavior:

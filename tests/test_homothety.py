@@ -38,6 +38,14 @@ def test_static_curves_annihilate_f():
         assert abs(ht.F_value(ht.HomothetyProblem("negative", kap, float(mu)), 1.0)) <= 1e-12
 
 
+def test_critical_curves_take_a_numpy_scalar_mu():
+    # numpy's scalar ** overflows with a RuntimeWarning where a float's gives inf.
+    mu = np.float64(1.1e77)
+    assert ht.kappa_crit_p(mu) == ht.kappa_crit_p(1.1e77)
+    assert ht.kappa_crit_n(mu) == ht.kappa_crit_n(1.1e77)
+    assert ht.classify("positive", 1e-10, mu) == ht.classify("positive", 1e-10, 1.1e77)
+
+
 def test_kappa_crit_n_blows_up_at_poles():
     near_pole = math.sqrt(ht.MU_POLE_MINUS_SQ) + 1e-12
     assert abs(ht.kappa_crit_n(near_pole)) > 1e6
@@ -584,11 +592,11 @@ def test_sweep_grid_solves_two_eigenproblem_stacks_whatever_its_size(count_calls
         assert len(roots) - before == calls, (nk, nm)
 
 
-def _roots_either_side(coeffs, sigma0):
-    """The positive roots of the quintic nearest ``sigma0`` below and above it
-    (``None`` where there is none), by mpmath at 400 digits in ``z = y / l``,
-    with ``l`` the geometric mean of the roots' magnitudes: enough to tell a
-    real root from a complex pair down to subnormal coefficients."""
+def _positive_roots_exact(coeffs):
+    """The positive real roots of the quintic, ascending, by mpmath at 400
+    digits in ``z = y / l``, with ``l`` the geometric mean of the roots'
+    magnitudes: enough to tell a real root from a complex pair down to
+    subnormal coefficients."""
     mpmath = pytest.importorskip("mpmath")
     c = [mpmath.mpf(ck) for ck in np.trim_zeros(coeffs).tolist()]
     real = []
@@ -598,6 +606,13 @@ def _roots_either_side(coeffs, sigma0):
             scaled = [ck * scale ** (len(c) - 1 - k) for k, ck in enumerate(c)]
             roots = [scale * z for z in mpmath.polyroots(scaled, maxsteps=200, extraprec=400)]
             real = [float(r.real) for r in roots if abs(mpmath.im(r)) <= 1e-40 * abs(r) and r.real > 0]
+    return sorted(real)
+
+
+def _roots_either_side(coeffs, sigma0):
+    """The positive roots of the quintic nearest ``sigma0`` below and above it
+    (``None`` where there is none), by :func:`_positive_roots_exact`."""
+    real = _positive_roots_exact(coeffs)
     below = max((r for r in real if r < sigma0), default=None)
     above = min((r for r in real if r > sigma0), default=None)
     return below, above
@@ -625,13 +640,17 @@ def _tag_from_roots(below, above, rising):
     return TAG.ETERNAL_REGULAR
 
 
+# Starts whose one root lies far below the unit scale: 5.0e-17 and 6.9e-31.
+_TINY_ROOT_STARTS = [
+    ("negative", 1e-16, 0.0, 1e-16),
+    ("general", 1.0945366673135564e-30, -1.0945366673135564e-30, 1.0945366673135564e-30),
+]
+
+
 @pytest.mark.parametrize(
     "case, kappa, mu, sigma0",
     [
-        # The one root, 5e-17, lies below the 1e-12 floor of _positive_roots.
-        ("negative", 1e-16, 0.0, 1e-16),
-        # The one root, 6.9e-31, likewise.
-        ("general", 1.0945366673135564e-30, -1.0945366673135564e-30, 1.0945366673135564e-30),
+        *_TINY_ROOT_STARTS,
         ("negative", 1e-16, 0.0, 1.0),
         ("positive", 0.1, 1.0, 1.0),
         ("positive", 0.0499266523989978, 2.87899379041725, 1.0),
@@ -717,18 +736,74 @@ def test_positive_roots_equal_np_roots_bit_for_bit(width):
         assert tuple(sorted(r[m].tolist())) == _positive_roots_reference(row), row
 
 
-def test_classify_roots_equal_np_roots_bit_for_bit():
+def _assert_roots_exact(roots, coeffs):
+    exact = _positive_roots_exact(coeffs)
+    assert len(roots) == len(exact), (roots, exact)
+    for root, ref in zip(roots, exact):
+        assert root == pytest.approx(ref, rel=1e-12), (roots, exact)
+
+
+def test_classify_roots_are_the_exact_positive_roots():
     rng = np.random.default_rng(5)
+    starts = list(_TINY_ROOT_STARTS)
     for _ in range(400):
         case = str(rng.choice(["positive", "flat", "negative", "su2"]))
         kappa = float(rng.choice([rng.uniform(0.0, 6.0), 3.0, 0.0]))
         if case == "su2" and kappa == 0.0:
             kappa = 0.5
         mu = float(rng.choice([rng.uniform(0.0, 3.0), 0.0]))
-        sigma0 = float(10.0 ** rng.uniform(-1.0, 1.0))
-        problem = ht.HomothetyProblem(case=case, kappa=kappa, mu=mu, sigma0=sigma0)
-        coeffs = ht.problem_coefficients(problem)
-        assert ht.classify(case, kappa, mu, sigma0).roots == _positive_roots_reference(coeffs)
+        starts.append((case, kappa, mu, float(10.0 ** rng.uniform(-1.0, 1.0))))
+    for case, kappa, mu, sigma0 in starts:
+        coeffs = ht.problem_coefficients(ht.HomothetyProblem(case=case, kappa=kappa, mu=mu))
+        _assert_roots_exact(ht.classify(case, kappa, mu, sigma0).roots, coeffs)
+
+
+_ONE_OF_EACH_TAG = [
+    ("flat", 4.0, 1.0, 1.0),  # static
+    ("positive", ht.kappa_crit_p(1.5) / 2.0, 1.5, 1.0),  # eternal and regular
+    ("negative", 40.0, 0.2, 2.5),  # divergent in the future
+    ("positive", 0.0, 0.5, 10.0),  # divergent in the past
+    ("flat", 1.0, 2.5, 1.0),  # collapse
+    ("positive", 3.0, math.sqrt(ht.MU_THRESHOLD_CUBIC_SQ), 1.0),  # unresolved
+    ("su2", 1.4, 0.0, 0.4),
+    ("general", 1.0, 0.5, 1.0),
+]
+
+
+def test_classify_and_quadrature_read_one_fate_rule(count_calls):
+    # One _fates call, and so one stack of roots of B and one of W (none for
+    # su2), is all a call needs: the tag, limits, roots and guard share it.
+    fates, roots = count_calls(ht, "_fates"), count_calls(ht, "_positive_roots")
+    tags = set()
+    for case, kappa, mu, sigma0 in _ONE_OF_EACH_TAG:
+        before = len(fates), len(roots)
+        tags.add(ht.classify(case, kappa, mu, sigma0).tag)
+        assert (len(fates) - before[0], len(roots) - before[1]) == (1, 0 if case == "su2" else 2), case
+        before = len(fates), len(roots)
+        try:
+            ht.collapse_time_quadrature(ht.HomothetyProblem(case, kappa, mu, sigma0=sigma0))
+        except ValueError:
+            pass
+        assert (len(fates) - before[0], len(roots) - before[1]) == (1, 0 if case == "su2" else 2), case
+    assert tags == set(TAG)
+
+
+@pytest.mark.parametrize("s", [-1.0, 1.0, -5e7, 2e-5])
+def test_collapse_time_quadrature_sees_the_roots_of_a_general_s(s):
+    # The fate rule must read the problem's own s, not the general case's 0;
+    # s far from +-1 takes its knots from the curve of sign(s).
+    for kappa, mu in ((0.3, 0.4), (1.0, 1.2), (4.0, 2.0), (4.8, 0.6), (0.05, 2.8), (2.0, 0.0)):
+        problem = ht.HomothetyProblem("general", kappa, mu, s)
+        exact = _positive_roots_exact(ht.problem_coefficients(problem))
+        starts = [y * f for y in exact for f in (0.99, 1.01)] or [1.0]
+        for sigma0 in starts + [min(exact, default=1.0) / 10.0]:
+            problem = ht.HomothetyProblem("general", kappa, mu, s, sigma0)
+            _assert_roots_exact(ht._fate_and_roots(problem)[2], ht.problem_coefficients(problem))
+            if any(y <= sigma0 for y in exact):
+                with pytest.raises(ValueError, match="F has a root in"):
+                    ht.collapse_time_quadrature(problem)
+            else:
+                assert math.isfinite(ht.collapse_time_quadrature(problem)), (kappa, mu, sigma0)
 
 
 def test_check_homothety_consistency_cases():
@@ -996,8 +1071,8 @@ def test_a_subnormal_flux_square_raises_value_error(mu):
 
 
 def test_collapse_time_quadrature_rejects_a_root_below_its_threshold():
-    # The one root, 6.9e-31, lies below _positive_roots' 1e-12 floor, so the
-    # quadrature's root check misses it; its integrand meets F's sign change.
+    # The one root, 6.9e-31, lies just below sigma0, and far below its unit
+    # scale; the guard finds it from the fate rule's knots.
     x = 1.0945366673135564e-30
     problem = ht.HomothetyProblem("general", kappa=x, mu=-x, sigma0=x)
     with pytest.raises(ValueError, match="F has a root in"):
@@ -1022,16 +1097,17 @@ def _finite_fields(value) -> bool:
     _MAGNITUDES,
     st.booleans(),
     _MAGNITUDES,
+    st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda x: -x)),
 )
-@example("flat", 1.0, 1.0051776217371298e-160, False, 1.0)
-@example("flat", 0.0, 1.8618743999536332e16, True, 1.076076045802983e149)  # the time overflows
-def test_scalar_entry_points_return_finite_fields_or_raise_value_error(case, kappa, mu, negative, sigma0):
+@example("flat", 1.0, 1.0051776217371298e-160, False, 1.0, 0.0)
+@example("flat", 0.0, 1.8618743999536332e16, True, 1.076076045802983e149, 0.0)  # the time overflows
+def test_scalar_entry_points_return_finite_fields_or_raise_value_error(case, kappa, mu, negative, sigma0, s):
     mu = -mu if negative else mu
     calls = (
-        lambda: ht.problem_coefficients(ht.HomothetyProblem(case, kappa, mu, sigma0=sigma0)),
-        lambda: ht.F_value(ht.HomothetyProblem(case, kappa, mu), sigma0),
+        lambda: ht.problem_coefficients(ht.HomothetyProblem(case, kappa, mu, s, sigma0)),
+        lambda: ht.F_value(ht.HomothetyProblem(case, kappa, mu, s), sigma0),
         lambda: ht.classify(case, kappa, mu, sigma0),
-        lambda: ht.collapse_time_quadrature(ht.HomothetyProblem(case, kappa, mu, sigma0=sigma0)),
+        lambda: ht.collapse_time_quadrature(ht.HomothetyProblem(case, kappa, mu, s, sigma0)),
         lambda: ht.sweep_grid(case, [kappa], [mu]),
     )
     for call in calls:
