@@ -504,8 +504,12 @@ class GeometrySample:
     frame at the sample point, and each is read by the soliton residuals,
     the divergence identities or the ``verify`` suites.  Samples are built
     in batches: the assembly carries one leading batch axis on every field
-    and hands out one sample per batch entry, so a sample holds no batch
-    axis.  ``div_riemann_tw[v, c, d]`` is the twisted divergence
+    and hands out one sample per batch entry, so a built sample holds no
+    batch axis.  ``hetflow verify`` stacks its samples back into one whose
+    every field (``orientation`` included) has a leading batch axis, which
+    the batched kernels of :mod:`~hetflow.tensor_core`,
+    :mod:`~hetflow.soliton` and ``het_flow`` read as they read one sample.
+    ``div_riemann_tw[v, c, d]`` is the twisted divergence
     ``-g^{ab} (Dhat_a Rhat)_{b v c d}``.  Derivative-flavored scalars
     (``d_*``) are 1-forms; on homogeneous samples they vanish.  The bundle
     carries no coupling constant: consumers weight the quadratic-curvature

@@ -17,7 +17,10 @@ Verbs
 ``verify``
     Run batch verification suites (curvature identities, divergence
     identities, soliton constructors, and stationarity: the flow law on each
-    candidate's own Ricci data) on samples built once, and emit a JSON summary.
+    candidate's own Ricci data) and emit a JSON summary.  The samples are
+    built once per command and stacked on a batch axis, and each suite makes
+    one call per check over its whole stack, so the suites' contractions do
+    not grow in number with ``--trials``.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain error,
 3 verification failure.  Output files are written atomically (temp file +
@@ -29,6 +32,7 @@ platform.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -329,15 +333,27 @@ def cmd_soliton_check(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The exact soliton families of the constructor suite: candidate name,
-# argument factory and the constant-dilaton case the family realises.
-_SOLITON_FAMILIES = (("heisenberg", so._heisenberg_args, 1), ("hyperbolic", so._hyperbolic_args, 3))
+# The exact soliton families of the constructor suite: argument factory and
+# the constant-dilaton case the family realises.
+_SOLITON_FAMILIES = ((so._heisenberg_args, 1), (so._hyperbolic_args, 3))
+
+
+def _stacked(samples: list) -> cj.GeometrySample:
+    """The samples as one, every field stacked on a leading batch axis."""
+    fields = dataclasses.fields(cj.GeometrySample)
+    names = [item.name for item in fields if item.name not in ("backend", "meta")]
+    return cj.GeometrySample(
+        backend="+".join(dict.fromkeys(sample.backend for sample in samples)),
+        **{name: np.array([getattr(sample, name) for sample in samples]) for name in names},
+    )
 
 
 def _verify_samples(selected: tuple, trials: int, seed: int) -> dict:
     """Every sample the selected suites read, built once per call in at most
-    two passes: the chart samples in one, and the identity suite's invariant
-    samples together with the soliton candidates in the other."""
+    two passes (the chart samples in one; the identity suite's invariant
+    samples and the soliton candidates in the other), then stacked once for
+    each suite that reads them; the soliton suite gets one candidate holding
+    every family member, and their constant-dilaton cases."""
     charts = []
     if {"identities", "divergence"} & set(selected):
         specs = [cj.random_chart_spec(seed + k, maxwell=bool(k % 2)) for k in range(trials)]
@@ -346,93 +362,71 @@ def _verify_samples(selected: tuple, trials: int, seed: int) -> dict:
     if "identities" in selected:
         args += [hg._random_invariant_args(seed + k) for k in range(trials)]
     n_invariant = len(args)
-    families = []
+    kappas, cases = [], []
     if "solitons" in selected:
         rng = np.random.default_rng(seed)
         for _ in range(trials):
             kappa = float(rng.uniform(0.2, 5.0))
-            for name, make_args, case in _SOLITON_FAMILIES:
+            for make_args, case in _SOLITON_FAMILIES:
                 args.append(make_args(kappa))
-                families.append((name, kappa, case))
+                kappas.append(kappa)
+                cases.append(case)
     built = hg.build_invariant_samples(args)
-    candidates = [
-        (so.SolitonCandidate(sample, kappa, name=name), case)
-        for sample, (name, kappa, case) in zip(built[n_invariant:], families)
-    ]
-    return {"charts": charts, "invariants": built[:n_invariant], "candidates": candidates}
+    stacks = {}
+    if "identities" in selected:
+        stacks["identities"] = _stacked(charts + built[:n_invariant])
+    if "divergence" in selected:
+        stacks["divergence"] = _stacked(charts)
+    if "solitons" in selected:
+        families = so.SolitonCandidate(_stacked(built[n_invariant:]), np.array(kappas), name="families")
+        stacks["solitons"] = families, cases
+    return stacks
 
 
 def _suite_identities(seed: int, samples: dict) -> list[tuple]:
     """Curvature-identity suite: generic contractions against the 3D closed forms,
     over chart and homogeneous samples.  Each suite returns its checks as
-    ``(name, worst, tol)``."""
-    worst: dict[str, float] = {}
-    for chart, invariant in zip(samples["charts"], samples["invariants"]):
-        for sample in (chart, invariant):
-            g, g_inv, ric, scal = sample.g, sample.g_inv, sample.ricci, sample.scalar
-            f, df = sample.f, sample.df
-            pairs = (
-                (
-                    "curvature_reconstruction",
-                    sample.riemann,
-                    tc.riemann_from_ricci_dim3(g, ric, scal),
-                ),
-                (
-                    "curvature_square_expansion",
-                    tc.riemann_square(g_inv, sample.riemann),
-                    tc.riemann_square_dim3(g, g_inv, ric, scal),
-                ),
-                (
-                    "curvature_norm_expansion",
-                    tc.riemann_norm2(g_inv, sample.riemann),
-                    tc.riemann_norm2_dim3(g_inv, ric, scal),
-                ),
-                (
-                    "twisted_square_expansion",
-                    sample.riemann_tw_sq,
-                    tc.riemann_square_twisted_dim3(g, g_inv, ric, scal, f, df, sample.orientation),
-                ),
-                (
-                    "twisted_norm_expansion",
-                    sample.riemann_tw_norm2,
-                    tc.riemann_norm2_twisted_dim3(g_inv, ric, scal, f, df),
-                ),
-            )
-            for name, generic, closed_form in pairs:
-                worst[name] = max(worst.get(name, 0.0), tc.rel_err(generic, closed_form))
-    return [(name, value, 1e-9) for name, value in worst.items()]
+    ``(name, worst, tol)``, ``worst`` the largest of the per-sample values."""
+    s = samples["identities"]
+    g, g_inv, ric, scal, f, df = s.g, s.g_inv, s.ricci, s.scalar, s.f, s.df
+    pairs = (
+        ("curvature_reconstruction", s.riemann, tc.riemann_from_ricci_dim3(g, ric, scal)),
+        ("curvature_square_expansion",
+         tc.riemann_square(g_inv, s.riemann), tc.riemann_square_dim3(g, g_inv, ric, scal)),
+        ("curvature_norm_expansion",
+         tc.riemann_norm2(g_inv, s.riemann), tc.riemann_norm2_dim3(g_inv, ric, scal)),
+        ("twisted_square_expansion",
+         s.riemann_tw_sq, tc.riemann_square_twisted_dim3(g, g_inv, ric, scal, f, df, s.orientation)),
+        ("twisted_norm_expansion",
+         s.riemann_tw_norm2, tc.riemann_norm2_twisted_dim3(g_inv, ric, scal, f, df)),
+    )
+    return [(name, float(np.max(tc.rel_err(generic, closed, batch=1))), 1e-9)
+            for name, generic, closed in pairs]
 
 
 def _suite_divergence(seed: int, samples: dict) -> list[tuple]:
     """Divergence-identity suite over chart samples with nonconstant f, phi."""
-    rng = np.random.default_rng(seed)
-    worst = {"div_curvature_square": 0.0, "div_torsion_square": 0.0, "div_einstein_map": 0.0}
-    for chart in samples["charts"]:
-        kappa = float(rng.uniform(0.05, 3.0))
-        report = so.verify_divergence_identities(chart, kappa)
-        for name, eq in report.equations.items():
-            worst[name] = max(worst[name], eq.value)
-    return [(name, value, 1e-8) for name, value in worst.items()]
+    charts = samples["divergence"]
+    kappas = np.random.default_rng(seed).uniform(0.05, 3.0, size=len(charts.f))
+    report = so.verify_divergence_identities(charts, kappas)
+    return [(name, eq.value, 1e-8) for name, eq in report.equations.items()]
 
 
 def _suite_solitons(seed: int, samples: dict) -> list[tuple]:
     """Constructor suite: residuals, classification round-trip, and
     stationarity, the flow law evaluated on each candidate's own Ricci data."""
-    names = ("constructor_residuals", "discriminant_unity", "classification_roundtrip", "stationarity")
-    worst = dict.fromkeys(names, 0.0)
-    for candidate, case_expected in samples["candidates"]:
-        s, kappa = candidate.sample, candidate.kappa
-        eigs, _ = tc.principal_values(s.g, s.ricci)
-        g_dot, f_dot = hf._rhs_3d_core(s.g, s.g_inv, s.ricci, s.scalar, s.f, kappa)
-        values = (
-            max(eq.value for eq in so.soliton_report(candidate).equations.values()),
-            abs(so.residual_quadratic_form(candidate)[1] - 1.0),
-            float(so.classify_ricci_spectrum(eigs, kappa).case != case_expected),
-            max(float(np.max(np.abs(g_dot))), abs(f_dot)),
-        )
-        for name, value in zip(names, values):
-            worst[name] = max(worst[name], value)
-    return [(name, worst[name], tol) for name, tol in zip(names, (1e-12, 1e-12, 0.0, 1e-10))]
+    families, cases = samples["solitons"]
+    s, kappa = families.sample, families.kappa
+    eigs, _ = tc.principal_values(s.g, s.ricci)
+    g_dot, f_dot = hf._rhs_3d_core(s.g, s.g_inv, s.ricci, s.scalar, s.f, kappa)
+    misclassified = any(so.classify_ricci_spectrum(w, k).case != c for w, k, c in zip(eigs, kappa, cases))
+    residuals = so.soliton_report(families).equations.values()
+    return [
+        ("constructor_residuals", max(eq.value for eq in residuals), 1e-12),
+        ("discriminant_unity", float(np.max(np.abs(so.residual_quadratic_form(families)[1] - 1.0))), 1e-12),
+        ("classification_roundtrip", float(misclassified), 0.0),
+        ("stationarity", max(float(np.max(np.abs(g_dot))), float(np.max(np.abs(f_dot)))), 1e-10),
+    ]
 
 
 _SUITES = {

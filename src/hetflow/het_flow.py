@@ -166,15 +166,18 @@ def _check_kappa(kappa: float) -> None:
 
 
 def _rhs_3d_core(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: float, f: float, kappa: float) -> tuple:
-    """The 3D law ``(g', f')`` of the module docstring, from the Ricci data of ``g``."""
+    """The 3D law ``(g', f')`` of the module docstring, from the Ricci data of ``g``;
+    batched as the :mod:`~hetflow.tensor_core` closed forms are, ``kappa`` included."""
     ric_comp = ricci @ g_inv @ ricci
-    ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
+    ric_norm2 = tc.ricci_norm2(g_inv, ricci)
+    linear = 2.0 + kappa * (2.0 * scalar - f * f)
+    shift = f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)
     g_dot = (
-        2.0 * kappa * ric_comp
-        - (2.0 + kappa * (2.0 * scalar - f * f)) * ricci
-        + (f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)) * g
+        2.0 * tc.broadcast_scalar(kappa, 2) * ric_comp
+        - tc.broadcast_scalar(linear, 2) * ricci
+        + tc.broadcast_scalar(shift, 2) * g
     )
-    return g_dot, -0.5 * float(np.einsum("ab,ab->", g_inv, g_dot)) * f
+    return g_dot, tc.float_or_array(-0.5 * np.einsum("...ab,...ab->...", g_inv, g_dot) * f)
 
 
 def _rhs_milnor(lambdas: tuple, d: list, f: float, kappa: float) -> list:
@@ -625,7 +628,10 @@ def _einstein_system(ell: tuple, g0: np.ndarray, c: float, kappa: float) -> tupl
     ``f0^2 = c^2 / det g0``.  The events are the generic path's thresholds on
     ``sigma g0``."""
     ell = np.asarray(ell)
-    k0 = float(ell @ np.linalg.solve(g0, ell))
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        k0 = float(ell @ np.linalg.solve(g0, ell))
+    if not math.isfinite(k0):
+        raise ValueError(f"the curvature scale K0 = l.g0^-1.l is not finite ({k0!r})")
     f0_sq = c * c / _det(g0[_TRIU].tolist())
 
     def rhs(t, y):

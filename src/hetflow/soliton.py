@@ -19,10 +19,17 @@ invariant data in dimension four and higher.
 
 Reports are value objects with a stable JSON layout so batch verification
 and the command-line front end can share one schema.
+
+The residual maps take stacks as the :mod:`~hetflow.tensor_core` closed
+forms do: a candidate whose sample fields carry a leading batch axis, with
+one ``kappa`` per sample, gets one report, and each value in it is the
+worst over the batch (the maxima of :func:`verify_divergence_identities`
+batch the same way).  ``hetflow verify`` evaluates its suites like this.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +135,7 @@ class SolitonCandidate:
     The one-form slot of the sample is the closed ``phi`` of the system (both
     backends construct it closed); the dilaton coupling ``f`` is the scalar
     dual of the three-form flux and must be nowhere zero when ``phi`` is
-    slaved to it.
+    slaved to it.  A stacked sample takes one ``kappa`` per sample.
     """
 
     sample: GeometrySample
@@ -136,8 +143,19 @@ class SolitonCandidate:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.kappa) or self.kappa <= 0.0:
+        kappa = np.asarray(self.kappa, dtype=float)
+        if not np.all((0.0 < kappa) & (kappa < np.inf)):
             raise ValueError("coupling kappa must be positive and finite")
+
+
+def _number(x):
+    """A ``float``, or a list of per-sample floats, for report metadata."""
+    return np.asarray(x, dtype=float).tolist()
+
+
+def _worst(x) -> float:
+    """Largest magnitude over the components (and the batch) of ``x``."""
+    return float(np.max(np.abs(x)))
 
 
 def _meta(candidate: SolitonCandidate) -> dict:
@@ -146,8 +164,8 @@ def _meta(candidate: SolitonCandidate) -> dict:
         "name": candidate.name,
         "backend": s.backend,
         "dim": 3,
-        "kappa": float(candidate.kappa),
-        "f": float(s.f),
+        "kappa": _number(candidate.kappa),
+        "f": _number(s.f),
     }
 
 
@@ -163,10 +181,11 @@ def einstein_maps(sample: GeometrySample, kappa: float) -> tuple[np.ndarray, np.
     checks it in dimension four and higher.
     """
     s = sample
-    phi_up = s.g_inv @ s.dilaton
-    e_sym = s.ricci + s.nabla_dilaton - 0.5 * s.torsion_sq + kappa * s.riemann_tw_sq
-    e_skew = 0.5 * s.delta_torsion + 0.5 * np.einsum("m,mcd->cd", phi_up, s.torsion)
-    e_dil = float(
+    phi_up = tc.sharp(s.g_inv, s.dilaton)
+    tw_sq = tc.broadcast_scalar(kappa, 2) * s.riemann_tw_sq
+    e_sym = s.ricci + s.nabla_dilaton - 0.5 * s.torsion_sq + tw_sq
+    e_skew = 0.5 * s.delta_torsion + 0.5 * np.einsum("...m,...mcd->...cd", phi_up, s.torsion)
+    e_dil = tc.float_or_array(
         s.delta_dilaton + s.dilaton_norm2 - s.torsion_norm2 + kappa * s.riemann_tw_norm2
     )
     return e_sym, e_skew, e_dil
@@ -187,9 +206,9 @@ def residual_general(candidate: SolitonCandidate, tol: float = TOL_JET) -> Resid
     """
     e_sym, e_skew, e_dil = einstein_maps(candidate.sample, candidate.kappa)
     eqs = {
-        "einstein_sym": EquationResidual(float(np.max(np.abs(e_sym))), tol),
-        "einstein_skew": EquationResidual(float(np.max(np.abs(e_skew))), tol),
-        "dilaton": EquationResidual(abs(e_dil), tol),
+        "einstein_sym": EquationResidual(_worst(e_sym), tol),
+        "einstein_skew": EquationResidual(_worst(e_skew), tol),
+        "dilaton": EquationResidual(_worst(e_dil), tol),
     }
     return ResidualReport(eqs, meta=_meta(candidate))
 
@@ -232,9 +251,13 @@ def residual_quadratic_form(candidate: SolitonCandidate) -> tuple[np.ndarray, fl
     kappa = candidate.kappa
     f2 = s.f**2
     ric_sq = s.ricci @ s.g_inv @ s.ricci
-    resid = -kappa * ric_sq + (1.0 - kappa * f2) * s.ricci + 0.5 * (f2 - 0.5 * kappa * f2**2) * s.g
+    resid = (
+        -tc.broadcast_scalar(kappa, 2) * ric_sq
+        + tc.broadcast_scalar(1.0 - kappa * f2, 2) * s.ricci
+        + tc.broadcast_scalar(0.5 * (f2 - 0.5 * kappa * f2**2), 2) * s.g
+    )
     disc = (1.0 - kappa * f2) ** 2 + 2.0 * kappa * f2 - (kappa * f2) ** 2
-    return resid, float(disc)
+    return resid, tc.float_or_array(disc)
 
 
 def quadratic_roots(kappa: float, f: float) -> tuple[float, float]:
@@ -278,24 +301,25 @@ def classify_ricci_spectrum(eigenvalues, kappa: float) -> CaseMatch:
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     if eigs.shape != (3,):
         raise ValueError("expected exactly three principal curvatures")
-    if not np.all(np.isfinite(eigs)):
+    # Python floats from here: three numbers cost less than numpy's per-call overhead.
+    spectrum = tuple(eigs.tolist())
+    if not all(map(math.isfinite, spectrum)):
         raise ValueError("principal curvatures must be finite")
-    scal = float(np.sum(eigs))
+    scal = sum(spectrum)
     gap_tol = EIGEN_GAP_REL * abs(scal) + EIGEN_GAP_ABS
     matches: list[tuple[int, float]] = []
     gaps: list[float] = []
     for case in (3, 1, 2):  # higher symmetry first
-        expected = np.sort(np.asarray(case_spectrum(case, kappa)))
-        gap = float(np.max(np.abs(eigs - expected)))
+        expected = sorted(case_spectrum(case, float(kappa)))
+        gap = max(abs(x - y) for x, y in zip(spectrum, expected))
         gaps.append(gap)
         if gap <= gap_tol:
             matches.append((case, gap))
-    spectrum = tuple(float(x) for x in eigs)
     if not matches:
         return CaseMatch(None, None, spectrum, min(gaps), False)
     case, gap = matches[0]
-    f = float(np.sqrt(case / kappa))
-    ric_norm2 = float(np.sum(eigs**2))
+    f = math.sqrt(case / kappa)
+    ric_norm2 = sum(x * x for x in spectrum)
     checks = {
         "scalar_identity": abs(scal + 0.5 * f**2),
         "trace_identity": abs(2.0 * kappa * ric_norm2 - (2.0 * f**2 - 0.5 * kappa * f**4)),
@@ -345,14 +369,14 @@ def strong_skew_scalar(candidate: SolitonCandidate) -> float:
 
 def _strong_full(s) -> np.ndarray:
     """The ``full`` residual of :func:`strong_residual`."""
-    phi_up = s.g_inv @ s.dilaton
-    return s.div_riemann_tw + np.einsum("a,avcd->vcd", phi_up, s.riemann_tw)
+    phi_up = tc.sharp(s.g_inv, s.dilaton)
+    return s.div_riemann_tw + np.einsum("...a,...avcd->...vcd", phi_up, s.riemann_tw)
 
 
 def _skew_scalar(sample, full: np.ndarray) -> float:
     """Volume coefficient of the fully antisymmetric part of ``full``."""
-    skew = (full + np.einsum("vcd->cdv", full) + np.einsum("vcd->dvc", full)) / 3.0
-    return float(tc.form_inner(sample.g_inv, skew, tc.volume_form(sample.g, sample.orientation)))
+    skew = (full + np.einsum("...vcd->...cdv", full) + np.einsum("...vcd->...dvc", full)) / 3.0
+    return tc.form_inner(sample.g_inv, skew, tc.volume_form(sample.g, sample.orientation))
 
 
 def soliton_report(candidate: SolitonCandidate, tol: float = TOL_CONSTRUCTOR) -> ResidualReport:
@@ -361,13 +385,12 @@ def soliton_report(candidate: SolitonCandidate, tol: float = TOL_CONSTRUCTOR) ->
     kappa = candidate.kappa
     base = residual_general(candidate, tol)
     full = _strong_full(s)
-    skew_scalar = _skew_scalar(s, full)
-    ric_norm2 = float(np.einsum("ab,cd,ac,bd->", s.ricci, s.ricci, s.g_inv, s.g_inv))
-    trace_res = abs(2.0 * kappa * ric_norm2 - (2.0 * s.f**2 - 0.5 * kappa * s.f**4))
+    ric_norm2 = tc.ricci_norm2(s.g_inv, s.ricci)
+    trace_res = 2.0 * kappa * ric_norm2 - (2.0 * s.f**2 - 0.5 * kappa * s.f**4)
     eqs = dict(base.equations)
-    eqs["strong_full"] = EquationResidual(float(np.max(np.abs(full))), tol)
-    eqs["strong_skew"] = EquationResidual(abs(skew_scalar), tol)
-    eqs["trace_identity"] = EquationResidual(trace_res, tol)
+    eqs["strong_full"] = EquationResidual(_worst(full), tol)
+    eqs["strong_skew"] = EquationResidual(_worst(_skew_scalar(s, full)), tol)
+    eqs["trace_identity"] = EquationResidual(_worst(trace_res), tol)
     return ResidualReport(eqs, meta=_meta(candidate))
 
 
@@ -386,7 +409,9 @@ def _heisenberg_args(kappa: float) -> tuple:
     :func:`heisenberg_strong_soliton`."""
     if kappa <= 0.0:
         raise ValueError("coupling kappa must be positive")
-    f = 1.0 / np.sqrt(kappa)
+    f = 1.0 / math.sqrt(kappa)  # on Python floats, so that an overflow does not warn
+    if not f * f < math.inf:
+        raise ValueError(f"coupling kappa {kappa!r} is too small: 1/kappa overflows")
     return hg.catalog("heisenberg"), np.diag([f * f, 1.0, 1.0]), f
 
 
@@ -477,7 +502,7 @@ def heisenberg_auxiliary_connection(
 def _lam12_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products, with 2-form weight 1/2, of the one-form (x) two-form
     block ``a`` with each block ``b[v]`` of the direction-indexed ``b``."""
-    return 0.5 * np.einsum("acd,vbef,ab,ce,df->v", a, b, g_inv, g_inv, g_inv)
+    return 0.5 * np.einsum("...acd,...vbef,...ab,...ce,...df->...v", a, b, g_inv, g_inv, g_inv)
 
 
 def verify_divergence_identities(
@@ -503,49 +528,48 @@ def verify_divergence_identities(
     """
     s = sample
     ginv = s.g_inv
-    phi_up = ginv @ s.dilaton
+    phi_up = tc.sharp(ginv, s.dilaton)
     e_sym, e_skew, _ = einstein_maps(s, kappa)
-    div_tw = s.div_riemann_tw
+    kappa1 = tc.broadcast_scalar(kappa, 1)
 
     # Divergence of the twisted-curvature square.
-    lhs1 = -np.einsum("ab,abv->v", ginv, s.nabla_riemann_tw_sq)
-    rhs1 = _lam12_inner(ginv, div_tw, s.riemann_tw) - 0.5 * s.d_riemann_tw_norm2
+    lhs1 = -np.einsum("...ab,...abv->...v", ginv, s.nabla_riemann_tw_sq)
+    rhs1 = _lam12_inner(ginv, s.div_riemann_tw, s.riemann_tw) - 0.5 * s.d_riemann_tw_norm2
 
     # Divergence of the torsion square; skew_h[v] = <e_skew, H(v, ., .)>
     # enters it and the divergence of the symmetric map.
-    skew_h = np.einsum("cd,vef,ce,df->v", e_skew, s.torsion, ginv, ginv)
-    lhs2 = -np.einsum("ab,abv->v", ginv, s.nabla_torsion_sq)
-    rhs2 = -0.5 * s.d_torsion_norm2 - phi_up @ s.torsion_sq + skew_h
+    skew_h = np.einsum("...cd,...vef,...ce,...df->...v", e_skew, s.torsion, ginv, ginv)
+    lhs2 = -np.einsum("...ab,...abv->...v", ginv, s.nabla_torsion_sq)
+    rhs2 = -0.5 * s.d_torsion_norm2 - np.einsum("...m,...mv->...v", phi_up, s.torsion_sq) + skew_h
 
     # Divergence of the symmetric map.
     nabla_e = (
         s.nabla_ricci
         + s.nabla2_dilaton
         - 0.5 * s.nabla_torsion_sq
-        + kappa * s.nabla_riemann_tw_sq
+        + tc.broadcast_scalar(kappa, 3) * s.nabla_riemann_tw_sq
     )
-    div_e = -np.einsum("ab,abv->v", ginv, nabla_e)
-    phi_e = np.einsum("m,mv->v", phi_up, e_sym)
+    div_e = -np.einsum("...ab,...abv->...v", ginv, nabla_e)
+    phi_e = np.einsum("...m,...mv->...v", phi_up, e_sym)
     tr_e_d = (
         s.d_scalar
         - s.d_delta_dilaton
         - 1.5 * s.d_torsion_norm2
-        + 2.0 * kappa * s.d_riemann_tw_norm2
+        + 2.0 * kappa1 * s.d_riemann_tw_norm2
     )
     lhs3 = div_e + phi_e + 0.5 * tr_e_d
     d_e_dil = (
         s.d_delta_dilaton
         + s.d_dilaton_norm2
         - s.d_torsion_norm2
-        + kappa * s.d_riemann_tw_norm2
+        + kappa1 * s.d_riemann_tw_norm2
     )
-    phi_curv = np.einsum("m,macd->acd", phi_up, s.riemann_tw)
-    rhs3 = kappa * _lam12_inner(ginv, div_tw + phi_curv, s.riemann_tw) + 0.5 * d_e_dil - 0.5 * skew_h
+    rhs3 = kappa1 * _lam12_inner(ginv, _strong_full(s), s.riemann_tw) + 0.5 * d_e_dil - 0.5 * skew_h
 
     eqs = {
-        "div_curvature_square": EquationResidual(float(np.max(np.abs(lhs1 - rhs1))), tol),
-        "div_torsion_square": EquationResidual(float(np.max(np.abs(lhs2 - rhs2))), tol),
-        "div_einstein_map": EquationResidual(float(np.max(np.abs(lhs3 - rhs3))), tol),
+        "div_curvature_square": EquationResidual(_worst(lhs1 - rhs1), tol),
+        "div_torsion_square": EquationResidual(_worst(lhs2 - rhs2), tol),
+        "div_einstein_map": EquationResidual(_worst(lhs3 - rhs3), tol),
     }
-    meta = {"backend": s.backend, "dim": 3, "kappa": float(kappa), "f": float(s.f)}
+    meta = {"backend": s.backend, "dim": 3, "kappa": _number(kappa), "f": _number(s.f)}
     return ResidualReport(eqs, meta=meta)

@@ -11,6 +11,14 @@ per geometry and passes ``g_inv`` down to every helper that raises an index
 (:func:`hodge` and the ``*_dim3`` closed forms included); helpers that lower
 indices or build the volume form take ``g`` as well.
 
+Batches.  The ``*_dim3`` closed forms, :func:`ricci_norm2`, :func:`riemann_square`,
+:func:`riemann_norm2`, :func:`principal_values` and the helpers they call take
+stacks too: every tensor (``g`` and ``g_inv`` included) may carry the same
+leading batch axes, and every scalar (``scalar``, ``f``, ``orientation``) one
+value per sample.  Each slice of the result is the unbatched call on that
+sample, and an unbatched scalar result stays a Python ``float``
+(:func:`broadcast_scalar` and :func:`float_or_array` are these two rules).
+
 Conventions
 -----------
 * Curvature sign: ``R(u, v)w = D_u D_v w - D_v D_u w - D_[u,v] w``, stored as
@@ -48,6 +56,8 @@ import numpy as np
 
 __all__ = [
     "validate_metric",
+    "broadcast_scalar",
+    "float_or_array",
     "metric_inverse",
     "frame_orthonormalize",
     "principal_values",
@@ -69,6 +79,7 @@ __all__ = [
     "torsion_norm2",
     "riemann_square",
     "riemann_norm2",
+    "ricci_norm2",
     "riemann_wedge_riemann",
     "ricci_from_riemann",
     "scalar_curvature",
@@ -117,6 +128,17 @@ def validate_metric(g: np.ndarray) -> None:
             f"(min eigenvalue {float(eig_min[k]) * float(scale[k]):.3e})")
 
 
+def broadcast_scalar(x, rank: int) -> np.ndarray:
+    """``x``, a scalar or a stack of per-sample scalars, with ``rank`` trailing
+    unit axes: it then scales a (stack of) rank-``rank`` tensors sample by sample."""
+    return np.reshape(x, np.shape(x) + (1,) * rank)
+
+
+def float_or_array(x):
+    """A Python ``float`` for an unbatched scalar result, else the per-sample array."""
+    return float(x) if np.ndim(x) == 0 else np.asarray(x)
+
+
 def metric_inverse(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.asarray(g, dtype=float))
 
@@ -128,7 +150,7 @@ def frame_orthonormalize(g: np.ndarray) -> np.ndarray:
     contracting each slot with ``P``.
     """
     chol = np.linalg.cholesky(np.asarray(g, dtype=float))
-    return np.linalg.inv(chol).T
+    return np.swapaxes(np.linalg.inv(chol), -1, -2)
 
 
 def principal_values(g: np.ndarray, bilinear: np.ndarray) -> tuple:
@@ -140,7 +162,7 @@ def principal_values(g: np.ndarray, bilinear: np.ndarray) -> tuple:
     :func:`frame_orthonormalize`.
     """
     frame = frame_orthonormalize(g)
-    w, vecs = np.linalg.eigh(frame.T @ np.asarray(bilinear, dtype=float) @ frame)
+    w, vecs = np.linalg.eigh(np.swapaxes(frame, -1, -2) @ np.asarray(bilinear, dtype=float) @ frame)
     return w, frame @ vecs
 
 
@@ -149,20 +171,34 @@ def flat(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def sharp(g_inv: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return g_inv @ alpha
+    return np.einsum("...ab,...b->...a", g_inv, alpha)
 
 
 @lru_cache(maxsize=None)
-def _raise_all_spec(rank: int) -> str:
-    """``"abcd,ea,fb,gc,hd->efgh"`` for rank 4: every slot raised, in place."""
-    low, up = _LETTERS[:rank], _LETTERS[rank : 2 * rank]
-    return ",".join([low] + [u + l for u, l in zip(up, low)]) + "->" + up
+def _raise_spec(rank: int, slot: int) -> str:
+    """``"...cz,...abzd->...abcd"`` for slot 2 of rank 4: that slot raised, in place."""
+    idx = _LETTERS[:rank]
+    return f"...{idx[slot]}z,...{idx[:slot]}z{idx[slot + 1:]}->...{idx}"
+
+
+def _rank(g_inv: np.ndarray, tensor: np.ndarray) -> int:
+    """Number of tensor axes of ``tensor``, behind the batch axes of ``g_inv``."""
+    return np.ndim(tensor) - (np.ndim(g_inv) - 2)
+
+
+def _raised(g_inv: np.ndarray, tensor: np.ndarray, slots) -> np.ndarray:
+    """``tensor`` with the given slots raised by ``g^{-1}``, one slot per einsum:
+    p small contractions cost far less than one (p+1)-operand einsum."""
+    rank = _rank(g_inv, tensor)
+    for slot in slots:
+        tensor = np.einsum(_raise_spec(rank, slot), g_inv, tensor)
+    return tensor
 
 
 def raise_all(g_inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Raise every index of a (0,p) tensor with ``g^{-1}``, in one einsum."""
+    """Raise every index of a (0,p) tensor with ``g^{-1}``."""
     tensor = np.asarray(tensor, dtype=float)
-    return np.einsum(_raise_all_spec(tensor.ndim), tensor, *(g_inv,) * tensor.ndim)
+    return _raised(g_inv, tensor, range(_rank(g_inv, tensor)))
 
 
 def alt(tensor: np.ndarray) -> np.ndarray:
@@ -243,19 +279,16 @@ def hodge(g_inv: np.ndarray, vol: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     ``vol`` is the oriented :func:`volume_form`.  Scalars (p = 0) may be passed
     as plain floats; the result for p = n is a plain float as well.
     """
-    n = g_inv.shape[0]
-    if np.ndim(alpha) == 0:
-        return float(alpha) * vol
-    alpha = np.asarray(alpha, dtype=float)
-    p = alpha.ndim
+    n = g_inv.shape[-1]
+    p = _rank(g_inv, alpha)
+    if p == 0:
+        return broadcast_scalar(alpha, n) * vol
     if p > n:
         raise ValueError(f"form degree {p} exceeds dimension {n}")
     raised = raise_all(g_inv, alpha)
-    spec = _LETTERS[:n] + "," + _LETTERS[:p] + "->" + _LETTERS[p:n]
+    spec = "..." + _LETTERS[:n] + ",..." + _LETTERS[:p] + "->..." + _LETTERS[p:n]
     out = np.einsum(spec, vol, raised) / math.factorial(p)
-    if p == n:
-        return float(out)
-    return out
+    return float_or_array(out) if p == n else out
 
 
 def form_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -264,8 +297,10 @@ def form_inner(g_inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.ndim != b.ndim:
         raise ValueError("forms must have equal degree")
+    p = _rank(g_inv, a)
+    slots = _LETTERS[:p]
     raised = raise_all(g_inv, b)
-    return float(np.tensordot(a, raised, axes=a.ndim) / math.factorial(a.ndim))
+    return float_or_array(np.einsum(f"...{slots},...{slots}->...", a, raised) / math.factorial(p))
 
 
 def form_norm2(g_inv: np.ndarray, a: np.ndarray) -> float:
@@ -274,12 +309,12 @@ def form_norm2(g_inv: np.ndarray, a: np.ndarray) -> float:
 
 def bilinear_from_endo(g: np.ndarray, endo: np.ndarray) -> np.ndarray:
     """Bilinear form ``B(u, v) = g(A u, v)`` of an endomorphism ``A[m, b]``."""
-    return endo.T @ g
+    return np.swapaxes(endo, -1, -2) @ g
 
 
 def endo_from_bilinear(g_inv: np.ndarray, bilinear: np.ndarray) -> np.ndarray:
     """Endomorphism ``A`` with ``g(A u, v) = B(u, v)``, i.e. ``A^m_b = B_bc g^cm``."""
-    return (bilinear @ g_inv).T
+    return np.swapaxes(bilinear @ g_inv, -1, -2)
 
 
 def torsion_square(g_inv: np.ndarray, torsion: np.ndarray) -> np.ndarray:
@@ -293,14 +328,19 @@ def torsion_norm2(g_inv: np.ndarray, torsion: np.ndarray) -> float:
 
 def riemann_square(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
     """Symmetric form ``(R o R)_{ab} = 1/2 R_{aijk} R_b{}^{ijk}``."""
-    raised = np.einsum("bijk,ip,jq,kr->bpqr", riemann, g_inv, g_inv, g_inv)
-    return 0.5 * np.einsum("aijk,bijk->ab", riemann, raised)
+    raised = _raised(g_inv, riemann, (1, 2, 3))
+    return 0.5 * np.einsum("...aijk,...bijk->...ab", riemann, raised)
 
 
 def riemann_norm2(g_inv: np.ndarray, riemann: np.ndarray) -> float:
     """``|R|^2 = 1/4 R_{abcd} R^{abcd}``."""
     raised = raise_all(g_inv, riemann)
-    return 0.25 * float(np.tensordot(riemann, raised, axes=4))
+    return 0.25 * float_or_array(np.einsum("...abcd,...abcd->...", riemann, raised))
+
+
+def ricci_norm2(g_inv: np.ndarray, ricci: np.ndarray) -> float:
+    """``|Ric|^2 = Ric_{ab} Ric_{cd} g^{ac} g^{bd}``."""
+    return float_or_array(np.einsum("...ab,...cd,...ac,...bd->...", ricci, ricci, g_inv, g_inv))
 
 
 def riemann_wedge_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
@@ -337,8 +377,13 @@ def codifferential_from_nabla(g_inv: np.ndarray, nabla_form: np.ndarray) -> np.n
 
 
 def _require_dim3(matrix: np.ndarray) -> None:
-    if matrix.shape[0] != 3:
+    if matrix.shape[-1] != 3:
         raise ValueError("this identity is specific to dimension three")
+
+
+def _kulkarni_gg(g: np.ndarray) -> np.ndarray:
+    """``g_ac g_bd - g_bc g_ad``: the curvature of unit sectional curvature."""
+    return np.einsum("...ac,...bd->...abcd", g, g) - np.einsum("...bc,...ad->...abcd", g, g)
 
 
 def riemann_from_ricci_dim3(g: np.ndarray, ricci: np.ndarray, scalar: float) -> np.ndarray:
@@ -348,14 +393,13 @@ def riemann_from_ricci_dim3(g: np.ndarray, ricci: np.ndarray, scalar: float) -> 
     + (Ric_bc g_ad - g_ac Ric_bd)``.
     """
     _require_dim3(g)
-    gg = np.einsum("ac,bd->abcd", g, g) - np.einsum("bc,ad->abcd", g, g)
     g_ric = (
-        np.einsum("bc,ad->abcd", g, ricci)
-        - np.einsum("ac,bd->abcd", ricci, g)
-        + np.einsum("bc,ad->abcd", ricci, g)
-        - np.einsum("ac,bd->abcd", g, ricci)
+        np.einsum("...bc,...ad->...abcd", g, ricci)
+        - np.einsum("...ac,...bd->...abcd", ricci, g)
+        + np.einsum("...bc,...ad->...abcd", ricci, g)
+        - np.einsum("...ac,...bd->...abcd", g, ricci)
     )
-    return 0.5 * scalar * gg + g_ric
+    return 0.5 * broadcast_scalar(scalar, 4) * _kulkarni_gg(g) + g_ric
 
 
 def riemann_square_dim3(
@@ -365,15 +409,14 @@ def riemann_square_dim3(
     ``-Ric o Ric + s Ric + (|Ric|^2 - s^2/2) g``."""
     _require_dim3(g)
     ric_sq = ricci @ g_inv @ ricci
-    ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    return -ric_sq + scalar * ricci + (ric_norm2 - 0.5 * scalar**2) * g
+    shift = ricci_norm2(g_inv, ricci) - 0.5 * scalar**2
+    return -ric_sq + broadcast_scalar(scalar, 2) * ricci + broadcast_scalar(shift, 2) * g
 
 
 def riemann_norm2_dim3(g_inv: np.ndarray, ricci: np.ndarray, scalar: float) -> float:
     """``|R|^2 = |Ric|^2 - s^2/4`` in dimension three."""
     _require_dim3(g_inv)
-    ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    return ric_norm2 - 0.25 * scalar**2
+    return ricci_norm2(g_inv, ricci) - 0.25 * scalar**2
 
 
 def riemann_twisted_dim3(
@@ -389,11 +432,10 @@ def riemann_twisted_dim3(
     as 2-form-valued expressions in the last index pair.
     """
     _require_dim3(g)
-    vol = volume_form(g, orientation)
-    star_basis = vol  # (*e_b_flat)_{cd} = vol_{bcd}
-    df_term = np.einsum("a,bcd->abcd", df, star_basis) - np.einsum("b,acd->abcd", df, star_basis)
-    gg = np.einsum("ac,bd->abcd", g, g) - np.einsum("bc,ad->abcd", g, g)
-    return riemann - 0.5 * df_term + 0.25 * f**2 * gg
+    star_basis = volume_form(g, orientation)  # (*e_b_flat)_{cd} = vol_{bcd}
+    df_term = (np.einsum("...a,...bcd->...abcd", df, star_basis)
+               - np.einsum("...b,...acd->...abcd", df, star_basis))
+    return riemann - 0.5 * df_term + 0.25 * broadcast_scalar(f**2, 4) * _kulkarni_gg(g)
 
 
 def riemann_square_twisted_dim3(
@@ -413,18 +455,18 @@ def riemann_square_twisted_dim3(
     """
     _require_dim3(g)
     ric_sq = ricci @ g_inv @ ricci
-    ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    df_norm2 = float(df @ g_inv @ df)
+    df_norm2 = np.einsum("...a,...ab,...b->...", df, g_inv, df)
+    shift = ricci_norm2(g_inv, ricci) - 0.5 * scalar**2 + 0.25 * df_norm2 + 0.125 * f**4
     star_df = hodge(g_inv, volume_form(g, orientation), df)
     endo_star_df = endo_from_bilinear(g_inv, star_df)
     endo_ric = endo_from_bilinear(g_inv, ricci)
     comm = bilinear_from_endo(g, endo_star_df @ endo_ric - endo_ric @ endo_star_df)
     return (
         -ric_sq
-        + (scalar - 0.5 * f**2) * ricci
-        + (ric_norm2 - 0.5 * scalar**2 + 0.25 * df_norm2 + 0.125 * f**4) * g
+        + broadcast_scalar(scalar - 0.5 * f**2, 2) * ricci
+        + broadcast_scalar(shift, 2) * g
         + 0.5 * comm
-        + 0.25 * np.outer(df, df)
+        + 0.25 * df[..., :, None] * df[..., None, :]
     )
 
 
@@ -437,14 +479,21 @@ def riemann_norm2_twisted_dim3(
 ) -> float:
     """``|Rhat|^2 = |Ric|^2 - s^2/4 - f^2 s / 4 + |df|^2/2 + 3 f^4 / 16`` (dim 3)."""
     _require_dim3(g_inv)
-    ric_norm2 = float(np.einsum("ab,cd,ac,bd->", ricci, ricci, g_inv, g_inv))
-    df_norm2 = float(df @ g_inv @ df)
+    df_norm2 = float_or_array(np.einsum("...a,...ab,...b->...", df, g_inv, df))
+    ric_norm2 = ricci_norm2(g_inv, ricci)
     return ric_norm2 - 0.25 * scalar**2 - 0.25 * f**2 * scalar + 0.5 * df_norm2 + 0.1875 * f**4
 
 
-def rel_err(a, b) -> float:
-    """Relative deviation ``|a - b| / max(|a|, |b|, 1)`` on arrays or scalars."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    denom = max(float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)), 1.0)
-    return float(np.max(np.abs(a - b), initial=0.0)) / denom
+def rel_err(a, b, batch: int = 0):
+    """Relative deviation ``|a - b| / max(|a|, |b|, 1)`` on arrays or scalars.
+
+    With ``batch`` leading batch axes, one deviation per sample (an array);
+    otherwise a ``float`` over the whole arrays.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    axes = tuple(range(batch, a.ndim))
+
+    def peak(x):
+        return np.max(np.abs(x), axis=axes, initial=0.0)
+
+    return float_or_array(peak(a - b) / np.maximum(np.maximum(peak(a), peak(b)), 1.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hetflow import chart_jets as cj
+from hetflow import cli
 from hetflow import homogeneous as hg
 
 
@@ -88,3 +89,31 @@ def _assert_samples_match(batch, singles, rtol: float = 1e-15) -> None:
 def samples_match():
     """Check that a batch build agrees with batches of one, field by field."""
     return _assert_samples_match
+
+
+@pytest.fixture(scope="session")
+def mixed_stack(chart_samples, invariant_samples):
+    """``(stack, samples)``: chart and invariant samples, every third one with
+    its orientation reversed, and the same samples stacked as ``verify`` does."""
+    samples = [
+        dataclasses.replace(s, orientation=-s.orientation) if k % 3 == 0 else s
+        for k, s in enumerate(chart_samples + invariant_samples)
+    ]
+    return cli._stacked(samples), samples
+
+
+def _assert_slices_match(batched, singles, rtol: float = 1e-15) -> None:
+    """Slice ``k`` of ``batched`` equals ``singles[k]`` to ``rtol`` relative
+    to ``max(1, max|singles[k]|)``."""
+    batched = np.asarray(batched)
+    assert batched.shape == (len(singles),) + np.shape(singles[0])
+    for k, single in enumerate(singles):
+        y = np.asarray(single)
+        scale = max(1.0, float(np.max(np.abs(y), initial=0.0)))
+        assert float(np.max(np.abs(batched[k] - y), initial=0.0)) <= rtol * scale, k
+
+
+@pytest.fixture
+def slices_match():
+    """Check a batched result slice by slice against unbatched calls."""
+    return _assert_slices_match

@@ -204,6 +204,18 @@ def test_verify_assembles_its_samples_in_two_passes(capsys, count_calls, trials)
     assert (len(chart_passes), len(invariant_passes)) == (1, 1)
 
 
+def test_verify_suites_contract_once_per_batch(capsys, count_calls):
+    """The suites run each check once over their stacked samples, so a
+    command's einsum calls (suites and assembly alike) do not grow with
+    the number of trials."""
+    counts = []
+    for trials in (1, 4):
+        einsums = count_calls(np, "einsum")
+        assert _run(capsys, ["verify", "--suite", "all", "--trials", str(trials)])[0] == 0
+        counts.append(len(einsums))
+    assert counts[0] == counts[1]
+
+
 def test_verify_solitons_suite(capsys):
     code, out, _ = _run(
         capsys, ["verify", "--suite", "solitons", "--trials", "5", "--seed", "3"]
@@ -505,6 +517,21 @@ def test_homothety_overflowing_coefficients_exit_2(capsys):
     code, _, err = _run(capsys, ["homothety", "--case", "flat", "--kappa", "1.0", "--mu", "1e200"])
     assert code == 2
     assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["soliton-check", "--algebra", "heisenberg", "--kappa", "1e-320"], "1/kappa overflows"),
+        (["flow", "--algebra", "hyperbolic", "--algebra-param", "1e200", "--kappa", "1"],
+         "K0 = l.g0^-1.l is not finite"),
+    ],
+)
+def test_overflowing_inputs_exit_2_without_a_warning(capsys, argv, message):
+    # pytest turns a RuntimeWarning into an error, so an overflow on the way fails here
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "numerical-domain error" in err and message in err
 
 
 # ---------------------------------------------------------------------------

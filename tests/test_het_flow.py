@@ -214,6 +214,16 @@ def test_rhs_is_a_multiple_of_g_on_l_form_algebras(random_spd, rng):
         assert np.max(np.abs(g_dot - phi * g)) <= 1e-12 * np.max(np.abs(phi * g))
 
 
+def test_batched_rhs_slices_equal_single_sample_calls(mixed_stack, slices_match):
+    stack, samples = mixed_stack
+    kappas = np.linspace(0.0, 2.0, len(samples))
+    g_dot, f_dot = hf._rhs_3d_core(stack.g, stack.g_inv, stack.ricci, stack.scalar, stack.f, kappas)
+    singles = [hf._rhs_3d_core(s.g, s.g_inv, s.ricci, s.scalar, s.f, float(k)) for s, k in zip(samples, kappas)]
+    slices_match(g_dot, [single[0] for single in singles])
+    slices_match(f_dot, [single[1] for single in singles])
+    assert all(type(single[1]) is float for single in singles)
+
+
 def test_l_form_accepts_only_the_exact_form():
     assert hg.l_form(hg.catalog("hyperbolic", c=0.7)) == (0.0, 0.0, 0.7)
     assert hg.l_form(hg.catalog("r3")) == (0.0, 0.0, 0.0)  # l = 0: flat

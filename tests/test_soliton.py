@@ -325,6 +325,49 @@ def test_strong_skew_scalar_gradient_identity(chart_laplacian):
         assert value == pytest.approx(expected, abs=1e-13)
 
 
+def test_batched_residual_maps_equal_single_sample_calls(mixed_stack, slices_match):
+    stack, samples = mixed_stack
+    kappas = np.linspace(0.3, 2.5, len(samples))
+    candidate = so.SolitonCandidate(stack, kappas, name="stack")
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        so.SolitonCandidate(stack, np.where(kappas > 1.0, kappas, math.nan))
+    singles = [so.SolitonCandidate(s, float(k)) for s, k in zip(samples, kappas)]
+    maps = so.einstein_maps(stack, kappas)
+    single_maps = [so.einstein_maps(c.sample, c.kappa) for c in singles]
+    for part in range(3):
+        slices_match(maps[part], [single[part] for single in single_maps])
+    full = so._strong_full(stack)
+    slices_match(full, [so._strong_full(s) for s in samples])
+    slices_match(so._skew_scalar(stack, full), [so._skew_scalar(s, so._strong_full(s)) for s in samples])
+    resid, disc = so.residual_quadratic_form(candidate)
+    single_forms = [so.residual_quadratic_form(c) for c in singles]
+    slices_match(resid, [single[0] for single in single_forms])
+    slices_match(disc, [single[1] for single in single_forms])
+    assert all(type(m[2]) is float for m in single_maps)
+    assert all(type(form[1]) is float for form in single_forms)
+    assert all(type(so._skew_scalar(s, so._strong_full(s))) is float for s in samples)
+
+
+@pytest.mark.parametrize("evaluate", [so.soliton_report, so.verify_divergence_identities])
+def test_batched_report_holds_the_worst_over_its_samples(mixed_stack, evaluate):
+    stack, samples = mixed_stack
+    kappas = np.linspace(0.3, 2.5, len(samples))
+
+    def report(sample, kappa):
+        if evaluate is so.soliton_report:
+            return evaluate(so.SolitonCandidate(sample, kappa))
+        return evaluate(sample, kappa)
+
+    batched = report(stack, kappas)
+    singles = [report(s, float(k)) for s, k in zip(samples, kappas)]
+    assert list(batched.equations) == list(singles[0].equations)
+    for name, eq in batched.equations.items():
+        assert type(eq.value) is float
+        assert eq.value == pytest.approx(max(single.equations[name].value for single in singles), rel=1e-15)
+    assert batched.meta["kappa"] == kappas.tolist()
+    assert batched.meta["f"] == [s.f for s in samples]
+
+
 def test_report_computes_the_strong_residual_once(count_calls):
     candidate = so.SolitonCandidate(cj.random_chart_sample(3, maxwell=True), 0.9)
     skew = abs(so.strong_skew_scalar(candidate))

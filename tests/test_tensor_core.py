@@ -536,6 +536,66 @@ def test_twisted_square_constant_flux_reduces(rng):
     )
 
 
+# Each kernel that takes stacks, on one sample's (or stack's) fields.
+_BATCHED_KERNELS = {
+    "riemann_from_ricci_dim3": lambda s: tc.riemann_from_ricci_dim3(s.g, s.ricci, s.scalar),
+    "riemann_square": lambda s: tc.riemann_square(s.g_inv, s.riemann),
+    "riemann_norm2": lambda s: tc.riemann_norm2(s.g_inv, s.riemann),
+    "ricci_norm2": lambda s: tc.ricci_norm2(s.g_inv, s.ricci),
+    "riemann_square_dim3": lambda s: tc.riemann_square_dim3(s.g, s.g_inv, s.ricci, s.scalar),
+    "riemann_norm2_dim3": lambda s: tc.riemann_norm2_dim3(s.g_inv, s.ricci, s.scalar),
+    "riemann_twisted_dim3": lambda s: tc.riemann_twisted_dim3(s.g, s.riemann, s.f, s.df, s.orientation),
+    "riemann_square_twisted_dim3": lambda s: tc.riemann_square_twisted_dim3(
+        s.g, s.g_inv, s.ricci, s.scalar, s.f, s.df, s.orientation
+    ),
+    "riemann_norm2_twisted_dim3": lambda s: tc.riemann_norm2_twisted_dim3(
+        s.g_inv, s.ricci, s.scalar, s.f, s.df
+    ),
+    "volume_form": lambda s: tc.volume_form(s.g, s.orientation),
+    "hodge_0": lambda s: tc.hodge(s.g_inv, tc.volume_form(s.g, s.orientation), s.f),
+    "hodge_1": lambda s: tc.hodge(s.g_inv, tc.volume_form(s.g, s.orientation), s.df),
+    "hodge_2": lambda s: tc.hodge(s.g_inv, tc.volume_form(s.g, s.orientation), s.delta_torsion),
+    "hodge_3": lambda s: tc.hodge(s.g_inv, tc.volume_form(s.g, s.orientation), s.torsion),
+    "form_inner": lambda s: tc.form_inner(s.g_inv, s.torsion, tc.volume_form(s.g, s.orientation)),
+    "raise_all": lambda s: tc.raise_all(s.g_inv, s.riemann_tw),
+    "sharp": lambda s: tc.sharp(s.g_inv, s.df),
+    "endo_from_bilinear": lambda s: tc.endo_from_bilinear(s.g_inv, s.ricci),
+    "bilinear_from_endo": lambda s: tc.bilinear_from_endo(s.g, s.nabla_dilaton),
+    "principal_values": lambda s: tc.principal_values(s.g, s.ricci),
+}
+# Kernels whose unbatched result is a Python float.
+_SCALAR_KERNELS = (
+    "riemann_norm2", "ricci_norm2", "riemann_norm2_dim3", "riemann_norm2_twisted_dim3",
+    "hodge_3", "form_inner",
+)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED_KERNELS))
+def test_batched_kernel_slices_equal_single_sample_calls(mixed_stack, slices_match, name):
+    stack, samples = mixed_stack
+    kernel = _BATCHED_KERNELS[name]
+    batched, singles = kernel(stack), [kernel(s) for s in samples]
+    if name == "principal_values":  # (values, vectors)
+        for part in range(2):
+            slices_match(batched[part], [single[part] for single in singles])
+    else:
+        slices_match(batched, singles)
+    if name in _SCALAR_KERNELS:
+        assert all(type(single) is float for single in singles)
+        assert isinstance(batched, np.ndarray)
+
+
+def test_batched_rel_err_is_per_sample(mixed_stack):
+    stack, samples = mixed_stack
+    closed = tc.riemann_from_ricci_dim3(stack.g, stack.ricci, stack.scalar)
+    per_sample = tc.rel_err(stack.riemann, closed, batch=1)
+    assert per_sample.shape == (len(samples),)
+    for k, s in enumerate(samples):
+        single = tc.rel_err(s.riemann, tc.riemann_from_ricci_dim3(s.g, s.ricci, s.scalar))
+        assert type(single) is float
+        assert per_sample[k] == single
+
+
 def test_rel_err_floor():
     assert tc.rel_err(np.zeros(3), np.zeros(3)) == 0.0
     assert tc.rel_err(np.array([1e-20]), np.array([0.0])) <= 1e-19
