@@ -12,7 +12,9 @@ stationary solutions (:mod:`hetflow.soliton`), and a deterministic command
 line (:mod:`hetflow.cli`).
 """
 
-from . import chart_jets, cli, het_flow, homogeneous, homothety, soliton, tensor_core
+import importlib
+
+from . import chart_jets, het_flow, homogeneous, homothety, soliton, tensor_core
 from .chart_jets import GeometrySample, build_chart_sample, random_chart_sample
 from .het_flow import FlowParams, FlowState3, integrate_flow, rhs_3d, rhs_general
 from .homogeneous import (
@@ -41,6 +43,15 @@ from .soliton import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The command line is imported on first use, so that ``python -m
+    # hetflow.cli`` finds it unimported and runs it without runpy's warning.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

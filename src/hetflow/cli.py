@@ -153,11 +153,16 @@ def _float_cell(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it into
+    place, with the mode a plain ``open`` would give (``mkstemp`` makes 0600)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hetflow-", suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        umask = os.umask(0)  # the only way to read it; set back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,11 +258,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     mus = np.linspace(cfg.mu_min, cfg.mu_max, cfg.mu_steps)
     tags = ht.sweep_grid(cfg.case, kappas, mus)
     mu_cells = [_float_cell(mu) for mu in mus]
+    names = {tag: tag.value for tag in ht.BehaviorTag}  # each tag's string once per grid, not Enum.value per cell
     lines = ["i,j,kappa,mu,tag"]
     for i, (kap, row) in enumerate(zip(kappas, tags)):
         kap_cell = _float_cell(kap)
         for j, (mu_cell, tag) in enumerate(zip(mu_cells, row)):
-            lines.append(f"{i},{j},{kap_cell},{mu_cell},{tag.value}")
+            lines.append(f"{i},{j},{kap_cell},{mu_cell},{names[tag]}")
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -280,20 +286,12 @@ def cmd_flow(cfg: RunConfig) -> int:
         n_points=cfg.n_points,
     )
     trajectory = hf.integrate_flow(state, params)
+    g = trajectory.g
+    table = np.column_stack(
+        (trajectory.t, g[:, 0, 0], g[:, 0, 1], g[:, 0, 2], g[:, 1, 1], g[:, 1, 2], g[:, 2, 2], trajectory.f)
+    ).tolist()
     lines = ["t,g11,g12,g13,g22,g23,g33,f"]
-    for k in range(trajectory.t.size):
-        g = trajectory.g[k]
-        cells = [
-            _float_cell(trajectory.t[k]),
-            _float_cell(g[0, 0]),
-            _float_cell(g[0, 1]),
-            _float_cell(g[0, 2]),
-            _float_cell(g[1, 1]),
-            _float_cell(g[1, 2]),
-            _float_cell(g[2, 2]),
-            _float_cell(trajectory.f[k]),
-        ]
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, row)) for row in table]  # Python floats: repr is _float_cell's form
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 

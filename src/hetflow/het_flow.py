@@ -180,27 +180,6 @@ def _rhs_3d_core(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: fl
     return g_dot, tc.float_or_array(-0.5 * np.einsum("...ab,...ab->...", g_inv, g_dot) * f)
 
 
-def _rhs_milnor(lambdas: tuple, d: list, f: float, kappa: float) -> list:
-    """Diagonal of ``g'`` at ``g = diag(d)`` on an algebra in bracket normal form.
-
-    The frame ``e_i / sqrt(d_i)`` is orthonormal with brackets
-    ``l_i d_i / sqrt(d1 d2 d3)``; there ``Ric = diag(d_i r_i)`` with ``r_i``
-    Milnor's principal values, and the 3D rhs reduces entry by entry to
-    ``d_i (2k r_i^2 - (2 + k(2s - f^2)) r_i + f^2 + k(s^2 - 2|r|^2 - f^4/4))``.
-    Computed on Python floats: this runs once per solver stage.
-    """
-    d1, d2, d3 = d
-    l1, l2, l3 = lambdas
-    root = math.sqrt(d1 * d2 * d3)
-    r = _principal_ricci(l1 * d1 / root, l2 * d2 / root, l3 * d3 / root)
-    r1, r2, r3 = r
-    f2 = f * f
-    s = r1 + r2 + r3
-    linear = 2.0 + kappa * (2.0 * s - f2)
-    shift = f2 + kappa * (s * s - 2.0 * (r1 * r1 + r2 * r2 + r3 * r3) - 0.25 * f2 * f2)
-    return [di * (2.0 * kappa * ri * ri - linear * ri + shift) for di, ri in zip(d, r)]
-
-
 def rhs_3d(state: FlowState3, kappa: float) -> tuple:
     """Time derivative ``(g', f')`` of the three-dimensional reduction."""
     _check_kappa(kappa)
@@ -284,12 +263,13 @@ _P = np.array([
 _EPS = float(np.finfo(float).eps)
 
 
-def _dp_step(fun, t, y, k0, h):
+def _dp_step(fun, t, y, k0, h, rtol, atol):
     """One Dormand-Prince step of size ``h`` from ``(t, y)`` with ``k0 = fun(t, y)``.
 
-    Returns ``(y_new, K, y_err)``: the fifth-order solution, the stages
-    ``K = (k0, k2, k3, k4, k5, k6)`` with ``k6 = fun(t + h, y_new)``, and its
-    difference to the embedded fourth-order solution.
+    Returns ``(y_new, K, err)``: the fifth-order solution, the stages
+    ``K = (k0, k2, k3, k4, k5, k6)`` with ``k6 = fun(t + h, y_new)``, and the
+    RMS norm of its difference to the embedded fourth-order solution, each
+    entry scaled by ``atol + rtol max(|y|, |y_new|)``.
     """
     k1 = fun(t + 1 / 5 * h, [a + h * (1 / 5 * p) for a, p in zip(y, k0)])
     k2 = fun(t + 3 / 10 * h, [a + h * (3 / 40 * p + 9 / 40 * q) for a, p, q in zip(y, k0, k1)])
@@ -316,11 +296,12 @@ def _dp_step(fun, t, y, k0, h):
         for a, p, r, u, v, w in zip(y, k0, k2, k3, k4, k5)
     ]
     k6 = fun(t + h, y_new)
-    y_err = [
+    err = _rms([
         h * (-71 / 57600 * p + 71 / 16695 * r - 71 / 1920 * u + 17253 / 339200 * v - 22 / 525 * w + 1 / 40 * z)
-        for p, r, u, v, w, z in zip(k0, k2, k3, k4, k5, k6)
-    ]
-    return y_new, (k0, k2, k3, k4, k5, k6), y_err
+        / (atol + max(abs(a), abs(b)) * rtol)
+        for a, b, p, r, u, v, w, z in zip(y, y_new, k0, k2, k3, k4, k5, k6)
+    ])
+    return y_new, (k0, k2, k3, k4, k5, k6), err
 
 
 class _DenseOutput:
@@ -346,15 +327,15 @@ class _DenseOutput:
         q = self.q[seg]
         return (self.y0[seg] + h * ((((q[:, 3] * x + q[:, 2]) * x + q[:, 1]) * x + q[:, 0]) * x)).T
 
-    def interpolant(self, i: int):
-        """Segment ``i``'s state at a scalar ``tau`` as Python floats: inside the
-        segment, :meth:`__call__`'s value bit for bit (same Horner order), without its gathers."""
+    def interpolant(self, i: int, rows: slice = slice(None)):
+        """Segment ``i``'s state entries ``rows`` at a scalar ``tau`` as Python floats: inside
+        the segment, :meth:`__call__`'s value bit for bit (same Horner order), without its gathers."""
         tau0, h = float(self.tau0[i]), float(self.h[i])
-        rows = list(zip(self.y0[i].tolist(), *self.q[i].tolist()))
+        entries = list(zip(self.y0[i, rows].tolist(), *self.q[i][:, rows].tolist()))
 
         def at(tau):
             x = (tau - tau0) / h
-            return [a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in rows]
+            return [a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in entries]
 
         return at
 
@@ -447,9 +428,8 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
                 raise RuntimeError(f"integration failed: the step size fell below 10 ulps of tau = {tau!r}")
             tau_new = tau + h_abs
             h = tau_new - tau
-            y_new, ks, y_err = _dp_step(fun, tau, y, f, h)
+            y_new, ks, err = _dp_step(fun, tau, y, f, h, rtol, atol)
             nfev += 6
-            err = _rms([e / (atol + max(abs(a), abs(b)) * rtol) for e, a, b in zip(y_err, y, y_new)])
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
                 h_abs = h * (min(1.0, factor) if rejected else factor)
@@ -526,6 +506,8 @@ def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
         dy = rhs(z[-1], z[:-1])
         speed = math.hypot(*dy)
         if speed <= bend:
+            if sign > 0.0:  # dt/dtau = 1, and 1.0 * v is v bit for bit
+                return [*dy, 1.0]
             dt = sign
         elif speed < 2.0 * bend:  # the state's speed in tau bends to cap
             dt = sign * (1.0 - 0.75 * (speed - bend) ** 2 / (cap * speed))
@@ -535,7 +517,7 @@ def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
             # A non-finite derivative at the start would make the initial
             # step NaN, and the stepper would retry that step forever.
             raise RuntimeError("the right-hand side is not finite at the initial state")
-        return [dt * v for v in dy] + [dt]
+        return [*map(dt.__mul__, dy), dt]  # dt * v for each v, with no Python frame per stage
 
     def in_tau(fn):
         return lambda tau, z: fn(z[-1], z[:-1])
@@ -557,7 +539,8 @@ def _sample_in_t(sol, ts, sign):
     A time is first placed on the line between the solver nodes around it,
     which is exact to rounding in a step where ``dt/dtau = 1``; a sample whose
     ``t`` then misses by more than ``16 eps max|t|`` is refined on its own, by
-    :func:`_illinois` on the step's interpolant of ``t`` from that guess.
+    :func:`_illinois` on the step's interpolant of the ``t`` row alone from
+    that guess, and the whole state is then interpolated at the root.
     """
     elapsed = sign * (sol.y[-1] - ts[0])  # at each node, non-decreasing
     u = sign * (ts - ts[0])
@@ -566,9 +549,10 @@ def _sample_in_t(sol, ts, sign):
     tol, t0 = float(16.0 * _EPS * max(abs(ts[0]), abs(ts[-1]))), float(ts[0])
     for j in np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1])).tolist():
         k, uj = int(np.searchsorted(elapsed, u[j])), float(u[j])
-        at, (a, b) = sol.sol.interpolant(k - 1), sol.t[k - 1 : k + 1].tolist()
+        t_at, (a, b) = sol.sol.interpolant(k - 1, slice(-1, None)), sol.t[k - 1 : k + 1].tolist()
         fa, fb = (elapsed[k - 1 : k + 1] - uj).tolist()  # Python floats: numpy scalars double the cost
-        z[:, j] = at(_illinois(lambda s: sign * (at(s)[-1] - t0) - uj, a, b, fa, fb, float(tau[j]), tol))
+        root = _illinois(lambda s: sign * (t_at(s)[0] - t0) - uj, a, b, fa, fb, float(tau[j]), tol)
+        z[:, j] = sol.sol.interpolant(k - 1)(root)
     return z
 
 
@@ -607,13 +591,35 @@ def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
 
 
 def _milnor_system(lambdas: tuple, c: float, kappa: float) -> tuple:
-    """``(rhs, events)`` of the diagonal ``d`` of ``g`` on a Milnor-form algebra."""
+    """``(rhs, events)`` of the diagonal ``d`` of ``g`` on a Milnor-form algebra.
+
+    The frame ``e_i / sqrt(d_i)`` is orthonormal with brackets
+    ``l_i d_i / sqrt(d1 d2 d3)``; there ``Ric = diag(d_i r_i)`` with ``r_i``
+    Milnor's principal values, and the 3D rhs reduces entry by entry to
+    ``d_i (2k r_i^2 - (2 + k(2s - f^2)) r_i + f^2 + k(s^2 - 2|r|^2 - f^4/4))``
+    with ``f = c / sqrt(d1 d2 d3)``.  The rhs is one body on Python floats:
+    it runs once per solver stage.
+    """
+    l1, l2, l3 = lambdas
+    k2 = 2.0 * kappa
 
     def rhs(t, d):
-        vol = d[0] * d[1] * d[2]
-        if not (min(d) > 0.0 and vol > 0.0):  # off the cone, as in _generic_system
+        d1, d2, d3 = d
+        vol = d1 * d2 * d3
+        if not (d1 > 0.0 and d2 > 0.0 and d3 > 0.0 and vol > 0.0):  # off the cone, as in _generic_system
             return [math.nan] * 3
-        return _rhs_milnor(lambdas, d, c / math.sqrt(vol), kappa)
+        root = math.sqrt(vol)
+        f = c / root
+        r1, r2, r3 = _principal_ricci(l1 * d1 / root, l2 * d2 / root, l3 * d3 / root)
+        f2 = f * f
+        s = r1 + r2 + r3
+        linear = 2.0 + kappa * (2.0 * s - f2)
+        shift = f2 + kappa * (s * s - 2.0 * (r1 * r1 + r2 * r2 + r3 * r3) - 0.25 * f2 * f2)
+        return [
+            d1 * (k2 * r1 * r1 - linear * r1 + shift),
+            d2 * (k2 * r2 * r2 - linear * r2 + shift),
+            d3 * (k2 * r3 * r3 - linear * r3 + shift),
+        ]
 
     events = (
         ("degenerate", lambda t, y: min(y) - EPS_DEGENERATE, -1),

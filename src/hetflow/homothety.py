@@ -160,21 +160,25 @@ def _F_in_powers_of_inverse(c, y):
     return c[0] * y + c[1] + w * (c[2] + w * (c[3] + w * (c[4] + w * c[5])))
 
 
-def _F_from_coefficients(coeffs: np.ndarray, y: float) -> float:
+def _F_from_coefficients(coeffs, y: float) -> float:
+    """``F(y)`` from the quintic coefficients of ``y**4 F``: a list of Python
+    floats, or an array, which each call converts (a solver's rhs gets the list)."""
     y = float(y)
     if not 0.0 < y < math.inf:
         raise ValueError(f"the conformal factor must be positive and finite, got {y!r}")
+    if not isinstance(coeffs, list):
+        coeffs = coeffs.tolist()
     # np.polyval's Horner steps on Python floats: the same bits, but an
     # overflow gives inf instead of a RuntimeWarning.
     p = 0.0
-    for c in coeffs.tolist():
+    for c in coeffs:
         p = p * y + c
     try:
         value = p / y**4
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value) and y > 1.0:
-        value = _F_in_powers_of_inverse(coeffs.tolist(), y)
+        value = _F_in_powers_of_inverse(coeffs, y)
     if not math.isfinite(value):
         raise ValueError(f"F overflows at the conformal factor {y!r}")
     return value
@@ -626,6 +630,7 @@ def integrate(
         return Trajectory(problem=problem, t=t, sigma=np.full_like(t, problem.sigma0), events=(), status="static")
 
     eps_stall = 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))
+    coeffs = coeffs.tolist()  # once, not per evaluation
 
     def rhs(t, y):
         sig = max(y[0], 1e-9)  # keep trial steps past the collapse event finite
@@ -692,7 +697,7 @@ def _collapse_time(problem: HomothetyProblem, f0: float) -> float:
     """:func:`collapse_time_quadrature` past its guard, with ``f0 = F(sigma0)``."""
     from scipy.integrate import quad  # the CLI never integrates, so it never loads scipy
 
-    coeffs = problem_coefficients(problem)
+    coeffs = problem_coefficients(problem).tolist()
     sgn = -1.0 if f0 > 0.0 else 1.0
     sigma0 = problem.sigma0
 
@@ -913,6 +918,7 @@ def classify_from_trajectory(case: str, kappa: float, mu: float, sigma0: float =
     if _is_static(coeffs, f0, sigma0):
         return Behavior(tag=BehaviorTag.STATIC, sigma_past=sigma0, sigma_future=sigma0, f_at_start=f0)
     band_terms = (1e-9 * np.abs(coeffs)).tolist()
+    coeffs = coeffs.tolist()
 
     def band_gap(y) -> tuple:
         """``(sigma, F, |F| - b)`` at the state ``y``, clamped as :func:`integrate` clamps."""

@@ -426,7 +426,10 @@ def _hyperbolic_args(kappa: float) -> tuple:
     :func:`hyperbolic_soliton`."""
     if kappa <= 0.0:
         raise ValueError("coupling kappa must be positive")
-    return hg.catalog("hyperbolic", c=0.5 / np.sqrt(kappa)), np.eye(3), float(np.sqrt(3.0 / kappa))
+    f_sq = 3.0 / float(kappa)  # on Python floats, so that an overflow does not warn
+    if not f_sq < math.inf:
+        raise ValueError(f"coupling kappa {kappa!r} is too small: 3/kappa overflows")
+    return hg.catalog("hyperbolic", c=0.5 / np.sqrt(kappa)), np.eye(3), math.sqrt(f_sq)
 
 
 # Residual case1_axis allows in d(xi_flat) = -f * hodge(xi_flat), relative to

@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,6 +525,7 @@ def test_homothety_overflowing_coefficients_exit_2(capsys):
     "argv, message",
     [
         (["soliton-check", "--algebra", "heisenberg", "--kappa", "1e-320"], "1/kappa overflows"),
+        (["soliton-check", "--algebra", "hyperbolic", "--kappa", "1e-320"], "coupling kappa 1e-320 is too small"),
         (["flow", "--algebra", "hyperbolic", "--algebra-param", "1e200", "--kappa", "1"],
          "K0 = l.g0^-1.l is not finite"),
     ],
@@ -605,6 +608,22 @@ def test_output_reruns_are_byte_identical(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+def test_output_file_gets_the_mode_of_a_plain_open(capsys, tmp_path, umask, mode):
+    # The temporary file mkstemp makes is 0600; the renamed output is not.
+    previous = os.umask(umask)
+    try:
+        argv = ["sweep", "--kappa-steps", "2", "--mu-steps", "2", "--output", str(tmp_path / "t.csv")]
+        code, _, _ = _run(capsys, argv)
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert (tmp_path / "t.csv").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "plain.csv").stat().st_mode & 0o777 == mode
+
+
 def test_one_parser_serves_every_command_of_a_process(capsys):
     # The parser is built once per process; each command parses as it would
     # in a process of its own, after a command that failed too.
@@ -653,6 +672,9 @@ def test_failed_command_leaves_no_partial_file(capsys, tmp_path):
 
 
 def test_console_script_roundtrip():
+    # Uninstalled, the subprocess finds the package through PYTHONPATH alone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [
             sys.executable,
@@ -669,8 +691,10 @@ def test_console_script_roundtrip():
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # no runpy warning that hetflow.cli was imported before it ran
     payload = json.loads(proc.stdout)
     assert payload["all_pass"] is True
     assert payload["checks"][0]["name"].startswith("div_")

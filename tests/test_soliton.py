@@ -74,6 +74,11 @@ def test_constructors_reject_bad_coupling():
             so.heisenberg_strong_soliton(bad)
         with pytest.raises(ValueError):
             so.hyperbolic_soliton(bad)
+    for tiny in (1e-320, np.float64(1e-320)):  # 1/kappa and 3/kappa overflow; no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="coupling kappa .* is too small"):
+            so.heisenberg_strong_soliton(tiny)
+        with pytest.raises(ValueError, match="coupling kappa .* is too small"):
+            so.hyperbolic_soliton(tiny)
     with pytest.raises(ValueError):
         so.SolitonCandidate(so.heisenberg_strong_soliton(1.0).sample, 0.0)
     with pytest.raises(ValueError):
