@@ -525,9 +525,9 @@ def test_homothety_overflowing_coefficients_exit_2(capsys):
     "argv, message",
     [
         (["soliton-check", "--algebra", "heisenberg", "--kappa", "1e-320"], "1/kappa overflows"),
-        (["soliton-check", "--algebra", "hyperbolic", "--kappa", "1e-320"], "coupling kappa 1e-320 is too small"),
         (["flow", "--algebra", "hyperbolic", "--algebra-param", "1e200", "--kappa", "1"],
          "K0 = l.g0^-1.l is not finite"),
+        (["soliton-check", "--algebra", "hyperbolic", "--kappa", "1e-320"], "coupling kappa 1e-320 is too small"),
     ],
 )
 def test_overflowing_inputs_exit_2_without_a_warning(capsys, argv, message):
