@@ -224,18 +224,18 @@ def cmd_homothety(cfg: RunConfig) -> int:
     if closed is not None:
         header.append("sigma_closed")
     lines = [",".join(header)]
-    rows = list(zip(trajectory.t, trajectory.sigma, trajectory.f))
+    rows = list(zip(trajectory.t.tolist(), trajectory.sigma.tolist(), trajectory.f.tolist()))
     mu_eff = 0.0 if problem.case == "su2" else problem.mu
     # An event is a threshold crossing, so its sigma is positive.
     rows += [(event.t, event.y[0], mu_eff * event.y[0] ** -1.5) for event in trajectory.events]
-    for t, sigma, f_val in rows:
-        cells = [_float_cell(t), _float_cell(sigma), _float_cell(f_val)]
+    for row in rows:
+        line = ",".join(map(repr, row))  # Python floats: repr is _float_cell's form
         if closed is not None:
             try:
-                cells.append(_float_cell(closed(float(t))))
+                line += "," + repr(closed(row[0]))
             except (ValueError, OverflowError):
-                cells.append("")
-        lines.append(",".join(cells))
+                line += ","
+        lines.append(line)
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 

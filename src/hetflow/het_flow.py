@@ -41,8 +41,11 @@ Every trajectory, here and in :mod:`hetflow.homothety`, comes from
 :func:`integrate_events`, whose stepper :func:`solve_ivp` is an in-house
 Dormand-Prince 5(4) on Python floats with the rules of scipy's RK45: the
 states are a few floats, for which numpy's per-step bookkeeping costs more
-than the right-hand side.  One Illinois routine finds its event roots and
-puts its samples on their times, so the module needs numpy alone.
+than the right-hand side.  Its step is generated, once per state size and on
+first use, from the one text of the tableau (:func:`_dp_step_for`): one line
+per state entry and stage, without the per-stage loops whose calls cost more
+than the arithmetic.  One Illinois routine finds its event roots and puts
+its samples on their times, so the module needs numpy alone.
 
 Flows are integrated only on invariant data; pointwise chart samples are
 never integrated.  Both fixed-point families of the soliton module are
@@ -52,7 +55,11 @@ preserves the conformal family so that the metric trace obeys a scalar ODE.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import linecache
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +267,57 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+# The rest of the tableau, as the expression of one state entry: a is y and
+# b the new state, p, q, r, u, v, w, z the stages k0, ..., k6.  Each stage
+# k1, ..., k5 is fun at a time and at the state of its row; _dp_step_for
+# writes every expression once per entry, so each entry's float operations
+# run in this order.
+_DP_STAGES = (
+    ("t + 1 / 5 * h", "a + h * (1 / 5 * p)"),
+    ("t + 3 / 10 * h", "a + h * (3 / 40 * p + 9 / 40 * q)"),
+    ("t + 4 / 5 * h", "a + h * (44 / 45 * p - 56 / 15 * q + 32 / 9 * r)"),
+    ("t + 8 / 9 * h", "a + h * (19372 / 6561 * p - 25360 / 2187 * q + 64448 / 6561 * r - 212 / 729 * u)"),
+    ("t + h", "a + h * (9017 / 3168 * p - 355 / 33 * q + 46732 / 5247 * r + 49 / 176 * u - 5103 / 18656 * v)"),
+)
+_DP_SOLUTION = "a + h * (35 / 384 * p + 500 / 1113 * r + 125 / 192 * u - 2187 / 6784 * v + 11 / 84 * w)"
+# The error of the solution, scaled by atol + rtol max(|y|, |y_new|).
+_DP_ERROR = (
+    "h * (-71 / 57600 * p + 71 / 16695 * r - 71 / 1920 * u + 17253 / 339200 * v - 22 / 525 * w + 1 / 40 * z)"
+    " / (atol + max(abs(a), abs(b)) * rtol)"
+)
+_STAGE_LETTERS = "pqruvwz"
 _EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_step_for(n: int):
+    """:func:`_dp_step` for states of ``n`` entries, generated from the tableau
+    text with one line per entry and stage, and no loop.
+
+    The source is compiled under the file name ``<_dp_step n>`` and put in
+    :mod:`linecache`, so a traceback shows the stage line.
+    """
+
+    def entries(expr: str) -> list:
+        return [re.sub(r"\b([ab" + _STAGE_LETTERS + r"])\b", rf"\g<1>{i}", expr) for i in range(n)]
+
+    def unpack(letter: str, name: str) -> str:
+        return f"    {''.join(f'{letter}{i}, ' for i in range(n))}= {name}"
+
+    lines = ["def _dp_step(fun, t, y, k0, h, rtol, atol):", unpack("a", "y"), unpack("p", "k0")]
+    for j, (time, state) in enumerate(_DP_STAGES, start=1):
+        lines += [f"    k{j} = fun({time}, [", *(f"        {e}," for e in entries(state)), "    ])"]
+        lines.append(unpack(_STAGE_LETTERS[j], f"k{j}"))
+    lines += [f"    b{i} = {e}" for i, e in enumerate(entries(_DP_SOLUTION))]
+    lines += [f"    y_new = [{', '.join(f'b{i}' for i in range(n))}]", "    k6 = fun(t + h, y_new)", unpack("z", "k6")]
+    lines += [f"    e{i} = {e}" for i, e in enumerate(entries(_DP_ERROR))]
+    lines.append(f"    return y_new, (k0, k2, k3, k4, k5, k6), hypot({', '.join(f'e{i}' for i in range(n))}) / root_n")
+    source = "\n".join(lines) + "\n"
+    filename = f"<_dp_step {n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"hypot": math.hypot, "root_n": math.sqrt(n)}  # _rms's two factors
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_dp_step"]
 
 
 def _dp_step(fun, t, y, k0, h, rtol, atol):
@@ -269,39 +326,10 @@ def _dp_step(fun, t, y, k0, h, rtol, atol):
     Returns ``(y_new, K, err)``: the fifth-order solution, the stages
     ``K = (k0, k2, k3, k4, k5, k6)`` with ``k6 = fun(t + h, y_new)``, and the
     RMS norm of its difference to the embedded fourth-order solution, each
-    entry scaled by ``atol + rtol max(|y|, |y_new|)``.
+    entry scaled by ``atol + rtol max(|y|, |y_new|)``.  The step is
+    :func:`_dp_step_for` ``len(y)``, which :func:`solve_ivp` fetches once per run.
     """
-    k1 = fun(t + 1 / 5 * h, [a + h * (1 / 5 * p) for a, p in zip(y, k0)])
-    k2 = fun(t + 3 / 10 * h, [a + h * (3 / 40 * p + 9 / 40 * q) for a, p, q in zip(y, k0, k1)])
-    k3 = fun(
-        t + 4 / 5 * h,
-        [a + h * (44 / 45 * p - 56 / 15 * q + 32 / 9 * r) for a, p, q, r in zip(y, k0, k1, k2)],
-    )
-    k4 = fun(
-        t + 8 / 9 * h,
-        [
-            a + h * (19372 / 6561 * p - 25360 / 2187 * q + 64448 / 6561 * r - 212 / 729 * u)
-            for a, p, q, r, u in zip(y, k0, k1, k2, k3)
-        ],
-    )
-    k5 = fun(
-        t + h,
-        [
-            a + h * (9017 / 3168 * p - 355 / 33 * q + 46732 / 5247 * r + 49 / 176 * u - 5103 / 18656 * v)
-            for a, p, q, r, u, v in zip(y, k0, k1, k2, k3, k4)
-        ],
-    )
-    y_new = [
-        a + h * (35 / 384 * p + 500 / 1113 * r + 125 / 192 * u - 2187 / 6784 * v + 11 / 84 * w)
-        for a, p, r, u, v, w in zip(y, k0, k2, k3, k4, k5)
-    ]
-    k6 = fun(t + h, y_new)
-    err = _rms([
-        h * (-71 / 57600 * p + 71 / 16695 * r - 71 / 1920 * u + 17253 / 339200 * v - 22 / 525 * w + 1 / 40 * z)
-        / (atol + max(abs(a), abs(b)) * rtol)
-        for a, b, p, r, u, v, w, z in zip(y, y_new, k0, k2, k3, k4, k5, k6)
-    ])
-    return y_new, (k0, k2, k3, k4, k5, k6), err
+    return _dp_step_for(len(y))(fun, t, y, k0, h, rtol, atol)
 
 
 class _DenseOutput:
@@ -327,11 +355,11 @@ class _DenseOutput:
         q = self.q[seg]
         return (self.y0[seg] + h * ((((q[:, 3] * x + q[:, 2]) * x + q[:, 1]) * x + q[:, 0]) * x)).T
 
-    def interpolant(self, i: int, rows: slice = slice(None)):
-        """Segment ``i``'s state entries ``rows`` at a scalar ``tau`` as Python floats: inside
-        the segment, :meth:`__call__`'s value bit for bit (same Horner order), without its gathers."""
+    def interpolant(self, i: int):
+        """Segment ``i``'s state at a scalar ``tau`` as Python floats: inside the
+        segment, :meth:`__call__`'s value bit for bit (same Horner order), without its gathers."""
         tau0, h = float(self.tau0[i]), float(self.h[i])
-        entries = list(zip(self.y0[i, rows].tolist(), *self.q[i][:, rows].tolist()))
+        entries = list(zip(self.y0[i].tolist(), *self.q[i].tolist()))
 
         def at(tau):
             x = (tau - tau0) / h
@@ -388,12 +416,14 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     floats, with each rule of scipy's ``solve_ivp(method="RK45")``: its
     initial step, the RMS error norm scaled by ``atol + rtol max(|y|,
     |y_new|)``, and step factors ``0.9 err^(-1/5)`` clipped to ``[0.2, 10]``
-    and not above 1 right after a rejection.  A non-finite error (a NaN
-    stage) rejects the step and shrinks it fivefold; a step below ten ulps of
-    ``tau`` raises ``RuntimeError``.  A start whose derivative, scaled by
-    ``atol + rtol |y|``, overflows (the initial step underflows to 0) raises
-    ``ValueError``.  ``fun`` and the event functions receive
-    the state as a list of floats, and ``fun`` returns a sequence of floats.
+    and not above 1 right after a rejection.  Each step is the one
+    :func:`_dp_step_for` generates for the state's size, fetched once per
+    run.  A non-finite error (a NaN stage) rejects the step and shrinks it
+    fivefold; a step below ten ulps of ``tau`` raises ``RuntimeError``.  A
+    start whose derivative, scaled by ``atol + rtol |y|``, overflows (the
+    initial step underflows to 0) raises ``ValueError``.  ``fun`` and the
+    event functions receive the state as a list of floats, and ``fun``
+    returns a sequence of as many floats.
 
     ``events`` is a sequence of ``(fn, direction)``, all terminal, and one
     of them must fire: ``tau`` has no bound.  After each accepted step an
@@ -418,6 +448,7 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs, nfev = min(100.0 * h0, h1), 2
 
+    step = _dp_step_for(len(y))
     g = [fn(tau, y) for fn, _ in events]
     nodes, states, steps = [tau], [y], []
     while True:
@@ -428,7 +459,7 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
                 raise RuntimeError(f"integration failed: the step size fell below 10 ulps of tau = {tau!r}")
             tau_new = tau + h_abs
             h = tau_new - tau
-            y_new, ks, err = _dp_step(fun, tau, y, f, h, rtol, atol)
+            y_new, ks, err = step(fun, tau, y, f, h, rtol, atol)
             nfev += 6
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
@@ -540,19 +571,37 @@ def _sample_in_t(sol, ts, sign):
     which is exact to rounding in a step where ``dt/dtau = 1``; a sample whose
     ``t`` then misses by more than ``16 eps max|t|`` is refined on its own, by
     :func:`_illinois` on the step's interpolant of the ``t`` row alone from
-    that guess, and the whole state is then interpolated at the root.
+    that guess, and the whole state is then interpolated at the root.  The
+    refinement runs on Python floats, converted once per run: numpy scalars
+    and per-sample gathers cost more than the arithmetic.
     """
     elapsed = sign * (sol.y[-1] - ts[0])  # at each node, non-decreasing
     u = sign * (ts - ts[0])
     tau = np.interp(u, elapsed, sol.t)
     z = sol.sol(tau)
     tol, t0 = float(16.0 * _EPS * max(abs(ts[0]), abs(ts[-1]))), float(ts[0])
-    for j in np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1])).tolist():
-        k, uj = int(np.searchsorted(elapsed, u[j])), float(u[j])
-        t_at, (a, b) = sol.sol.interpolant(k - 1, slice(-1, None)), sol.t[k - 1 : k + 1].tolist()
-        fa, fb = (elapsed[k - 1 : k + 1] - uj).tolist()  # Python floats: numpy scalars double the cost
-        root = _illinois(lambda s: sign * (t_at(s)[0] - t0) - uj, a, b, fa, fb, float(tau[j]), tol)
-        z[:, j] = sol.sol.interpolant(k - 1)(root)
+    late = np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1])).tolist()
+    if not late:
+        return z
+    dense = sol.sol
+    elapsed, nodes, u, guess = elapsed.tolist(), sol.t.tolist(), u.tolist(), tau.tolist()
+    starts, sizes, y0, q = dense.tau0.tolist(), dense.h.tolist(), dense.y0.tolist(), dense.q.tolist()
+    columns = []
+    for j in late:
+        uj = u[j]
+        k = bisect.bisect_left(elapsed, uj)  # the node after the sample; the step before it holds it
+        s0, h = starts[k - 1], sizes[k - 1]
+        entries = list(zip(y0[k - 1], *q[k - 1]))  # per entry: y0 and the coefficients of x, ..., x^4
+        ta, t1, t2, t3, t4 = entries[-1]
+
+        def t_gap(s):  # _DenseOutput.interpolant's Horner steps on the t row
+            x = (s - s0) / h
+            return sign * (ta + h * ((((t4 * x + t3) * x + t2) * x + t1) * x) - t0) - uj
+
+        root = _illinois(t_gap, nodes[k - 1], nodes[k], elapsed[k - 1] - uj, elapsed[k] - uj, guess[j], tol)
+        x = (root - s0) / h
+        columns.append([a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in entries])
+    z[:, late] = np.array(columns).T
     return z
 
 

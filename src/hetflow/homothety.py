@@ -184,6 +184,29 @@ def _F_from_coefficients(coeffs, y: float) -> float:
     return value
 
 
+def _F_function(coeffs: list):
+    """``F`` of the six quintic coefficients ``coeffs`` (Python floats), for a
+    solver's rhs: :func:`_F_from_coefficients` bit for bit, in its Horner order.
+
+    On ``1e-9 <= y < 1e60`` (the solver clamps ``y`` at ``1e-9``) ``y**4``
+    is a positive double, so the value is returned where it is finite;
+    anywhere else, a NaN ``y`` included, :func:`_F_from_coefficients` decides,
+    with its errors.
+    """
+    c0, c1, c2, c3, c4, c5 = coeffs
+    lead = 0.0 + c0  # Horner's first step: 0.0 * y is +0.0 at a positive y
+    inf = math.inf
+
+    def F(y: float) -> float:
+        if 1e-9 <= y < 1e60:
+            value = (((((lead * y + c1) * y + c2) * y + c3) * y + c4) * y + c5) / y**4
+            if -inf < value < inf:
+                return value
+        return _F_from_coefficients(coeffs, y)
+
+    return F
+
+
 @dataclass(frozen=True)
 class HomothetyProblem:
     """One scalar reduction: a case label, couplings, and the start value.
@@ -630,17 +653,17 @@ def integrate(
         return Trajectory(problem=problem, t=t, sigma=np.full_like(t, problem.sigma0), events=(), status="static")
 
     eps_stall = 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))
-    coeffs = coeffs.tolist()  # once, not per evaluation
+    F = _F_function(coeffs.tolist())
 
     def rhs(t, y):
         sig = max(y[0], 1e-9)  # keep trial steps past the collapse event finite
-        return [_F_from_coefficients(coeffs, sig) / sig]
+        return [F(sig) / sig]
 
     events = (
         ("collapse", lambda t, y: y[0] - EPS_COLLAPSE, -1),
         ("blowup", lambda t, y: y[0] - M_BLOWUP, 1),
         # only trigger while approaching a root
-        ("stall", lambda t, y: abs(_F_from_coefficients(coeffs, max(y[0], 1e-9))) - eps_stall, -1),
+        ("stall", lambda t, y: abs(F(max(y[0], 1e-9))) - eps_stall, -1),
     )
     t, y, found, status = hf.integrate_events(rhs, t_span, [problem.sigma0], events, rtol, atol, n_points)
     return Trajectory(problem=problem, t=t, sigma=y[0], events=found, status=status)

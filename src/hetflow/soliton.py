@@ -400,8 +400,7 @@ def heisenberg_strong_soliton(kappa: float) -> SolitonCandidate:
     The Ricci spectrum is ``(f^2/2, -f^2/2, -f^2/2)`` (case 1) and the unit
     axis along the center satisfies ``nabla xi = -(f/2) * hodge(xi_flat)``.
     """
-    sample = hg.build_invariant_sample(*_heisenberg_args(kappa))
-    return SolitonCandidate(sample, float(kappa), name="heisenberg")
+    return SolitonCandidate(_coupling_sample(kappa, _heisenberg_args(kappa)), float(kappa), name="heisenberg")
 
 
 def _heisenberg_args(kappa: float) -> tuple:
@@ -417,8 +416,21 @@ def _heisenberg_args(kappa: float) -> tuple:
 
 def hyperbolic_soliton(kappa: float) -> SolitonCandidate:
     """Exact Einstein strong soliton: curvature ``-1/(4 kappa)``, ``f = sqrt(3/kappa)``."""
-    sample = hg.build_invariant_sample(*_hyperbolic_args(kappa))
-    return SolitonCandidate(sample, float(kappa), name="hyperbolic")
+    return SolitonCandidate(_coupling_sample(kappa, _hyperbolic_args(kappa)), float(kappa), name="hyperbolic")
+
+
+def _coupling_sample(kappa: float, args: tuple) -> hg.GeometrySample:
+    """The sample of a soliton family from its ``args`` at ``kappa``.
+
+    The arguments are finite and the metric diagonal, so the build fails only
+    where the geometry overflows a double, and the error names the coupling.
+    """
+    try:
+        return hg.build_invariant_sample(*args)
+    except ValueError as exc:
+        raise ValueError(
+            f"coupling kappa {kappa!r} is too small: the soliton's geometry is not finite in double precision"
+        ) from exc
 
 
 def _hyperbolic_args(kappa: float) -> tuple:

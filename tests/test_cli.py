@@ -528,6 +528,9 @@ def test_homothety_overflowing_coefficients_exit_2(capsys):
         (["flow", "--algebra", "hyperbolic", "--algebra-param", "1e200", "--kappa", "1"],
          "K0 = l.g0^-1.l is not finite"),
         (["soliton-check", "--algebra", "hyperbolic", "--kappa", "1e-320"], "coupling kappa 1e-320 is too small"),
+        # 1/kappa and 3/kappa are finite, the geometry built from them is not
+        (["soliton-check", "--algebra", "heisenberg", "--kappa", "2e-308"], "coupling kappa 2e-308 is too small"),
+        (["soliton-check", "--algebra", "hyperbolic", "--kappa", "2e-308"], "coupling kappa 2e-308 is too small"),
     ],
 )
 def test_overflowing_inputs_exit_2_without_a_warning(capsys, argv, message):

@@ -35,11 +35,22 @@ def test_scipy_is_imported_only_where_listed():
     assert {name: mods for name, mods in seen.items() if mods} == ALLOWED
 
 
+def _fresh_cli(code: str) -> str:
+    """The output of ``code`` in a new interpreter that has imported ``hetflow.cli``."""
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", "import sys, hetflow.cli; " + code],
+                         env=env, capture_output=True, text=True, check=True)
+    return run.stdout.strip()
+
+
 def test_the_cli_starts_without_scipy():
     # scipy.integrate is imported inside collapse_time_quadrature, which no
     # CLI command reaches, so starting the CLI loads no scipy module.
-    src = str(PACKAGE.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, hetflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert _fresh_cli("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_the_cli_starts_without_generating_a_solver_step():
+    # het_flow generates its Dormand-Prince step on a run's first use, so
+    # starting the CLI pays for no code generation.
+    assert _fresh_cli("print(hetflow.het_flow._dp_step_for.cache_info().currsize)") == "0"

@@ -18,10 +18,13 @@ Oracles used here:
 import importlib.util
 import itertools
 import math
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import hetflow
@@ -595,6 +598,103 @@ def test_step_interpolant_matches_dense_output_bit_for_bit(rng):
         assert at(float(tau)) == dense(np.array([tau]))[:, 0].tolist()
 
 
+def _loop_dp_step(fun, t, y, k0, h, rtol, atol):
+    """The Dormand-Prince step as a loop over the state's entries: the oracle
+    of the step :func:`hf._dp_step_for` generates."""
+    k1 = fun(t + 1 / 5 * h, [a + h * (1 / 5 * p) for a, p in zip(y, k0)])
+    k2 = fun(t + 3 / 10 * h, [a + h * (3 / 40 * p + 9 / 40 * q) for a, p, q in zip(y, k0, k1)])
+    k3 = fun(
+        t + 4 / 5 * h,
+        [a + h * (44 / 45 * p - 56 / 15 * q + 32 / 9 * r) for a, p, q, r in zip(y, k0, k1, k2)],
+    )
+    k4 = fun(
+        t + 8 / 9 * h,
+        [
+            a + h * (19372 / 6561 * p - 25360 / 2187 * q + 64448 / 6561 * r - 212 / 729 * u)
+            for a, p, q, r, u in zip(y, k0, k1, k2, k3)
+        ],
+    )
+    k5 = fun(
+        t + h,
+        [
+            a + h * (9017 / 3168 * p - 355 / 33 * q + 46732 / 5247 * r + 49 / 176 * u - 5103 / 18656 * v)
+            for a, p, q, r, u, v in zip(y, k0, k1, k2, k3, k4)
+        ],
+    )
+    y_new = [
+        a + h * (35 / 384 * p + 500 / 1113 * r + 125 / 192 * u - 2187 / 6784 * v + 11 / 84 * w)
+        for a, p, r, u, v, w in zip(y, k0, k2, k3, k4, k5)
+    ]
+    k6 = fun(t + h, y_new)
+    errors = [
+        h * (-71 / 57600 * p + 71 / 16695 * r - 71 / 1920 * u + 17253 / 339200 * v - 22 / 525 * w + 1 / 40 * z)
+        / (atol + max(abs(a), abs(b)) * rtol)
+        for a, b, p, r, u, v, w, z in zip(y, y_new, k0, k2, k3, k4, k5, k6)
+    ]
+    return y_new, (k0, k2, k3, k4, k5, k6), math.hypot(*errors) / math.sqrt(len(errors))
+
+
+# Entries of one size, where the order of a sum changes its rounding, and
+# now and then any finite double.
+_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _dp_step_cases(draw):
+    n = draw(st.integers(1, 7))
+    y = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    # k0 and the six stages fun returns
+    stages = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=7, max_size=7))
+    nan_at = draw(st.none() | st.tuples(st.integers(1, 6), st.integers(0, n - 1)))
+    if nan_at is not None:  # fun's answer at a trial state off the domain
+        stages[nan_at[0]][nan_at[1]] = math.nan
+    t = draw(st.floats(-10.0, 10.0))
+    h = draw(st.floats(1e-12, 10.0))
+    rtol = draw(st.floats(1e-14, 1.0))
+    atol = draw(st.one_of(st.just(0.0), st.floats(1e-16, 1.0)))
+    return y, stages, t, h, rtol, atol
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]  # NaN matches NaN, and -0.0 differs from 0.0
+
+
+def _step_outcome(step, y, stages, t, h, rtol, atol):
+    calls, answers = [], iter(stages[1:])
+
+    def fun(tau, state):
+        calls.append((float(tau).hex(), _bits(state)))
+        return list(next(answers))
+
+    try:
+        y_new, ks, err = step(fun, t, y, list(stages[0]), h, rtol, atol)
+    except ZeroDivisionError:  # atol = 0 at an entry that is 0 before and after the step
+        return calls, ZeroDivisionError
+    return calls, (_bits(y_new), [_bits(k) for k in ks], float(err).hex())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dp_step_cases())
+def test_the_generated_step_is_the_loop_bit_for_bit(case):
+    expected = _step_outcome(_loop_dp_step, *case)
+    assert _step_outcome(hf._dp_step_for(len(case[0])), *case) == expected
+    assert _step_outcome(hf._dp_step, *case) == expected
+
+
+def test_a_traceback_through_the_generated_step_shows_the_stage_line():
+    def fun(tau, y):
+        if tau > 0.0:
+            raise ArithmeticError("stage")
+        return [1.0, 2.0]
+
+    with pytest.raises(ArithmeticError) as info:
+        hf._dp_step(fun, 0.0, [1.0, 1.0], fun(0.0, [1.0, 1.0]), 0.5, 1e-10, 1e-12)
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert [(f.filename, f.line) for f in frames if f.filename.startswith("<")] == [
+        ("<_dp_step 2>", "k1 = fun(t + 1 / 5 * h, [")
+    ]
+
+
 def test_illinois_converges_where_regula_falsi_stalls():
     # On x^10 - 0.5 over [0, 1] regula falsi keeps the end 1 for good and
     # creeps towards the root from below; halving the kept end's value
@@ -660,6 +760,39 @@ def test_samples_sit_on_their_times_through_a_collapse(monkeypatch, run):
     assert n_refined >= 1
     tol = 16.0 * np.finfo(float).eps * max(abs(ts[0]), abs(ts[-1]))
     assert np.max(np.abs(t_rows - ts)) <= tol
+
+
+def _gathered_sample_in_t(sol, ts, sign):
+    """:func:`hf._sample_in_t` with numpy gathers and an interpolant per late
+    sample: the reference of its refinement on Python floats."""
+    elapsed = sign * (sol.y[-1] - ts[0])
+    u = sign * (ts - ts[0])
+    tau = np.interp(u, elapsed, sol.t)
+    z = sol.sol(tau)
+    tol, t0 = float(16.0 * np.finfo(float).eps * max(abs(ts[0]), abs(ts[-1]))), float(ts[0])
+    for j in np.flatnonzero((np.abs(z[-1] - ts) > tol) & (u < elapsed[-1])).tolist():
+        k, uj = int(np.searchsorted(elapsed, u[j])), float(u[j])
+        at, (a, b) = sol.sol.interpolant(k - 1), sol.t[k - 1 : k + 1].tolist()
+        fa, fb = (elapsed[k - 1 : k + 1] - uj).tolist()
+        root = hf._illinois(lambda s: sign * (at(s)[-1] - t0) - uj, a, b, fa, fb, float(tau[j]), tol)
+        z[:, j] = at(root)
+    return z
+
+
+@pytest.mark.parametrize("run", list(_collapsing_runs()))
+def test_late_samples_are_the_gathered_refinement_bit_for_bit(monkeypatch, run):
+    compared = []
+    sample_in_t = hf._sample_in_t
+
+    def both(sol, ts, sign):
+        z = sample_in_t(sol, ts, sign)
+        compared.append((z.tobytes(), _gathered_sample_in_t(sol, ts, sign).tobytes()))
+        return z
+
+    monkeypatch.setattr(hf, "_sample_in_t", both)
+    run()
+    ((ours, reference),) = compared
+    assert ours == reference
 
 
 @pytest.mark.parametrize("run", list(_collapsing_runs()))

@@ -122,6 +122,49 @@ def test_lambert_w_domain_errors():
         ht.lambert_w(-1.0)
 
 
+def _F_outcome(fn, y):
+    try:
+        return fn(y).hex()  # NaN matches NaN, and -0.0 differs from 0.0
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_solver_F_is_F_from_coefficients_bit_for_bit():
+    # integrate's rhs and stall event evaluate F through _F_function; past
+    # sigma = 1e60, outside the solver's clamp and at a non-finite value it
+    # hands over to _F_from_coefficients, whose fallback and errors it keeps.
+    rng = np.random.default_rng(25)
+    for _ in range(3000):
+        coeffs = (rng.normal(size=6) * 10.0 ** rng.uniform(-3.0, 3.0, size=6)).tolist()
+        if rng.uniform() < 0.2:  # coefficients whose value overflows near either end
+            coeffs[int(rng.integers(6))] = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(250.0, 308.0)
+        y = float(10.0 ** rng.uniform(-9.0, 80.0))
+        F = ht._F_function(coeffs)
+        assert _F_outcome(F, y) == _F_outcome(lambda v: ht._F_from_coefficients(coeffs, v), y)
+
+
+@pytest.mark.parametrize(
+    "coeffs, y, branch",
+    [
+        ([-0.0, -0.0, 1.0, -0.0, 0.0, -0.25], 1.0, "value"),  # flat: Horner's 0.0 * y + c0 turns -0.0 into 0.0
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 1e-9, "value"),  # the clamp
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 1e60, "value"),  # the switch, past which y**4 may overflow
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 1e100, "value"),  # y**4 overflows: F in powers of 1/y
+        ([1e300, 1e300, 0.0, 0.0, 0.0, 0.0], 1e10, "value"),  # the quintic overflows: F in powers of 1/y
+        ([0.0, 0.0, 0.0, 0.0, 0.0, -1e300], 1e-9, "F overflows"),  # -c5 / y**4 overflows below 1
+        ([1e308, 0.0, 0.0, 0.0, 0.0, 0.0], 1e300, "F overflows"),  # c0 y overflows above 1
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], math.nan, "must be positive and finite"),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], math.inf, "must be positive and finite"),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.0, "must be positive and finite"),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 5e-10, "value"),  # below the clamp: _F_from_coefficients' own value
+    ],
+)
+def test_the_solver_F_keeps_each_branch_of_F_from_coefficients(coeffs, y, branch):
+    expected = _F_outcome(lambda v: ht._F_from_coefficients(coeffs, v), y)
+    assert _F_outcome(ht._F_function(coeffs), y) == expected
+    assert (branch == "value") == (branch not in expected)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "fn, args",
