@@ -152,6 +152,13 @@ def _float_cell(x: float) -> str:
     return repr(float(x))
 
 
+def _row_format(width: int) -> str:
+    """A ``%`` format of ``width`` comma-separated cells; a Python float's
+    ``%r`` is its ``repr``, :func:`_float_cell`'s form, so a row is formatted
+    in one operation."""
+    return ",".join(["%r"] * width)
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path`` and rename it into
     place, with the mode a plain ``open`` would give (``mkstemp`` makes 0600)."""
@@ -228,8 +235,9 @@ def cmd_homothety(cfg: RunConfig) -> int:
     mu_eff = 0.0 if problem.case == "su2" else problem.mu
     # An event is a threshold crossing, so its sigma is positive.
     rows += [(event.t, event.y[0], mu_eff * event.y[0] ** -1.5) for event in trajectory.events]
+    row_format = _row_format(3)
     for row in rows:
-        line = ",".join(map(repr, row))  # Python floats: repr is _float_cell's form
+        line = row_format % row
         if closed is not None:
             try:
                 line += "," + repr(closed(row[0]))
@@ -287,11 +295,12 @@ def cmd_flow(cfg: RunConfig) -> int:
     )
     trajectory = hf.integrate_flow(state, params)
     g = trajectory.g
-    table = np.column_stack(
+    columns = np.array(
         (trajectory.t, g[:, 0, 0], g[:, 0, 1], g[:, 0, 2], g[:, 1, 1], g[:, 1, 2], g[:, 2, 2], trajectory.f)
     ).tolist()
+    row_format = _row_format(len(columns))
     lines = ["t,g11,g12,g13,g22,g23,g33,f"]
-    lines += [",".join(map(repr, row)) for row in table]  # Python floats: repr is _float_cell's form
+    lines += [row_format % row for row in zip(*columns)]
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import linecache
 import math
 import re
@@ -287,6 +288,7 @@ _DP_ERROR = (
 )
 _STAGE_LETTERS = "pqruvwz"
 _EPS = float(np.finfo(float).eps)
+_flat = itertools.chain.from_iterable
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,14 +344,19 @@ class _DenseOutput:
     """
 
     def __init__(self, nodes, steps) -> None:
+        m, n = len(steps), len(steps[0][2])
         tau0, h, y0, ks = zip(*steps)
         self.nodes = np.array(nodes)
-        self.tau0, self.h, self.y0 = np.array(tau0), np.array(h), np.array(y0)
-        self.q = _P.T @ np.array(ks)  # (steps, 4, n): the coefficients of x, ..., x^4
+        self.tau0, self.h = np.array(tau0), np.array(h)
+        # One flat pass each, into the C-order arrays np.array would build
+        # from the nested lists, so the product below keeps its bits.
+        self.y0 = np.fromiter(_flat(y0), float, m * n).reshape(m, n)
+        stages = np.fromiter(_flat(_flat(ks)), float, m * 6 * n).reshape(m, 6, n)
+        self.q = _P.T @ stages  # (steps, 4, n): the coefficients of x, ..., x^4
 
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         """The states at the times ``tau``, one column each."""
-        seg = np.clip(np.searchsorted(self.nodes, tau, side="left") - 1, 0, self.h.size - 1)
+        seg = np.minimum(np.maximum(np.searchsorted(self.nodes, tau, side="left") - 1, 0), self.h.size - 1)
         h = self.h[seg, None]
         x = (tau - self.tau0[seg])[:, None] / h
         q = self.q[seg]
@@ -377,18 +384,22 @@ def _illinois(fn, a: float, b: float, fa: float, fb: float, x: float, ftol: floa
     Stops at ``|fn(x)| <= ftol``, at ends within 4 ulps of ``b`` or after 60
     iterations, and returns the evaluated iterate with the smallest ``|fn|``.
     """
-    ends, vals, last, best, f_best = [a, b], [fa, fb], -1, x, math.inf
+    last, best, f_best = None, x, math.inf  # last: the end replaced last, "a" or "b"
     for _ in range(60):
         fx = fn(x)
         if abs(fx) < f_best:
             best, f_best = x, abs(fx)
-        if abs(fx) <= ftol or ends[1] - ends[0] <= 4.0 * _EPS * abs(ends[1]):
+        if abs(fx) <= ftol or b - a <= 4.0 * _EPS * abs(b):
             break
-        side = int((fx > 0.0) != (vals[0] > 0.0))  # the end x replaces: 0 for a, 1 for b
-        if side == last:
-            vals[1 - side] *= 0.5
-        ends[side], vals[side], last = x, fx, side
-        x = (ends[0] * vals[1] - ends[1] * vals[0]) / (vals[1] - vals[0])
+        if (fx > 0.0) == (fa > 0.0):
+            if last == "a":
+                fb *= 0.5
+            a, fa, last = x, fx, "a"
+        else:
+            if last == "b":
+                fa *= 0.5
+            b, fb, last = x, fx, "b"
+        x = (a * fb - b * fa) / (fb - fa)
     return best
 
 
@@ -431,7 +442,8 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     (either way for 0); :func:`_illinois` finds its root on the step's
     interpolant from ``fn``'s values at the step's ends (an end where it is
     0 is the root), and the earliest root ends the run.  The state at that
-    last node is the dense output's value there.
+    last node is the dense output's value there, evaluated on floats by the
+    last segment's :meth:`_DenseOutput.interpolant`.
 
     The benchmark's tracer and the tests count ``fun`` evaluations by
     replacing this module attribute and reading the result's ``nfev``.
@@ -494,9 +506,11 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     if len(steps) > 1 and root == nodes[-2]:  # the run ends at the node before the last step
         del nodes[-1], states[-1], steps[-1]
         sol = _DenseOutput(nodes, steps)
+        at = sol.interpolant(-1)
     nodes[-1] = sol.nodes[-1] = root
-    states[-1] = sol(np.array([root]))[:, 0].tolist()
-    return _Run(np.array(nodes), np.array(states).T, sol, i, nfev)
+    states[-1] = at(root)  # the root lies in the last segment, where this is sol's value bit for bit
+    y_all = np.fromiter(_flat(states), float, len(states) * len(y)).reshape(len(states), len(y))
+    return _Run(np.array(nodes), y_all.T, sol, i, nfev)
 
 
 def integrate_events(rhs, t_span, y0, events, rtol, atol, n_points) -> tuple:
@@ -572,8 +586,9 @@ def _sample_in_t(sol, ts, sign):
     ``t`` then misses by more than ``16 eps max|t|`` is refined on its own, by
     :func:`_illinois` on the step's interpolant of the ``t`` row alone from
     that guess, and the whole state is then interpolated at the root.  The
-    refinement runs on Python floats, converted once per run: numpy scalars
-    and per-sample gathers cost more than the arithmetic.
+    refinement runs on Python floats, with each step that holds a late sample
+    converted once: numpy scalars and per-sample gathers cost more than the
+    arithmetic.
     """
     elapsed = sign * (sol.y[-1] - ts[0])  # at each node, non-decreasing
     u = sign * (ts - ts[0])
@@ -585,13 +600,14 @@ def _sample_in_t(sol, ts, sign):
         return z
     dense = sol.sol
     elapsed, nodes, u, guess = elapsed.tolist(), sol.t.tolist(), u.tolist(), tau.tolist()
-    starts, sizes, y0, q = dense.tau0.tolist(), dense.h.tolist(), dense.y0.tolist(), dense.q.tolist()
-    columns = []
+    steps, columns = {}, []  # steps: one (start, size, entries) per step that holds a late sample
     for j in late:
         uj = u[j]
         k = bisect.bisect_left(elapsed, uj)  # the node after the sample; the step before it holds it
-        s0, h = starts[k - 1], sizes[k - 1]
-        entries = list(zip(y0[k - 1], *q[k - 1]))  # per entry: y0 and the coefficients of x, ..., x^4
+        if k not in steps:  # per entry: y0 and the coefficients of x, ..., x^4
+            entries = list(zip(dense.y0[k - 1].tolist(), *dense.q[k - 1].tolist()))
+            steps[k] = float(dense.tau0[k - 1]), float(dense.h[k - 1]), entries
+        s0, h, entries = steps[k]
         ta, t1, t2, t3, t4 = entries[-1]
 
         def t_gap(s):  # _DenseOutput.interpolant's Horner steps on the t row
@@ -741,7 +757,6 @@ def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
     packed = g0[_TRIU]
     c = state.f * math.sqrt(_det(packed.tolist()))
     lambdas = milnor_lambdas(alg)
-    ell = l_form(alg)
     if lambdas is not None and not np.any(g0 - np.diag(np.diagonal(g0))):
         y0 = packed[_DIAG]
         rhs, events = _milnor_system(lambdas, c, params.kappa)
@@ -750,7 +765,7 @@ def integrate_flow(state: FlowState3, params: FlowParams) -> FlowTrajectory:
             six = np.zeros((6,) + np.shape(y)[1:])
             six[_DIAG] = y
             return six
-    elif ell is not None:
+    elif (ell := l_form(alg)) is not None:
         y0 = [1.0]
         rhs, events = _einstein_system(ell, g0, c, params.kappa)
 

@@ -114,8 +114,8 @@ class LieAlgebraData:
         return bool(np.max(np.abs(traces)) <= _UNIMODULAR_TOL)
 
 
-def from_milnor(lambdas, name: str = "milnor", params: dict | None = None) -> LieAlgebraData:
-    """Unimodular 3D algebra in bracket normal form ``[e_2, e_3] = l1 e_1`` (cyclic)."""
+def _milnor_structure(lambdas) -> np.ndarray:
+    """Structure constants of the bracket normal form ``[e_2, e_3] = l1 e_1`` (cyclic)."""
     l1, l2, l3 = lambdas
     c = np.zeros((3, 3, 3))
     c[1, 2, 0] = l1
@@ -124,7 +124,12 @@ def from_milnor(lambdas, name: str = "milnor", params: dict | None = None) -> Li
     c[0, 2, 1] = -l2
     c[0, 1, 2] = l3
     c[1, 0, 2] = -l3
-    return LieAlgebraData(name=name, dim=3, structure=c,
+    return c
+
+
+def from_milnor(lambdas, name: str = "milnor", params: dict | None = None) -> LieAlgebraData:
+    """Unimodular 3D algebra in bracket normal form ``[e_2, e_3] = l1 e_1`` (cyclic)."""
+    return LieAlgebraData(name=name, dim=3, structure=_milnor_structure(lambdas),
                           params={"lambdas": tuple(float(v) for v in lambdas), **(params or {})})
 
 
@@ -184,7 +189,7 @@ def milnor_lambdas(alg: LieAlgebraData) -> tuple | None:
         return None
     c = alg.structure
     lambdas = (float(c[1, 2, 0]), float(c[2, 0, 1]), float(c[0, 1, 2]))
-    return lambdas if np.array_equal(c, from_milnor(lambdas).structure) else None
+    return lambdas if np.array_equal(c, _milnor_structure(lambdas)) else None
 
 
 def l_form(alg: LieAlgebraData) -> tuple | None:

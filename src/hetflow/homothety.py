@@ -191,16 +191,23 @@ def _F_function(coeffs: list):
     On ``1e-9 <= y < 1e60`` (the solver clamps ``y`` at ``1e-9``) ``y**4``
     is a positive double, so the value is returned where it is finite;
     anywhere else, a NaN ``y`` included, :func:`_F_from_coefficients` decides,
-    with its errors.
+    with its errors.  The last such value is kept with its ``y``: the
+    solver's stall event asks for ``F`` at each step's end, where its last
+    stage has just evaluated it.
     """
     c0, c1, c2, c3, c4, c5 = coeffs
     lead = 0.0 + c0  # Horner's first step: 0.0 * y is +0.0 at a positive y
     inf = math.inf
+    last_y = last_value = math.nan  # NaN equals no y
 
     def F(y: float) -> float:
+        nonlocal last_y, last_value
+        if y == last_y:
+            return last_value
         if 1e-9 <= y < 1e60:
             value = (((((lead * y + c1) * y + c2) * y + c3) * y + c4) * y + c5) / y**4
             if -inf < value < inf:
+                last_y, last_value = y, value
                 return value
         return _F_from_coefficients(coeffs, y)
 
@@ -364,7 +371,8 @@ def _kappa_curve(case: str, mus, s: float = 0.0) -> tuple:
     for c in (b_z, _wronskian(a_z, b_z)):
         c[np.abs(c) < 2.0**-53 * np.max(np.abs(c), axis=1, keepdims=True)] = 0.0
         mask, re = _positive_roots(c)
-        y = np.ldexp(re, shift[:, None])
+        with np.errstate(over="ignore"):  # a root past the largest double is inf, and dropped
+            y = np.ldexp(re, shift[:, None])
         y = np.where(mask & (y >= _SMALLEST_NORMAL) & (y < math.inf), y, np.nan)
         knots.append(np.hstack(np.split(y, 2)))  # both scales of a column side by side
     with np.errstate(over="ignore"):

@@ -343,6 +343,15 @@ def test_homothety_event_row_is_a_point_of_the_trajectory(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("width", [3, 5, 8])
+def test_a_row_format_is_the_join_of_each_cells_repr(width):
+    # flow and homothety format a row of Python floats with one %r string
+    cells = [-0.0, 5e-324, 1e-300, 1e308, 0.1, 1.0, -2.5e-7, 1e16]
+    for start in range(len(cells)):
+        row = tuple((cells[start:] + cells[:start])[:width])
+        assert cli._row_format(width) % row == ",".join(map(repr, row)) == ",".join(map(cli._float_cell, row))
+
+
 def test_flow_soliton_start_is_constant(capsys):
     code, out, _ = _run(
         capsys,

@@ -237,6 +237,17 @@ def test_l_form_accepts_only_the_exact_form():
     assert hg.l_form(_l_form_algebra([0.3, -1.1, 0.5])) == (0.3, -1.1, 0.5)
 
 
+def test_only_a_start_off_the_diagonal_path_asks_for_the_l_form(count_calls):
+    l_forms = count_calls(hf, "l_form")
+    params = hf.FlowParams(kappa=0.3, t_span=(0.0, 0.2), n_points=5)
+    for name in ("r3", "sl2r"):  # r3 is also an l-form algebra, with l = 0
+        hf.integrate_flow(hf.FlowState3(algebra=hg.catalog(name), g=np.diag([1.0, 2.0, 0.5]), f=0.7), params)
+    assert l_forms == []
+    hyperbolic = hf.FlowState3(algebra=hg.catalog("hyperbolic", c=0.7), g=np.diag([1.0, 2.0, 0.5]), f=0.7)
+    assert hf.integrate_flow(hyperbolic, params).status == "completed"
+    assert len(l_forms) == 1
+
+
 def test_rhs_validation():
     state = hf.FlowState3(algebra=hg.catalog("r3"), g=np.eye(3), f=0.2)
     with pytest.raises(ValueError):
@@ -711,6 +722,47 @@ def test_illinois_converges_where_regula_falsi_stalls():
     assert root in calls and abs(root**10 - 0.5) == min(abs(x**10 - 0.5) for x in calls)
 
 
+def _list_illinois(fn, a, b, fa, fb, x, ftol):
+    """:func:`hf._illinois` on two-entry lists of the ends and their values,
+    indexed by the end each iterate replaces: the reference of its iterates."""
+    ends, vals, last, best, f_best = [a, b], [fa, fb], -1, x, math.inf
+    for _ in range(60):
+        fx = fn(x)
+        if abs(fx) < f_best:
+            best, f_best = x, abs(fx)
+        if abs(fx) <= ftol or ends[1] - ends[0] <= 4.0 * hf._EPS * abs(ends[1]):
+            break
+        side = int((fx > 0.0) != (vals[0] > 0.0))  # the end x replaces: 0 for a, 1 for b
+        if side == last:
+            vals[1 - side] *= 0.5
+        ends[side], vals[side], last = x, fx, side
+        x = (ends[0] * vals[1] - ends[1] * vals[0]) / (vals[1] - vals[0])
+    return best
+
+
+def test_illinois_takes_the_iterates_of_the_list_version_bit_for_bit():
+    rng = np.random.default_rng(26)
+    cases = [(lambda s: s**10 - 0.5, 0.0)]  # where regula falsi stalls
+    for _ in range(400):
+        c0, c1, root, cut = rng.normal(), rng.uniform(-2.0, 2.0), rng.uniform(0.05, 0.95), rng.uniform(0.5, 2.0)
+        fn = lambda s, c0=c0, c1=c1, r=root: (s - r) * (1.0 + 0.5 * math.tanh(c0 * s)) + c1 * (s - r) ** 3
+        cases.append((fn, float(rng.choice([0.0, 1e-12]))))
+        cases.append((lambda s, fn=fn, cut=cut: math.nan if s > cut else fn(s), 0.0))  # NaN past a cut
+    compared = 0
+    for fn, ftol in cases:
+        fa, fb = fn(0.0), fn(1.0)
+        if not fa * fb < 0.0:
+            continue
+        iterates = {}
+        for illinois in (hf._illinois, _list_illinois):
+            calls = []
+            root = illinois(lambda s: calls.append(s) or fn(s), 0.0, 1.0, fa, fb, -fa / (fb - fa), ftol)
+            iterates[illinois] = [v.hex() for v in (*calls, root)]
+        assert iterates[hf._illinois] == iterates[_list_illinois]
+        compared += 1
+    assert compared > 400
+
+
 @pytest.mark.parametrize("crossing", [1.0, 0.0])  # a threshold met at a node; an event that is 0 throughout
 def test_an_event_that_is_zero_at_an_end_has_its_root_there(crossing):
     # y' = 1 has no error estimate, so the steps grow tenfold from 1e-4.
@@ -793,6 +845,73 @@ def test_late_samples_are_the_gathered_refinement_bit_for_bit(monkeypatch, run):
     run()
     ((ours, reference),) = compared
     assert ours == reference
+
+
+def _nested_dense_arrays(nodes, steps):
+    """The arrays of :class:`hf._DenseOutput` as ``np.array`` builds them from
+    the nested lists: the reference of its flat build."""
+    tau0, h, y0, ks = zip(*steps)
+    return np.array(nodes), np.array(tau0), np.array(h), np.array(y0), hf._P.T @ np.array(ks)
+
+
+# Finite entries whose sums of six products with _P's coefficients (at most about 10) do not overflow.
+_DENSE_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _dense_steps(draw):
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    row = st.lists(_DENSE_ENTRY, min_size=n, max_size=n)
+    steps = [
+        (draw(_DENSE_ENTRY), draw(_DENSE_ENTRY), draw(row), tuple(draw(st.lists(row, min_size=6, max_size=6))))
+        for _ in range(m)
+    ]
+    return draw(st.lists(_DENSE_ENTRY, min_size=m + 1, max_size=m + 1)), steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_steps())
+def test_the_flat_built_dense_output_is_the_nested_build_bit_for_bit(case):
+    nodes, steps = case
+    dense = hf._DenseOutput(nodes, steps)
+    ours = (dense.nodes, dense.tau0, dense.h, dense.y0, dense.q)
+    for a, b in zip(ours, _nested_dense_arrays(nodes, steps)):
+        assert (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) == (b.dtype, b.shape, True, b.tobytes())
+
+
+def _assert_final_state_is_the_dense_output(run):
+    # the run's last state against the one-sample dense call that gave it before
+    assert run.y[:, -1].tobytes() == run.sol(np.array([run.t[-1]]))[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("run", list(_collapsing_runs()))
+def test_the_final_state_is_the_one_sample_dense_call_bit_for_bit(monkeypatch, run):
+    runs = []
+    solve_ivp = hf.solve_ivp
+
+    def recorded(fun, y0, events, rtol, atol):
+        runs.append(solve_ivp(fun, y0, events, rtol, atol))
+        return runs[-1]
+
+    monkeypatch.setattr(hf, "solve_ivp", recorded)
+    run()
+    (result,) = runs
+    _assert_final_state_is_the_dense_output(result)
+
+
+def test_a_run_that_ends_at_the_node_before_its_last_step_takes_that_segments_state():
+    # The event touches zero at the seventh node from above and rises after
+    # it, so it is active only in the next step, whose start is its root:
+    # that step is dropped, and the final state is the value at the end of
+    # the step before, which here differs from the state the solver stored
+    # at the node.
+    reference = hf.solve_ivp(_forced_decay, [1.0], [(lambda tau, y: tau - 5.0, 1)], 1e-10, 1e-12)
+    level = float(reference.t[6])
+    run = hf.solve_ivp(_forced_decay, [1.0], [(lambda tau, y: abs(tau - level), 1)], 1e-10, 1e-12)
+    np.testing.assert_array_equal(run.t, reference.t[:7])
+    assert run.sol.h.size == 6
+    _assert_final_state_is_the_dense_output(run)
+    assert run.y[:, -1].tobytes() != reference.y[:, 6].tobytes()
 
 
 @pytest.mark.parametrize("run", list(_collapsing_runs()))

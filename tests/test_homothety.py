@@ -143,6 +143,76 @@ def test_the_solver_F_is_F_from_coefficients_bit_for_bit():
         assert _F_outcome(F, y) == _F_outcome(lambda v: ht._F_from_coefficients(coeffs, v), y)
 
 
+class _CountedFloat(float):
+    """A coefficient that records each addition it ends: in the Horner steps
+    of ``F``, ``lead * y + c1`` runs once per evaluation.  A float subclass's
+    ``__radd__`` is tried before ``float.__add__``; it returns the plain sum."""
+
+    def __new__(cls, value, evaluations):
+        self = super().__new__(cls, value)
+        self.evaluations = evaluations
+        return self
+
+    def __radd__(self, other):
+        self.evaluations.append(other)
+        return other + float(self)
+
+
+def _memoless_F_function(coeffs: list):
+    """``_F_function`` without its memo of the last value: the reference of
+    the values ``integrate`` computes and of how many evaluations it makes."""
+    c0, c1, c2, c3, c4, c5 = coeffs
+    lead = 0.0 + c0
+
+    def F(y: float) -> float:
+        if 1e-9 <= y < 1e60:
+            value = (((((lead * y + c1) * y + c2) * y + c3) * y + c4) * y + c5) / y**4
+            if -math.inf < value < math.inf:
+                return value
+        return ht._F_from_coefficients(coeffs, y)
+
+    return F
+
+
+def _counted_integrate(make_F, problem):
+    """``integrate``'s trajectory with ``F`` from ``make_F``, its number of
+    evaluations of ``F`` and its solver run."""
+    evaluations, runs = [], []
+    solve_ivp = hf.solve_ivp
+
+    def recorded(*args):
+        runs.append(solve_ivp(*args))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ht, "_F_function", lambda c: make_F([c[0], _CountedFloat(c[1], evaluations), *c[2:]]))
+        mp.setattr(hf, "solve_ivp", recorded)
+        trajectory = ht.integrate(problem, (0.0, 2.0), n_points=101)
+    (run,) = runs
+    return trajectory, len(evaluations), run
+
+
+def _trajectory_bits(trajectory) -> list:
+    events = [(e.kind, e.t.hex(), [v.hex() for v in e.y]) for e in trajectory.events]
+    return [[float(v).hex() for v in trajectory.t], [float(v).hex() for v in trajectory.sigma], events]
+
+
+@pytest.mark.parametrize("case", ["positive", "flat", "negative", "su2", "general"])
+def test_the_stall_event_reuses_the_last_stages_F(case):
+    # At each accepted step's end the stall event asks for F where the last
+    # stage has just evaluated it; the memo answers, and nothing else moves.
+    rng = np.random.default_rng([26, len(case)])
+    problem = ht.HomothetyProblem(case, *rng.uniform([0.1, 0.0, -1.0, 0.5], [2.0, 2.0, 1.0, 1.5]).tolist())
+    ours, count, run = _counted_integrate(ht._F_function, problem)
+    reference, reference_count, _ = _counted_integrate(_memoless_F_function, problem)
+    assert _trajectory_bits(ours) == _trajectory_bits(reference)
+    accepted = run.t.size - 1
+    if ours.status == "completed":
+        assert reference_count - count == accepted
+    else:  # a collapse also repeats the clamp 1e-9 in its trial stages
+        assert reference_count - count >= accepted
+
+
 @pytest.mark.parametrize(
     "coeffs, y, branch",
     [
@@ -1144,6 +1214,7 @@ def _finite_fields(value) -> bool:
 )
 @example("flat", 1.0, 1.0051776217371298e-160, False, 1.0, 0.0)
 @example("flat", 0.0, 1.8618743999536332e16, True, 1.076076045802983e149, 0.0)  # the time overflows
+@example("general", 0.0, 228987635.0, False, 1.0, 5.833624852276236e-292)  # a knot past the largest double
 def test_scalar_entry_points_return_finite_fields_or_raise_value_error(case, kappa, mu, negative, sigma0, s):
     mu = -mu if negative else mu
     calls = (
