@@ -35,9 +35,12 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
+import numbers
+import operator
 import os
+import re
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +79,11 @@ class ConfigError(Exception):
 class RunConfig:
     """Validated inputs of one CLI invocation.
 
-    All numerics must be finite, grid bounds ordered, and the seed defaults
-    to zero so repeated runs are reproducible by construction.
+    Counts must be integers and every other numeric a finite real number (a
+    ``bool`` is neither), stored as a Python ``float``; grid bounds must be
+    ordered, and the seed defaults to zero so repeated runs are reproducible
+    by construction.  A value of the wrong type is a :class:`ConfigError`
+    that names its key.
     """
 
     command: str
@@ -108,26 +114,17 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        numerics = {
-            "kappa": self.kappa,
-            "mu": self.mu,
-            "s": self.s,
-            "sigma0": self.sigma0,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "kappa_min": self.kappa_min,
-            "kappa_max": self.kappa_max,
-            "mu_min": self.mu_min,
-            "mu_max": self.mu_max,
-            "rtol": self.rtol,
-            "atol": self.atol,
-        }
-        for key, value in numerics.items():
-            if not np.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
-        for key, value in (("f", self.f), ("tol", self.tol), ("algebra_param", self.algebra_param)):
-            if value is not None and not np.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+        for key in _TEXT_FIELDS:
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string, got {getattr(self, key)!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a string, got {self.output!r}")
+        for key in _COUNT_FIELDS:
+            object.__setattr__(self, key, _count(key, getattr(self, key)))
+        for key in _REAL_FIELDS:
+            value = getattr(self, key)
+            if value is not None or key not in _OPTIONAL_REAL_FIELDS:
+                object.__setattr__(self, key, _finite_real(key, value))
         if self.rtol <= 0.0 or self.atol < 0.0:
             raise ConfigError("rtol must be positive and atol non-negative")
         if self.kappa_min > self.kappa_max or self.mu_min > self.mu_max:
@@ -141,10 +138,46 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.metric_diag is not None:
-            diag = tuple(float(x) for x in self.metric_diag)
-            if len(diag) != 3 or not all(np.isfinite(x) for x in diag):
+            try:
+                diag = tuple(_finite_real("metric_diag", x) for x in self.metric_diag)
+            except TypeError:
+                diag = ()
+            if len(diag) != 3:
                 raise ConfigError("metric_diag must be three finite numbers")
             object.__setattr__(self, "metric_diag", diag)
+
+
+_TEXT_FIELDS = ("command", "case", "algebra", "suite")
+_COUNT_FIELDS = ("n_points", "kappa_steps", "mu_steps", "trials", "seed")
+_OPTIONAL_REAL_FIELDS = ("algebra_param", "f", "tol")
+_REAL_FIELDS = (
+    "kappa", "mu", "s", "sigma0", "t_min", "t_max", "kappa_min", "kappa_max",
+    "mu_min", "mu_max", "rtol", "atol", *_OPTIONAL_REAL_FIELDS,
+)
+
+
+def _count(key: str, value) -> int:
+    """``value`` as a Python ``int``; a ``bool`` or a non-integer is a :class:`ConfigError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _finite_real(key: str, value) -> float:
+    """``value`` as a finite Python ``float``; a ``bool``, a non-real or a
+    value that overflows a double is a :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} overflows a double") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _float_cell(x: float) -> str:
@@ -159,17 +192,32 @@ def _row_format(width: int) -> str:
     return ",".join(["%r"] * width)
 
 
+# Names tried for the temporary file before giving up, as tempfile.TMP_MAX.
+_TMP_ATTEMPTS = 10000
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path`` and rename it into
-    place, with the mode a plain ``open`` would give (``mkstemp`` makes 0600)."""
+    place.  The file is created with mode 0666 less the umask, as a plain
+    ``open`` creates it, under an unpredictable ``.hetflow-*.part`` name
+    that must not exist yet; a failed write removes it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hetflow-", suffix=".part")
+    for _ in range(_TMP_ATTEMPTS):
+        tmp = os.path.join(directory, f".hetflow-{os.urandom(8).hex()}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no unused temporary file name in {directory!r}")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        umask = os.umask(0)  # the only way to read it; set back at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:  # os.write may write less than it was given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,6 +301,10 @@ def cmd_homothety(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# A tag's string, read without hashing the Enum member.
+_TAG_NAME = operator.attrgetter("_value_")
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.case not in ("positive", "flat", "negative", "su2"):
         raise ConfigError(f"sweep case must be positive/flat/negative/su2, got {cfg.case!r}")
@@ -262,16 +314,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
         ht.HomothetyProblem(case=cfg.case, kappa=cfg.kappa_min)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    kappas = np.linspace(cfg.kappa_min, cfg.kappa_max, cfg.kappa_steps)
-    mus = np.linspace(cfg.mu_min, cfg.mu_max, cfg.mu_steps)
+    kappas = np.linspace(cfg.kappa_min, cfg.kappa_max, cfg.kappa_steps).tolist()
+    mus = np.linspace(cfg.mu_min, cfg.mu_max, cfg.mu_steps).tolist()
     tags = ht.sweep_grid(cfg.case, kappas, mus)
-    mu_cells = [_float_cell(mu) for mu in mus]
-    names = {tag: tag.value for tag in ht.BehaviorTag}  # each tag's string once per grid, not Enum.value per cell
+    # A Python float's repr is _float_cell's form.  The strings that do not
+    # depend on the row are made once per grid, and each line is one
+    # concatenation around the row's kappa.
+    j_cells = [f"{j}," for j in range(len(mus))]
+    mu_cells = [f",{mu!r}," for mu in mus]
     lines = ["i,j,kappa,mu,tag"]
-    for i, (kap, row) in enumerate(zip(kappas, tags)):
-        kap_cell = _float_cell(kap)
-        for j, (mu_cell, tag) in enumerate(zip(mu_cells, row)):
-            lines.append(f"{i},{j},{kap_cell},{mu_cell},{names[tag]}")
+    for i, (kap, row) in enumerate(zip(kappas, tags.tolist())):
+        i_cell, kap_cell = f"{i},", repr(kap)
+        lines += [
+            i_cell + j_cell + kap_cell + mu_cell + name
+            for j_cell, mu_cell, name in zip(j_cells, mu_cells, map(_TAG_NAME, row))
+        ]
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -476,10 +533,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors map to the config exit code."""
+    """Argument parser whose usage errors map to the config exit code.
+
+    A word that ``float`` reads as a negative number, exponent, ``-inf`` and
+    ``-nan`` included, is a value, not an option (argparse's own pattern
+    takes only ``-1`` and ``-1.5``), so ``--s -1e-05`` gives ``s`` the
+    value that ``repr`` writes.  No hetflow option looks like a number.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigError(message)
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -581,8 +651,6 @@ def _config_from_args(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> R
         if unknown:
             raise ConfigError(f"unknown config keys for {ns.command!r}: {sorted(unknown)}")
     merged.update({k: v for k, v in raw.items() if k not in ("config", "command")})
-    if "metric_diag" in merged and merged["metric_diag"] is not None:
-        merged["metric_diag"] = tuple(merged["metric_diag"])
     try:
         return RunConfig(command=ns.command, **merged)
     except TypeError as exc:
@@ -598,11 +666,27 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> tuple:
+    """``(namespace, subparser)`` of ``argv`` under ``hetflow``'s parser, in one pass.
+
+    A first word that names a command goes straight to that command's
+    subparser, which is what the top-level parser would do with the rest;
+    anything else (no words, ``--help``, an unknown word) goes through the
+    top-level parser and its messages.
+    """
     parser, subparsers = _build_parser()
-    try:
+    if argv and argv[0] in subparsers:
+        ns = subparsers[argv[0]].parse_args(argv[1:])
+        ns.command = argv[0]
+    else:
         ns = parser.parse_args(argv)
-        cfg = _config_from_args(ns, subparsers[ns.command])
+    return ns, subparsers[ns.command]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        cfg = _config_from_args(*_parse(argv))
         return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

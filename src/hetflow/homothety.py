@@ -691,6 +691,12 @@ class BehaviorTag(enum.Enum):
     UNRESOLVED = "Unresolved"
 
 
+# The tags in definition order, indexed by :func:`_fates`' integer codes.
+_TAGS = np.empty(len(BehaviorTag), dtype=object)
+_TAGS[:] = tuple(BehaviorTag)
+_STATIC, _REGULAR, _FUTURE_DIVERGENT, _PAST_DIVERGENT, _COLLAPSE, _UNRESOLVED = range(len(_TAGS))
+
+
 @dataclass(frozen=True)
 class Behavior:
     """Qualitative fate of one trajectory started at ``sigma0``.
@@ -812,18 +818,12 @@ def _fates(case: str, kappas, mus, sigma0: float, s: float = 0.0) -> tuple:
     differs = (np.sign(values) != np.sign(f0)[:, None]).reshape(len(kappas), *knots.shape)
     below = np.any(differs & (knots < sigma0), axis=2).ravel()
     above = np.any(differs & (knots > sigma0), axis=2).ravel()
-    tags = np.select(
+    codes = np.select(
         [static, unresolved, ~below, ~above & (f0 > 0.0), ~above],
-        [
-            BehaviorTag.STATIC,
-            BehaviorTag.UNRESOLVED,
-            BehaviorTag.FINITE_TIME_COLLAPSE,
-            BehaviorTag.ETERNAL_PAST_FINITE_FUTURE_DIVERGENT,
-            BehaviorTag.ETERNAL_PAST_DIVERGENT_FUTURE_FINITE,
-        ],
-        default=BehaviorTag.ETERNAL_REGULAR,
+        [_STATIC, _UNRESOLVED, _COLLAPSE, _FUTURE_DIVERGENT, _PAST_DIVERGENT],
+        default=_REGULAR,
     )
-    return tags, f0, knots, values
+    return _TAGS[codes], f0, knots, values
 
 
 def _root_between(coeffs: np.ndarray, a: float, b: float, positive_at_a: bool) -> float:
@@ -1006,12 +1006,19 @@ def _check_grid(case: str, kappas: list, mus: list) -> None:
     A cell is valid when its ``kappa`` and its ``mu`` each pass
     :class:`HomothetyProblem`, so the first invalid cell in row-major order
     lies in row 0 when any cell of row 0 fails, and in column 0 otherwise.
+    Both axes are tested whole; a problem is built only for the first
+    invalid cell, which raises.
     """
-    if kappas and mus:
-        for mu in mus:
-            HomothetyProblem(case=case, kappa=kappas[0], mu=mu)
-        for kappa in kappas:
-            HomothetyProblem(case=case, kappa=kappa, mu=mus[0])
+    if not (kappas and mus):
+        return
+    k = np.array(kappas)
+    kappa_ok = ((k > 0.0) if case == "su2" else (k >= 0.0)) & (k < math.inf)
+    mu_ok = np.isfinite(mus)
+    if case not in _CASES or not kappa_ok[0] or not mu_ok.all():
+        # Row 0 fails at its first cell when kappas[0] does, else at the first invalid mu.
+        HomothetyProblem(case=case, kappa=kappas[0], mu=mus[int(np.argmin(mu_ok)) if kappa_ok[0] else 0])
+    if not kappa_ok.all():
+        HomothetyProblem(case=case, kappa=kappas[int(np.argmin(kappa_ok))], mu=mus[0])
 
 
 def sweep_grid(case: str, kappas, mus) -> np.ndarray:

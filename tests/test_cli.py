@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, schemas, determinism, atomic output."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hetflow import chart_jets as cj
 from hetflow import cli
@@ -491,6 +495,82 @@ def test_sweep_csv_matches_scalar_classify(capsys):
     assert out == "\n".join(lines) + "\n"
 
 
+def _sweep_text_per_cell(case, kappa_min, kappa_max, kappa_steps, mu_min, mu_max, mu_steps):
+    """The sweep CSV built cell by cell: one f-string per cell, its tag's
+    string looked up by member, every float through ``cli._float_cell``."""
+    kappas = np.linspace(kappa_min, kappa_max, kappa_steps)
+    mus = np.linspace(mu_min, mu_max, mu_steps)
+    tags = ht.sweep_grid(case, kappas, mus)
+    mu_cells = [cli._float_cell(mu) for mu in mus]
+    names = {tag: tag.value for tag in ht.BehaviorTag}
+    lines = ["i,j,kappa,mu,tag"]
+    for i, (kap, row) in enumerate(zip(kappas, tags)):
+        kap_cell = cli._float_cell(kap)
+        for j, (mu_cell, tag) in enumerate(zip(mu_cells, row)):
+            lines.append(f"{i},{j},{kap_cell},{mu_cell},{names[tag]}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or its exception's type and text."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _sweep_text(case, kappa_min, kappa_max, kappa_steps, mu_min, mu_max, mu_steps):
+    cfg = cli.RunConfig(command="sweep", case=case, kappa_min=kappa_min, kappa_max=kappa_max,
+                        kappa_steps=kappa_steps, mu_min=mu_min, mu_max=mu_max, mu_steps=mu_steps)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cmd_sweep(cfg) == 0
+    return out.getvalue()
+
+
+_MU_THRESHOLD = math.sqrt(ht.MU_THRESHOLD_CUBIC_SQ)
+_BOUNDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.5, _MU_THRESHOLD, 1e150, 1e300]),
+    st.floats(0.0, 10.0),
+)
+
+
+# Grids that hold, between them, all six tags: Static on the positive case's
+# static curve, Unresolved at its cubic threshold.
+_EVERY_TAG_GRIDS = [
+    ("positive", [0.0, 2.0 * ht.kappa_crit_p(1.5)], [1.5, 1.5], (3, 1)),
+    ("positive", [0.0, 8.0], [0.0, 2.0 * _MU_THRESHOLD], (17, 9)),
+    ("positive", [0.0, 0.2], [0.0, 10.0], (21, 21)),
+    ("flat", [0.0, 5.0], [0.0, 4.0], (41, 41)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["positive", "flat", "negative", "su2"]),
+    st.tuples(_BOUNDS, _BOUNDS).map(sorted),
+    st.tuples(_BOUNDS, _BOUNDS, st.booleans()).map(lambda t: sorted([-t[0], t[1]] if t[2] else [t[0], t[1]])),
+    st.sampled_from([(1, 1), (1, 7), (7, 1), (3, 4), (12, 5)]),
+)
+@example("negative", [0.0, 1.0], [-0.0, 2.0], (3, 3))
+def test_sweep_csv_is_the_per_cell_loops_bytes(case, kappa_bounds, mu_bounds, steps):
+    if case == "su2" and kappa_bounds[0] <= 0.0:
+        kappa_bounds = [0.25, max(kappa_bounds[1], 0.25)]
+    args = (case, kappa_bounds[0], kappa_bounds[1], steps[0], mu_bounds[0], mu_bounds[1], steps[1])
+    assert _outcome(_sweep_text, *args) == _outcome(_sweep_text_per_cell, *args)
+
+
+for _grid in _EVERY_TAG_GRIDS:
+    test_sweep_csv_is_the_per_cell_loops_bytes = example(*_grid)(test_sweep_csv_is_the_per_cell_loops_bytes)
+
+
+def test_the_sweep_byte_examples_hold_every_tag():
+    seen = set()
+    for case, (k0, k1), (m0, m1), (nk, nm) in _EVERY_TAG_GRIDS:
+        seen |= {line.rsplit(",", 1)[1] for line in _sweep_text(case, k0, k1, nk, m0, m1, nm).splitlines()[1:]}
+    assert seen == {tag.value for tag in ht.BehaviorTag}
+
+
 def _sweep_argv(case, kappa_min, mu_max):
     return ["sweep", "--case", case, "--kappa-min", kappa_min, "--kappa-max", "1.0",
             "--kappa-steps", "3", "--mu-min", "0.0", "--mu-max", mu_max, "--mu-steps", "2"]
@@ -609,6 +689,162 @@ def test_config_key_the_command_never_reads_rejected(capsys, tmp_path, argv, con
     assert out == ""
     key = "seed" if config is None else next(iter(config))
     assert "configuration error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["homothety"], {"n_points": 1e3}, "n_points"),
+        (["homothety"], {"n_points": True}, "n_points"),
+        (["sweep"], {"kappa_steps": 2.5}, "kappa_steps"),
+        (["sweep"], {"mu_steps": "3"}, "mu_steps"),
+        (["verify", "--suite", "divergence"], {"trials": 2.5}, "trials"),
+        (["verify", "--suite", "divergence"], {"seed": 1.5}, "seed"),
+        (["homothety"], {"kappa": "x"}, "kappa"),
+        (["homothety"], {"kappa": 10**400}, "kappa"),
+        (["homothety"], {"kappa": True}, "kappa"),
+        (["homothety"], {"mu": None}, "mu"),
+        (["sweep"], {"mu_max": [1.0]}, "mu_max"),
+        (["soliton-check"], {"tol": "1e-3"}, "tol"),
+        (["flow"], {"f": False}, "f"),
+        (["flow"], {"metric_diag": 5}, "metric_diag"),
+        (["flow"], {"metric_diag": [1, "a", 1]}, "metric_diag"),
+        (["flow"], {"metric_diag": [1, 1]}, "metric_diag"),
+        (["homothety"], {"case": 3}, "case"),
+        (["sweep"], {"output": 5}, "output"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_configuration_error(capsys, tmp_path, argv, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, [*argv, "--config", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error") and key in err
+
+
+def test_config_numbers_are_stored_as_python_numbers(capsys, tmp_path):
+    # An integer coupling is the float the same flag would give, so the two
+    # write the same bytes.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"case": "flat", "kappa": 2, "mu": 1, "n_points": 7}))
+    by_config = _run(capsys, ["homothety", "--config", str(path)])
+    by_flags = _run(capsys, ["homothety", "--case", "flat", "--kappa", "2.0", "--mu", "1.0", "--n-points", "7"])
+    assert by_config == by_flags and by_config[0] == 0
+    cfg = cli.RunConfig(command="sweep", kappa_min=np.float32(0.5), kappa_steps=np.int64(3))
+    assert type(cfg.kappa_min) is float and type(cfg.kappa_steps) is int
+
+
+# The float options of every command, with the words each must read as a value.
+_FLOAT_OPTIONS = [
+    (command, action.option_strings[0], action.dest, action.nargs)
+    for command, sub in cli._build_parser()[1].items()
+    for action in sub._actions
+    if action.type is float
+]
+
+
+@pytest.mark.parametrize("command, option, dest, nargs", _FLOAT_OPTIONS)
+@pytest.mark.parametrize("word", ["-1e-05", "-2E3", "-1.5e+300", "-1.", "-.5", "-7"])
+def test_a_negative_number_with_an_exponent_is_a_value(command, option, dest, nargs, word):
+    ns, _ = cli._parse([command, option, *[word] * (nargs or 1)])
+    assert getattr(ns, dest) == (float(word) if nargs is None else [float(word)] * nargs)
+
+
+@pytest.mark.parametrize("word", ["-inf", "-nan", "-Infinity", "-NaN"])
+def test_a_negative_non_finite_value_reaches_the_finiteness_check(capsys, word):
+    code, out, err = _run(capsys, ["homothety", "--case", "general", "--kappa", "0.5", "--s", word])
+    assert (code, out) == (1, "")
+    assert "configuration error: s must be finite" in err
+
+
+def test_a_value_hetflow_prints_can_be_passed_back(capsys):
+    code, out, _ = _run(capsys, ["homothety", "--case", "general", "--kappa", "0.5", "--s", "-1e-05",
+                                 "--mu", "-2E-3", "--t-max", "0.1", "--n-points", "3"])
+    assert code == 0
+    assert out == _run(capsys, ["homothety", "--case", "general", "--kappa", "0.5", "--s=-1e-05",
+                                "--mu=-0.002", "--t-max", "0.1", "--n-points", "3"])[1]
+
+
+def _outcome_of_main(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _parse_top_level(argv):
+    parser, subparsers = cli._build_parser()
+    ns = parser.parse_args(argv)
+    return ns, subparsers[ns.command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h"],
+        ["bogus"],
+        ["--bogus"],
+        ["sweep", "--help"],
+        ["sweep", "--bogus"],
+        ["sweep", "--kappa-steps"],
+        ["sweep", "--case", "flat", "--kappa-steps", "2", "--kappa-steps", "3", "--mu-steps", "2"],
+        ["sweep", "--case", "flat", "--kappa-st", "2", "--mu-steps", "2"],
+        ["sweep", "extra"],
+        ["verify", "--suite", "divergence", "--trials", "2", "--seed", "-1"],
+        ["homothety", "--case", "general", "--kappa", "0.5", "--s", "-1e-05", "--n-points", "3"],
+        ["flow", "--metric-diag", "1", "2"],
+    ],
+)
+def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    direct = _outcome_of_main(capsys, argv)
+    direct_ns = cli._parse(argv) if direct[0] == 0 else None
+    monkeypatch.setattr(cli, "_parse", _parse_top_level)
+    assert _outcome_of_main(capsys, argv) == direct
+    if direct_ns is not None:
+        assert vars(_parse_top_level(argv)[0]) == vars(direct_ns[0])
+
+
+def test_atomic_write_leaves_no_part_file_when_a_write_fails(tmp_path, monkeypatch):
+    def failing(fd, data):
+        raise OSError(28, "No space left on device")
+
+    target = tmp_path / "out.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "write", failing)
+        with pytest.raises(OSError, match="No space left"):
+            cli._atomic_write(str(target), "a,b\n1,2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_finishes_a_short_write(tmp_path, monkeypatch):
+    real_write, sizes = os.write, []
+
+    def short(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    text = "".join(f"{k},{k * 0.1!r}\n" for k in range(40))
+    target = tmp_path / "out.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "write", short)
+        cli._atomic_write(str(target), text)
+    assert target.read_text() == text
+    assert len(sizes) == -(-len(text) // 7)
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_atomic_write_tries_another_name_when_one_exists(tmp_path, monkeypatch):
+    names = iter([b"\x00" * 8, b"\x00" * 8, b"\x01" * 8])
+    monkeypatch.setattr(cli.os, "urandom", lambda n: next(names))
+    (tmp_path / ".hetflow-0000000000000000.part").write_text("someone else's")
+    cli._atomic_write(str(tmp_path / "out.csv"), "x\n")
+    assert (tmp_path / "out.csv").read_text() == "x\n"
+    assert (tmp_path / ".hetflow-0000000000000000.part").read_text() == "someone else's"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [".hetflow-0000000000000000.part", "out.csv"]
 
 
 def test_output_reruns_are_byte_identical(capsys, tmp_path):

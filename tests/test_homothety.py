@@ -581,6 +581,17 @@ def test_sweep_grid_matches_pointwise_and_is_deterministic():
             assert first[i, j] is ht.classify("positive", float(kap), float(mu)).tag
 
 
+@pytest.mark.parametrize("case", ["positive", "flat", "negative", "su2"])
+def test_sweep_grid_returns_the_tag_members_themselves(case):
+    kappas, mus = _dense_axes(case)
+    tags = ht.sweep_grid(case, kappas, mus)
+    assert tags.dtype == object
+    members = tuple(TAG)
+    for tag in tags.ravel().tolist():
+        assert any(tag is member for member in members)
+    assert tuple(ht._TAGS) == members
+
+
 def _dense_axes(case):
     """A grid through every place where the classifier's branches meet:
     the kappa_crit_n poles, the cubic threshold, mu^2 = 2/3, mu = 0,
@@ -1007,6 +1018,46 @@ def test_sweep_grid_rejects_what_classify_rejects(case, kappas, mus):
         with pytest.raises(ValueError) as info:
             ht.sweep_grid(case, kappas, mus)
     assert str(info.value) == message
+
+
+def _check_grid_per_value(case, kappas, mus):
+    """The per-value grid check: one problem per ``mu`` on row 0, then one
+    per ``kappa`` on column 0."""
+    if kappas and mus:
+        for mu in mus:
+            ht.HomothetyProblem(case=case, kappa=kappas[0], mu=mu)
+        for kappa in kappas:
+            ht.HomothetyProblem(case=case, kappa=kappa, mu=mus[0])
+
+
+def _error_of(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", ["positive", "su2", "weird"])
+def test_check_grid_raises_the_per_value_loops_error(case):
+    # Each bad kappa in row 0 (index 0) or further down column 0 (index 2),
+    # with each bad mu in column 0 (index 0) or further along row 0 (index 2),
+    # alone and together.
+    bad_kappas = [None, math.nan, math.inf, -1.0, 0.0, -0.0, 5e-324]
+    bad_mus = [None, math.nan, math.inf, -math.inf, -0.0, 1e300]
+    raised = 0
+    for bad_kappa, kappa_at, bad_mu, mu_at in itertools.product(bad_kappas, [0, 2], bad_mus, [0, 2]):
+        kappas, mus = [0.5, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]
+        if bad_kappa is not None:
+            kappas[kappa_at] = bad_kappa
+        if bad_mu is not None:
+            mus[mu_at] = bad_mu
+        expected = _error_of(_check_grid_per_value, case, kappas, mus)
+        assert _error_of(ht._check_grid, case, kappas, mus) == expected, (kappas, mus)
+        raised += expected is not None
+    assert raised > 0
+    assert ht._check_grid(case, [], [math.nan]) is None
+    assert ht._check_grid(case, [math.nan], []) is None
 
 
 @pytest.mark.parametrize(
