@@ -46,12 +46,14 @@ terms that carry the quadratic-curvature coupling are assembled by the
 consumers.  This backend and the homogeneous one
 (:mod:`hetflow.homogeneous`) fill it through one assembly,
 ``_assemble_sample``, where every derived field is written once, for a
-whole batch of samples: its inputs carry one leading batch axis, and it
-hands out one sample per batch entry.  :func:`build_chart_samples` runs a
-list of chart specs through it in one pass; :func:`build_chart_sample` is
-a batch of one.  Each backend hands the assembly the metric, its inverse,
-the Levi-Civita coefficients, the torsion 3-form, its density and the
-dilaton 1-form, plus six primitives: a two-operand contraction (here
+whole batch of samples: its inputs carry one leading batch axis, and so
+does every field of the one sample it returns.  Indexing that batch with
+an int gives one sample and a slice gives a batch view, so consumers read
+the batch as it was built.  :func:`build_chart_samples` runs a list of
+chart specs through it in one pass; :func:`build_chart_sample` is a batch
+of one, indexed at 0.  Each backend hands the assembly the metric, its
+inverse, the Levi-Civita coefficients, the torsion 3-form, its density and
+the dilaton 1-form, plus six primitives: a two-operand contraction (here
 ``jet_einsum``), the covariant derivative (``cov_deriv_jets``), the
 gradient of a scalar, the curvature of connection coefficients
 (``curvature_jets``), the value at the point (``jet_value``) and the cut of
@@ -64,7 +66,8 @@ same specs serve jets and plain arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -310,14 +313,24 @@ def jet_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def jet_exp(a: np.ndarray) -> np.ndarray:
+    """Jet of ``exp(a)``; leading axes of ``a`` are batch axes.
+
+    Each constant term is exponentiated by ``math.exp`` (numpy's ``exp`` may
+    differ from it in the last bit); one that overflows raises ``ValueError``.
+    """
+    a = np.asarray(a, dtype=float)
     u = a.copy()
-    u[0] = 0.0
+    u[..., 0] = 0.0
     out = jet_constant(1.0, jet_degree(a))
     power = jet_constant(1.0, jet_degree(a))
     for k in range(1, JET_ORDER + 1):
         power = jet_mul(power, u)
         out = out + power / math.factorial(k)
-    return math.exp(a[0]) * out
+    try:
+        scale = [math.exp(x) for x in a[..., :1].ravel().tolist()]
+    except OverflowError:
+        raise ValueError("jet exp overflows: a constant term is too large") from None
+    return np.reshape(scale, a.shape[:-1] + (1,)) * out
 
 
 def jet_log(a: np.ndarray) -> np.ndarray:
@@ -503,12 +516,14 @@ class GeometrySample:
     3x3 metric and ``H = f vol``.  All entries are plain float arrays in the
     frame at the sample point, and each is read by the soliton residuals,
     the divergence identities or the ``verify`` suites.  Samples are built
-    in batches: the assembly carries one leading batch axis on every field
-    and hands out one sample per batch entry, so a built sample holds no
-    batch axis.  ``hetflow verify`` stacks its samples back into one whose
-    every field (``orientation`` included) has a leading batch axis, which
-    the batched kernels of :mod:`~hetflow.tensor_core`,
-    :mod:`~hetflow.soliton` and ``het_flow`` read as they read one sample.
+    in batches, and a built batch is one sample whose every field carries a
+    leading batch axis: the scalars are ``(n,)`` arrays, ``orientation`` is
+    an int array and ``meta`` a list of one dict per entry.  The batched
+    kernels of :mod:`~hetflow.tensor_core`, :mod:`~hetflow.soliton` and
+    ``het_flow`` read a batch as they read one sample.  ``batch[k]`` is
+    entry ``k`` as one sample (Python-float scalars, views of the batch's
+    arrays, an int orientation and its meta dict), ``batch[i:j]`` a batch
+    view, and ``len(batch)`` the number of entries.
     ``div_riemann_tw[v, c, d]`` is the twisted divergence
     ``-g^{ab} (Dhat_a Rhat)_{b v c d}``.  Derivative-flavored scalars
     (``d_*``) are 1-forms; on homogeneous samples they vanish.  The bundle
@@ -549,12 +564,37 @@ class GeometrySample:
     orientation: int = 1
     meta: dict = field(default_factory=dict)
 
+    def __len__(self) -> int:
+        if np.ndim(self.f) == 0:
+            raise TypeError("a single geometry sample has no batch axis")
+        return len(self.f)
+
+    def __getitem__(self, index) -> GeometrySample:
+        """Entry ``index`` of a batch as one sample, or a batch view for a slice."""
+        len(self)  # raises TypeError on a single sample
+        if isinstance(index, slice):
+            return GeometrySample(backend=self.backend, orientation=self.orientation[index],
+                                  meta=self.meta[index],
+                                  **{name: getattr(self, name)[index] for name in _FIELDS})
+        k = operator.index(index)
+        entry = {}
+        for name in _FIELDS:
+            column = getattr(self, name)
+            entry[name] = float(column[k]) if column.ndim == 1 else column[k]
+        return GeometrySample(backend=self.backend, orientation=int(self.orientation[k]),
+                              meta=self.meta[k], **entry)
+
+
+# The fields that hold geometry, each with the batch axis in front in a batch.
+_FIELDS = tuple(item.name for item in fields(GeometrySample)
+                if item.name not in ("backend", "orientation", "meta"))
+
 
 def _assemble_sample(
     g, g_inv, gamma, torsion, f, dilaton, *,
     contract, cov_deriv, grad, curvature, value, truncate,
     backend: str, orientations: list, metas: list,
-) -> list[GeometrySample]:
+) -> GeometrySample:
     """Every derived field of a batch of :class:`GeometrySample`, for either backend.
 
     Inputs carry one leading batch axis and are in the backend's
@@ -563,9 +603,9 @@ def _assemble_sample(
     ``cov_deriv(gamma, tensor)``, ``grad(scalar)`` (derivative axis behind
     the batch axis), ``curvature(gamma)`` (the (0,4) curvature of any
     connection coefficients), ``value(x)`` and ``truncate(x, degree)`` (a jet
-    cut to ``degree``; plain arrays pass through).  Returns one sample per
-    batch entry, and raises ``ValueError`` naming the first entry with a
-    non-finite field.
+    cut to ``degree``; plain arrays pass through).  Returns the batch as one
+    sample, every field with the batch axis in front, and raises
+    ``ValueError`` naming the first entry with a non-finite field.
     """
     riemann = curvature(gamma)
     ricci = contract("ab,aUVb->UV", g_inv, riemann)
@@ -597,7 +637,7 @@ def _assemble_sample(
     delta_dilaton = -contract("ab,ab->", g_inv, nabla_dilaton)
     dilaton_norm2 = contract("a,a->", dilaton1, contract("ab,b->a", g_inv, dilaton1))
 
-    fields = dict(
+    values = dict(
         g=value(g),
         g_inv=g_inv0,
         riemann=value(riemann),
@@ -629,16 +669,11 @@ def _assemble_sample(
         d_dilaton_norm2=value(grad(dilaton_norm2)),
     )
     size = len(metas)
-    finite = np.isfinite(np.concatenate([v.reshape(size, -1) for v in fields.values()], axis=1)).all(axis=1)
+    finite = np.isfinite(np.concatenate([v.reshape(size, -1) for v in values.values()], axis=1)).all(axis=1)
     if not finite.all():
         raise ValueError(f"sample {int(np.argmin(finite))}: its {backend} geometry is not finite "
                          "in double precision")
-    # Per-sample columns: Python floats for scalars, views of the batch otherwise.
-    columns = [v.tolist() if v.ndim == 1 else list(v) for v in fields.values()]
-    return [
-        GeometrySample(backend=backend, orientation=orientation, meta=meta, **dict(zip(fields, row)))
-        for orientation, meta, *row in zip(orientations, metas, *columns)
-    ]
+    return GeometrySample(backend=backend, orientation=np.array(orientations, dtype=int), meta=metas, **values)
 
 
 def _stack_chart_specs(specs: list) -> tuple:
@@ -665,18 +700,21 @@ def _stack_chart_specs(specs: list) -> tuple:
     return metric, density, potential
 
 
-def build_chart_samples(specs) -> list[GeometrySample]:
+def build_chart_samples(specs) -> GeometrySample:
     """Run the jet pipeline on a batch of chart specs in one pass and read
-    every sample at the origin; one :class:`GeometrySample` per spec, in order.
+    every sample at the origin.
 
-    Raises ``ValueError``, naming the spec's index, for a spec that is not
-    a finite degree-3 chart with an SPD metric value and orientation +-1, a
+    Returns one :class:`GeometrySample` whose fields hold the specs in order
+    on a leading batch axis; ``batch[k]`` is spec ``k``'s sample, as
+    :func:`build_chart_sample` returns it.  Raises ``ValueError`` for an
+    empty list and, naming the spec's index, for a spec that is not a finite
+    degree-3 chart with an SPD metric value and orientation +-1, a
     ``maxwell`` spec whose density is not positive at the origin, and a spec
     whose geometry overflows.
     """
     specs = list(specs)
     if not specs:
-        return []
+        raise ValueError("a batch of chart samples needs at least one spec")
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite field
         g, density, potential = _stack_chart_specs(specs)
         maxwell = np.array([bool(spec.maxwell) for spec in specs])
@@ -716,7 +754,8 @@ def build_chart_samples(specs) -> list[GeometrySample]:
 
 def build_chart_sample(spec: ChartSpec) -> GeometrySample:
     """Run the jet pipeline on a chart spec and read everything at the origin
-    (:func:`build_chart_samples` on a batch of one)."""
+    (:func:`build_chart_samples` on a batch of one, indexed at 0): one sample
+    with Python-float scalars, an int orientation and a meta dict."""
     return build_chart_samples([spec])[0]
 
 

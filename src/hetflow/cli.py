@@ -18,9 +18,9 @@ Verbs
     Run batch verification suites (curvature identities, divergence
     identities, soliton constructors, and stationarity: the flow law on each
     candidate's own Ricci data) and emit a JSON summary.  The samples are
-    built once per command and stacked on a batch axis, and each suite makes
-    one call per check over its whole stack, so the suites' contractions do
-    not grow in number with ``--trials``.
+    built once per command, in batches that carry a leading batch axis, and
+    each suite makes one call per check over the batch it reads, so the
+    suites' contractions do not grow in number with ``--trials``.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain error,
 3 verification failure.  Output files are written atomically (temp file +
@@ -32,7 +32,6 @@ platform.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -41,6 +40,7 @@ import operator
 import os
 import re
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,26 +402,24 @@ def cmd_soliton_check(cfg: RunConfig) -> int:
 _SOLITON_FAMILIES = ((so._heisenberg_args, 1), (so._hyperbolic_args, 3))
 
 
-def _stacked(samples: list) -> cj.GeometrySample:
-    """The samples as one, every field stacked on a leading batch axis."""
-    fields = dataclasses.fields(cj.GeometrySample)
-    names = [item.name for item in fields if item.name not in ("backend", "meta")]
-    return cj.GeometrySample(
-        backend="+".join(dict.fromkeys(sample.backend for sample in samples)),
-        **{name: np.array([getattr(sample, name) for sample in samples]) for name in names},
-    )
+# The fields the identity suite reads: the chart batch and the invariant rows
+# are joined in these alone.
+_IDENTITY_FIELDS = ("g", "g_inv", "riemann", "ricci", "scalar", "f", "df",
+                    "riemann_tw_sq", "riemann_tw_norm2", "orientation")
 
 
 def _verify_samples(selected: tuple, trials: int, seed: int) -> dict:
     """Every sample the selected suites read, built once per call in at most
-    two passes (the chart samples in one; the identity suite's invariant
-    samples and the soliton candidates in the other), then stacked once for
-    each suite that reads them; the soliton suite gets one candidate holding
-    every family member, and their constant-dilaton cases."""
-    charts = []
+    two batches (the chart samples in one; the identity suite's invariant
+    samples and the soliton candidates in the other), each handed to the
+    suites as built: the divergence suite reads the chart batch, the soliton
+    suite one candidate holding a view of the invariant batch's family rows
+    (and their constant-dilaton cases), and the identity suite the chart
+    batch joined with the invariant rows in the fields it reads."""
+    batches = {}
     if {"identities", "divergence"} & set(selected):
         specs = [cj.random_chart_spec(seed + k, maxwell=bool(k % 2)) for k in range(trials)]
-        charts = cj.build_chart_samples(specs)
+        charts = batches["divergence"] = cj.build_chart_samples(specs)
     args = []
     if "identities" in selected:
         args += [hg._random_invariant_args(seed + k) for k in range(trials)]
@@ -435,16 +433,17 @@ def _verify_samples(selected: tuple, trials: int, seed: int) -> dict:
                 args.append(make_args(kappa))
                 kappas.append(kappa)
                 cases.append(case)
-    built = hg.build_invariant_samples(args)
-    stacks = {}
+    if args:  # trials >= 1, so only a divergence-only command has none
+        built = hg.build_invariant_samples(args)
     if "identities" in selected:
-        stacks["identities"] = _stacked(charts + built[:n_invariant])
-    if "divergence" in selected:
-        stacks["divergence"] = _stacked(charts)
+        batches["identities"] = types.SimpleNamespace(**{
+            name: np.concatenate((getattr(charts, name), getattr(built, name)[:n_invariant]))
+            for name in _IDENTITY_FIELDS
+        })
     if "solitons" in selected:
-        families = so.SolitonCandidate(_stacked(built[n_invariant:]), np.array(kappas), name="families")
-        stacks["solitons"] = families, cases
-    return stacks
+        families = so.SolitonCandidate(built[n_invariant:], np.array(kappas), name="families")
+        batches["solitons"] = families, cases
+    return batches
 
 
 def _suite_identities(seed: int, samples: dict) -> list[tuple]:
@@ -471,7 +470,7 @@ def _suite_identities(seed: int, samples: dict) -> list[tuple]:
 def _suite_divergence(seed: int, samples: dict) -> list[tuple]:
     """Divergence-identity suite over chart samples with nonconstant f, phi."""
     charts = samples["divergence"]
-    kappas = np.random.default_rng(seed).uniform(0.05, 3.0, size=len(charts.f))
+    kappas = np.random.default_rng(seed).uniform(0.05, 3.0, size=len(charts))
     report = so.verify_divergence_identities(charts, kappas)
     return [(name, eq.value, 1e-8) for name, eq in report.equations.items()]
 

@@ -15,15 +15,16 @@ dimensional linear algebra:
 * Covariant derivatives of invariant (0,p) tensors reduce to
   ``(D_a T)(..) = - sum_r Gamma^m_{a i_r} T(.. e_m ..)``.
 
-:func:`build_invariant_samples` fills a batch of
-:class:`~hetflow.chart_jets.GeometrySample` in one pass through the
-assembly it shares with the chart backend.  The metrics, densities,
-dilatons and the structure constants of each entry's algebra are stacked
-on one leading batch axis, so one batch may mix algebras; a single
-:func:`build_invariant_sample` is a batch of one.  The backend supplies
-plain arrays and six primitives: ``np.einsum`` with a leading ellipsis as
-the contraction, :func:`invariant_cov_deriv`, a zero gradient (invariant
-fields are constant, so every ``d_*`` field vanishes),
+:func:`build_invariant_samples` fills a batch
+:class:`~hetflow.chart_jets.GeometrySample` (every field with a leading
+batch axis) in one pass through the assembly it shares with the chart
+backend.  The metrics, densities, dilatons and the structure constants of
+each entry's algebra are stacked on one leading batch axis, so one batch
+may mix algebras; a single :func:`build_invariant_sample` is a batch of
+one, indexed at 0.  The backend supplies plain arrays and six primitives:
+``np.einsum`` with a leading ellipsis as the contraction,
+:func:`invariant_cov_deriv`, a zero gradient (invariant fields are
+constant, so every ``d_*`` field vanishes),
 :func:`invariant_riemann` as the curvature, and the array itself as the
 value at the point and as its own cut to a lower jet degree.
 :func:`levi_civita_connection`, :func:`invariant_riemann` and
@@ -327,7 +328,8 @@ def build_invariant_sample(
     ``dilaton`` is an invariant 1-form (coefficient vector); closedness is the
     caller's responsibility (see :func:`closed_one_forms`).  All invariant
     scalars are constant, so the ``d_*`` entries vanish identically.  This is
-    :func:`build_invariant_samples` on a batch of one.
+    :func:`build_invariant_samples` on a batch of one, indexed at 0: one
+    sample with Python-float scalars, an int orientation and a meta dict.
     """
     return build_invariant_samples([(alg, g, f, dilaton, orientation)])[0]
 
@@ -352,21 +354,25 @@ def _checked_args(k: int, alg, g, f, dilaton=None, orientation=1) -> tuple:
     return alg, g, float(f), dilaton, orientation
 
 
-def build_invariant_samples(args) -> list[GeometrySample]:
-    """Invariant geometry bundles of a batch in one pass, one per entry, in order.
+def build_invariant_samples(args) -> GeometrySample:
+    """Invariant geometry bundles of a batch in one pass.
 
     Each entry of ``args`` is a tuple of :func:`build_invariant_sample`
     arguments, ``(alg, g, f)``, ``(alg, g, f, dilaton)`` or
     ``(alg, g, f, dilaton, orientation)``.  The algebras may differ: their
     structure constants are stacked on the batch axis with the metrics.
-    Raises ``ValueError``, naming the entry's index, for an algebra that is
-    not three-dimensional, a metric that is not a finite SPD 3x3 matrix, a
-    non-finite ``f``, a dilaton that is not a finite ``(3,)`` vector, an
-    orientation other than +-1, and a geometry that overflows.
+    Returns one :class:`~hetflow.chart_jets.GeometrySample` whose fields hold
+    the entries in order on a leading batch axis; ``batch[k]`` is entry
+    ``k``'s sample, as :func:`build_invariant_sample` returns it.  Raises
+    ``ValueError`` for an empty ``args`` and, naming the entry's index, for
+    an algebra that is not three-dimensional, a metric that is not a finite
+    SPD 3x3 matrix, a non-finite ``f``, a dilaton that is not a finite
+    ``(3,)`` vector, an orientation other than +-1, and a geometry that
+    overflows.
     """
     checked = [_checked_args(k, *entry) for k, entry in enumerate(args)]
     if not checked:
-        return []
+        raise ValueError("a batch of invariant samples needs at least one entry")
     algs, gs, fs, dilatons, orientations = zip(*checked)
     g = np.array(gs)
     structure = np.array([alg.structure for alg in algs])
@@ -391,6 +397,11 @@ def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum(_batch_spec(spec), a, b)
 
 
+# closed_one_forms of the catalog entries without parameters, by name, each
+# computed on its first draw in a process.
+_CLOSED_FORMS: dict = {}
+
+
 def _random_invariant_args(seed: int) -> tuple:
     """The :func:`build_invariant_sample` arguments of :func:`random_invariant_sample`."""
     rng = np.random.default_rng(seed)
@@ -404,7 +415,11 @@ def _random_invariant_args(seed: int) -> tuple:
     a = rng.normal(size=(3, 3))
     g = a @ a.T + 0.5 * np.eye(3)
     f = float(rng.uniform(0.3, 2.0))
-    basis = closed_one_forms(alg)
+    basis = _CLOSED_FORMS.get(name)
+    if basis is None:
+        basis = closed_one_forms(alg)
+        if name not in ("su2", "hyperbolic"):  # the entries with a parameter
+            _CLOSED_FORMS[name] = basis
     dilaton = None
     if basis.shape[0]:
         dilaton = basis.T @ rng.uniform(-1.0, 1.0, size=basis.shape[0])

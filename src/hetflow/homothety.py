@@ -517,19 +517,36 @@ def lambert_w(x: float) -> float:
         lx = math.log(x)
         w = lx - math.log(lx)
 
-    for _ in range(_LAMBERT_MAX_ITER):
+    w = _lambert_halley(x, w)[0]
+    if abs(w * math.exp(w) - x) > _LAMBERT_TOL * (1.0 + abs(w)) * max(abs(x), 1e-300):
+        raise ArithmeticError(f"lambert_w failed to converge for x = {x}")
+    return w
+
+
+def _lambert_halley(x: float, w: float) -> tuple:
+    """Halley iteration for ``w exp(w) = x`` from the seed ``w``: ``(w, passes)``.
+
+    Stops at a zero residual, at a step below ``1e-16 (1 + |w|)``, or at a
+    step no smaller than the one before, which is not taken: rounding, not
+    the root, now sets the steps.  Near the branch point, where ``1 + w`` is
+    small, rounding keeps every step above the first bound, so the last rule
+    is the one that ends the iteration there.
+    """
+    last = math.inf
+    for passes in range(1, _LAMBERT_MAX_ITER + 1):
         ew = math.exp(w)
         fw = w * ew - x
         if fw == 0.0:
             break
         denom = ew * (w + 1.0) - (w + 2.0) * fw / (2.0 * w + 2.0)
         step = fw / denom
+        if abs(step) >= last:
+            break
         w -= step
         if abs(step) <= 1e-16 * (1.0 + abs(w)):
             break
-    if abs(w * math.exp(w) - x) > _LAMBERT_TOL * (1.0 + abs(w)) * max(abs(x), 1e-300):
-        raise ArithmeticError(f"lambert_w failed to converge for x = {x}")
-    return w
+        last = abs(step)
+    return w, passes
 
 
 def _w0_of_exp(log_x: float) -> float:

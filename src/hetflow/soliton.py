@@ -20,11 +20,11 @@ invariant data in dimension four and higher.
 Reports are value objects with a stable JSON layout so batch verification
 and the command-line front end can share one schema.
 
-The residual maps take stacks as the :mod:`~hetflow.tensor_core` closed
-forms do: a candidate whose sample fields carry a leading batch axis, with
-one ``kappa`` per sample, gets one report, and each value in it is the
-worst over the batch (the maxima of :func:`verify_divergence_identities`
-batch the same way).  ``hetflow verify`` evaluates its suites like this.
+The residual maps take batches as the :mod:`~hetflow.tensor_core` closed
+forms do: a candidate whose sample is a batch (every field with a leading
+batch axis), with one ``kappa`` per entry, gets one report, and each value
+in it is the worst over the batch (the maxima of
+:func:`verify_divergence_identities` batch the same way).  ``hetflow verify`` evaluates its suites like this.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class SolitonCandidate:
     The one-form slot of the sample is the closed ``phi`` of the system (both
     backends construct it closed); the dilaton coupling ``f`` is the scalar
     dual of the three-form flux and must be nowhere zero when ``phi`` is
-    slaved to it.  A stacked sample takes one ``kappa`` per sample.
+    slaved to it.  A batch sample takes one ``kappa`` per entry.
     """
 
     sample: GeometrySample

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hetflow import chart_jets as cj
-from hetflow import cli
 from hetflow import homogeneous as hg
 
 
@@ -91,15 +90,48 @@ def samples_match():
     return _assert_samples_match
 
 
-@pytest.fixture(scope="session")
-def mixed_stack(chart_samples, invariant_samples):
-    """``(stack, samples)``: chart and invariant samples, every third one with
-    its orientation reversed, and the same samples stacked as ``verify`` does."""
-    samples = [
-        dataclasses.replace(s, orientation=-s.orientation) if k % 3 == 0 else s
-        for k, s in enumerate(chart_samples + invariant_samples)
+def _split(batch) -> list:
+    """The batch as one sample per entry, split as the assembly once handed
+    its samples out: the reference that indexing a batch must reproduce."""
+    columns = [v.tolist() if v.ndim == 1 else list(v) for v in (getattr(batch, name) for name in cj._FIELDS)]
+    return [
+        cj.GeometrySample(backend=batch.backend, orientation=orientation, meta=meta, **dict(zip(cj._FIELDS, row)))
+        for orientation, meta, *row in zip(batch.orientation.tolist(), batch.meta, *columns)
     ]
-    return cli._stacked(samples), samples
+
+
+def _stacked(samples: list) -> cj.GeometrySample:
+    """The samples as one, every field stacked on a leading batch axis, as
+    ``verify`` once restacked the split samples: the reference that the
+    batches it reads must reproduce bit for bit."""
+    fields = dataclasses.fields(cj.GeometrySample)
+    names = [item.name for item in fields if item.name not in ("backend", "meta")]
+    return cj.GeometrySample(
+        backend="+".join(dict.fromkeys(sample.backend for sample in samples)),
+        **{name: np.array([getattr(sample, name) for sample in samples]) for name in names},
+    )
+
+
+@pytest.fixture
+def split_and_stacked():
+    """``(split, stacked)``: the per-sample split of a batch and the restack
+    of split samples, as they were before batches were read as built."""
+    return _split, _stacked
+
+
+@pytest.fixture(scope="session")
+def mixed_stack():
+    """``(stack, samples)``: a batch of 8 chart and 8 invariant samples, every
+    third one with its orientation reversed, and its entries one by one."""
+    charts = cj.build_chart_samples([cj.random_chart_spec(seed, maxwell=bool(seed % 2)) for seed in range(8)])
+    invariants = hg.build_invariant_samples([hg._random_invariant_args(seed) for seed in range(8)])
+    stack = cj.GeometrySample(
+        backend="chart+homogeneous", meta=charts.meta + invariants.meta,
+        **{name: np.concatenate((getattr(charts, name), getattr(invariants, name)))
+           for name in (*cj._FIELDS, "orientation")},
+    )
+    stack.orientation[::3] *= -1
+    return stack, list(stack)
 
 
 def _assert_slices_match(batched, singles, rtol: float = 1e-15) -> None:

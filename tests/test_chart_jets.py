@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetflow import chart_jets as cj
+from hetflow import homogeneous as hg
 from hetflow import soliton as so
 from hetflow import tensor_core as tc
 
@@ -194,6 +195,42 @@ def test_jet_exp_derivative_identity():
     # differentiation drops one degree, and the product is cut to it
     assert lhs.shape == rhs.shape == (cj.JET_SIZES[2],)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-15)
+
+
+def _single_jet_exp(a):
+    """Reference ``jet_exp`` of one jet: ``math.exp`` of its constant term
+    times the series of the rest."""
+    u = a.copy()
+    u[0] = 0.0
+    out = cj.jet_constant(1.0, cj.jet_degree(a))
+    power = cj.jet_constant(1.0, cj.jet_degree(a))
+    for k in range(1, cj.JET_ORDER + 1):
+        power = cj.jet_mul(power, u)
+        out = out + power / math.factorial(k)
+    return math.exp(a[0]) * out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_jet_exp_takes_a_batch_of_jets(degree, slices_match):
+    """One jet gives the reference's bytes.  A batch gives ``math.exp`` of
+    every constant term exactly, and the single results to 1e-15 (a stacked
+    ``jet_mul`` sums its pair products in another order)."""
+    rng = np.random.default_rng(degree)
+    jets = 3.0 * rng.normal(size=(5, 2, cj.JET_SIZES[degree]))
+    singles = [_single_jet_exp(jet) for jet in jets.reshape(-1, cj.JET_SIZES[degree])]
+    for jet, single in zip(jets.reshape(-1, cj.JET_SIZES[degree]), singles):
+        assert cj.jet_exp(jet).tobytes() == single.tobytes()
+    batch = cj.jet_exp(jets)
+    assert batch.shape == jets.shape
+    assert batch[..., 0].tolist() == [[math.exp(x) for x in row] for row in jets[..., 0].tolist()]
+    slices_match(batch.reshape(-1, cj.JET_SIZES[degree]), singles)
+
+
+def test_jet_exp_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="overflows"):
+        cj.jet_exp(cj.jet_constant(1000.0))
+    with pytest.raises(ValueError, match="overflows"):
+        cj.jet_exp(np.array([cj.jet_constant(1.0), cj.jet_constant(1000.0)]))
 
 
 def _cofactor_loop_inverse(g):
@@ -544,7 +581,61 @@ def test_chart_batch_matches_batches_of_one(samples_match):
     assert batch[6].f < 0.0 and batch[3].orientation == -1
     # the order of a batch does not matter either
     samples_match(cj.build_chart_samples(specs[::-1]), batch[::-1])
-    assert cj.build_chart_samples([]) == []
+    with pytest.raises(ValueError, match="at least one"):
+        cj.build_chart_samples([])
+
+
+def _batch(backend: str) -> cj.GeometrySample:
+    """A batch of either backend with both orientations."""
+    if backend == "chart":
+        specs = [cj.random_chart_spec(seed, maxwell=bool(seed % 2)) for seed in range(5)]
+        specs[2].orientation = -1
+        return cj.build_chart_samples(specs)
+    return hg.build_invariant_samples([hg._random_invariant_args(seed) for seed in range(7)])
+
+
+def _assert_same_bytes(a, b) -> None:
+    """Two samples are equal bit for bit in every field, and of the same types."""
+    assert (a.backend, a.meta) == (b.backend, b.meta)
+    for item in dataclasses.fields(a):
+        if item.name in ("backend", "meta"):
+            continue
+        x, y = getattr(a, item.name), getattr(b, item.name)
+        assert type(x) is type(y), item.name
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), item.name
+
+
+@pytest.mark.parametrize("backend", ["chart", "homogeneous"])
+def test_an_indexed_batch_is_the_split_sample(backend, split_and_stacked):
+    split, stacked = split_and_stacked
+    batch = _batch(backend)
+    singles = split(batch)
+    assert len(batch) == len(singles)
+    for sample, single in zip(batch, singles, strict=True):
+        _assert_same_bytes(sample, single)
+        assert type(sample.orientation) is int and type(sample.scalar) is float
+    _assert_same_bytes(batch[-1], singles[-1])
+    # and the batch is the restack of its split, as verify once read it
+    restacked = stacked(singles)
+    restacked.meta = batch.meta
+    _assert_same_bytes(batch, restacked)
+
+
+@pytest.mark.parametrize("backend", ["chart", "homogeneous"])
+def test_a_batch_slice_is_a_view(backend):
+    batch = _batch(backend)
+    part = batch[1:4]
+    assert len(part) == 3 and part.meta == batch.meta[1:4] and part.backend == batch.backend
+    for name in cj._FIELDS:
+        assert np.shares_memory(getattr(part, name), getattr(batch, name)), name
+    _assert_same_bytes(part[0], batch[1])
+    with pytest.raises(IndexError):
+        batch[len(batch)]
+    with pytest.raises(IndexError):
+        batch[-len(batch) - 1]
+    with pytest.raises(TypeError, match="no batch axis"):
+        len(batch[0])
 
 
 @pytest.mark.parametrize("size", [1, 2, 5])

@@ -201,6 +201,32 @@ def test_verify_suites_read_the_samples_they_were_given(capsys, count_calls, mon
 
 
 @pytest.mark.parametrize("trials", [1, 4])
+def test_verify_suites_read_the_restacked_samples_bit_for_bit(trials, split_and_stacked, monkeypatch):
+    """Each suite reads, in every field it reads, the bytes it read when the
+    batches were split into samples and stacked again."""
+    split, stacked = split_and_stacked
+    built = {}
+    for module, name in ((cj, "build_chart_samples"), (hg, "build_invariant_samples")):
+        def keeping(arg, original=getattr(module, name), name=name):
+            built[name] = original(arg)
+            return built[name]
+        monkeypatch.setattr(module, name, keeping)
+    batches = cli._verify_samples(("identities", "divergence", "solitons"), trials, 23)
+    charts, invariants = split(built["build_chart_samples"]), split(built["build_invariant_samples"])
+    families, cases = batches["solitons"]
+    assert cases == [1, 3] * trials
+    references = (
+        (batches["identities"], stacked(charts + invariants[:trials]), cli._IDENTITY_FIELDS),
+        (batches["divergence"], stacked(charts), (*cj._FIELDS, "orientation")),
+        (families.sample, stacked(invariants[trials:]), (*cj._FIELDS, "orientation")),
+    )
+    for batch, reference, names in references:
+        for name in names:
+            x, y = getattr(batch, name), getattr(reference, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+@pytest.mark.parametrize("trials", [1, 4])
 def test_verify_assembles_its_samples_in_two_passes(capsys, count_calls, trials):
     """One assembly for the chart samples, one for the invariant samples and
     soliton candidates, whatever the number of trials."""

@@ -442,7 +442,8 @@ def test_invariant_batch_matches_batches_of_one(samples_match):
     batch = hg.build_invariant_samples(args)
     samples_match(batch, [hg.build_invariant_sample(*entry) for entry in args])
     assert [sample.meta["algebra"] for sample in batch[::2]] == list(hg.CATALOG_NAMES)
-    assert hg.build_invariant_samples([]) == []
+    with pytest.raises(ValueError, match="at least one"):
+        hg.build_invariant_samples([])
 
 
 def test_random_invariant_sample_is_a_batch_of_one(samples_match):
@@ -450,6 +451,20 @@ def test_random_invariant_sample_is_a_batch_of_one(samples_match):
         hg.build_invariant_samples([hg._random_invariant_args(seed) for seed in range(6)]),
         [hg.random_invariant_sample(seed) for seed in range(6)],
     )
+
+
+def test_random_invariant_args_compute_each_parameter_free_basis_once(count_calls, monkeypatch):
+    """The closed one-forms of an algebra without parameters come from one SVD
+    per process, with the bytes of a fresh one; su2 and hyperbolic draw theirs."""
+    monkeypatch.setattr(hg, "_CLOSED_FORMS", {})
+    svds = count_calls(hg, "closed_one_forms")
+    draws = [hg._random_invariant_args(seed) for seed in range(40)]
+    names = [alg.name for alg, *_ in draws]
+    with_parameters = sum(name in ("su2", "hyperbolic") for name in names)
+    assert len(svds) == with_parameters + len(set(names) - {"su2", "hyperbolic"})
+    assert set(hg._CLOSED_FORMS) == set(names) - {"su2", "hyperbolic"} == {"r3", "heisenberg", "sl2r", "e11", "e2"}
+    for name, basis in hg._CLOSED_FORMS.items():
+        assert basis.tobytes() == hg.closed_one_forms(hg.catalog(name)).tobytes()
 
 
 _R3 = hg.catalog("r3")

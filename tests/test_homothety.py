@@ -1,19 +1,23 @@
 """Scalar conformal-factor reduction: curves, closed forms, classification."""
 
+import importlib
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hetflow import cli
 from hetflow import het_flow as hf
 from hetflow import homogeneous as hg
 from hetflow import homothety as ht
 
 TAG = ht.BehaviorTag
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,54 @@ def test_lambert_w_principal_roundtrip(w):
     got = ht.lambert_w(x)
     assert got * math.exp(got) == pytest.approx(x, rel=1e-10, abs=1e-12)
     assert got == pytest.approx(w, rel=1e-8, abs=1e-8)
+
+
+def _halley_to_the_cap(x: float, w: float) -> tuple:
+    """Reference: lambert_w's Halley loop as it was, stopped only by a zero
+    residual, a step below ``1e-16 (1 + |w|)`` or 80 passes."""
+    for passes in range(1, 81):
+        ew = math.exp(w)
+        fw = w * ew - x
+        if fw == 0.0:
+            break
+        step = fw / (ew * (w + 1.0) - (w + 2.0) * fw / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-16 * (1.0 + abs(w)):
+            break
+    return w, passes
+
+
+def test_lambert_w_stops_at_the_rounding_floor(monkeypatch, tmp_path, count_calls):
+    """On the Halley iterations of the benchmark's seed-1 homothety commands
+    (closed forms near a collapse put W near the branch point), no call runs
+    to the iteration cap, where the old loop ran 76 of them, and every result
+    is within one unit ``eps max(|W|, 1 / (1 + W))`` of mpmath's W, the
+    rounding floor of ``w exp(w) = x``, as the old loop's were.  (Which
+    loop's worst error is smaller there is last-bit luck: it moves by a few
+    hundredths of a unit either way from seed to seed.)"""
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    halley = ht._lambert_halley
+    starts = count_calls(ht, "_lambert_halley")
+    for k, command in enumerate(workloads.build_homothety(1)):
+        assert cli.main([*command.argv, "--output", str(tmp_path / f"{k}.out")]) == 0
+    assert len(starts) > 500
+
+    def error(x, w):
+        exact = mpmath.lambertw(x).real
+        return float(abs(w - exact) / max(abs(exact), 1 / (1 + exact))) / np.finfo(float).eps
+
+    worst, worst_before, capped_before = 0.0, 0.0, 0
+    with mpmath.workprec(160):
+        for x, w0 in starts:
+            w, passes = halley(x, w0)
+            assert passes < ht._LAMBERT_MAX_ITER, x
+            before, passes_before = _halley_to_the_cap(x, w0)
+            capped_before += passes_before == 80
+            worst, worst_before = max(worst, error(x, w)), max(worst_before, error(x, before))
+    assert capped_before == 76
+    assert worst < 1.0 and worst_before < 1.0
 
 
 def test_lambert_w_domain_errors():

@@ -6,6 +6,7 @@ as the shell would set it, and must exit 0 with its expected last line.
 records, so no test runs a benchmark.
 """
 
+import hashlib
 import json
 import runpy
 import shlex
@@ -45,6 +46,24 @@ def test_readme_script_command_concludes(command, monkeypatch, capsys):
     assert stop.value.code == 0
     last = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
     assert CONCLUSIONS[command] in last
+
+
+def test_output_digests_dump_holds_each_hashed_output(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts its imports' directories first
+    digests = runpy.run_path(str(ROOT / "scripts" / "output_digests.py"))
+    assert digests["main"](["--seeds", "1", "--dump", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "92 outputs"
+    kept = 0
+    for line in lines[:-1]:
+        key, _, digest = line.split()
+        path = tmp_path / f"{key}.out"
+        if digest == "-":
+            assert not path.exists()
+            continue
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, key
+        kept += 1
+    assert kept == len(list(tmp_path.rglob("*.out"))) > 0
 
 
 BENCH_PAIRS = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))

@@ -488,7 +488,7 @@ def test_divergence_identities_match_the_per_direction_formulas():
     # The whole-direction contractions sum in another order than the
     # per-direction ones, so they agree to rounding, not bit for bit.
     specs = [cj.random_chart_spec(300 + k, maxwell=bool(k % 2)) for k in range(50)]
-    samples = cj.build_chart_samples(specs)
+    samples = list(cj.build_chart_samples(specs))
     samples += [c.sample for k in KAPPAS for c in (so.heisenberg_strong_soliton(k), so.hyperbolic_soliton(k))]
     samples += [_case_candidate(case, k).sample for case in (1, 2, 3) for k in KAPPAS]
     rng = np.random.default_rng(19)
