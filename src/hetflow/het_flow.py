@@ -223,6 +223,7 @@ def rhs_general(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: 
 
 def bianchi_residual(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: float) -> np.ndarray:
     """Constraint 4-form ``dH + kappa <Rh ^ Rh>`` (identically zero in dim 3)."""
+    _check_kappa(kappa)
     g = np.asarray(g, dtype=float)
     torsion = np.asarray(torsion, dtype=float)
     tc.validate_metric(g)
@@ -240,6 +241,7 @@ def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     The codifferential/Laplacian contribution vanishes on invariant data.
     Zero on both constant-density fixed points (stationarity).
     """
+    _check_kappa(kappa)
     g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
     f = state.f
     return 0.5 * (f * f - kappa * tc.riemann_norm2_twisted_dim3(g_inv, ricci, scalar, f, np.zeros(3)))

@@ -30,6 +30,24 @@ cell's tag and the roots of ``F`` between its knots (:func:`_fate_and_roots`).
 
 Conventions: ``kappa >= 0`` is the curvature-squared coupling, ``mu`` the
 torsion constant, ``y = sigma > 0`` the conformal factor.
+
+The ansatz is ``g = sigma g0``, ``f = mu sigma^(-3/2)``, with ``g0`` at unit
+scale.  The coefficients are written here, not derived from
+:func:`hetflow.het_flow.rhs_3d`, and two of them disagree with it; which
+reduction is the paper's is not settled (ROADMAP item 3):
+
+* the quintics with ``s != 0`` (``positive``, ``negative``, ``general``).  On
+  an Einstein ``g0``, ``Ric(g0) = (s/3) g0``, the 3D law gives
+  ``F = -(2s/3) y - kappa s^2/9 + mu^2/y + kappa s mu^2/(3 y^2)
+  - kappa mu^4/(4 y^4)``, and :func:`_coefficients` differs in each of its
+  three ``kappa s`` terms.  They agree at ``kappa = 0`` and for ``flat``.
+* ``su2``: ``F(y) = (4y - 12)/kappa`` is ``sigma sigma'`` of ``rhs_3d`` for
+  ``g = sigma I`` on ``catalog("su2", kappa)`` at ``f = 0`` only at
+  ``sigma = 1``.  Elsewhere ``g'`` is not a multiple of ``I``: at
+  ``kappa = 1.9`` and ``sigma = 0.5`` it is ``diag(-9.47, -9.47, -6.32)``,
+  and at ``sigma = 2`` ``sigma g'_11`` is -3.158 against ``F(2)`` = -2.105.
+
+``tests/test_symbolic.py`` derives the law's reduction and pins both.
 """
 
 from __future__ import annotations
@@ -43,15 +61,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import het_flow as hf
-from . import homogeneous as hg
-from . import tensor_core as tc
 
 __all__ = [
     "BehaviorTag",
     "HomothetyProblem",
     "Behavior",
     "Trajectory",
-    "ConsistencyReport",
     "problem_coefficients",
     "F_value",
     "kappa_crit_p",
@@ -70,7 +85,6 @@ __all__ = [
     "classify_from_trajectory",
     "collapse_time_quadrature",
     "sweep_grid",
-    "check_homothety_consistency",
 ]
 
 # Event thresholds: far from every printed fixed point.
@@ -618,8 +632,12 @@ def su2_collapse_time(kappa: float) -> float:
 
 
 def su2_closed_form(kappa: float, t: float) -> float:
-    """Exact SU(2) trajectory ``sigma = 3 + 3 W_0(-(2/3) exp((2/3)(2t/kappa - 1)))``.
+    """Exact SU(2) trajectory ``sigma = 3 + 3 W_0(-(2/3) exp((2/3)(2t/kappa - 1)))``
+    of ``sigma sigma' = (4 sigma - 12)/kappa``.
 
+    ``sigma``, the ``y`` of the ``su2`` reduction, is the scale of
+    ``g = sigma I`` on ``catalog("su2", kappa)`` at zero flux; the tensor
+    flow agrees with it at ``sigma = 1`` only (see the module docstring).
     Defined for ``t <= t_max``; tends to 3 as ``t -> -inf`` and to 0 at
     ``t_max``.
     """
@@ -1052,99 +1070,3 @@ def sweep_grid(case: str, kappas, mus) -> np.ndarray:
     _check_grid(case, kappas, mus)
     tags, _, _, _ = _fates(case, kappas, mus, 1.0)
     return tags.reshape(len(kappas), len(mus))
-
-
-# ---------------------------------------------------------------------------
-# Consistency of the conformal ansatz on invariant geometries
-# ---------------------------------------------------------------------------
-
-
-# Relative tolerance of check_homothety_consistency's eigenvalue relations.
-_CONSISTENCY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Outcome of the conformal-ansatz eigenvalue relations on (alg, g).
-
-    The reduction closes exactly when the principal Ricci values satisfy
-    ``lambda_i^2 - lambda_j^2 = F_t (lambda_i - lambda_j)`` for a common
-    ``F_t(sigma) = 1/kappa + s/sigma - mu^2/(2 sigma^3)``: always for Einstein
-    metrics, and for non-Einstein ones only with ``s = mu = 0`` and a
-    pair-independent ``lambda_i + lambda_j`` equal to ``1/kappa``.
-    """
-
-    passed: bool
-    einstein: bool
-    eigenvalues: tuple
-    scalar: float
-    pair_sums: tuple
-    f_t_at_unit: float | None
-    reduction: tuple | None  # quintic coefficients of y^4 F when consistent
-    reason: str
-
-
-@_overflow_guard
-def check_homothety_consistency(alg, g, kappa: float, mu: float) -> ConsistencyReport:
-    """Decide whether (alg, g) supports the conformal-family reduction."""
-    _check_couplings(kappa, mu)
-    g = np.asarray(g, dtype=float)
-    tc.validate_metric(g)
-    _, _, _, ric, _ = hg.invariant_curvature(alg, g)
-    lam, _ = tc.principal_values(g, ric)
-    s = float(np.sum(lam))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    f_t = None if kappa == 0.0 else 1.0 / kappa + s - mu**2 / 2.0
-
-    if float(lam[-1] - lam[0]) <= _CONSISTENCY_TOL * scale:
-        return ConsistencyReport(
-            passed=True,
-            einstein=True,
-            eigenvalues=tuple(float(v) for v in lam),
-            scalar=s,
-            pair_sums=(),
-            f_t_at_unit=f_t,
-            reduction=tuple(problem_coefficients(HomothetyProblem("general", kappa, mu, s))),
-            reason="Einstein metric: the reduction closes for every (kappa, mu)",
-        )
-
-    pair_sums = tuple(
-        float(lam[i] + lam[j])
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if abs(lam[i] - lam[j]) > _CONSISTENCY_TOL * scale
-    )
-    if abs(s) > _CONSISTENCY_TOL * scale:
-        reason = "non-Einstein with s != 0: eigenvalue relations are overdetermined"
-        ok = False
-    elif abs(mu) > _CONSISTENCY_TOL:
-        reason = "non-Einstein with mu != 0: torsion term breaks the relations"
-        ok = False
-    elif kappa == 0.0:
-        reason = "non-Einstein with kappa = 0: no common F_t exists"
-        ok = False
-    elif max(pair_sums) - min(pair_sums) > _CONSISTENCY_TOL * scale:
-        reason = "distinct-pair eigenvalue sums disagree"
-        ok = False
-    elif abs(pair_sums[0] - 1.0 / kappa) > _CONSISTENCY_TOL * max(scale, 1.0 / kappa):
-        reason = "pair sums differ from 1/kappa: relations have no solution"
-        ok = False
-    else:
-        ok = True
-        reason = "non-Einstein reduction: s = mu = 0 with pair sums 1/kappa"
-
-    reduction = None
-    if ok:
-        ric_norm2 = float(np.sum(lam**2))
-        a_coef = 2.0 * kappa * float(lam[0]) ** 2 - 2.0 * float(lam[0])
-        reduction = (a_coef, -2.0 * kappa * ric_norm2, 0.0, 0.0, 0.0, 0.0)
-    return ConsistencyReport(
-        passed=ok,
-        einstein=False,
-        eigenvalues=tuple(float(v) for v in lam),
-        scalar=s,
-        pair_sums=pair_sums,
-        f_t_at_unit=f_t,
-        reduction=reduction,
-        reason=reason,
-    )

@@ -148,6 +148,11 @@ class SolitonCandidate:
             raise ValueError("coupling kappa must be positive and finite")
 
 
+def _check_coupling(kappa: float) -> None:
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("coupling kappa must be positive and finite")
+
+
 def _number(x):
     """A ``float``, or a list of per-sample floats, for report metadata."""
     return np.asarray(x, dtype=float).tolist()
@@ -262,11 +267,15 @@ def residual_quadratic_form(candidate: SolitonCandidate) -> tuple[np.ndarray, fl
 
 def quadratic_roots(kappa: float, f: float) -> tuple[float, float]:
     """Roots ``(-f^2/2, (2 - kappa f^2)/(2 kappa))`` of the eigenvalue quadratic."""
+    _check_coupling(kappa)
+    if not math.isfinite(f):
+        raise ValueError("torsion density f must be finite")
     return -0.5 * f**2, (2.0 - kappa * f**2) / (2.0 * kappa)
 
 
 def case_spectrum(case: int, kappa: float) -> tuple[float, float, float]:
     """Principal Ricci spectrum of the constant-dilaton case ``kappa f^2 = case``."""
+    _check_coupling(kappa)
     if case == 1:
         return (-0.5 / kappa, -0.5 / kappa, 0.5 / kappa)
     if case == 2:
@@ -296,8 +305,7 @@ class CaseMatch:
 
 def classify_ricci_spectrum(eigenvalues, kappa: float) -> CaseMatch:
     """Match a principal Ricci spectrum to one of the constant-dilaton cases."""
-    if not (0.0 < kappa < np.inf):
-        raise ValueError("coupling kappa must be positive and finite")
+    _check_coupling(kappa)
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     if eigs.shape != (3,):
         raise ValueError("expected exactly three principal curvatures")
@@ -406,8 +414,7 @@ def heisenberg_strong_soliton(kappa: float) -> SolitonCandidate:
 def _heisenberg_args(kappa: float) -> tuple:
     """The :func:`hetflow.homogeneous.build_invariant_sample` arguments of
     :func:`heisenberg_strong_soliton`."""
-    if kappa <= 0.0:
-        raise ValueError("coupling kappa must be positive")
+    _check_coupling(kappa)
     f = 1.0 / math.sqrt(kappa)  # on Python floats, so that an overflow does not warn
     if not f * f < math.inf:
         raise ValueError(f"coupling kappa {kappa!r} is too small: 1/kappa overflows")
@@ -436,8 +443,7 @@ def _coupling_sample(kappa: float, args: tuple) -> hg.GeometrySample:
 def _hyperbolic_args(kappa: float) -> tuple:
     """The :func:`hetflow.homogeneous.build_invariant_sample` arguments of
     :func:`hyperbolic_soliton`."""
-    if kappa <= 0.0:
-        raise ValueError("coupling kappa must be positive")
+    _check_coupling(kappa)
     f_sq = 3.0 / float(kappa)  # on Python floats, so that an overflow does not warn
     if not f_sq < math.inf:
         raise ValueError(f"coupling kappa {kappa!r} is too small: 3/kappa overflows")

@@ -1,4 +1,4 @@
-"""Which parts of scipy the package imports.
+"""Which parts of scipy, and of hetflow itself, the package's modules import.
 
 Every ``import`` statement in ``src/hetflow``, function-local ones included,
 is read from the source.  Checking ``sys.modules`` after an import would not
@@ -33,6 +33,24 @@ def _scipy_imports(path: Path) -> set:
 def test_scipy_is_imported_only_where_listed():
     seen = {path.stem: _scipy_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: mods for name, mods in seen.items() if mods} == ALLOWED
+
+
+def _hetflow_imports(path: Path) -> set:
+    """The sibling modules that ``path`` imports relatively, and any import of
+    ``hetflow`` by name, as written."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+            found.update(name for name in names if name.split(".")[0] == "hetflow")
+    return found
+
+
+def test_homothety_imports_only_het_flow_from_the_package():
+    # The scalar reductions need the integrator alone; no curvature module.
+    assert _hetflow_imports(PACKAGE / "homothety.py") == {"het_flow"}
 
 
 def _fresh_cli(code: str) -> str:

@@ -274,6 +274,49 @@ def test_non_finite_kappa_rejected(kappa):
         hf.rhs_general(state.algebra, state.g, torsion, kappa=kappa)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda state, torsion: hf.dilaton_rhs(state, -1.0), id="dilaton_rhs-negative-kappa"),
+        pytest.param(lambda state, torsion: hf.dilaton_rhs(state, math.inf), id="dilaton_rhs-inf-kappa"),
+        pytest.param(lambda state, torsion: hf.dilaton_rhs(state, math.nan), id="dilaton_rhs-nan-kappa"),
+        pytest.param(
+            lambda state, torsion: hf.bianchi_residual(state.algebra, state.g, torsion, math.nan),
+            id="bianchi_residual-nan-kappa",
+        ),
+        pytest.param(
+            lambda state, torsion: hf.bianchi_residual(state.algebra, state.g, torsion, -1.0),
+            id="bianchi_residual-negative-kappa",
+        ),
+    ],
+)
+def test_flow_diagnostics_reject_bad_kappa_as_the_rhs_do(call):
+    state = hf.FlowState3(algebra=hg.catalog("su2"), g=np.eye(3), f=1.0)
+    with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+        call(state, state.f * tc.volume_form(state.g))
+
+
+@settings(max_examples=140, deadline=None)
+@given(st.sampled_from(hg.CATALOG_NAMES), st.integers(0, 2**32 - 1))
+def test_the_rhs_are_invariant_under_the_scaling_symmetry(name, seed):
+    # (g, f, kappa, t) -> (4g, f/2, 4kappa, 4t) maps solutions to solutions:
+    # Ric is scale-invariant, and Ric.Ric, s and |Ric|^2 scale as 1/4, 1/4 and
+    # 1/16.  With H -> 4H it holds for rhs_general too.  4 is a power of two, so
+    # every rounding scales with it and g' keeps its bits.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3))
+    g = a @ a.T + 0.5 * np.eye(3)
+    f, kappa = float(rng.normal()), float(rng.uniform(0.0, 2.0))
+    alg = hg.catalog(name)
+    g_dot, _ = hf.rhs_3d(hf.FlowState3(algebra=alg, g=g, f=f), kappa)
+    scaled, _ = hf.rhs_3d(hf.FlowState3(algebra=alg, g=4.0 * g, f=0.5 * f), 4.0 * kappa)
+    assert scaled.tobytes() == g_dot.tobytes()
+    torsion = f * tc.volume_form(g)
+    g_dot, _ = hf.rhs_general(alg, g, torsion, kappa)
+    scaled, _ = hf.rhs_general(alg, 4.0 * g, 4.0 * torsion, 4.0 * kappa)
+    assert scaled.tobytes() == g_dot.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "bad",

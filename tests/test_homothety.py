@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetflow import cli
@@ -982,28 +982,49 @@ def test_collapse_time_quadrature_sees_the_roots_of_a_general_s(s):
                 assert math.isfinite(ht.collapse_time_quadrature(problem)), (kappa, mu, sigma0)
 
 
-def test_check_homothety_consistency_cases():
-    kappa = 1.9
-    su2 = hg.catalog("su2", kappa=kappa)
-    report = ht.check_homothety_consistency(su2, np.eye(3), kappa, 0.0)
-    assert report.passed and not report.einstein
-    assert report.reduction is not None
-    hyper = hg.catalog("hyperbolic", c=0.7)
-    einstein = ht.check_homothety_consistency(hyper, np.eye(3), 1.0, 0.5)
-    assert einstein.passed and einstein.einstein
-    heis = ht.check_homothety_consistency(hg.catalog("heisenberg"), np.eye(3), 1.0, 0.0)
-    assert not heis.passed
-    # su2 with nonzero flux coupling: torsion term breaks the relations
-    report_mu = ht.check_homothety_consistency(su2, np.eye(3), kappa, 0.7)
-    assert not report_mu.passed
-
-
 def test_su2_reduction_matches_remark_coefficients():
-    kappa = 1.9
-    su2 = hg.catalog("su2", kappa=kappa)
-    report = ht.check_homothety_consistency(su2, np.eye(3), kappa, 0.0)
-    expected = ht.problem_coefficients(ht.HomothetyProblem("su2", kappa))
-    np.testing.assert_allclose(report.reduction, expected, atol=1e-10)
+    # At g = I and f = 0 on catalog("su2", kappa) the tensor flow is F(1) I,
+    # with F's coefficients (4/kappa, -12/kappa); tests/test_symbolic.py
+    # derives the relation exactly.
+    for kappa in (0.4, 1.0, 1.9):
+        state = hf.FlowState3(algebra=hg.catalog("su2", kappa=kappa), g=np.eye(3), f=0.0)
+        g_dot, _ = hf.rhs_3d(state, kappa)
+        problem = ht.HomothetyProblem("su2", kappa)
+        np.testing.assert_allclose(ht.problem_coefficients(problem), [4.0 / kappa, -12.0 / kappa, 0, 0, 0, 0])
+        np.testing.assert_allclose(g_dot, ht.F_value(problem, 1.0) * np.eye(3), rtol=1e-14, atol=1e-14 / kappa)
+
+
+_NOT_HOMOGENEOUS = pytest.mark.xfail(
+    strict=True, reason="the kappa s terms of the s != 0 quintics break the scaling symmetry (ROADMAP item 3)"
+)
+
+
+# su2 is left out: catalog("su2", kappa) ties its brackets to kappa
+# (a = 1/(2 sqrt(kappa))), so the symmetry maps its family at kappa to brackets
+# that no ("su2", 4 kappa) problem describes.
+@pytest.mark.parametrize(
+    "case",
+    [
+        "flat",
+        pytest.param("positive", marks=_NOT_HOMOGENEOUS),
+        pytest.param("negative", marks=_NOT_HOMOGENEOUS),
+        pytest.param("general", marks=_NOT_HOMOGENEOUS),
+    ],
+)
+# No shrinking: the strict xfails fail at once, and shrinking would only slow them.
+@settings(max_examples=100, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    kappa=st.just(0.0) | st.floats(1e-3, 10.0),
+    mu=st.floats(1e-3, 10.0),
+    s=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    y=st.floats(1e-3, 1e3),
+)
+def test_F_is_homogeneous_under_the_scaling_symmetry(case, kappa, mu, s, y):
+    # g = sigma g0 and f = mu sigma^(-3/2) under (g, f, kappa, t) ->
+    # (4g, f/2, 4kappa, 4t): sigma -> 4 sigma, mu -> 4 mu, and F = sigma sigma'
+    # -> 4F.  Powers of two scale every rounding, so the bits agree.
+    scaled = ht.F_value(ht.HomothetyProblem(case, 4.0 * kappa, 4.0 * mu, s), 4.0 * y)
+    assert scaled == 4.0 * ht.F_value(ht.HomothetyProblem(case, kappa, mu, s), y)
 
 
 def test_problem_validation():
@@ -1142,7 +1163,6 @@ def test_scalar_helpers_reject_overflowing_mu(fn, args):
         (ht.F_value, (ht.HomothetyProblem("negative", 1e10, 1e75), 1.0)),
         (ht.F_value, (ht.HomothetyProblem("general", 1e10, 1e75, -0.5), 1.0)),
         (ht.F_value, (ht.HomothetyProblem("su2", 1e-320), 1.0)),
-        (ht.check_homothety_consistency, (hg.catalog("hyperbolic"), np.eye(3), 1e10, 1e75)),
     ],
 )
 def test_overflowing_couplings_are_blamed_on_kappa_and_mu(fn, args):

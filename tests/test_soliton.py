@@ -13,7 +13,6 @@ import pytest
 
 from hetflow import chart_jets as cj
 from hetflow import homogeneous as hg
-from hetflow import homothety as ht
 from hetflow import soliton as so
 from hetflow import tensor_core as tc
 
@@ -69,10 +68,10 @@ def test_hyperbolic_constructor_satisfies_every_equation(kappa):
 
 
 def test_constructors_reject_bad_coupling():
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling kappa must be positive and finite"):
             so.heisenberg_strong_soliton(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coupling kappa must be positive and finite"):
             so.hyperbolic_soliton(bad)
     for tiny in (1e-320, np.float64(1e-320)):  # 1/kappa and 3/kappa overflow; no RuntimeWarning on the way
         with pytest.raises(ValueError, match="coupling kappa .* is too small"):
@@ -190,10 +189,6 @@ _SINGULAR = np.diag([1.0, 1.0, 0.0])
             id="heisenberg_auxiliary_connection-singular-g",
         ),
         pytest.param(
-            lambda: ht.check_homothety_consistency(hg.catalog("su2"), _SINGULAR, 1.0, 0.0),
-            id="check_homothety_consistency-singular-g",
-        ),
-        pytest.param(
             lambda: hg.build_invariant_sample(hg.catalog("heisenberg"), np.eye(3), math.nan),
             id="build_invariant_sample-nan-f",
         ),
@@ -209,18 +204,12 @@ _SINGULAR = np.diag([1.0, 1.0, 0.0])
             lambda: so.classify_ricci_spectrum((-0.5, math.nan, 0.5), 1.0),
             id="classify_ricci_spectrum-nan-eigenvalue",
         ),
-        pytest.param(
-            lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), math.nan, 0.0),
-            id="check_homothety_consistency-nan-kappa",
-        ),
-        pytest.param(
-            lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, math.inf),
-            id="check_homothety_consistency-inf-mu",
-        ),
-        pytest.param(
-            lambda: ht.check_homothety_consistency(hg.catalog("su2"), np.eye(3), 1.0, 1e200),
-            id="check_homothety_consistency-overflowing-mu",
-        ),
+        pytest.param(lambda: so.case_spectrum(1, 0.0), id="case_spectrum-zero-kappa"),
+        pytest.param(lambda: so.case_spectrum(1, math.nan), id="case_spectrum-nan-kappa"),
+        pytest.param(lambda: so.case_spectrum(1, -1.0), id="case_spectrum-negative-kappa"),
+        pytest.param(lambda: so.quadratic_roots(0.0, 1.0), id="quadratic_roots-zero-kappa"),
+        pytest.param(lambda: so.quadratic_roots(math.nan, 1.0), id="quadratic_roots-nan-kappa"),
+        pytest.param(lambda: so.quadratic_roots(1.0, math.inf), id="quadratic_roots-inf-f"),
     ],
 )
 def test_entry_points_reject_bad_input_with_value_error(call):
