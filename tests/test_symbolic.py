@@ -115,6 +115,12 @@ def nonzero_dyadic(rng, lo, hi):
     return x
 
 
+def fraction(value):
+    """A rational sympy number as a Fraction."""
+    value = sp.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
 def at(expr, point):
     """``expr`` at a point of Fractions, exactly."""
     return sp.sympify(expr).subs({k: sp.Rational(v.numerator, v.denominator) for k, v in point.items()})
@@ -127,8 +133,7 @@ def rel_err(code, exprs, point):
     terms does not shrink."""
     worst = scale = Fraction(0)
     for value, expr in zip(code, exprs):
-        terms = [sp.Rational(at(term, point)) for term in sp.Add.make_args(sp.expand(expr))]
-        terms = [Fraction(int(t.p), int(t.q)) for t in terms]
+        terms = [fraction(at(term, point)) for term in sp.Add.make_args(sp.expand(expr))]
         scale = max(scale, sum(map(abs, terms)))
         worst = max(worst, abs(Fraction(float(value)) - sum(terms)))
     assert scale > 0
@@ -146,7 +151,7 @@ def random_tensors(rng):
 
 def as_array(matrix):
     """A rational sympy matrix as doubles, each entry correctly rounded."""
-    return np.array([[float(Fraction(int(v.p), int(v.q))) for v in row] for row in matrix.tolist()])
+    return np.array([[float(fraction(v)) for v in row] for row in matrix.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +174,14 @@ def test_the_law_is_rhs_3d_core():
 def _milnor_law():
     ls = sp.symbols("l1:4", real=True)
     ds = sp.symbols("d1:4", positive=True)
-    c, k = sp.symbols("c kappa_", real=True)
+    c = sp.Symbol("c", real=True)
     ric = ricci(milnor_structure(ls), ds)
-    g_dot = law(ric, sp.diag(*ds), c / sp.sqrt(ds[0] * ds[1] * ds[2]), k)
-    return ls, ds, c, k, ric, g_dot
+    g_dot = law(ric, sp.diag(*ds), c / sp.sqrt(ds[0] * ds[1] * ds[2]), kappa)
+    return ls, ds, c, ric, g_dot
 
 
 def test_milnor_ricci_is_diagonal_with_milnors_principal_values():
-    ls, ds, _, _, ric, _ = _milnor_law()
+    ls, ds, _, ric, _ = _milnor_law()
     # In the orthonormal frame the brackets are l_i d_i / sqrt(d1 d2 d3).
     root = sp.sqrt(ds[0] * ds[1] * ds[2])
     ortho = [lam * d / root for lam, d in zip(ls, ds)]
@@ -188,7 +193,7 @@ def test_milnor_ricci_is_diagonal_with_milnors_principal_values():
 
 
 def test_milnor_system_is_the_law():
-    ls, ds, c, k, _, g_dot = _milnor_law()
+    ls, ds, c, _, g_dot = _milnor_law()
     for i, j in itertools.combinations(range(3), 2):
         assert is_zero(g_dot[i, j])
     entries = [sp.cancel(g_dot[i, i]) for i in range(3)]
@@ -196,8 +201,8 @@ def test_milnor_system_is_the_law():
     for _ in range(POINTS):
         point = {x: dyadic(rng, -2, 2) for x in ls}
         point.update({x: dyadic(rng, 0.25, 4) for x in ds})
-        point.update({c: dyadic(rng, -2, 2), k: dyadic(rng, 0, 2)})
-        rhs, _ = hf._milnor_system(tuple(float(point[x]) for x in ls), float(point[c]), float(point[k]))
+        point.update({c: dyadic(rng, -2, 2), kappa: dyadic(rng, 0, 2)})
+        rhs, _ = hf._milnor_system(tuple(float(point[x]) for x in ls), float(point[c]), float(point[kappa]))
         code = rhs(0.0, [float(point[x]) for x in ds])
         assert rel_err(code, entries, point) <= REL, point
 
@@ -206,14 +211,14 @@ def test_einstein_system_is_the_law_with_s0_equal_to_minus_6_K0():
     ls = sp.symbols("l1:4", real=True)
     ds = sp.symbols("d1:4", positive=True)
     sigma = sp.Symbol("sigma", positive=True)
-    c, k = sp.symbols("c kappa_", real=True)
+    c = sp.Symbol("c", real=True)
     g0 = sp.diag(*ds)
     ric0 = ricci(l_form_structure(ls), ds)
     k0 = sum(lam**2 / d for lam, d in zip(ls, ds))
     assert is_zero((g0.inv() * ric0).trace() + 6 * k0)  # s0 = -6 K0
     # Ric is scale-invariant, so Ric(sigma g0) = Ric(g0).
     g = sigma * g0
-    g_dot = law(ric0, g, c / sp.sqrt(g.det()), k)
+    g_dot = law(ric0, g, c / sp.sqrt(g.det()), kappa)
     phi = sp.cancel(g_dot[0, 0] / g[0, 0])
     assert all(is_zero(g_dot[i, j] - phi * g[i, j]) for i in range(3) for j in range(3))
     sigma_dot = sp.cancel(sigma * phi)  # sigma' g0 = phi sigma g0
@@ -221,9 +226,9 @@ def test_einstein_system_is_the_law_with_s0_equal_to_minus_6_K0():
     for _ in range(POINTS):
         point = {x: dyadic(rng, -2, 2) for x in ls}
         point.update({x: dyadic(rng, 0.25, 4) for x in ds})
-        point.update({sigma: dyadic(rng, 0.25, 4), c: dyadic(rng, -2, 2), k: dyadic(rng, 0, 2)})
+        point.update({sigma: dyadic(rng, 0.25, 4), c: dyadic(rng, -2, 2), kappa: dyadic(rng, 0, 2)})
         rhs, _ = hf._einstein_system(
-            tuple(float(point[x]) for x in ls), np.diag([float(point[x]) for x in ds]), float(point[c]), float(point[k])
+            tuple(float(point[x]) for x in ls), np.diag([float(point[x]) for x in ds]), float(point[c]), float(point[kappa])
         )
         assert rel_err(rhs(0.0, [float(point[sigma])]), [sigma_dot], point) <= REL, point
 
