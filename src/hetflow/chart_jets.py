@@ -18,18 +18,19 @@ coefficient an array holds is therefore a correct one, and nothing is
 multiplied that a later step could not use: ``Rhat`` is built at degree
 one because only its value and first derivatives are read.
 
-Every jet product goes through one gather--contract--scatter kernel.  For
-each degree ``d`` the pairs of monomials whose product has degree at most
-``d`` are listed once (1, 7, 28 and 84 pairs); a product gathers the pair
-coefficients of both factors along a trailing pair axis, contracts the
-tensor axes in a single ``np.einsum`` that carries the pair axis along, and
-sums each pair into the coefficient of its product monomial with one 0/1
-scatter matrix.  ``jet_mul`` and ``jet_einsum`` share it.  A coordinate
-derivative is one matrix product with a matrix that has a single nonzero
-entry per column, so it is exact.  The metric inverse is the adjugate
-written as an epsilon contraction, ``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc``:
-one plain einsum against the constant ``eps (x) eps`` and one ``jet_einsum``
-give every cofactor, and ``det = 1/3 g_ia C_ia``.
+Every jet product (``jet_mul``, ``jet_einsum``) runs one gather--contract--sum
+kernel.  For each degree ``d`` the pairs of monomials whose product has
+degree at most ``d`` are listed once, sorted by product monomial (1, 7, 28
+and 84 pairs); a product gathers the pair coefficients of both factors along
+a trailing pair axis, contracts the tensor axes in one ``np.einsum`` that
+carries it along, and sums each monomial's run of pairs with one
+``np.add.reduceat``: in one order at any batch size, so a sample's bytes do
+not depend on its batch.  A coordinate derivative is one matrix product with
+a matrix that has a single nonzero entry per column, so it is exact.  The
+metric inverse is the adjugate written as an epsilon contraction,
+``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc``: one plain einsum against the
+constant ``eps (x) eps`` and one ``jet_einsum`` give every cofactor, and
+``det = 1/3 g_ia C_ia``.
 
 Arrays may carry batch axes in front of the tensor axes.  Every spec
 addresses the tensor axes only and is given a leading ellipsis, so the jet
@@ -142,12 +143,11 @@ for _axis in range(N_VARS):
 
 
 def _mul_tables(degree: int) -> tuple:
-    """Gather indices of both factors and the (pairs, JET_SIZES[degree]) 0/1
-    scatter matrix of the pairs whose product has degree <= ``degree``."""
-    triples = [t for t in MUL_TRIPLES if t[2] < JET_SIZES[degree]]
-    scatter = np.zeros((len(triples), JET_SIZES[degree]))
-    scatter[np.arange(len(triples)), [t[2] for t in triples]] = 1.0
-    return np.array([t[0] for t in triples]), np.array([t[1] for t in triples]), scatter
+    """Gather indices of both factors of the pairs whose product has degree <=
+    ``degree``, stably sorted by product monomial, and where each monomial's run starts."""
+    triples = sorted((t for t in MUL_TRIPLES if t[2] < JET_SIZES[degree]), key=operator.itemgetter(2))
+    starts = np.searchsorted([t[2] for t in triples], range(JET_SIZES[degree]))
+    return np.array([t[0] for t in triples]), np.array([t[1] for t in triples]), starts
 
 
 _MUL_TABLES = tuple(_mul_tables(d) for d in range(JET_ORDER + 1))  # 1, 7, 28, 84 pairs
@@ -200,8 +200,8 @@ def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of jets at the lower of their degrees; broadcasts over leading (tensor) axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    take_a, take_b, scatter = _MUL_TABLES[min(jet_degree(a), jet_degree(b))]
-    return (a.take(take_a, axis=-1) * b.take(take_b, axis=-1)) @ scatter
+    take_a, take_b, starts = _MUL_TABLES[min(jet_degree(a), jet_degree(b))]
+    return np.add.reduceat(a.take(take_a, axis=-1) * b.take(take_b, axis=-1), starts, axis=-1)
 
 
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,11 +215,11 @@ def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    take_a, take_b, scatter = _MUL_TABLES[min(jet_degree(a), jet_degree(b))]
+    take_a, take_b, starts = _MUL_TABLES[min(jet_degree(a), jet_degree(b))]
     # take gives C-ordered gathers with the pair axis innermost; indexing
     # with ``[..., take_a]`` would put it outermost and slow the einsum.
     terms = np.einsum(_pair_spec(spec), a.take(take_a, axis=-1), b.take(take_b, axis=-1))
-    return terms @ scatter
+    return np.add.reduceat(terms, starts, axis=-1)
 
 
 @lru_cache(maxsize=256)

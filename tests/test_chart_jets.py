@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetflow import chart_jets as cj
@@ -213,8 +213,7 @@ def _single_jet_exp(a):
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_jet_exp_takes_a_batch_of_jets(degree, slices_match):
     """One jet gives the reference's bytes.  A batch gives ``math.exp`` of
-    every constant term exactly, and the single results to 1e-15 (a stacked
-    ``jet_mul`` sums its pair products in another order)."""
+    every constant term exactly, and the single results bit for bit."""
     rng = np.random.default_rng(degree)
     jets = 3.0 * rng.normal(size=(5, 2, cj.JET_SIZES[degree]))
     singles = [_single_jet_exp(jet) for jet in jets.reshape(-1, cj.JET_SIZES[degree])]
@@ -620,6 +619,34 @@ def test_an_indexed_batch_is_the_split_sample(backend, split_and_stacked):
     restacked = stacked(singles)
     restacked.meta = batch.meta
     _assert_same_bytes(batch, restacked)
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS, st.sampled_from([1, 2, 3, 4, 16, 200]))
+@example(0, 1)
+@example(0, 2)
+@example(0, 4)
+@example(0, 16)
+@example(0, 200)
+def test_a_batch_entry_has_the_bytes_of_its_single_call(seed, size):
+    """Every jet sum runs in one order at any batch size, so a stacked
+    product at every pair of degrees, a chart batch and an invariant batch
+    hold their single calls' bytes entry by entry."""
+    rng = np.random.default_rng(seed)
+    products = (cj.jet_mul, lambda x, y: cj.jet_einsum("ab,bc->ac", x, y))
+    for size_a in cj.JET_SIZES:
+        for size_b in cj.JET_SIZES:
+            a, b = rng.normal(size=(size, 3, 3, size_a)), rng.normal(size=(size, 3, 3, size_b))
+            for product in products:
+                stacked = product(a, b)
+                for k in range(size):
+                    assert stacked[k].tobytes() == product(a[k], b[k]).tobytes(), (size_a, size_b, k)
+    specs = [cj.random_chart_spec(seed + k, maxwell=bool(k % 2)) for k in range(size)]
+    for spec, sample in zip(specs, cj.build_chart_samples(specs), strict=True):
+        _assert_same_bytes(sample, cj.build_chart_sample(spec))
+    args = [hg._random_invariant_args(seed + k) for k in range(size)]
+    for entry, sample in zip(args, hg.build_invariant_samples(args), strict=True):
+        _assert_same_bytes(sample, hg.build_invariant_sample(*entry))
 
 
 @pytest.mark.parametrize("backend", ["chart", "homogeneous"])
