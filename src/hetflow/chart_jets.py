@@ -21,16 +21,15 @@ one because only its value and first derivatives are read.
 Every jet product (``jet_mul``, ``jet_einsum``) runs one gather--contract--sum
 kernel.  For each degree ``d`` the pairs of monomials whose product has
 degree at most ``d`` are listed once, sorted by product monomial (1, 7, 28
-and 84 pairs); a product gathers the pair coefficients of both factors along
-a trailing pair axis, contracts the tensor axes in one ``np.einsum`` that
-carries it along, and sums each monomial's run of pairs with one
-``np.add.reduceat``: in one order at any batch size, so a sample's bytes do
-not depend on its batch.  A coordinate derivative is one matrix product with
-a matrix that has a single nonzero entry per column, so it is exact.  The
-metric inverse is the adjugate written as an epsilon contraction,
-``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc``: one plain einsum against the
-constant ``eps (x) eps`` and one ``jet_einsum`` give every cofactor, and
-``det = 1/3 g_ia C_ia``.
+and 84 pairs); a product gathers the pair coefficients of both factors on a
+trailing pair axis, contracts the tensor axes in one ``np.einsum`` and sums
+each monomial's run of pairs with one ``np.add.reduceat``, in one order at
+any batch size, so a sample's bytes do not depend on its batch.  A
+coordinate derivative is one matrix product with a matrix that has a single
+nonzero entry per column, so it is exact.  The metric inverse is the
+adjugate as an epsilon contraction, ``C_ia = 1/2 eps_ijk eps_abc g_jb g_kc``:
+one plain einsum against the constant ``eps (x) eps`` and one ``jet_einsum``
+give every cofactor, and ``det = 1/3 g_ia C_ia``.
 
 Arrays may carry batch axes in front of the tensor axes.  Every spec
 addresses the tensor axes only and is given a leading ellipsis, so the jet
@@ -470,23 +469,29 @@ def random_chart_spec(seed: int, maxwell: bool = False) -> ChartSpec:
                 coeffs[0] *= 0.5  # keep the origin matrix comfortably SPD
             metric[i, j] = coeffs
             metric[j, i] = coeffs
-    for i in range(3):
-        metric[i, i, 0] += 1.0
+    metric[range(3), range(3), 0] += 1.0
     density = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
     density[0] = rng.uniform(0.7, 1.3)
     potential = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
     potential[0] = 0.0
-    return ChartSpec(metric=metric, density=density, potential=potential,
-                     maxwell=maxwell, seed=seed)
+    return ChartSpec(metric=metric, density=density, potential=potential, maxwell=maxwell, seed=seed)
+
+
+def _exp_diagonal_spec(c: float, monomial: tuple, scaled: list) -> ChartSpec:
+    """Diagonal metric chart: ``exp(2 c x)`` at the entries ``scaled``, ``x`` the coordinate ``monomial``, else 1."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a jet that is not finite is rejected below
+        factor = jet_exp(jet_from_poly({monomial: 2.0 * c}))
+    if not np.isfinite(factor).all():
+        raise ValueError(f"c must be finite, with finite jets of exp(2 c x), not {c!r}")
+    metric = np.zeros((3, 3, N_COEFFS))
+    metric[range(3), range(3), 0] = 1.0
+    metric[scaled, scaled] = factor
+    return ChartSpec(metric=metric, density=jet_constant(1.0), potential=np.zeros(N_COEFFS))
 
 
 def conformal_chart_spec(c: float = 1.0) -> ChartSpec:
     """Chart of ``g = exp(2 c x^1) * Id`` (Taylor-truncated; jets at 0 exact)."""
-    factor = jet_exp(jet_from_poly({(1, 0, 0): 2.0 * c}))
-    metric = np.zeros((3, 3, N_COEFFS))
-    for i in range(3):
-        metric[i, i] = factor
-    return ChartSpec(metric=metric, density=jet_constant(1.0), potential=np.zeros(N_COEFFS))
+    return _exp_diagonal_spec(c, (1, 0, 0), [0, 1, 2])
 
 
 def hyperbolic_chart_spec(c: float = 1.0) -> ChartSpec:
@@ -495,12 +500,7 @@ def hyperbolic_chart_spec(c: float = 1.0) -> ChartSpec:
     Constant sectional curvature ``-c^2``; jets at the origin are exact, so
     the curvature there is exactly that of the model space.
     """
-    factor = jet_exp(jet_from_poly({(0, 0, 1): 2.0 * c}))
-    metric = np.zeros((3, 3, N_COEFFS))
-    metric[0, 0] = factor
-    metric[1, 1] = factor
-    metric[2, 2] = jet_constant(1.0)
-    return ChartSpec(metric=metric, density=jet_constant(1.0), potential=np.zeros(N_COEFFS))
+    return _exp_diagonal_spec(c, (0, 0, 1), [0, 1])
 
 
 # ---------------------------------------------------------------------------

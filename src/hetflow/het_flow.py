@@ -188,12 +188,38 @@ def _rhs_3d_core(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: fl
     return g_dot, tc.float_or_array(-0.5 * np.einsum("...ab,...ab->...", g_inv, g_dot) * f)
 
 
+def _finite_rates(f: float, rates, *args):
+    """``rates(*args)``, one rate or a tuple of them at a state of density ``f``,
+    where each is finite; ``ValueError`` where one passes the largest double
+    (a product gives inf, and the float ``f**4`` raises ``OverflowError``)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = rates(*args)
+    except OverflowError:
+        out = math.inf
+    if not all(np.isfinite(x).all() for x in (out if isinstance(out, tuple) else (out,))):
+        raise ValueError(f"the flow rates at f = {f!r} overflow a double")
+    return out
+
+
 def rhs_3d(state: FlowState3, kappa: float) -> tuple:
-    """Time derivative ``(g', f')`` of the three-dimensional reduction."""
+    """Time derivative ``(g', f')`` of the three-dimensional reduction;
+    ``ValueError`` where a rate overflows a double."""
     _check_kappa(kappa)
     tc.validate_metric(state.g)
     g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
-    return _rhs_3d_core(state.g, g_inv, ricci, scalar, state.f, kappa)
+    return _finite_rates(state.f, _rhs_3d_core, state.g, g_inv, ricci, scalar, state.f, kappa)
+
+
+def _flow_args(g: np.ndarray, torsion: np.ndarray, kappa: float) -> tuple:
+    """``(g, H)`` as float arrays, after checking ``kappa``, the metric and that ``H`` is finite."""
+    _check_kappa(kappa)
+    g = np.asarray(g, dtype=float)
+    torsion = np.asarray(torsion, dtype=float)
+    tc.validate_metric(g)
+    if not np.isfinite(torsion).all():
+        raise ValueError("torsion entries must be finite")
+    return g, torsion
 
 
 def rhs_general(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: float) -> tuple:
@@ -203,10 +229,7 @@ def rhs_general(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: 
     (``delta(f vol) = 0`` there) but is generically nonzero from dimension
     four on.
     """
-    _check_kappa(kappa)
-    g = np.asarray(g, dtype=float)
-    torsion = np.asarray(torsion, dtype=float)
-    tc.validate_metric(g)
+    g, torsion = _flow_args(g, torsion, kappa)
     g_inv, gamma, _, ricci, _ = invariant_curvature(alg, g)
     riemann_tw = invariant_riemann(alg, g, connection_twisted(gamma, g_inv, torsion))
     rr = tc.riemann_square(g_inv, riemann_tw)
@@ -223,10 +246,7 @@ def rhs_general(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: 
 
 def bianchi_residual(alg: LieAlgebraData, g: np.ndarray, torsion: np.ndarray, kappa: float) -> np.ndarray:
     """Constraint 4-form ``dH + kappa <Rh ^ Rh>`` (identically zero in dim 3)."""
-    _check_kappa(kappa)
-    g = np.asarray(g, dtype=float)
-    torsion = np.asarray(torsion, dtype=float)
-    tc.validate_metric(g)
+    g, torsion = _flow_args(g, torsion, kappa)
     g_inv = tc.metric_inverse(g)
     gamma = levi_civita_connection(alg, g, g_inv)
     riemann_tw = invariant_riemann(alg, g, connection_twisted(gamma, g_inv, torsion))  # torsion -H
@@ -239,12 +259,15 @@ def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     In 3D ``|H|^2 = f^2``, and ``|Rh|^2`` is the closed form
     :func:`~hetflow.tensor_core.riemann_norm2_twisted_dim3` in Ricci data.
     The codifferential/Laplacian contribution vanishes on invariant data.
-    Zero on both constant-density fixed points (stationarity).
+    Zero on both constant-density fixed points (stationarity).  ``ValueError``
+    where the rate overflows a double.
     """
     _check_kappa(kappa)
     g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
     f = state.f
-    return 0.5 * (f * f - kappa * tc.riemann_norm2_twisted_dim3(g_inv, ricci, scalar, f, np.zeros(3)))
+    return _finite_rates(
+        f, lambda: 0.5 * (f * f - kappa * tc.riemann_norm2_twisted_dim3(g_inv, ricci, scalar, f, np.zeros(3)))
+    )
 
 
 def validate_solver_args(t_span, rtol: float, atol: float, n_points: int) -> None:
@@ -377,15 +400,27 @@ class _DenseOutput:
         return at
 
 
-def _illinois(fn, a: float, b: float, fa: float, fb: float, x: float, ftol: float) -> float:
+def _secant(a: float, b: float, fa: float, fb: float) -> float:
+    """The root of the line through ``(a, fa)`` and ``(b, fb)``, where ``fa`` and
+    ``fb`` differ in sign: ``(a fb - b fa) / (fb - fa)``, or, where a product of
+    an end and a value overflows, ``a + (b - a) fa / (fa - fb)``, which does not."""
+    x = (a * fb - b * fa) / (fb - fa)
+    return x if math.isfinite(x) else a + (b - a) * (fa / (fa - fb))
+
+
+def _illinois(fn, a: float, b: float, fa: float, fb: float, ftol: float, x: float | None = None) -> float:
     """A root of ``fn`` in ``[a, b]``, where ``fa = fn(a)`` and ``fb = fn(b)`` differ
-    in sign, by the Illinois method (Dowell & Jarratt 1971) from the first iterate ``x``.
+    in sign, by the Illinois method (Dowell & Jarratt 1971) from the first
+    iterate ``x``, by default the secant of the ends.
 
     Each iterate replaces the end whose value has its sign, and the next is
-    the secant of the ends; an end kept twice in a row has its value halved.
-    Stops at ``|fn(x)| <= ftol``, at ends within 4 ulps of ``b`` or after 60
-    iterations, and returns the evaluated iterate with the smallest ``|fn|``.
+    the :func:`_secant` of the ends; an end kept twice in a row has its value
+    halved.  Stops at ``|fn(x)| <= ftol``, at ends within 4 ulps of ``b`` or
+    after 60 iterations, and returns the evaluated iterate with the smallest
+    ``|fn|``.
     """
+    if x is None:
+        x = _secant(a, b, fa, fb)
     last, best, f_best = None, x, math.inf  # last: the end replaced last, "a" or "b"
     for _ in range(60):
         fx = fn(x)
@@ -401,7 +436,7 @@ def _illinois(fn, a: float, b: float, fa: float, fb: float, x: float, ftol: floa
             if last == "b":
                 fa *= 0.5
             b, fb, last = x, fx, "b"
-        x = (a * fb - b * fa) / (fb - fa)
+        x = _secant(a, b, fa, fb)
     return best
 
 
@@ -432,11 +467,11 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
     and not above 1 right after a rejection.  Each step is the one
     :func:`_dp_step_for` generates for the state's size, fetched once per
     run.  A non-finite error (a NaN stage) rejects the step and shrinks it
-    fivefold; a step below ten ulps of ``tau`` raises ``RuntimeError``.  A
-    start whose derivative, scaled by ``atol + rtol |y|``, overflows (the
-    initial step underflows to 0) raises ``ValueError``.  ``fun`` and the
-    event functions receive the state as a list of floats, and ``fun``
-    returns a sequence of as many floats.
+    fivefold; a step below ten ulps of ``tau``, or one that would end past
+    the largest double, raises ``RuntimeError``.  A start whose derivative,
+    scaled by ``atol + rtol |y|``, overflows (the initial step underflows to
+    0) raises ``ValueError``.  ``fun`` and the event functions receive the
+    state as a list of floats, and ``fun`` returns a sequence of as many floats.
 
     ``events`` is a sequence of ``(fn, direction)``, all terminal, and one
     of them must fire: ``tau`` has no bound.  After each accepted step an
@@ -472,6 +507,8 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
             if h_abs < min_step:
                 raise RuntimeError(f"integration failed: the step size fell below 10 ulps of tau = {tau!r}")
             tau_new = tau + h_abs
+            if tau_new == math.inf:  # its stages would be NaN and every retry as long
+                raise RuntimeError(f"integration failed: the step from tau = {tau!r} ends past the largest double")
             h = tau_new - tau
             y_new, ks, err = step(fun, tau, y, f, h, rtol, atol)
             nfev += 6
@@ -502,7 +539,7 @@ def solve_ivp(fun, y0, events, rtol: float, atol: float) -> _Run:
         a, b, fa, fb = nodes[-2], tau, g[i], g_new[i]
         if fa == 0.0 or fb == 0.0:  # an end is the root, the first if both are
             return a if fa == 0.0 else b
-        return _illinois(lambda s: events[i][0](s, at(s)), a, b, fa, fb, (a * fb - b * fa) / (fb - fa), 0.0)
+        return _illinois(lambda s: events[i][0](s, at(s)), a, b, fa, fb, 0.0)
 
     root, i = min((event_root(i), i) for i in active)
     if len(steps) > 1 and root == nodes[-2]:  # the run ends at the node before the last step
@@ -616,7 +653,7 @@ def _sample_in_t(sol, ts, sign):
             x = (s - s0) / h
             return sign * (ta + h * ((((t4 * x + t3) * x + t2) * x + t1) * x) - t0) - uj
 
-        root = _illinois(t_gap, nodes[k - 1], nodes[k], elapsed[k - 1] - uj, elapsed[k] - uj, guess[j], tol)
+        root = _illinois(t_gap, nodes[k - 1], nodes[k], elapsed[k - 1] - uj, elapsed[k] - uj, tol, guess[j])
         x = (root - s0) / h
         columns.append([a + h * ((((q4 * x + q3) * x + q2) * x + q1) * x) for a, q1, q2, q3, q4 in entries])
     z[:, late] = np.array(columns).T
@@ -648,7 +685,12 @@ def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
             return [math.nan] * 6
         g = np.asarray(y)[_SYM]
         g_inv, _, _, ricci, scalar = invariant_curvature(alg, g)
-        return _rhs_3d_core(g, g_inv, ricci, scalar, c / math.sqrt(det), kappa)[0][_TRIU].tolist()
+        try:  # a rate past the largest double is inf, or NaN where the float f**4 raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                g_dot = _rhs_3d_core(g, g_inv, ricci, scalar, c / math.sqrt(det), kappa)[0]
+        except OverflowError:
+            return [math.nan] * 6
+        return g_dot[_TRIU].tolist()
 
     events = (
         ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(np.asarray(y)[_SYM]))) - EPS_DEGENERATE, -1),

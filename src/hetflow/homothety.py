@@ -506,8 +506,10 @@ def lambert_w(x: float) -> float:
 
     Defined on ``[-1/e, inf)``; an ``x`` at most ``_BRANCH_SLACK / e`` below
     ``-1/e`` gives ``-1``.  Halley iteration from a series / logarithmic
-    seed; residual relative error at most ``_LAMBERT_TOL * (1 + |w|)`` (the
-    extra factor is the rounding floor of ``w * exp(w)`` in doubles).
+    seed, and from ``x = e^500`` on Newton's method on ``w + log w = log x``
+    (:func:`_w0_of_exp`); residual relative error at most
+    ``_LAMBERT_TOL * (1 + |w|)`` (the extra factor is the rounding floor of
+    ``w * exp(w)`` in doubles).
     """
     x = float(x)
     if not math.isfinite(x):
@@ -529,6 +531,8 @@ def lambert_w(x: float) -> float:
         w = _branch_series(p) if x < 0.0 else math.log1p(x)
     else:
         lx = math.log(x)
+        if lx >= 500.0:  # as in _w0_of_exp: near the largest double, Halley's (w + 2) fw overflows
+            return _w0_of_exp(lx)
         w = lx - math.log(lx)
 
     w = _lambert_halley(x, w)[0]
@@ -616,7 +620,10 @@ def flat_closed_form(kappa: float, mu: float, t: float) -> float:
     if b == 0.0:
         return 1.0
     if b > 0.0:
-        w = _w0_of_exp(math.log(b) + 12.0 * t / kappa + b)
+        log_x = math.log(b) + 12.0 * t / kappa + b
+        if log_x == math.inf:
+            raise ValueError(f"12 t / kappa overflows a double: t = {t!r}, kappa = {kappa!r}")
+        w = _w0_of_exp(log_x)
     else:
         try:
             w = lambert_w(b * math.exp(12.0 * t / kappa + b))
@@ -905,7 +912,7 @@ def _root_between(coeffs: np.ndarray, a: float, b: float, positive_at_a: bool) -
     if q_lo == 0.0 or q_hi == 0.0:
         return a if q_lo == 0.0 else b
     q_lo, q_hi = (q_lo, -q_hi) if positive_at_a else (-q_lo, q_hi)
-    return math.ldexp(hf._illinois(q, lo, hi, q_lo, q_hi, (lo * q_hi - hi * q_lo) / (q_hi - q_lo), 0.0), e)
+    return math.ldexp(hf._illinois(q, lo, hi, q_lo, q_hi, 0.0), e)
 
 
 def _fate_and_roots(problem: HomothetyProblem) -> tuple:

@@ -655,6 +655,37 @@ def test_overflowing_inputs_exit_2_without_a_warning(capsys, argv, message):
     assert "numerical-domain error" in err and message in err
 
 
+def _cli_subprocess(argv: list, timeout: float) -> subprocess.CompletedProcess:
+    """``python -m hetflow.cli argv`` in a fresh interpreter, killed after ``timeout`` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "hetflow.cli", *argv], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--t-max", "1e308"],  # heisenberg, kappa = f = 1: Milnor's rhs is exactly 0
+        ["flow", "--algebra", "r3", "--f", "0", "--t-max", "1e308"],
+        ["flow", "--t-max", "1e200"],
+        ["flow", "--t-max", "1e160"],
+    ],
+)
+def test_a_flow_over_a_long_span_ends_within_seconds(argv):
+    # A trial step past the largest double was retried forever, and near 1e200
+    # the secant of the span-end root overflowed, so every sample was NaN.
+    proc = _cli_subprocess(argv, timeout=60)
+    if argv[-1] == "1e308":
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "numerical-domain error" in proc.stderr and "past the largest double" in proc.stderr
+        return
+    assert proc.returncode == 0, proc.stderr
+    _, rows = _read_csv(proc.stdout)
+    assert len(rows) == 201 and float(rows[-1][0]) == float(argv[-1])
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 # ---------------------------------------------------------------------------
 # config files and atomic output
 # ---------------------------------------------------------------------------

@@ -296,13 +296,26 @@ def test_flow_diagnostics_reject_bad_kappa_as_the_rhs_do(call):
         call(state, state.f * tc.volume_form(state.g))
 
 
+@pytest.mark.parametrize("g", [np.eye(3), np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])])
+def test_a_start_whose_rates_overflow_fails_alike_on_both_paths(g):
+    # The float f**4 overflows from f ~ 1.2e77: the diagonal path's rhs is inf
+    # there, and the generic path's raised OverflowError (and warned at 1e60).
+    params = hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0))
+    state = hf.FlowState3(algebra=hg.catalog("su2"), g=g, f=1e78)
+    with pytest.raises(RuntimeError, match="not finite at the initial state"):
+        hf.integrate_flow(state, params)
+    state.f = 1e60
+    assert hf.integrate_flow(state, params).status == "event"
+
+
 @settings(max_examples=140, deadline=None)
 @given(st.sampled_from(hg.CATALOG_NAMES), st.integers(0, 2**32 - 1))
 def test_the_rhs_are_invariant_under_the_scaling_symmetry(name, seed):
     # (g, f, kappa, t) -> (4g, f/2, 4kappa, 4t) maps solutions to solutions:
     # Ric is scale-invariant, and Ric.Ric, s and |Ric|^2 scale as 1/4, 1/4 and
-    # 1/16.  With H -> 4H it holds for rhs_general too.  4 is a power of two, so
-    # every rounding scales with it and g' keeps its bits.
+    # 1/16.  With H -> 4H it holds for rhs_general too, and with the flux volume
+    # c = f sqrt(det g) -> 4c for each path of integrate_flow.  4 is a power of
+    # two, so every rounding scales with it and g' keeps its bits.
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 3))
     g = a @ a.T + 0.5 * np.eye(3)
@@ -315,6 +328,21 @@ def test_the_rhs_are_invariant_under_the_scaling_symmetry(name, seed):
     g_dot, _ = hf.rhs_general(alg, g, torsion, kappa)
     scaled, _ = hf.rhs_general(alg, 4.0 * g, 4.0 * torsion, 4.0 * kappa)
     assert scaled.tobytes() == g_dot.tobytes()
+    c = f * math.sqrt(np.linalg.det(g))
+    packed = g[hf._TRIU].tolist()
+    rhs, _ = hf._generic_system(alg, c, kappa)
+    scaled_rhs, _ = hf._generic_system(alg, 4.0 * c, 4.0 * kappa)
+    assert scaled_rhs(0.0, [4.0 * v for v in packed]) == rhs(0.0, packed)
+    if (lambdas := hg.milnor_lambdas(alg)) is not None:
+        d = rng.uniform(0.2, 3.0, size=3).tolist()
+        rhs, _ = hf._milnor_system(lambdas, c, kappa)
+        scaled_rhs, _ = hf._milnor_system(lambdas, 4.0 * c, 4.0 * kappa)
+        assert scaled_rhs(0.0, [4.0 * v for v in d]) == rhs(0.0, d)
+    if (ell := hg.l_form(alg)) is not None:
+        sigma = [float(rng.uniform(0.2, 3.0))]
+        rhs, _ = hf._einstein_system(ell, g, c, kappa)
+        scaled_rhs, _ = hf._einstein_system(ell, 4.0 * g, 4.0 * c, 4.0 * kappa)
+        assert [4.0 * v for v in scaled_rhs(0.0, sigma)] == rhs(0.0, sigma)
 
 
 @pytest.mark.filterwarnings("error")
@@ -759,13 +787,28 @@ def test_illinois_converges_where_regula_falsi_stalls():
         calls.append(x)
         return x**10 - 0.5
 
-    root = hf._illinois(fn, 0.0, 1.0, -0.5, 0.5, 0.5, 0.0)
+    root = hf._illinois(fn, 0.0, 1.0, -0.5, 0.5, 0.0)
     assert abs(root - 0.5**0.1) <= 4 * math.ulp(0.5**0.1)
     assert len(calls) < 60
     assert root in calls and abs(root**10 - 0.5) == min(abs(x**10 - 0.5) for x in calls)
 
 
-def _list_illinois(fn, a, b, fa, fb, x, ftol):
+def test_illinois_finds_a_root_where_the_secants_products_overflow():
+    # Ends and values near 1e200, as at the span-end event of a flow that
+    # long: a * fb overflows, and the product form of the secant is inf.
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 1.5e200
+
+    a, b = 1e200, 2e200
+    assert (a * fn(b) - b * fn(a)) / (fn(b) - fn(a)) == math.inf
+    assert hf._illinois(fn, a, b, fn(a), fn(b), 0.0) == 1.5e200
+    assert all(math.isfinite(x) for x in calls)
+
+
+def _list_illinois(fn, a, b, fa, fb, ftol, x):
     """:func:`hf._illinois` on two-entry lists of the ends and their values,
     indexed by the end each iterate replaces: the reference of its iterates."""
     ends, vals, last, best, f_best = [a, b], [fa, fb], -1, x, math.inf
@@ -799,7 +842,7 @@ def test_illinois_takes_the_iterates_of_the_list_version_bit_for_bit():
         iterates = {}
         for illinois in (hf._illinois, _list_illinois):
             calls = []
-            root = illinois(lambda s: calls.append(s) or fn(s), 0.0, 1.0, fa, fb, -fa / (fb - fa), ftol)
+            root = illinois(lambda s: calls.append(s) or fn(s), 0.0, 1.0, fa, fb, ftol, -fa / (fb - fa))
             iterates[illinois] = [v.hex() for v in (*calls, root)]
         assert iterates[hf._illinois] == iterates[_list_illinois]
         compared += 1
@@ -869,7 +912,7 @@ def _gathered_sample_in_t(sol, ts, sign):
         k, uj = int(np.searchsorted(elapsed, u[j])), float(u[j])
         at, (a, b) = sol.sol.interpolant(k - 1), sol.t[k - 1 : k + 1].tolist()
         fa, fb = (elapsed[k - 1 : k + 1] - uj).tolist()
-        root = hf._illinois(lambda s: sign * (at(s)[-1] - t0) - uj, a, b, fa, fb, float(tau[j]), tol)
+        root = hf._illinois(lambda s: sign * (at(s)[-1] - t0) - uj, a, b, fa, fb, tol, float(tau[j]))
         z[:, j] = at(root)
     return z
 

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -174,6 +175,19 @@ def test_lambert_w_domain_errors():
         ht.lambert_w(-1.0)
 
 
+def test_lambert_w_holds_its_residual_bound_up_to_the_largest_double():
+    # Halley's (w + 2) fw overflowed above about 10^307.5 and left W at its
+    # seed: lambert_w(1e308) raised ArithmeticError.
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0**e for e in np.linspace(0.0, 308.0, 400)] + [1e308, sys.float_info.max]
+    with mpmath.workprec(160):
+        for x in xs:
+            w = ht.lambert_w(x)
+            residual = abs(mpmath.mpf(w) * mpmath.exp(w) - x)
+            assert residual <= ht._LAMBERT_TOL * (1.0 + abs(w)) * x, x
+            assert abs(w - mpmath.lambertw(x).real) <= 4.0 * math.ulp(w), x
+
+
 def _F_outcome(fn, y):
     try:
         return fn(y).hex()  # NaN matches NaN, and -0.0 differs from 0.0
@@ -311,6 +325,7 @@ def test_the_solver_F_keeps_each_branch_of_F_from_coefficients(coeffs, y, branch
         (ht.kappa_crit_n, (math.nan,)),
         (ht.kappa_crit_n, (-math.inf,)),
         (ht.kappa_crit_n, (0.3382039574515255,)),  # exactly on the lower pole
+        (ht.flat_closed_form, (1.0, 1.0, 1e308)),  # 12 t / kappa overflows; it returned NaN
     ],
 )
 def test_closed_forms_reject_out_of_domain_input(fn, args):
@@ -1019,12 +1034,21 @@ _NOT_HOMOGENEOUS = pytest.mark.xfail(
     s=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
     y=st.floats(1e-3, 1e3),
 )
+@example(kappa=0.0, mu=9.445326479116778, s=2.548957510305637, y=220.04025557322777)  # pow's last bit
 def test_F_is_homogeneous_under_the_scaling_symmetry(case, kappa, mu, s, y):
     # g = sigma g0 and f = mu sigma^(-3/2) under (g, f, kappa, t) ->
     # (4g, f/2, 4kappa, 4t): sigma -> 4 sigma, mu -> 4 mu, and F = sigma sigma'
-    # -> 4F.  Powers of two scale every rounding, so the bits agree.
-    scaled = ht.F_value(ht.HomothetyProblem(case, 4.0 * kappa, 4.0 * mu, s), 4.0 * y)
-    assert scaled == 4.0 * ht.F_value(ht.HomothetyProblem(case, kappa, mu, s), y)
+    # -> 4F.  The quintic's coefficients and its Horner value p scale by powers
+    # of two, bit for bit, but F = p / y**4, and libm's pow is not correctly
+    # rounded: (4y)**4 and 256 y**4 differ in the last bit for about 1 y in
+    # 2 000.  Each power lies within 1 ulp of exact and each quotient rounds
+    # once, so the sides agree to 3 eps |F|, and |F| is at most the size of its
+    # terms, sum_k |c_k| y^(1-k), as _is_static sizes them.
+    problem = ht.HomothetyProblem(case, 4.0 * kappa, 4.0 * mu, s)
+    scaled = ht.F_value(problem, 4.0 * y)
+    terms = ht._F_in_powers_of_inverse(np.abs(ht.problem_coefficients(problem)), 4.0 * y)
+    unscaled = ht.F_value(ht.HomothetyProblem(case, kappa, mu, s), y)
+    assert abs(scaled - 4.0 * unscaled) <= 3.0 * np.finfo(float).eps * terms
 
 
 def test_problem_validation():

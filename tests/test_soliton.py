@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hetflow import chart_jets as cj
+from hetflow import het_flow as hf
 from hetflow import homogeneous as hg
 from hetflow import soliton as so
 from hetflow import tensor_core as tc
@@ -171,6 +172,10 @@ _SINGULAR = np.diag([1.0, 1.0, 0.0])
 
 
 @pytest.mark.filterwarnings("error")
+def _su2_state(f: float) -> hf.FlowState3:
+    return hf.FlowState3(algebra=hg.catalog("su2"), g=np.eye(3), f=f)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -210,6 +215,23 @@ _SINGULAR = np.diag([1.0, 1.0, 0.0])
         pytest.param(lambda: so.quadratic_roots(0.0, 1.0), id="quadratic_roots-zero-kappa"),
         pytest.param(lambda: so.quadratic_roots(math.nan, 1.0), id="quadratic_roots-nan-kappa"),
         pytest.param(lambda: so.quadratic_roots(1.0, math.inf), id="quadratic_roots-inf-f"),
+        # f**4 is 1e308 at f = 1e77, and f' overflows; at 1e78 the float f**4 raises
+        pytest.param(lambda: hf.rhs_3d(_su2_state(1e77), 1.0), id="rhs_3d-f-1e77"),
+        pytest.param(lambda: hf.rhs_3d(_su2_state(1e78), 1.0), id="rhs_3d-f-1e78"),
+        pytest.param(lambda: hf.dilaton_rhs(_su2_state(1e78), 1.0), id="dilaton_rhs-f-1e78"),
+        pytest.param(
+            lambda: hf.rhs_general(hg.catalog("su2"), np.eye(3), np.full((3, 3, 3), math.nan), 1.0),
+            id="rhs_general-nan-torsion",
+        ),
+        pytest.param(
+            lambda: hf.bianchi_residual(hg.catalog("su2"), np.eye(3), np.full((3, 3, 3), math.nan), 1.0),
+            id="bianchi_residual-nan-torsion",
+        ),
+        *(
+            pytest.param(lambda spec=spec, c=c: spec(c), id=f"{spec.__name__}-{c}")
+            for spec in (cj.conformal_chart_spec, cj.hyperbolic_chart_spec)
+            for c in (math.inf, 1e200, math.nan)
+        ),
     ],
 )
 def test_entry_points_reject_bad_input_with_value_error(call):
