@@ -34,6 +34,15 @@ def _read_csv(text):
     return rows[0], rows[1:]
 
 
+def _cli_subprocess(argv: list, timeout: float) -> subprocess.CompletedProcess:
+    """``python -m hetflow.cli argv`` in a fresh interpreter, killed after
+    ``timeout`` seconds.  Uninstalled, it finds the package through PYTHONPATH alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "hetflow.cli", *argv], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -655,14 +664,6 @@ def test_overflowing_inputs_exit_2_without_a_warning(capsys, argv, message):
     assert "numerical-domain error" in err and message in err
 
 
-def _cli_subprocess(argv: list, timeout: float) -> subprocess.CompletedProcess:
-    """``python -m hetflow.cli argv`` in a fresh interpreter, killed after ``timeout`` seconds."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "hetflow.cli", *argv], capture_output=True, text=True,
-                          timeout=timeout, env=env)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -977,27 +978,7 @@ def test_failed_command_leaves_no_partial_file(capsys, tmp_path):
 
 
 def test_console_script_roundtrip():
-    # Uninstalled, the subprocess finds the package through PYTHONPATH alone.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "hetflow.cli",
-            "verify",
-            "--suite",
-            "divergence",
-            "--trials",
-            "3",
-            "--seed",
-            "1",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    proc = _cli_subprocess(["verify", "--suite", "divergence", "--trials", "3", "--seed", "1"], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""  # no runpy warning that hetflow.cli was imported before it ran
     payload = json.loads(proc.stdout)
