@@ -469,12 +469,14 @@ def random_chart_spec(seed: int, maxwell: bool = False) -> ChartSpec:
                 coeffs[0] *= 0.5  # keep the origin matrix comfortably SPD
             metric[i, j] = coeffs
             metric[j, i] = coeffs
-    metric[range(3), range(3), 0] += 1.0
+    for i in range(3):
+        metric[i, i, 0] += 1.0
     density = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
     density[0] = rng.uniform(0.7, 1.3)
     potential = rng.uniform(-_CHART_AMPLITUDE, _CHART_AMPLITUDE, size=N_COEFFS)
     potential[0] = 0.0
-    return ChartSpec(metric=metric, density=density, potential=potential, maxwell=maxwell, seed=seed)
+    return ChartSpec(metric=metric, density=density, potential=potential,
+                     maxwell=maxwell, seed=seed)
 
 
 def _exp_diagonal_spec(c: float, monomial: tuple, scaled: list) -> ChartSpec:

@@ -179,7 +179,9 @@ def _rhs_3d_core(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: fl
     ric_comp = ricci @ g_inv @ ricci
     ric_norm2 = tc.ricci_norm2(g_inv, ricci)
     linear = 2.0 + kappa * (2.0 * scalar - f * f)
-    shift = f * f + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)
+    shift = f * f
+    if np.any(kappa):  # at kappa = 0 the shift is f^2, finite past the overflow of f^4
+        shift = shift + kappa * (scalar**2 - 2.0 * ric_norm2 - 0.25 * f**4)
     g_dot = (
         2.0 * tc.broadcast_scalar(kappa, 2) * ric_comp
         - tc.broadcast_scalar(linear, 2) * ricci
@@ -188,18 +190,14 @@ def _rhs_3d_core(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: fl
     return g_dot, tc.float_or_array(-0.5 * np.einsum("...ab,...ab->...", g_inv, g_dot) * f)
 
 
-def _finite_rates(f: float, rates, *args):
-    """``rates(*args)``, one rate or a tuple of them at a state of density ``f``,
-    where each is finite; ``ValueError`` where one passes the largest double
-    (a product gives inf, and the float ``f**4`` raises ``OverflowError``)."""
+def _rhs_3d_rates(g: np.ndarray, g_inv: np.ndarray, ricci: np.ndarray, scalar: float, f: float, kappa: float) -> tuple:
+    """:func:`_rhs_3d_core` without a warning: a rate past the largest double
+    is inf or NaN, and NaN where the float ``f**4`` raises ``OverflowError``."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = rates(*args)
+            return _rhs_3d_core(g, g_inv, ricci, scalar, f, kappa)
     except OverflowError:
-        out = math.inf
-    if not all(np.isfinite(x).all() for x in (out if isinstance(out, tuple) else (out,))):
-        raise ValueError(f"the flow rates at f = {f!r} overflow a double")
-    return out
+        return np.full_like(g, math.nan), math.nan
 
 
 def rhs_3d(state: FlowState3, kappa: float) -> tuple:
@@ -208,7 +206,10 @@ def rhs_3d(state: FlowState3, kappa: float) -> tuple:
     _check_kappa(kappa)
     tc.validate_metric(state.g)
     g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
-    return _finite_rates(state.f, _rhs_3d_core, state.g, g_inv, ricci, scalar, state.f, kappa)
+    g_dot, f_dot = _rhs_3d_rates(state.g, g_inv, ricci, scalar, state.f, kappa)
+    if not (np.isfinite(g_dot).all() and math.isfinite(f_dot)):
+        raise ValueError(f"the flow rates at f = {state.f!r} overflow a double")
+    return g_dot, f_dot
 
 
 def _flow_args(g: np.ndarray, torsion: np.ndarray, kappa: float) -> tuple:
@@ -265,9 +266,16 @@ def dilaton_rhs(state: FlowState3, kappa: float) -> float:
     _check_kappa(kappa)
     g_inv, _, _, ricci, scalar = invariant_curvature(state.algebra, state.g)
     f = state.f
-    return _finite_rates(
-        f, lambda: 0.5 * (f * f - kappa * tc.riemann_norm2_twisted_dim3(g_inv, ricci, scalar, f, np.zeros(3)))
-    )
+    rate = f * f
+    if kappa:  # at kappa = 0 the rate is f^2 / 2, finite past the overflow of f^4
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rate = rate - kappa * tc.riemann_norm2_twisted_dim3(g_inv, ricci, scalar, f, np.zeros(3))
+        except OverflowError:
+            rate = math.nan
+    if not math.isfinite(rate):
+        raise ValueError(f"the flow rates at f = {f!r} overflow a double")
+    return 0.5 * rate
 
 
 def validate_solver_args(t_span, rtol: float, atol: float, n_points: int) -> None:
@@ -685,12 +693,7 @@ def _generic_system(alg: LieAlgebraData, c: float, kappa: float) -> tuple:
             return [math.nan] * 6
         g = np.asarray(y)[_SYM]
         g_inv, _, _, ricci, scalar = invariant_curvature(alg, g)
-        try:  # a rate past the largest double is inf, or NaN where the float f**4 raises
-            with np.errstate(over="ignore", invalid="ignore"):
-                g_dot = _rhs_3d_core(g, g_inv, ricci, scalar, c / math.sqrt(det), kappa)[0]
-        except OverflowError:
-            return [math.nan] * 6
-        return g_dot[_TRIU].tolist()
+        return _rhs_3d_rates(g, g_inv, ricci, scalar, c / math.sqrt(det), kappa)[0][_TRIU].tolist()
 
     events = (
         ("degenerate", lambda t, y: float(np.min(np.linalg.eigvalsh(np.asarray(y)[_SYM]))) - EPS_DEGENERATE, -1),
@@ -711,6 +714,7 @@ def _milnor_system(lambdas: tuple, c: float, kappa: float) -> tuple:
     """
     l1, l2, l3 = lambdas
     k2 = 2.0 * kappa
+    quarter = 0.25 if kappa else 0.0  # at kappa = 0 the shift is f^2, finite past the overflow of f^4
 
     def rhs(t, d):
         d1, d2, d3 = d
@@ -723,7 +727,7 @@ def _milnor_system(lambdas: tuple, c: float, kappa: float) -> tuple:
         f2 = f * f
         s = r1 + r2 + r3
         linear = 2.0 + kappa * (2.0 * s - f2)
-        shift = f2 + kappa * (s * s - 2.0 * (r1 * r1 + r2 * r2 + r3 * r3) - 0.25 * f2 * f2)
+        shift = f2 + kappa * (s * s - 2.0 * (r1 * r1 + r2 * r2 + r3 * r3) - quarter * f2 * f2)
         return [
             d1 * (k2 * r1 * r1 - linear * r1 + shift),
             d2 * (k2 * r2 * r2 - linear * r2 + shift),
@@ -754,7 +758,10 @@ def _einstein_system(ell: tuple, g0: np.ndarray, c: float, kappa: float) -> tupl
         if not sigma > 0.0:  # off the cone, as in _generic_system
             return [math.nan]
         w = f0_sq / (sigma * sigma)
-        return [4.0 * k0 + w - kappa * (2.0 * k0 + 0.5 * w) ** 2 / sigma]
+        try:
+            return [4.0 * k0 + w - kappa * (2.0 * k0 + 0.5 * w) ** 2 / sigma]
+        except OverflowError:  # the float square passes the largest double; at kappa = 0 it drops out
+            return [math.nan if kappa else 4.0 * k0 + w]
 
     lam_min = float(np.min(np.linalg.eigvalsh(g0)))
     entry_max = float(np.max(np.abs(g0)))

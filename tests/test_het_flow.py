@@ -308,6 +308,27 @@ def test_a_start_whose_rates_overflow_fails_alike_on_both_paths(g):
     assert hf.integrate_flow(state, params).status == "event"
 
 
+@pytest.mark.parametrize("name", ["su2", "hyperbolic"])
+@pytest.mark.parametrize("g", [np.eye(3), np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])])
+def test_the_f4_term_overflows_only_where_kappa_weighs_it(name, g):
+    # At kappa = 0 the law is g' = -2 Ric + f^2 g with dilaton rate f^2 / 2,
+    # finite at f = 1e78, where f^4 passes the largest double; at kappa = 1
+    # the rates overflow.  su2 runs the diagonal and the generic path,
+    # hyperbolic the Einstein path.
+    alg = hg.catalog(name)
+    state = hf.FlowState3(algebra=alg, g=g, f=1e78)
+    g_dot, f_dot = hf.rhs_3d(state, 0.0)
+    g_inv, _, _, ricci, _ = hf.invariant_curvature(alg, g)
+    np.testing.assert_array_equal(g_dot, -2.0 * ricci + (1e78 * 1e78) * g)
+    assert f_dot == -0.5 * np.einsum("ab,ab->", g_inv, g_dot) * 1e78
+    assert hf.dilaton_rhs(state, 0.0) == 0.5 * (1e78 * 1e78)
+    assert hf.integrate_flow(state, hf.FlowParams(kappa=0.0, t_span=(0.0, 1.0))).status == "event"
+    with pytest.raises(ValueError, match="overflow a double"):
+        hf.rhs_3d(state, 1.0)
+    with pytest.raises(RuntimeError, match="not finite at the initial state"):
+        hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0)))
+
+
 @settings(max_examples=140, deadline=None)
 @given(st.sampled_from(hg.CATALOG_NAMES), st.integers(0, 2**32 - 1))
 def test_the_rhs_are_invariant_under_the_scaling_symmetry(name, seed):

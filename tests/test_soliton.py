@@ -171,11 +171,11 @@ def test_classify_validation():
 _SINGULAR = np.diag([1.0, 1.0, 0.0])
 
 
-@pytest.mark.filterwarnings("error")
 def _su2_state(f: float) -> hf.FlowState3:
     return hf.FlowState3(algebra=hg.catalog("su2"), g=np.eye(3), f=f)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "call",
     [
