@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -296,55 +296,65 @@ def test_flow_diagnostics_reject_bad_kappa_as_the_rhs_do(call):
         call(state, state.f * tc.volume_form(state.g))
 
 
-@pytest.mark.parametrize("g", [np.eye(3), np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])])
-def test_a_start_whose_rates_overflow_fails_alike_on_both_paths(g):
-    # The float f**4 overflows from f ~ 1.2e77: the diagonal path's rhs is inf
-    # there, and the generic path's raised OverflowError (and warned at 1e60).
-    params = hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0))
-    state = hf.FlowState3(algebra=hg.catalog("su2"), g=g, f=1e78)
-    with pytest.raises(RuntimeError, match="not finite at the initial state"):
-        hf.integrate_flow(state, params)
-    state.f = 1e60
-    assert hf.integrate_flow(state, params).status == "event"
-
-
 @pytest.mark.parametrize("name", ["su2", "hyperbolic"])
 @pytest.mark.parametrize("g", [np.eye(3), np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])])
-def test_the_f4_term_overflows_only_where_kappa_weighs_it(name, g):
-    # At kappa = 0 the law is g' = -2 Ric + f^2 g with dilaton rate f^2 / 2,
-    # finite at f = 1e78, where f^4 passes the largest double; at kappa = 1
-    # the rates overflow.  su2 runs the diagonal and the generic path,
-    # hyperbolic the Einstein path.
+def test_a_start_whose_rates_overflow_fails_alike_on_every_path(name, g):
+    # su2 runs the diagonal and the generic path, hyperbolic the Einstein
+    # path.  At f = 1e78 the float f**4 passes the largest double: at kappa = 1
+    # the rates overflow, and every path's start fails alike; at kappa = 0 the
+    # law is g' = -2 Ric + f^2 g with dilaton rate f^2 / 2, and both are finite.
     alg = hg.catalog(name)
     state = hf.FlowState3(algebra=alg, g=g, f=1e78)
+    with pytest.raises(ValueError, match="overflow a double"):
+        hf.rhs_3d(state, 1.0)
+    with pytest.raises(RuntimeError, match="not finite at the initial state"):
+        hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0)))
     g_dot, f_dot = hf.rhs_3d(state, 0.0)
     g_inv, _, _, ricci, _ = hf.invariant_curvature(alg, g)
     np.testing.assert_array_equal(g_dot, -2.0 * ricci + (1e78 * 1e78) * g)
     assert f_dot == -0.5 * np.einsum("ab,ab->", g_inv, g_dot) * 1e78
     assert hf.dilaton_rhs(state, 0.0) == 0.5 * (1e78 * 1e78)
     assert hf.integrate_flow(state, hf.FlowParams(kappa=0.0, t_span=(0.0, 1.0))).status == "event"
-    with pytest.raises(ValueError, match="overflow a double"):
-        hf.rhs_3d(state, 1.0)
-    with pytest.raises(RuntimeError, match="not finite at the initial state"):
-        hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0)))
+    state.f = 1e60
+    assert hf.integrate_flow(state, hf.FlowParams(kappa=1.0, t_span=(0.0, 1.0))).status == "event"
+
+
+# A rate and its copy under the scaling symmetry may differ by this many eps
+# times the size of the terms that make the rate: the 3D law takes s**2 and
+# f**4, and the Einstein path its square, from libm's pow, which is within
+# 1 ulp but not correctly rounded (pow(x, 2) != x * x for about 1 x in 1 300),
+# so the two copies' powers differ by up to 2 ulps, and the few roundings
+# after them by an ulp each.  The worst seen is 1.3 eps over 4 000 seeds on
+# each catalog algebra.
+_POW_ROOM = 8.0 * np.finfo(float).eps
 
 
 @settings(max_examples=140, deadline=None)
 @given(st.sampled_from(hg.CATALOG_NAMES), st.integers(0, 2**32 - 1))
+@example(name="sl2r", seed=3400)
+@example(name="r3", seed=1835)
+@example(name="hyperbolic", seed=1289)
 def test_the_rhs_are_invariant_under_the_scaling_symmetry(name, seed):
     # (g, f, kappa, t) -> (4g, f/2, 4kappa, 4t) maps solutions to solutions:
     # Ric is scale-invariant, and Ric.Ric, s and |Ric|^2 scale as 1/4, 1/4 and
     # 1/16.  With H -> 4H it holds for rhs_general too, and with the flux volume
     # c = f sqrt(det g) -> 4c for each path of integrate_flow.  4 is a power of
-    # two, so every rounding scales with it and g' keeps its bits.
+    # two, so every product and sum scales with it and keeps its bits; only the
+    # powers of the 3D law and the Einstein path need _POW_ROOM.
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 3))
     g = a @ a.T + 0.5 * np.eye(3)
     f, kappa = float(rng.normal()), float(rng.uniform(0.0, 2.0))
     alg = hg.catalog(name)
+    g_inv, _, _, ricci, s = hf.invariant_curvature(alg, g)
+    room = _POW_ROOM * (
+        2.0 * kappa * np.abs(ricci @ g_inv @ ricci)
+        + abs(2.0 + kappa * (2.0 * s - f * f)) * np.abs(ricci)
+        + (f * f + kappa * (s * s + 2.0 * tc.ricci_norm2(g_inv, ricci) + 0.25 * f**4)) * np.abs(g)
+    )
     g_dot, _ = hf.rhs_3d(hf.FlowState3(algebra=alg, g=g, f=f), kappa)
     scaled, _ = hf.rhs_3d(hf.FlowState3(algebra=alg, g=4.0 * g, f=0.5 * f), 4.0 * kappa)
-    assert scaled.tobytes() == g_dot.tobytes()
+    assert (np.abs(scaled - g_dot) <= room).all()
     torsion = f * tc.volume_form(g)
     g_dot, _ = hf.rhs_general(alg, g, torsion, kappa)
     scaled, _ = hf.rhs_general(alg, 4.0 * g, 4.0 * torsion, 4.0 * kappa)
@@ -353,17 +363,19 @@ def test_the_rhs_are_invariant_under_the_scaling_symmetry(name, seed):
     packed = g[hf._TRIU].tolist()
     rhs, _ = hf._generic_system(alg, c, kappa)
     scaled_rhs, _ = hf._generic_system(alg, 4.0 * c, 4.0 * kappa)
-    assert scaled_rhs(0.0, [4.0 * v for v in packed]) == rhs(0.0, packed)
+    assert (np.abs(np.subtract(scaled_rhs(0.0, [4.0 * v for v in packed]), rhs(0.0, packed))) <= room[hf._TRIU]).all()
     if (lambdas := hg.milnor_lambdas(alg)) is not None:
         d = rng.uniform(0.2, 3.0, size=3).tolist()
         rhs, _ = hf._milnor_system(lambdas, c, kappa)
         scaled_rhs, _ = hf._milnor_system(lambdas, 4.0 * c, 4.0 * kappa)
         assert scaled_rhs(0.0, [4.0 * v for v in d]) == rhs(0.0, d)
     if (ell := hg.l_form(alg)) is not None:
-        sigma = [float(rng.uniform(0.2, 3.0))]
+        sigma = float(rng.uniform(0.2, 3.0))
+        k0, w = float(ell @ np.linalg.solve(g, ell)), f * f / sigma**2
         rhs, _ = hf._einstein_system(ell, g, c, kappa)
         scaled_rhs, _ = hf._einstein_system(ell, 4.0 * g, 4.0 * c, 4.0 * kappa)
-        assert [4.0 * v for v in scaled_rhs(0.0, sigma)] == rhs(0.0, sigma)
+        size = 4.0 * abs(k0) + w + kappa * (2.0 * k0 + 0.5 * w) ** 2 / sigma
+        assert abs(4.0 * scaled_rhs(0.0, [sigma])[0] - rhs(0.0, [sigma])[0]) <= _POW_ROOM * size
 
 
 @pytest.mark.filterwarnings("error")
